@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -51,6 +52,9 @@ SCHEMA_VERSION = 1
 
 SWEEP_METRICS = ("excess_risk_target", "est_error_avg", "nu_hat", "mu_x", "mu_f",
                  "fit_objective")
+
+# Failures a sweep row records instead of aborting the sweep.
+ROW_ERRORS = (TransferLabError, np.linalg.LinAlgError, ValueError)
 
 
 def _check_keys(section: dict, allowed: set[str], context: str) -> None:
@@ -114,6 +118,10 @@ class ExperimentConfig:
         _check_keys(law, allowed_law[kind], f"population.law({kind})")
         fit = cfg.get("fit", {"kind": "linear"})
         _check_keys(fit, {"kind", "max_iters", "tol", "restarts", "lr"}, "fit")
+        if fit.get("kind", "linear") != "linear":
+            # every command fits with fit_first_stage_linear
+            raise ConfigError(f"unsupported fit kind '{fit['kind']}'; "
+                              "only 'linear' is implemented")
         sweep = cfg.get("sweep")
         if sweep is not None:
             _check_keys(sweep, {"axis", "grid", "replicates", "n", "n_prime"}, "sweep")
@@ -123,6 +131,8 @@ class ExperimentConfig:
             grid = [int(v) for v in _require(sweep, "grid", "sweep")]
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError("sweep grid must be strictly increasing")
+            if grid and grid[0] < 1:
+                raise ConfigError("sweep grid values must be >= 1")
         diagnostics = cfg.get("diagnostics", {})
         _check_keys(diagnostics, {"mc_samples", "nrls"}, "diagnostics")
         bounds_cfg = cfg.get("bounds")
@@ -269,23 +279,15 @@ def _row_seed(seed: int, axis_value: int, replicate: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sweep_one_row(config: ExperimentConfig, axis: str, axis_value: int,
-                   replicate: int) -> SweepRow:
+def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
+                   axis_value: int, replicate: int) -> SweepRow:
     start = time.perf_counter()
     sweep = config.sweep
-    t = int(config.population.get("num_sources", 4))
-    n = int(sweep.get("n", 64))
-    n_prime = int(sweep.get("n_prime", 128))
-    if axis == "T":
-        t = axis_value
-    elif axis == "N":
-        n = axis_value
-    else:
-        n_prime = axis_value
-
-    spec = build_population(config.population, config.seed, num_sources=t)
+    n = axis_value if axis == "N" else int(sweep.get("n", 64))
+    n_prime = axis_value if axis == "N_prime" else int(sweep.get("n_prime", 128))
     row_seed = _row_seed(config.seed, axis_value, replicate)
-    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * t, seed=row_seed)
+    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
+                        seed=row_seed)
     data = sample_tasks(req)
 
     opts = _fit_options(config.fit, seed=row_seed)
@@ -335,9 +337,11 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run the configured sweep grid; median-aggregate and fit log-log slopes.
 
-    Individual row failures are recorded and skipped; more than 50% failures
-    (or a grid too short for a slope) raises SweepFailed. Output is sorted by
-    (axis_value, replicate) so execution order never changes the result.
+    The population is built once per axis value and released before the next
+    one. Individual row failures (``ROW_ERRORS``) are recorded with their
+    exception type and skipped; more than 50% failures (or a grid too short for
+    a slope) raises SweepFailed. Output is sorted by (axis_value, replicate) so
+    execution order never changes the result.
     """
     if config.sweep is None:
         raise SweepFailed("no sweep section in config")
@@ -347,32 +351,33 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     if len(grid) < 3:
         raise SweepFailed("sweep grid needs at least 3 points for slope fits")
 
-    jobs = [(v, rep) for v in grid for rep in range(replicates)]
     rows: list[SweepRow] = []
     errors: list[tuple[int, int, str]] = []
 
-    def work(job):
-        v, rep = job
-        return _sweep_one_row(config, axis, v, rep)
+    def record(v, rep, call):
+        try:
+            rows.append(call())
+        except ROW_ERRORS as exc:
+            errors.append((v, rep, f"{type(exc).__name__}: {exc}"))
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(work, job): job for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                v, rep = futures[fut]
-                try:
-                    rows.append(fut.result())
-                except TransferLabError as exc:
-                    errors.append((v, rep, str(exc)))
-    else:
-        for job in jobs:
-            try:
-                rows.append(work(job))
-            except TransferLabError as exc:
-                errors.append((job[0], job[1], str(exc)))
+    with (concurrent.futures.ThreadPoolExecutor(max_workers=threads) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        for v in grid:
+            spec = build_population(config.population, config.seed,
+                                    num_sources=v if axis == "T" else None)
+            if pool is None:
+                for rep in range(replicates):
+                    record(v, rep, lambda: _sweep_one_row(config, spec, axis, v, rep))
+            else:
+                futures = [pool.submit(_sweep_one_row, config, spec, axis, v, rep)
+                           for rep in range(replicates)]
+                for rep, fut in enumerate(futures):
+                    record(v, rep, fut.result)
+            del spec
 
-    if len(errors) > len(jobs) / 2:
-        raise SweepFailed(f"{len(errors)} of {len(jobs)} sweep rows failed")
+    jobs = len(grid) * replicates
+    if len(errors) > jobs / 2:
+        raise SweepFailed(f"{len(errors)} of {jobs} sweep rows failed")
     rows.sort(key=lambda r: (r.axis_value, r.replicate))
 
     medians: dict = {}

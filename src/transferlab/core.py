@@ -40,17 +40,18 @@ def pinv(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
 
     Singular values below ``tol * sigma_max`` are treated as zero. Satisfies
-    the four Penrose identities to high relative accuracy.
+    the four Penrose identities to high relative accuracy. A stack of shape
+    (..., m, n) is inverted matrix by matrix, each with its own cutoff.
 
     Raises
     ------
     InvalidMatrix
-        If the input has non-finite entries.
+        If the input has non-finite entries or fewer than two dimensions.
     """
     m = np.asarray(m, dtype=float)
     _require_finite(m, "pinv input")
-    if m.ndim != 2:
-        raise InvalidMatrix("pinv expects a 2-D array")
+    if m.ndim < 2:
+        raise InvalidMatrix("pinv expects a matrix or a stack of matrices")
     return np.linalg.pinv(m, rcond=tol)
 
 

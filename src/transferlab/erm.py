@@ -8,9 +8,12 @@ Also provides the offset-complexity statistic of the fitted noise process.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     FiniteMember,
@@ -24,9 +27,14 @@ from .core import (
 )
 from .errors import DegenerateData, DivergedOptimization, EmptyDictionary
 
-# Multiplier on the projected-noise norm matching the supremum of
-# 4<W, Z F^T> - ||Z F^T||_F^2 over heads F. Calibrated against the
-# brute-force multi-start ascent oracle in the test suite.
+logger = logging.getLogger(__name__)
+
+# Multiplier on the projected-noise norm in the supremum of
+# 4<W, Z F^T> - ||Z F^T||_F^2 over heads F. It is exact, by completing the
+# square (Liang, Rakhlin, Sridharan 2015, offset Rademacher complexity):
+# M = Z F^T ranges over the matrices with columns in range(Z), where
+# <W, M> = <P_Z W, M>, so 4<P_Z W, M> - ||M||^2 = 4||P_Z W||^2 - ||M - 2 P_Z W||^2
+# peaks at M = 2 P_Z W with value 4||P_Z W||_F^2 = 4||(Z^T Z)^{+/2} Z^T W||_F^2.
 OFFSET_SUP_CONSTANT = 4.0
 
 
@@ -90,39 +98,104 @@ def _random_row_orthonormal(r: int, d_x: int, rng: np.random.Generator) -> np.nd
     return q.T
 
 
-def _als_single(datasets, r, opts, rng):
-    """One alternating-LS run from a random orthonormal initialization."""
-    d_x = datasets[0].covariates.shape[1]
-    xs = [ds.covariates for ds in datasets]
-    ys = [ds.labels for ds in datasets]
-    gram_x = [x.T @ x for x in xs]
-    xy = [x.T @ y for x, y in zip(xs, ys)]  # d_x x d_y
+def _heads_from_stats(gram: np.ndarray, gxty: np.ndarray) -> np.ndarray:
+    """Stacked least-squares heads F_t = (G X_t^T Y_t)^T (G X_t^T X_t G^T)^+.
 
+    ``gram`` is the (T, r, r) stack of feature Grams Z_t^T Z_t and ``gxty`` the
+    (T, r, d_y) stack of Z_t^T Y_t, with Z_t = X_t G^T; this is ``ls_head`` for
+    every task at once, with the same per-matrix pseudo-inverse cutoff.
+    """
+    return np.swapaxes(gxty, 1, 2) @ pinv(gram)
+
+
+def _normal_matrix(xtx: np.ndarray, ftf: np.ndarray) -> np.ndarray:
+    """sum_t kron(X_t^T X_t, F_t^T F_t), assembled with one GEMM.
+
+    Entry ((i, j), (k, l)) of the (d_x^2, r^2) product below is
+    sum_t (X_t^T X_t)[i, j] (F_t^T F_t)[k, l]; ``kron`` places it at row
+    i r + k and column j r + l, hence the (i, k, j, l) transpose.
+    """
+    t, d_x, _ = xtx.shape
+    r = ftf.shape[1]
+    m = xtx.reshape(t, d_x * d_x).T @ ftf.reshape(t, r * r)
+    return m.reshape(d_x, d_x, r, r).transpose(0, 2, 1, 3).reshape(d_x * r, d_x * r)
+
+
+def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of a x = b by pivoted QR (LAPACK gelsy).
+
+    Columns whose pivoted-QR condition estimate exceeds 1 / (eps * n) are
+    treated as dependent, so singular normal matrices get the minimum-norm
+    solution, as with the SVD-based driver, at a fraction of its cost.
+    """
+    cond = np.finfo(float).eps * a.shape[0]
+    return scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsy")[0]
+
+
+class _AlsRun(NamedTuple):
+    g: np.ndarray
+    heads: np.ndarray  # (T, d_y, r), least-squares heads for g
+    objective: float
+    iterations: int
+    converged: bool
+    history: tuple[float, ...]
+
+
+def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
+    """One alternating-LS run from a random orthonormal initialization.
+
+    Every step reads only the per-task statistics S_t = X_t^T X_t (``xtx``,
+    (T, d_x, d_x)) and B_t = X_t^T Y_t (``xty``, (T, d_x, d_y)), the total
+    sum_t ||Y_t||_F^2 (``yy``) and sample count (``n_total``), so no iteration
+    costs anything that grows with N. With features
+    Z_t = X_t G^T:
+
+    * Heads given G: F_t = Y_t^T Z_t (Z_t^T Z_t)^+ = (G B_t)^T (G S_t G^T)^+.
+    * Objective: expanding the square and cycling traces,
+      ||Y - X G^T F^T||_F^2 = tr Y^T Y - 2 tr(F G X^T Y) + tr(F G X^T X G^T F^T),
+      summed over tasks and divided by sum_t N_t.
+    * G given heads: setting the G-gradient to zero gives
+      sum_t (F_t^T F_t) G S_t = sum_t F_t^T B_t^T. Column-stacked,
+      vec(A G C) = (C^T kron A) vec(G) and S_t is symmetric, so
+      [sum_t S_t kron (F_t^T F_t)] vec(G) = vec(sum_t F_t^T B_t^T),
+      solved for the minimum-norm vec(G).
+
+    The statistics carry a relative round-off of about eps, and the objective
+    subtracts terms of size ||Y||^2, so it is only resolved down to a floor of
+    about eps * ||Y||_F^2 / N and may read slightly negative there. A noiseless
+    fit that reaches the floor stalls there and is stopped by the
+    relative-decrease test; the ``obj <= 1e-28`` exit fires only if round-off
+    lands below it.
+    """
+    d_x = xtx.shape[1]
     g = _random_row_orthonormal(r, d_x, rng)
-    heads = None
+
+    def project(g):
+        return g @ xtx @ g.T, g @ xty
+
+    def objective(f, gram, gxty):
+        cross = float(np.sum(np.swapaxes(f, 1, 2) * gxty))
+        quad = float(np.sum((f @ gram) * f))
+        return (yy - 2.0 * cross + quad) / n_total
+
+    gram, gxty = project(g)
     history = []
     converged = False
     iterations = 0
     for it in range(opts.max_iters):
         iterations = it + 1
-        # (a) heads given G, per task
-        heads = [ls_head(x @ g.T, y) for x, y in zip(xs, ys)]
-        # (b) G given heads: solve sum_t (F^T F) G (X^T X) = sum_t F^T Y^T X
-        #     via column-stacked normal equations over vec(G).
-        lhs = np.zeros((r * d_x, r * d_x))
-        rhs = np.zeros((r, d_x))
-        for head, gx, xyt in zip(heads, gram_x, xy):
-            ftf = head.f.T @ head.f
-            lhs += np.kron(gx, ftf)
-            rhs += head.f.T @ xyt.T
-        vec_g = np.linalg.lstsq(lhs, rhs.reshape(-1, order="F"), rcond=None)[0]
+        f = _heads_from_stats(gram, gxty)
+        lhs = _normal_matrix(xtx, np.swapaxes(f, 1, 2) @ f)
+        rhs = np.tensordot(f, xty, axes=([0, 1], [0, 2]))  # sum_t F_t^T B_t^T, r x d_x
+        vec_g = _min_norm_lstsq(lhs, rhs.reshape(-1, order="F"))
         g = vec_g.reshape((r, d_x), order="F")
         # re-orthonormalize G, counter-rotating the heads so predictions are
         # unchanged
         u, s, vt = np.linalg.svd(g, full_matrices=False)
         g = vt
-        heads = [LinearHead(head.f @ (u * s)) for head in heads]
-        obj = _pooled_objective(datasets, LinearRep(g), heads)
+        f = f @ (u * s)
+        gram, gxty = project(g)
+        obj = objective(f, gram, gxty)
         history.append(obj)
         if len(history) >= 2:
             prev = history[-2]
@@ -132,32 +205,24 @@ def _als_single(datasets, r, opts, rng):
         if obj <= 1e-28:
             converged = True
             break
-    # final exact head refit on the orthonormalized representation
-    heads = [ls_head(x @ g.T, y) for x, y in zip(xs, ys)]
-    rep = LinearRep(g)
-    obj = _pooled_objective(datasets, rep, heads)
-    residuals = tuple(
-        _mean_sq_residual(rep.features(ds.covariates), ds.labels, head.f)
-        for ds, head in zip(datasets, heads)
-    )
-    return FirstStageFit(
-        heads=tuple(heads),
-        rep=rep,
-        per_task_residual=residuals,
-        iterations=iterations,
-        converged=converged,
-        objective=obj,
-        objective_history=tuple(history),
-    )
+    if not converged:
+        logger.warning("ALS restart stopped at max_iters=%d without converging "
+                       "(objective %.6g)", opts.max_iters, history[-1] if history else np.nan)
+    # exact head refit on the orthonormalized representation
+    f = _heads_from_stats(gram, gxty)
+    return _AlsRun(g=g, heads=f, objective=objective(f, gram, gxty),
+                   iterations=iterations, converged=converged, history=tuple(history))
 
 
 def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) -> FirstStageFit:
     """Joint fit of per-task heads and a shared linear representation.
 
-    Alternating minimization with closed-form blocks; after every round the
+    Alternating minimization with closed-form blocks, run on the per-task
+    sufficient statistics (see ``_als_single``); after every round the
     representation is rotated to orthonormal rows and the heads are
     counter-rotated, so the returned rep satisfies G G^T = I_r. The best of
-    ``opts.restarts`` random orthonormal initializations is kept.
+    ``opts.restarts`` random orthonormal initializations is kept, and one pass
+    over the raw rows reports its objective and per-task residuals exactly.
 
     Raises
     ------
@@ -169,13 +234,29 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
         raise DegenerateData("no source tasks")
     if max(float(np.abs(ds.covariates).max(initial=0.0)) for ds in datasets) == 0.0:
         raise DegenerateData("all covariates are zero")
+    xtx = np.stack([ds.covariates.T @ ds.covariates for ds in datasets])
+    xty = np.stack([ds.covariates.T @ ds.labels for ds in datasets])
+    yy = sum(float(np.sum(ds.labels * ds.labels)) for ds in datasets)
+    n_total = sum(ds.n for ds in datasets)
     rng = np.random.default_rng(opts.seed)
     best = None
     for _ in range(max(1, opts.restarts)):
-        fit = _als_single(datasets, r, opts, rng)
-        if best is None or fit.objective < best.objective:
-            best = fit
-    return best
+        run = _als_single(xtx, xty, yy, n_total, r, opts, rng)
+        if best is None or run.objective < best.objective:
+            best = run
+
+    rep = LinearRep(best.g)
+    residuals = tuple(_mean_sq_residual(rep.features(ds.covariates), ds.labels, f)
+                      for ds, f in zip(datasets, best.heads))
+    return FirstStageFit(
+        heads=tuple(LinearHead(f) for f in best.heads),
+        rep=rep,
+        per_task_residual=residuals,
+        iterations=best.iterations,
+        converged=best.converged,
+        objective=sum(res * ds.n for res, ds in zip(residuals, datasets)) / n_total,
+        objective_history=best.history,
+    )
 
 
 def fit_first_stage_finite(datasets, dictionary, dictionary_id: str = "") -> FirstStageFit:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from transferlab import cli
 from transferlab.cli import (
     ExperimentConfig,
     build_population,
@@ -79,6 +80,17 @@ def test_config_rejects_bad_axis_and_grid():
     cfg["sweep"]["grid"] = [8, 4, 16]
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(cfg)
+    cfg["sweep"]["grid"] = [0, 4, 16]
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(cfg)
+
+
+def test_config_rejects_unknown_fit_kind(tmp_path):
+    cfg = example_config()
+    cfg["fit"]["kind"] = "no-such-fitter"
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(cfg)
+    assert main(["fit", "--config", write_config(tmp_path, cfg)]) == 2
 
 
 def test_config_rejects_wrong_schema_version():
@@ -136,6 +148,36 @@ def test_sweep_reproducible_up_to_wall_time(tmp_path):
                       "est_error_avg", "nu_hat", "mu_x", "mu_f", "fit_objective"):
             va, vb = getattr(a, field), getattr(b, field)
             assert va == vb or (np.isnan(va) and np.isnan(vb)), field
+
+
+def test_sweep_builds_each_population_once(monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(kwargs.get("num_sources"))
+        return build_population(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_population", counting_build)
+    run_sweep(ExperimentConfig.from_dict(small_sweep_config(axis="T", grid=[2, 3, 4])))
+    assert calls == [2, 3, 4]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_records_linalg_error_row(monkeypatch, threads):
+    cfg = ExperimentConfig.from_dict(small_sweep_config())
+    bad_seed = cli._row_seed(cfg.seed, 32, 0)
+    real_fit = cli.fit_first_stage_linear
+
+    def flaky_fit(*args, opts, **kwargs):
+        if opts.seed == bad_seed:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_fit(*args, opts=opts, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_first_stage_linear", flaky_fit)
+    result = run_sweep(cfg, threads=threads)
+    assert result.errors == ((32, 0, "LinAlgError: SVD did not converge"),)
+    assert [(r.axis_value, r.replicate) for r in result.rows] == \
+        [(16, 0), (16, 1), (32, 1), (64, 0), (64, 1)]
 
 
 # ---------------------------------------------------------------------------

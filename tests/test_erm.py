@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,9 @@ from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.erm import (
     OFFSET_SUP_CONSTANT,
     FitOptions,
+    _heads_from_stats,
+    _min_norm_lstsq,
+    _normal_matrix,
     fit_first_stage_finite,
     fit_first_stage_linear,
     fit_first_stage_parametric,
@@ -130,6 +135,117 @@ def test_linear_fit_degenerate_data():
     data = [make_dataset(np.zeros((10, 4)), np.ones((10, 1)))]
     with pytest.raises(DegenerateData):
         fit_first_stage_linear(data, r=2)
+
+
+def test_linear_fit_warns_when_not_converged(caplog):
+    spec = make_gaussian_population(d_x=8, d_y=2, r=2, t=4, noise_sigma=0.5, seed=6)
+    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(50,) * 5, seed=7))
+    with caplog.at_level(logging.WARNING, logger="transferlab.erm"):
+        fit = fit_first_stage_linear(data[1:], r=2,
+                                     opts=FitOptions(restarts=1, seed=8, max_iters=2))
+    assert not fit.converged
+    assert any("without converging" in rec.getMessage() for rec in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# First stage: sufficient statistics against the raw-data oracle
+# ---------------------------------------------------------------------------
+
+def als_single_reference(datasets, r, opts, rng):
+    """Raw-data alternating LS: one restart, as the fit ran before it moved to
+    per-task statistics. Every step re-reads the rows, heads come from
+    ``ls_head``, and the normal matrix is a sum of ``np.kron`` blocks solved by
+    the SVD-based ``np.linalg.lstsq``. Returns (G, heads, objective).
+    """
+    d_x = datasets[0].covariates.shape[1]
+    xs = [ds.covariates for ds in datasets]
+    ys = [ds.labels for ds in datasets]
+    gram_x = [x.T @ x for x in xs]
+    xy = [x.T @ y for x, y in zip(xs, ys)]
+
+    def pooled(g, heads):
+        total = sum(np.sum((y - x @ g.T @ f.T) ** 2) for x, y, f in zip(xs, ys, heads))
+        return total / sum(x.shape[0] for x in xs)
+
+    g = random_orthonormal_rows(r, d_x, rng)
+    history = []
+    for _ in range(opts.max_iters):
+        heads = [ls_head(x @ g.T, y).f for x, y in zip(xs, ys)]
+        lhs = np.zeros((r * d_x, r * d_x))
+        rhs = np.zeros((r, d_x))
+        for f, gx, xyt in zip(heads, gram_x, xy):
+            lhs += np.kron(gx, f.T @ f)
+            rhs += f.T @ xyt.T
+        vec_g = np.linalg.lstsq(lhs, rhs.reshape(-1, order="F"), rcond=None)[0]
+        g = vec_g.reshape((r, d_x), order="F")
+        u, s, vt = np.linalg.svd(g, full_matrices=False)
+        g = vt
+        heads = [f @ (u * s) for f in heads]
+        history.append(pooled(g, heads))
+        if len(history) >= 2 and \
+                history[-2] - history[-1] <= opts.tol * max(history[-2], 1e-300):
+            break
+        if history[-1] <= 1e-28:
+            break
+    heads = [ls_head(x @ g.T, y).f for x, y in zip(xs, ys)]
+    return g, heads, pooled(g, heads)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_fit_matches_raw_data_oracle_noisy(seed):
+    spec = make_gaussian_population(d_x=8, d_y=2, r=2, t=5, noise_sigma=0.5, seed=seed)
+    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(60,) * 6, seed=seed + 1))[1:]
+    opts = FitOptions(restarts=1, seed=seed + 2)
+    fit = fit_first_stage_linear(data, r=2, opts=opts)
+    g, _, obj = als_single_reference(data, 2, opts, np.random.default_rng(seed + 2))
+    assert scipy.linalg.subspace_angles(fit.rep.g.T, g.T).max() <= 1e-8
+    assert fit.objective == pytest.approx(obj, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_fit_matches_raw_data_oracle_rank_deficient(seed):
+    # T = 1, N < d_x and d_y < r: the normal matrix kron(X^T X, F^T F) is
+    # singular, and G itself only has rank d_y, so compare fitted maps F G.
+    rng = np.random.default_rng(seed)
+    data = [make_dataset(rng.standard_normal((5, 8)), rng.standard_normal((5, 1)))]
+    opts = FitOptions(restarts=1, seed=seed)
+    fit = fit_first_stage_linear(data, r=3, opts=opts)
+    g, heads, obj = als_single_reference(data, 3, opts, np.random.default_rng(seed))
+    assert np.linalg.norm(fit.heads[0].f @ fit.rep.g - heads[0] @ g) <= 1e-10
+    assert fit.objective <= 1e-20 and obj <= 1e-20
+    assert np.allclose(fit.rep.g @ fit.rep.g.T, np.eye(3), atol=1e-10)
+
+
+def test_normal_matrix_equals_kron_sum(rng):
+    t, d_x, r = 5, 7, 3
+    a = rng.standard_normal((t, 20, d_x))
+    xtx = np.swapaxes(a, 1, 2) @ a
+    b = rng.standard_normal((t, 2, r))
+    ftf = np.swapaxes(b, 1, 2) @ b
+    expected = sum(np.kron(xtx[i], ftf[i]) for i in range(t))
+    assert np.abs(_normal_matrix(xtx, ftf) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_min_norm_lstsq_matches_svd_solver_rank_deficient(rng):
+    b = rng.standard_normal((12, 5))
+    a = b @ b.T  # rank 5 of 12
+    rhs = a @ rng.standard_normal(12)  # consistent
+    expected = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    assert np.linalg.norm(_min_norm_lstsq(a, rhs) - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_heads_from_stats_match_ls_head(rng):
+    xs = [rng.standard_normal((30, 6)) for _ in range(3)]
+    xs[0][:, 4:] = 0.0
+    ys = [rng.standard_normal((30, 2)) for _ in range(3)]
+    g = random_orthonormal_rows(3, 6, rng)
+    g[2] = np.eye(6)[5]  # feature 2 is identically zero on task 0
+    xtx = np.stack([x.T @ x for x in xs])
+    xty = np.stack([x.T @ y for x, y in zip(xs, ys)])
+    heads = _heads_from_stats(g @ xtx @ g.T, g @ xty)
+    for x, y, f in zip(xs, ys, heads):
+        assert np.allclose(f, ls_head(x @ g.T, y).f, atol=1e-12)
+    assert np.all(heads[0][:, 2] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +406,7 @@ def test_offset_quadratic_homogeneity(rng):
 
 
 def test_offset_closed_form_matches_bruteforce_sup():
-    # calibration oracle for OFFSET_SUP_CONSTANT: 50 random small instances
+    # brute-force check of the closed form behind OFFSET_SUP_CONSTANT, 50 small instances
     rng = np.random.default_rng(19)
     assert OFFSET_SUP_CONSTANT == 4.0
     for case in range(50):
