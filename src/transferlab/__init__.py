@@ -44,14 +44,13 @@ from .core import (
     spectral_norm,
     logdet_psd,
 )
-from .datagen import SampleRequest, lyapunov_stationary, sample_tasks
+from .datagen import SampleRequest, sample_tasks
 
 __all__ = [
     "Dims", "DatasetKind", "TaskDataset", "LinearHead", "Representation",
     "LinearRep", "TanhRep", "TanhFeatures", "FiniteMember", "GaussianLaw",
     "LdsLaw", "MarkovLaw", "TaskSpec", "PopulationSpec", "pinv", "sqrt_psd",
-    "inv_sqrt_psd", "spectral_norm", "logdet_psd", "SampleRequest",
-    "lyapunov_stationary", "sample_tasks",
+    "inv_sqrt_psd", "spectral_norm", "logdet_psd", "SampleRequest", "sample_tasks",
 ]
 
 __version__ = "0.1.0"

@@ -46,10 +46,6 @@ class MixingSetup:
 
     profile: MixingProfile
     k: int
-    phi_cap: float | None = None
-
-    def phi_capital(self) -> float:
-        return phi_capital(self.profile) if self.phi_cap is None else self.phi_cap
 
     def phi_at_k(self) -> float:
         if isinstance(self.profile, GeometricProfile):
@@ -70,8 +66,6 @@ class BoundConfig:
     b_g: float
     class_complexity: ClassComplexity
     delta: float = 0.05
-    gamma: float | None = None  # covering resolution; default sigma_w / (N T)
-    tau: float | None = None    # localization radius; default = gamma
     mixing: MixingSetup | None = None
     c_universal: float = 1.0
 
@@ -89,11 +83,8 @@ class BoundConfig:
 
     @property
     def gamma_eff(self) -> float:
-        return self.sigma_w / (max(self.n, 1) * self.t_tasks) if self.gamma is None else self.gamma
-
-    @property
-    def tau_eff(self) -> float:
-        return self.gamma_eff if self.tau is None else self.tau
+        """Covering resolution sigma_w / (N T)."""
+        return self.sigma_w / (max(self.n, 1) * self.t_tasks)
 
 
 def covering_parametric(d_theta: int, b_theta: float, l_theta: float, gamma: float) -> float:
@@ -193,7 +184,6 @@ class BurnIn:
 class BoundReport:
     covering_log: float
     martingale_bound: float
-    est_error_bound: float
     nrls_bound: float
     transfer_bound: float
     mu_x: float
@@ -206,7 +196,6 @@ class BoundReport:
         return {
             "covering_log": self.covering_log,
             "martingale_bound": self.martingale_bound,
-            "est_error_bound": self.est_error_bound,
             "nrls_bound": self.nrls_bound,
             "transfer_bound": self.transfer_bound,
             "mu_x": self.mu_x,
@@ -256,7 +245,7 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     mode = "iid"
     if config.mixing is not None:
         k = config.mixing.k
-        phi_cap = config.mixing.phi_capital()
+        phi_cap = phi_capital(config.mixing.profile)
         mode = "mixing"
 
     m_target = config.n_prime / k
@@ -289,7 +278,6 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     return BoundReport(
         covering_log=covering_star_hull(config, config.gamma_eff),
         martingale_bound=est,
-        est_error_bound=est,
         nrls_bound=nrls,
         transfer_bound=transfer,
         mu_x=mu_x,
@@ -309,6 +297,11 @@ class SnmCheckResult:
     def stderr(self) -> float:
         return math.sqrt(self.delta * (1.0 - self.delta) / self.replicates)
 
+    @property
+    def passed(self) -> bool:
+        """Verdict: the violation rate stays within delta plus three standard errors."""
+        return self.violation_rate <= self.delta + 3.0 * self.stderr
+
 
 def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
                     reg: np.ndarray | None = None) -> SnmCheckResult:
@@ -320,8 +313,9 @@ def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
         sum_t ||W_t^T X_t (S + X_t^T X_t)^{-1/2}||_F^2
             <= sum_t d sigma^2 log det(S + X_t^T X_t) / det(S) + 2 sigma^2 log(1/delta)
 
-    with regularizer S (identity by default). The violation rate is asserted
-    to stay within delta plus three binomial standard errors.
+    with regularizer S (identity by default). The result's ``passed`` says
+    whether the violation rate stays within delta plus three binomial standard
+    errors; a failed verdict is returned, not raised.
     """
     d = config.dims.d_x
     n, t = config.n, config.t_tasks
@@ -344,8 +338,5 @@ def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
             rhs += d * sigma ** 2 * (logdet_psd(gram) - logdet_reg)
         if lhs > rhs:
             violations += 1
-    result = SnmCheckResult(violation_rate=violations / replicates, delta=delta,
-                            replicates=replicates)
-    assert result.violation_rate <= delta + 3.0 * result.stderr, \
-        f"SNM violation rate {result.violation_rate:g} exceeds delta {delta:g} + 3 stderr"
-    return result
+    return SnmCheckResult(violation_rate=violations / replicates, delta=delta,
+                          replicates=replicates)

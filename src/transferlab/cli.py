@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -89,7 +90,7 @@ class ExperimentConfig:
     raw: dict
     seed: int
     output_dir: str | None
-    population: dict
+    population: dict | None
     fit: dict
     sweep: dict | None
     diagnostics: dict
@@ -103,21 +104,22 @@ class ExperimentConfig:
         version = _require(cfg, "schema_version", "config")
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
-        population = _require(cfg, "population", "config")
-        _check_keys(population, {"d_x", "d_y", "r", "num_sources", "noise_sigma", "law",
-                                 "head_scale"}, "population")
-        law = _require(population, "law", "population")
-        kind = _require(law, "kind", "population.law")
-        allowed_law = {
-            "gaussian": {"kind", "scale_spread"},
-            "lds": {"kind", "spectral_radius"},
-            "markov": {"kind", "states", "stay_prob"},
-        }
-        if kind not in allowed_law:
-            raise ConfigError(f"unknown covariate law kind '{kind}'")
-        _check_keys(law, allowed_law[kind], f"population.law({kind})")
+        population = cfg.get("population")
+        if population is not None:
+            _check_keys(population, {"d_x", "d_y", "r", "num_sources", "noise_sigma",
+                                     "law", "head_scale"}, "population")
+            law = _require(population, "law", "population")
+            kind = _require(law, "kind", "population.law")
+            allowed_law = {
+                "gaussian": {"kind", "scale_spread"},
+                "lds": {"kind", "spectral_radius"},
+                "markov": {"kind", "states", "stay_prob"},
+            }
+            if kind not in allowed_law:
+                raise ConfigError(f"unknown covariate law kind '{kind}'")
+            _check_keys(law, allowed_law[kind], f"population.law({kind})")
         fit = cfg.get("fit", {"kind": "linear"})
-        _check_keys(fit, {"kind", "max_iters", "tol", "restarts", "lr"}, "fit")
+        _check_keys(fit, {"kind", "max_iters", "tol", "restarts"}, "fit")
         if fit.get("kind", "linear") != "linear":
             # every command fits with fit_first_stage_linear
             raise ConfigError(f"unsupported fit kind '{fit['kind']}'; "
@@ -194,9 +196,11 @@ def example_config() -> dict:
 # Population construction
 # ---------------------------------------------------------------------------
 
-def build_population(pop_cfg: dict, seed: int, num_sources: int | None = None,
+def build_population(pop_cfg: dict | None, seed: int, num_sources: int | None = None,
                      ) -> PopulationSpec:
     """Deterministic synthetic population from the config section and a seed."""
+    if pop_cfg is None:
+        raise ConfigError("config has no population section")
     d_x = int(_require(pop_cfg, "d_x", "population"))
     d_y = int(_require(pop_cfg, "d_y", "population"))
     r = int(_require(pop_cfg, "r", "population"))
@@ -242,13 +246,33 @@ def build_population(pop_cfg: dict, seed: int, num_sources: int | None = None,
 
 
 def _fit_options(fit_cfg: dict, seed: int) -> FitOptions:
-    return FitOptions(
-        max_iters=int(fit_cfg.get("max_iters", 500)),
-        tol=float(fit_cfg.get("tol", 1e-10)),
-        restarts=int(fit_cfg.get("restarts", 5)),
-        lr=float(fit_cfg.get("lr", 0.2)),
-        seed=seed,
-    )
+    """Solver options for the keys the config sets; ``FitOptions`` holds the defaults."""
+    casts = {"max_iters": int, "tol": float, "restarts": int}
+    return FitOptions(seed=seed, **{key: cast(fit_cfg[key]) for key, cast in casts.items()
+                                    if key in fit_cfg})
+
+
+def _sample(spec: PopulationSpec, n: int, n_prime: int, seed: int,
+            ) -> tuple[SampleRequest, list]:
+    """Sample N' target rows and N rows for each source."""
+    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
+                        seed=seed)
+    return req, sample_tasks(req)
+
+
+def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed: int):
+    """Fit the shared representation on the sources, then the target head on it."""
+    fit = fit_first_stage_linear(data[1:], r=spec.dims.r,
+                                 opts=_fit_options(config.fit, seed))
+    return fit, fit_second_stage(data[0], fit.rep)
+
+
+def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
+    """The sample that ``gen``, ``fit`` and ``diagnose`` share: N = N' = 256 by default."""
+    spec = build_population(config.population, config.seed)
+    sweep = config.sweep or {}
+    return _sample(spec, int(sweep.get("n", 256)), int(sweep.get("n_prime", 256)),
+                   config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +310,8 @@ def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
     n = axis_value if axis == "N" else int(sweep.get("n", 64))
     n_prime = axis_value if axis == "N_prime" else int(sweep.get("n_prime", 128))
     row_seed = _row_seed(config.seed, axis_value, replicate)
-    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
-                        seed=row_seed)
-    data = sample_tasks(req)
-
-    opts = _fit_options(config.fit, seed=row_seed)
-    fit = fit_first_stage_linear(data[1:], r=spec.dims.r, opts=opts)
-    second = fit_second_stage(data[0], fit.rep)
+    _, data = _sample(spec, n, n_prime, row_seed)
+    fit, second = _two_stage(config, spec, data, row_seed)
 
     mc = int(config.diagnostics.get("mc_samples", 100_000))
     excess = diag.excess_risk_population(spec, second.head, fit.rep, mc, row_seed)
@@ -354,25 +373,22 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     rows: list[SweepRow] = []
     errors: list[tuple[int, int, str]] = []
 
-    def record(v, rep, call):
+    def attempt(spec: PopulationSpec, v: int, rep: int):
         try:
-            rows.append(call())
+            return _sweep_one_row(config, spec, axis, v, rep)
         except ROW_ERRORS as exc:
-            errors.append((v, rep, f"{type(exc).__name__}: {exc}"))
+            return (v, rep, f"{type(exc).__name__}: {exc}")
 
+    # The serial path stays on the calling thread: rows sampled on a worker
+    # thread allocate from another glibc arena, which changes their timing.
     with (concurrent.futures.ThreadPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
+        run = map if pool is None else pool.map
         for v in grid:
             spec = build_population(config.population, config.seed,
                                     num_sources=v if axis == "T" else None)
-            if pool is None:
-                for rep in range(replicates):
-                    record(v, rep, lambda: _sweep_one_row(config, spec, axis, v, rep))
-            else:
-                futures = [pool.submit(_sweep_one_row, config, spec, axis, v, rep)
-                           for rep in range(replicates)]
-                for rep, fut in enumerate(futures):
-                    record(v, rep, fut.result)
+            for out in run(functools.partial(attempt, spec, v), range(replicates)):
+                (errors if isinstance(out, tuple) else rows).append(out)
             del spec
 
     jobs = len(grid) * replicates
@@ -427,16 +443,9 @@ def write_sweep_outputs(result: SweepResult, config: ExperimentConfig,
 
 def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
     """Sample, fit the two-stage model, and assemble the full diagnostics report."""
-    spec = build_population(config.population, config.seed)
-    sweep = config.sweep or {}
-    n = int(sweep.get("n", 256))
-    n_prime = int(sweep.get("n_prime", 256))
-    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
-                        seed=config.seed)
-    data = sample_tasks(req)
-    opts = _fit_options(config.fit, seed=config.seed)
-    fit = fit_first_stage_linear(data[1:], r=spec.dims.r, opts=opts)
-    second = fit_second_stage(data[0], fit.rep)
+    req, data = _command_sample(config)
+    spec = req.spec
+    fit, second = _two_stage(config, spec, data, config.seed)
     mc = int(config.diagnostics.get("mc_samples", 100_000))
     nrls = diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,
                                 spec.rep_star, spec.noise_sigma, mc, config.seed)
@@ -459,6 +468,8 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
         raise ConfigError("config has no bounds section")
     b = config.bounds
     pop = config.population
+    if pop is None:
+        raise ConfigError("config has no population section")
     dims = Dims(d_x=int(pop["d_x"]), d_y=int(pop["d_y"]), r=int(pop["r"]))
     cls_cfg = b.get("class", {"kind": "finite", "log_card": 1.0})
     if cls_cfg.get("kind") == "parametric":
@@ -519,26 +530,13 @@ def run_mixcheck(config: ExperimentConfig) -> dict:
 
 
 def run_gen(config: ExperimentConfig, out_dir: str | Path) -> dict[str, str]:
-    spec = build_population(config.population, config.seed)
-    sweep = config.sweep or {}
-    n = int(sweep.get("n", 256))
-    n_prime = int(sweep.get("n_prime", 256))
-    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
-                        seed=config.seed)
-    return write_datasets_csv(sample_tasks(req), req, out_dir)
+    req, data = _command_sample(config)
+    return write_datasets_csv(data, req, out_dir)
 
 
 def run_fit(config: ExperimentConfig) -> dict:
-    spec = build_population(config.population, config.seed)
-    sweep = config.sweep or {}
-    n = int(sweep.get("n", 256))
-    n_prime = int(sweep.get("n_prime", 256))
-    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
-                        seed=config.seed)
-    data = sample_tasks(req)
-    fit = fit_first_stage_linear(data[1:], r=spec.dims.r,
-                                 opts=_fit_options(config.fit, config.seed))
-    second = fit_second_stage(data[0], fit.rep)
+    req, data = _command_sample(config)
+    fit, second = _two_stage(config, req.spec, data, config.seed)
     return {"first_stage": first_stage_to_json(fit),
             "second_stage": second_stage_to_json(second)}
 

@@ -23,26 +23,11 @@ from .core import (
     LdsLaw,
     PopulationSpec,
     TaskDataset,
-    lds_stationary_covariance,
 )
 
 # 64-bit golden-ratio constant used to derive independent per-task streams.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-
-
-def lyapunov_stationary(a: np.ndarray) -> np.ndarray:
-    """Stationary covariance of a stable LDS driven by identity-covariance noise.
-
-    Returns the solution of Sigma = A Sigma A^T + I, which equals
-    sum_{k>=0} A^k (A^k)^T.
-
-    Raises
-    ------
-    UnstableSystem
-        If the spectral radius of A is >= 1.
-    """
-    return lds_stationary_covariance(a)
 
 
 def task_stream_seed(seed: int, task_index: int) -> int:
@@ -51,7 +36,8 @@ def task_stream_seed(seed: int, task_index: int) -> int:
 
 
 def default_burn_in(law: CovariateLaw) -> int:
-    """Trajectory warm-up discarded before recording: 10 * ceil(1/(1-rho))."""
+    """Warm-up discarded before recording: 10 * ceil(1/(1-rho)) for an LDS, 10 for a
+    Markov chain, none for iid laws."""
     if isinstance(law, LdsLaw):
         rho = law.spectral_radius
         return 10 * math.ceil(1.0 / max(1.0 - rho, 1e-6))
@@ -65,13 +51,12 @@ class SampleRequest:
     """What to sample: a population, per-task sample counts, and a seed.
 
     ``per_task_n[0]`` is the target count N'; entries 1..T are the source
-    counts. ``burn_in_steps=None`` selects the per-law default warm-up.
+    counts. Trajectories discard ``default_burn_in`` steps first.
     """
 
     spec: PopulationSpec
     per_task_n: tuple[int, ...]
     seed: int = 0
-    burn_in_steps: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "per_task_n", tuple(int(n) for n in self.per_task_n))
@@ -79,17 +64,13 @@ class SampleRequest:
             raise ValueError("per_task_n must have one entry per task (target first)")
         if any(n < 1 for n in self.per_task_n):
             raise ValueError("per-task sample counts must be >= 1")
-        if self.burn_in_steps is not None and self.burn_in_steps < 0:
-            raise ValueError("burn_in_steps must be nonnegative")
 
 
-def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int,
-                     burn_in: int | None) -> TaskDataset:
+def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskDataset:
     task = spec.tasks[t]
     rng = np.random.default_rng(task_stream_seed(seed, t))
     if task.law.is_trajectory:
-        steps = default_burn_in(task.law) if burn_in is None else burn_in
-        x = task.law.sample_path(n, rng, burn_in=steps)
+        x = task.law.sample_path(n, rng, burn_in=default_burn_in(task.law))
         kind = DatasetKind.TRAJECTORY
     else:
         x = task.law.sample_marginal(n, rng)
@@ -106,7 +87,7 @@ def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int,
 def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
     """Draw every task's dataset; deterministic given the request (incl. seed)."""
     return [
-        _sample_one_task(req.spec, t, req.per_task_n[t], req.seed, req.burn_in_steps)
+        _sample_one_task(req.spec, t, req.per_task_n[t], req.seed)
         for t in range(len(req.spec.tasks))
     ]
 
@@ -150,7 +131,6 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
         "dims": {"d_x": dims.d_x, "d_y": dims.d_y, "r": dims.r},
         "seed": req.seed,
         "per_task_n": list(req.per_task_n),
-        "burn_in_steps": req.burn_in_steps,
         "noise_sigma": req.spec.noise_sigma,
         "tasks": [
             {
@@ -158,6 +138,7 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
                 "stream_seed": task_stream_seed(req.seed, t),
                 "law": _law_description(task.law),
                 "kind": datasets[t].kind.value,
+                "burn_in": default_burn_in(task.law),
             }
             for t, task in enumerate(req.spec.tasks)
         ],

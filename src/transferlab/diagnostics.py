@@ -236,7 +236,6 @@ class NrlsQuantities:
     sigma_u_sq: float
     sigma_v_sq: float
     c_z: float
-    h_z: float
     h_v: float
     misspecified_head: np.ndarray
 
@@ -245,7 +244,6 @@ class NrlsQuantities:
             "sigma_u_sq": self.sigma_u_sq,
             "sigma_v_sq": self.sigma_v_sq,
             "c_z": self.c_z,
-            "h_z": self.h_z,
             "h_v": self.h_v,
         }
 
@@ -295,8 +293,9 @@ def nrls_quantities(target_law: CovariateLaw, rep: Representation,
         proj *= proj
         proj *= proj
         fourth_max = max(fourth_max, float(proj.mean(axis=0).max(initial=0.0)))
+    # c_z also serves as the h_z of the bounds: the two suprema coincide after
+    # the change of variables v -> Sigma_Z^{1/2} v.
     c_z = float(np.sqrt(fourth_max))
-    h_z = c_z  # same supremum after the change of variables v -> Sigma_Z^{1/2} v
 
     v_frob = np.sqrt(v_frob2)
     if sigma_v_sq > 0:
@@ -305,7 +304,7 @@ def nrls_quantities(target_law: CovariateLaw, rep: Representation,
     else:
         h_v = 0.0
     return NrlsQuantities(sigma_u_sq=sigma_u_sq, sigma_v_sq=sigma_v_sq,
-                          c_z=c_z, h_z=h_z, h_v=h_v, misspecified_head=f_mis)
+                          c_z=c_z, h_v=h_v, misspecified_head=f_mis)
 
 
 def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead,

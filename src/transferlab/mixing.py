@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovariateLaw, LdsLaw, spectral_norm, stationary_distribution
-from .errors import BadPartition, InvalidMatrix, SampleTooShort, UnstableSystem
+from .errors import BadPartition, InvalidMatrix, SampleTooShort, TransferLabError, UnstableSystem
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,11 @@ def dependency_matrix_bound(profile: MixingProfile, n: int) -> DependencyBound:
     Unit diagonal, entry sqrt(2 * phi(j - i)) above it. The norm always
     satisfies ||G|| <= 1 + sqrt(2) * sum_i sqrt(phi(i)) (Schur test on the
     banded triangle); this is checked.
+
+    Raises
+    ------
+    TransferLabError
+        If the computed norm exceeds that cap.
     """
     exact = expand_geometric(profile, n) if isinstance(profile, GeometricProfile) else profile
     m = np.eye(n)
@@ -195,7 +200,8 @@ def dependency_matrix_bound(profile: MixingProfile, n: int) -> DependencyBound:
         m[idx, idx + lag] = val
     norm = spectral_norm(m)
     cap = 1.0 + math.sqrt(2.0) * sum(math.sqrt(exact.phi_at(lag)) for lag in range(1, n))
-    assert norm <= cap + 1e-9, f"dependency norm {norm} exceeds its bound {cap}"
+    if norm > cap + 1e-9:
+        raise TransferLabError(f"dependency norm {norm} exceeds its bound {cap}")
     return DependencyBound(matrix=m, spectral_norm=norm)
 
 
@@ -267,6 +273,8 @@ def select_block_length(profile: GeometricProfile, m_samples: int, delta: float)
     ------
     SampleTooShort
         If no admissible k <= m_samples / 2 exists.
+    TransferLabError
+        If the selected k violates its tail condition.
     """
     if not isinstance(profile, GeometricProfile):
         raise TypeError("select_block_length expects a geometric profile")
@@ -279,8 +287,9 @@ def select_block_length(profile: GeometricProfile, m_samples: int, delta: float)
         k_min = max(1, math.ceil(math.log(gamma * m_samples / delta) / math.log(1.0 / rho)))
     for k in range(k_min, m_samples // 2 + 1):
         if m_samples % k == 0 and (m_samples // k) % 2 == 0:
-            assert (m_samples / k) * gamma * rho ** k <= delta + 1e-12, \
-                "selected block length violates its tail condition"
+            if (m_samples / k) * gamma * rho ** k > delta + 1e-12:
+                raise TransferLabError(
+                    f"block length {k} violates its tail condition at delta {delta:g}")
             return k
     raise SampleTooShort(
         f"no divisor k of {m_samples} with even quotient in [{k_min}, {m_samples // 2}]")

@@ -153,7 +153,7 @@ def test_transfer_bound_iid_formula():
         * math.log(1 / cfg.delta) / cfg.n_prime
     assert rep.nrls_bound == pytest.approx(expected_nrls, rel=1e-12)
     assert rep.transfer_bound == pytest.approx(
-        rep.nrls_bound + 1.5 * 2.0 * rep.est_error_bound, rel=1e-12)
+        rep.nrls_bound + 1.5 * 2.0 * rep.martingale_bound, rel=1e-12)
     assert rep.mode == "iid"
     assert {b.name for b in rep.burn_ins} == {"target_nrls_samples",
                                               "target_psi1_moment", "source_samples"}
@@ -163,7 +163,7 @@ def test_transfer_bound_halves_first_term_with_n_prime():
     r1 = transfer_risk_bound(make_config(n_prime=100), 1.0, 1.0, 1.0)
     r2 = transfer_risk_bound(make_config(n_prime=200), 1.0, 1.0, 1.0)
     assert r2.nrls_bound == pytest.approx(r1.nrls_bound / 2.0, rel=1e-12)
-    assert r2.est_error_bound == pytest.approx(r1.est_error_bound, rel=1e-12)
+    assert r2.martingale_bound == pytest.approx(r1.martingale_bound, rel=1e-12)
 
 
 def test_transfer_bound_mixing_only_changes_burn_ins():
@@ -174,7 +174,7 @@ def test_transfer_bound_mixing_only_changes_burn_ins():
     r_mix = transfer_risk_bound(cfg_mix, 1.2, 1.1, 1.0)
     assert r_mix.transfer_bound == pytest.approx(r_iid.transfer_bound, rel=1e-12)
     assert r_mix.nrls_bound == pytest.approx(r_iid.nrls_bound, rel=1e-12)
-    assert r_mix.est_error_bound == pytest.approx(r_iid.est_error_bound, rel=1e-12)
+    assert r_mix.martingale_bound == pytest.approx(r_iid.martingale_bound, rel=1e-12)
     assert r_mix.mode == "mixing"
     by_name_iid = {b.name: b for b in r_iid.burn_ins}
     by_name_mix = {b.name: b for b in r_mix.burn_ins}
@@ -200,7 +200,7 @@ def test_transfer_bound_additive_decomposition_exact():
         mu_f = float(rng.uniform(0.5, 4.0))
         rep = transfer_risk_bound(cfg, mu_x, mu_f, 1.3)
         assert abs(rep.transfer_bound
-                   - (rep.nrls_bound + mu_x * mu_f * rep.est_error_bound)) <= 1e-12
+                   - (rep.nrls_bound + mu_x * mu_f * rep.martingale_bound)) <= 1e-12
 
 
 def test_transfer_bound_requires_small_delta():
@@ -254,9 +254,14 @@ def test_snm_empty_data_reduces_to_deviation_term():
 def test_snm_coverage_default_configuration():
     cfg = make_config(dims=Dims(3, 1, 1), n=50, t_tasks=5, sigma_w=1.0, delta=0.05)
     res = snm_bound_check(cfg, replicates=2000, seed=3)
-    assert res.violation_rate <= 0.05 + 3.0 * res.stderr
+    assert res.passed
 
 
 def test_snm_result_stderr():
     res = SnmCheckResult(violation_rate=0.01, delta=0.05, replicates=2000)
     assert res.stderr == pytest.approx(math.sqrt(0.05 * 0.95 / 2000))
+    assert res.passed
+    edge = 0.05 + 3.0 * res.stderr
+    assert SnmCheckResult(violation_rate=edge, delta=0.05, replicates=2000).passed
+    assert not SnmCheckResult(violation_rate=edge + 1e-9, delta=0.05,
+                              replicates=2000).passed

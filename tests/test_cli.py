@@ -17,6 +17,7 @@ from transferlab.cli import (
     slope_fit,
     write_sweep_outputs,
 )
+from transferlab.datagen import default_burn_in
 from transferlab.errors import ConfigError, InvalidPoints, SweepFailed
 
 
@@ -67,6 +68,10 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(cfg)
     cfg = example_config()
     cfg["population"]["typo_key"] = 1
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["fit"]["lr"] = 0.1
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(cfg)
 
@@ -196,8 +201,37 @@ def test_run_diagnose_identical_covariates_mu_x_one():
     assert report.mu_x == pytest.approx(1.0, abs=1e-9)
     payload = report.to_json()
     for key in ("mu_x", "mu_f", "nu_true", "nu_hat", "excess_risk_target",
-                "est_error_avg", "sigma_u_sq", "sigma_v_sq", "c_z", "h_z", "h_v"):
+                "est_error_avg", "sigma_u_sq", "sigma_v_sq", "c_z", "h_v"):
         assert key in payload
+
+
+def test_commands_sample_the_same_request(tmp_path, monkeypatch):
+    seen = []
+    real = cli.sample_tasks
+
+    def spy(req):
+        seen.append((req.per_task_n, req.seed))
+        return real(req)
+
+    monkeypatch.setattr(cli, "sample_tasks", spy)
+    cfg = ExperimentConfig.from_dict(small_sweep_config(n=40, n_prime=24))
+    cli.run_gen(cfg, tmp_path / "data")
+    cli.run_fit(cfg)
+    run_diagnose(cfg)
+    assert seen == [((24, 40, 40, 40), cfg.seed)] * 3
+
+
+def test_mixcheck_needs_no_population(tmp_path, capsys):
+    mix_only = {"schema_version": 1,
+                "mixcheck": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]],
+                             "max_lag": 6, "n": 8}}
+    path = write_config(tmp_path, mix_only)
+    assert main(["mixcheck", "--config", path]) == 0
+    assert main(["diagnose", "--config", path]) == 2
+    bounds_only = {"schema_version": 1, "bounds": {"n": 64}}
+    with pytest.raises(ConfigError, match="population"):
+        run_bounds(ExperimentConfig.from_dict(bounds_only))
+    capsys.readouterr()
 
 
 def test_run_mixcheck_two_cycle():
@@ -217,7 +251,7 @@ def test_run_bounds_dispatch():
                      "c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0}
     report = run_bounds(ExperimentConfig.from_dict(cfg))
     assert report.transfer_bound == pytest.approx(
-        report.nrls_bound + report.est_error_bound, rel=1e-12)
+        report.nrls_bound + report.martingale_bound, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +280,26 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_main_gen_writes_datasets(tmp_path, capsys):
     cfg = small_sweep_config()
+    cfg["population"]["law"] = {"kind": "lds", "spectral_radius": 0.7}
     path = write_config(tmp_path, cfg)
     assert main(["gen", "--config", path, "--out", str(tmp_path / "data")]) == 0
-    assert (tmp_path / "data" / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
     assert (tmp_path / "data" / "task_0.csv").exists()
+    spec = build_population(cfg["population"], cfg["seed"])
+    assert [task["burn_in"] for task in manifest["tasks"]] == [
+        default_burn_in(task.law) for task in spec.tasks]
+    assert manifest["tasks"][0]["burn_in"] > 0
+    assert "burn_in_steps" not in manifest
+    capsys.readouterr()
+
+
+def test_main_fit_writes_fit_json(tmp_path, capsys):
+    cfg = small_sweep_config()
+    path = write_config(tmp_path, cfg)
+    assert main(["fit", "--config", path, "--out", str(tmp_path / "fit")]) == 0
+    written = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    expected = json.loads(json.dumps(cli.run_fit(ExperimentConfig.from_dict(cfg))))
+    assert written == expected
     capsys.readouterr()
 
 

@@ -14,11 +14,11 @@ from transferlab.core import (
     MarkovLaw,
     PopulationSpec,
     TaskSpec,
+    lds_stationary_covariance,
 )
 from transferlab.datagen import (
     SampleRequest,
     default_burn_in,
-    lyapunov_stationary,
     sample_tasks,
     task_stream_seed,
     write_datasets_csv,
@@ -34,11 +34,11 @@ def stable_matrix(d, radius, rng):
 
 
 def test_lyapunov_zero_matrix():
-    assert np.allclose(lyapunov_stationary(np.zeros((3, 3))), np.eye(3), atol=1e-14)
+    assert np.allclose(lds_stationary_covariance(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
 
 def test_lyapunov_scalar_contraction():
-    sigma = lyapunov_stationary(0.5 * np.eye(2))
+    sigma = lds_stationary_covariance(0.5 * np.eye(2))
     assert np.allclose(sigma, (1.0 / 0.75) * np.eye(2), atol=1e-12)
 
 
@@ -46,14 +46,14 @@ def test_lyapunov_fixed_point_residual():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = stable_matrix(4, rng.uniform(0.2, 0.95), rng)
-        sigma = lyapunov_stationary(a)
+        sigma = lds_stationary_covariance(a)
         resid = sigma - a @ sigma @ a.T - np.eye(4)
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(sigma)
 
 
 def test_lyapunov_unstable():
     with pytest.raises(UnstableSystem):
-        lyapunov_stationary(1.01 * np.eye(2))
+        lds_stationary_covariance(1.01 * np.eye(2))
 
 
 def test_noiseless_realizability():
@@ -92,7 +92,7 @@ def test_lds_empirical_covariance_matches_lyapunov():
     assert data[0].kind == DatasetKind.TRAJECTORY
     x = data[0].covariates
     emp = x.T @ x / x.shape[0]
-    sigma = lyapunov_stationary(a)
+    sigma = lds_stationary_covariance(a)
     assert np.linalg.norm(emp - sigma) <= 0.05 * np.linalg.norm(sigma)
 
 
@@ -173,3 +173,4 @@ def test_write_datasets_csv(tmp_path):
         manifest = json.load(fh)
     assert manifest["dims"] == {"d_x": 6, "d_y": 2, "r": 2}
     assert manifest["tasks"][1]["stream_seed"] == task_stream_seed(15, 1)
+    assert [task["burn_in"] for task in manifest["tasks"]] == [0, 0, 0, 0]

@@ -297,7 +297,6 @@ def test_nrls_gaussian_kurtosis():
                         0.3, mc_samples=400_000, seed=43)
     # standardized Gaussian features: every direction has fourth moment 3
     assert q.c_z == pytest.approx(np.sqrt(3.0), rel=0.05)
-    assert q.h_z == pytest.approx(q.c_z, rel=1e-12)
 
 
 def test_nrls_sigma_v_cauchy_schwarz_chain():

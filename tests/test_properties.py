@@ -1,0 +1,77 @@
+"""Property tests (hypothesis): Penrose identities of the stacked pseudo-inverse,
+the PSD square-root round trip, and the orthonormal, seed-determined ALS output."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_gaussian_population
+from transferlab.core import pinv, sqrt_psd
+from transferlab.datagen import SampleRequest, sample_tasks
+from transferlab.erm import FitOptions, fit_first_stage_linear
+
+# Few examples and no deadline keep the module to about a second of tier-1 time;
+# derandomized, every run checks the same examples.
+FAST = settings(deadline=None, max_examples=25, derandomize=True, database=None)
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# A singular value of 0 makes the matrix rank deficient; the others keep the
+# condition number at most 1e6, far inside the pinv cutoff of 1e-10.
+SINGULAR_VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def stacks(draw):
+    """A (batch, m, n) stack with a prescribed spectrum per matrix."""
+    batch, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = min(m, n)
+    s = np.array(draw(st.lists(st.lists(SINGULAR_VALUES, min_size=k, max_size=k),
+                               min_size=batch, max_size=batch)))
+    rng = np.random.default_rng(draw(SEEDS))
+    u, _ = np.linalg.qr(rng.standard_normal((batch, m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((batch, n, n)))
+    return (u[..., :k] * s[:, None, :]) @ np.swapaxes(v[..., :k], -1, -2)
+
+
+def _norms(a):
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+@FAST
+@given(stacks())
+def test_stacked_pinv_penrose_identities(a):
+    x = pinv(a)
+    assert x.shape == a.shape[:-2] + (a.shape[-1], a.shape[-2])
+    ax, xa = a @ x, x @ a
+    tol = 1e-8
+    assert np.all(_norms(ax @ a - a) <= tol * np.maximum(_norms(a), 1e-300))
+    assert np.all(_norms(xa @ x - x) <= tol * np.maximum(_norms(x), 1e-300))
+    assert np.all(_norms(np.swapaxes(ax, -1, -2) - ax) <= tol)
+    assert np.all(_norms(np.swapaxes(xa, -1, -2) - xa) <= tol)
+
+
+@FAST
+@given(SEEDS, st.integers(1, 6), st.integers(0, 6))
+def test_sqrt_psd_round_trip(seed, d, rank):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((d, min(rank, d)))
+    m = b @ b.T
+    s = sqrt_psd(m)
+    scale = max(1.0, np.linalg.norm(m))
+    assert np.linalg.norm(s - s.T) <= 1e-12 * scale
+    assert np.linalg.eigvalsh(0.5 * (s + s.T)).min(initial=0.0) >= -1e-10 * scale
+    assert np.linalg.norm(s @ s - m) <= 1e-10 * scale
+
+
+@settings(FAST, max_examples=10)
+@given(SEEDS, st.integers(2, 4), st.integers(1, 2), st.integers(3, 6))
+def test_linear_fit_orthonormal_and_seed_determined(seed, t, r, d_x):
+    spec = make_gaussian_population(d_x=d_x, d_y=1, r=r, t=t, noise_sigma=0.3,
+                                    seed=seed % 1000)
+    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(12,) * (t + 1), seed=seed))
+    opts = FitOptions(max_iters=30, restarts=2, seed=seed)
+    first = fit_first_stage_linear(data[1:], r=r, opts=opts)
+    again = fit_first_stage_linear(data[1:], r=r, opts=opts)
+    g = first.rep.g
+    assert np.allclose(g @ g.T, np.eye(r), atol=1e-10)
+    assert np.array_equal(g, again.rep.g)
+    assert first.objective == again.objective

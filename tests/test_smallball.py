@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import transferlab
 from transferlab.core import LdsLaw
 from transferlab.errors import InvalidMoments, PreconditionViolated
 from transferlab.mixing import geometric_profile_from_lds
@@ -117,7 +123,7 @@ def test_tail_check_gaussian_square_fixture():
     res = lower_isometry_tail_check(gaussian_sampler, lambda x: x[:, 0] ** 2,
                                     c=3.0, m=64, replicates=5000, seed=7)
     assert res.bound == pytest.approx(math.exp(-64.0 / 24.0), rel=1e-12)
-    assert res.empirical_freq <= res.bound + 3.0 * res.stderr
+    assert res.passed
     assert res.mean_psi == pytest.approx(1.0, rel=0.02)
 
 
@@ -143,6 +149,41 @@ def test_tail_check_rejects_negative_psi():
                                   c=3.0, m=16, replicates=100, seed=11)
 
 
+def repeated_at_m(n, rng):
+    """iid N(0, 1) at the calibration size; one N(0, 1) scalar repeated at m = 64."""
+    if n == 64:
+        return np.full((n, 1), rng.standard_normal())
+    return rng.standard_normal((n, 1))
+
+
+def failing_tail_check(seed):
+    return lower_isometry_tail_check(repeated_at_m, lambda x: x[:, 0] ** 2, c=3.5, m=64,
+                                     replicates=2000, seed=seed)
+
+
+def test_tail_check_returns_failed_verdict():
+    # P(z^2 <= 1/2) ~ 0.52 for the repeated scalar, against exp(-64/28) ~ 0.10
+    for seed in range(5):
+        res = failing_tail_check(seed)
+        assert res.empirical_freq > 0.45
+        assert res.bound == pytest.approx(math.exp(-64.0 / 28.0), rel=1e-12)
+        assert not res.passed
+
+
+def test_tail_check_verdict_survives_optimize_flag():
+    paths = [str(Path(transferlab.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    script = ("import json, sys; from test_smallball import failing_tail_check; "
+              "res = failing_tail_check(0); "
+              "print(json.dumps([sys.flags.optimize, res.passed, res.empirical_freq]))")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    optimize, passed, freq = json.loads(out.stdout)
+    assert optimize == 1
+    assert passed is False
+    assert freq == failing_tail_check(0).empirical_freq
+
+
 def test_tail_check_blocked_mode():
     a = 0.5 * np.eye(1)
     law = LdsLaw(a=a)
@@ -153,4 +194,4 @@ def test_tail_check_blocked_mode():
     assert res.dep_norm > 1.0
     assert res.bound == pytest.approx(math.exp(-64.0 / (24.0 * res.dep_norm ** 2)),
                                       rel=1e-12)
-    assert res.empirical_freq <= res.bound + 3.0 * res.stderr
+    assert res.passed
