@@ -142,10 +142,17 @@ class ExperimentConfig:
             _check_keys(bounds_cfg, {"t_tasks", "n", "n_prime", "sigma_w", "b_f", "b_g",
                                      "class", "delta", "c_z", "mu_x", "mu_f",
                                      "mixing"}, "bounds")
+            cls_kind = bounds_cfg.get("class", {}).get("kind", "finite")
+            if cls_kind not in ("finite", "parametric"):
+                raise ConfigError(f"bounds.class.kind must be finite or parametric, "
+                                  f"got '{cls_kind}'")
         mixcheck = cfg.get("mixcheck")
         if mixcheck is not None:
             _check_keys(mixcheck, {"kind", "transition", "spectral_radius", "d_x",
                                    "max_lag", "n", "delta", "mc_samples"}, "mixcheck")
+            mix_kind = mixcheck.get("kind", "markov")
+            if mix_kind not in ("markov", "lds"):
+                raise ConfigError(f"mixcheck.kind must be markov or lds, got '{mix_kind}'")
         return ExperimentConfig(
             raw=cfg,
             seed=int(cfg.get("seed", 0)),
@@ -470,12 +477,15 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
     pop = config.population
     if pop is None:
         raise ConfigError("config has no population section")
-    dims = Dims(d_x=int(pop["d_x"]), d_y=int(pop["d_y"]), r=int(pop["r"]))
+    dims = Dims(d_x=int(_require(pop, "d_x", "population")),
+                d_y=int(_require(pop, "d_y", "population")),
+                r=int(_require(pop, "r", "population")))
     cls_cfg = b.get("class", {"kind": "finite", "log_card": 1.0})
     if cls_cfg.get("kind") == "parametric":
-        cls = bounds_mod.ParametricClass(d_theta=int(cls_cfg["d_theta"]),
-                                         b_theta=float(cls_cfg["b_theta"]),
-                                         l_theta=float(cls_cfg["l_theta"]))
+        cls = bounds_mod.ParametricClass(
+            d_theta=int(_require(cls_cfg, "d_theta", "bounds.class")),
+            b_theta=float(_require(cls_cfg, "b_theta", "bounds.class")),
+            l_theta=float(_require(cls_cfg, "l_theta", "bounds.class")))
     else:
         cls = bounds_mod.FiniteClass(log_card=float(cls_cfg.get("log_card", 1.0)))
     mix = None

@@ -9,6 +9,7 @@ operations are pure functions of their inputs.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,21 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def logdet_psd(m: np.ndarray) -> float:
-    """Log-determinant of a symmetric positive definite matrix."""
+def logdet_psd(m: np.ndarray) -> float | np.ndarray:
+    """Log-determinant of a symmetric positive definite matrix.
+
+    A stack of shape (..., d, d) gives an array of shape (...), one
+    log-determinant per matrix; a single matrix gives a float.
+
+    Raises
+    ------
+    NotPSD
+        If any determinant has sign <= 0.
+    """
     sign, val = np.linalg.slogdet(np.asarray(m, dtype=float))
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise NotPSD("logdet_psd expects a positive definite matrix")
-    return float(val)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +329,10 @@ class FiniteMember(Representation):
 class CovariateLaw:
     """Marginal/stationary covariate distribution on R^{d_x}.
 
-    Every law exposes an exact second-moment matrix and seeded marginal
-    sampling. Trajectory laws additionally expose path sampling.
+    Every law exposes an exact second-moment matrix, seeded marginal
+    sampling and seeded path sampling. For an iid law a path is an iid
+    draw and burn-in is irrelevant; trajectory laws override
+    ``sample_paths``.
     """
 
     d_x: int
@@ -332,8 +344,17 @@ class CovariateLaw:
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
+                     burn_in: int = 0) -> np.ndarray:
+        """``batch`` independent paths of length n, shape (batch, n, d_x).
+
+        Consumes ``rng`` exactly as ``batch`` consecutive
+        ``sample_path(n, rng, burn_in)`` calls do.
+        """
+        return self.sample_marginal(batch * n, rng).reshape(batch, n, self.d_x)
+
     def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        raise NotImplementedError
+        return self.sample_paths(1, n, rng, burn_in)[0]
 
 
 @dataclass(frozen=True)
@@ -361,10 +382,6 @@ class GaussianLaw(CovariateLaw):
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._root.T
 
-    def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        # iid law: a "path" is just an iid draw; burn-in is irrelevant.
-        return self.sample_marginal(n, rng)
-
 
 def lds_stationary_covariance(a: np.ndarray) -> np.ndarray:
     """Stationary covariance of x_{i+1} = A x_i + w_i with identity process noise.
@@ -387,6 +404,36 @@ def lds_stationary_covariance(a: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
+# Widest stacked block (chunk steps times d_x) the LDS path sampler advances
+# in one product, and the shortest chunk worth taking: a chunk costs about
+# three steps' worth of per-iteration overhead, so below four steps the plain
+# step loop is faster.
+_LDS_CHUNK_WIDTH = 64
+_LDS_MIN_CHUNK = 4
+
+
+def _lds_chunk_ops(a: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """Chunk length L and the products that advance an LDS path L steps at once.
+
+    Returns (L, lift, toeplitz): lift = [(A^1)^T ... (A^L)^T] is (d, L d) and
+    toeplitz is the (L d, L d) block upper-triangular matrix whose block
+    (i, j) is (A^{j-i})^T for j >= i. L = 1 needs neither.
+    """
+    d = a.shape[0]
+    steps = _LDS_CHUNK_WIDTH // d
+    if steps < _LDS_MIN_CHUNK:
+        return 1, None, None
+    powers = [np.eye(d)]
+    for _ in range(steps):
+        powers.append(a @ powers[-1])
+    powers_t = np.stack([pw.T for pw in powers])           # (L+1, d, d)
+    lift = np.concatenate(powers_t[1:], axis=1)             # (d, L d)
+    lag = np.arange(steps)[None, :] - np.arange(steps)[:, None]
+    blocks = np.where((lag >= 0)[:, :, None, None], powers_t[np.clip(lag, 0, None)], 0.0)
+    toeplitz = blocks.transpose(0, 2, 1, 3).reshape(steps * d, steps * d)
+    return steps, _readonly(lift), _readonly(toeplitz)
+
+
 @dataclass(frozen=True)
 class LdsLaw(CovariateLaw):
     """Stationary linear dynamical system x_{i+1} = A x_i + w_i, w_i ~ N(0, I)."""
@@ -398,9 +445,13 @@ class LdsLaw(CovariateLaw):
     def __post_init__(self):
         a = _readonly(np.atleast_2d(self.a))
         sigma = lds_stationary_covariance(a)  # validates stability
+        chunk, lift, toeplitz = _lds_chunk_ops(a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_sigma", _readonly(sigma))
         object.__setattr__(self, "_sigma_root", _readonly(sqrt_psd(sigma)))
+        object.__setattr__(self, "_chunk", chunk)
+        object.__setattr__(self, "_lift", lift)
+        object.__setattr__(self, "_toeplitz", toeplitz)
 
     @property
     def d_x(self) -> int:
@@ -416,15 +467,56 @@ class LdsLaw(CovariateLaw):
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._sigma_root.T
 
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
+                     burn_in: int = 0) -> np.ndarray:
+        """``batch`` stationary paths x_{b+1..b+n} after b = burn_in discarded steps.
+
+        Each path starts from x_0 = Sigma^{1/2} z and runs the recursion on
+        fresh noise; one (batch, 1 + b + n, d) normal draw holds, per path, z
+        and then the noise rows, in the order of one path at a time.
+
+        The recursion advances L steps per product. Unrolling
+        x_{s+i+1} = A x_{s+i} + w_{s+i} from x = x_s gives, for j = 0..L-1,
+
+            X_j := x_{s+j+1} = A^{j+1} x + sum_{i<=j} A^{j-i} w_{s+i}.
+
+        With paths as rows this is [X_0^T ... X_{L-1}^T]
+        = x^T [(A^1)^T ... (A^L)^T] + [w_s^T ... w_{s+L-1}^T] M, where M is
+        block upper-triangular Toeplitz with block (i, j) = (A^{j-i})^T for
+        j >= i; a shorter last chunk uses the leading blocks of both factors.
+        L = 1 is the plain step x A^T + w. The chunked sum differs from the
+        step-by-step recursion only by round-off, a few ulps of the
+        stationary scale.
+        """
+        d = self.d_x
+        steps = burn_in + n
+        z = rng.standard_normal((batch, 1 + steps, d))
+        x = z[:, 0] @ self._sigma_root.T
+        w = z[:, 1:]  # noise rows w_0.., overwritten in place by x_1..
+        if self._chunk == 1:
+            a_t = self.a.T
+            for w_i in w.transpose(1, 0, 2):
+                w_i += np.dot(x, a_t)  # np.dot: less call overhead than @ per step
+                x = w_i
+        else:
+            width = self._chunk * d
+            full = steps // self._chunk * self._chunk
+            chunks = w[:, :full].reshape(batch, -1, width).transpose(1, 0, 2)
+            for block in chunks:
+                y = np.dot(x, self._lift)
+                y += np.dot(block, self._toeplitz)
+                block[...] = y
+                x = y[:, -d:]
+            rest = (steps - full) * d
+            if rest:
+                y = x @ self._lift[:, :rest]
+                y += w[:, full:].reshape(batch, rest) @ self._toeplitz[:rest, :rest]
+                w[:, full:] = y.reshape(batch, -1, d)
+        return w[:, burn_in:]
+
+    # Defined on the class, not inherited, so bench/tracing.py can wrap it.
     def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        x = self._sigma_root @ rng.standard_normal(self.d_x)
-        noise = rng.standard_normal((burn_in + n, self.d_x))
-        out = np.empty((n, self.d_x))
-        for i in range(burn_in + n):
-            x = self.a @ x + noise[i]
-            if i >= burn_in:
-                out[i - burn_in] = x
-        return out
+        return self.sample_paths(1, n, rng, burn_in)[0]
 
 
 @dataclass(frozen=True)
@@ -456,9 +548,18 @@ class MarkovLaw(CovariateLaw):
         for s in range(min(p.shape[0], self.d_x)):
             base[s, s] = 1.0
         emb = base - pi @ base
+        # The walk reproduces rng.choice(S, p=pi) for the first state (one
+        # uniform against the normalized cumsum of pi), then per step
+        # min(searchsorted(cumsum(P[s]), u, "right"), S - 1), which equals a
+        # bisection over the first S - 1 cumulative entries of row s.
+        initial_cdf = np.cumsum(pi)
+        initial_cdf /= initial_cdf[-1]
+        walk_table = tuple(row[:-1] for row in np.cumsum(p, axis=1).tolist())
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "_pi", _readonly(pi))
         object.__setattr__(self, "_embedding", _readonly(emb))
+        object.__setattr__(self, "_initial_cdf", _readonly(initial_cdf))
+        object.__setattr__(self, "_walk_table", walk_table)
 
     @property
     def n_states(self) -> int:
@@ -476,23 +577,33 @@ class MarkovLaw(CovariateLaw):
     def second_moment(self) -> np.ndarray:
         return self._embedding.T @ (self._pi[:, None] * self._embedding)
 
-    def sample_states(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        states = np.empty(n, dtype=int)
-        cum = np.cumsum(self.transition, axis=1)
-        s = int(rng.choice(self.n_states, p=self._pi))
-        u = rng.random(n)
-        for i in range(n):
-            s = min(int(np.searchsorted(cum[s], u[i], side="right")), self.n_states - 1)
-            states[i] = s
-        return states
-
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         states = rng.choice(self.n_states, size=n, p=self._pi)
         return self._embedding[states]
 
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
+                     burn_in: int = 0) -> np.ndarray:
+        """``batch`` embedded paths after ``burn_in`` discarded steps.
+
+        One (batch, 1 + burn_in + n) uniform draw: per path, column 0 picks
+        the stationary start state and each later column one transition.
+        """
+        u = rng.random((batch, 1 + burn_in + n))
+        first = np.searchsorted(self._initial_cdf, u[:, 0], side="right").tolist()
+        table = self._walk_table
+        states = []
+        for s, row in zip(first, u[:, 1:].tolist()):
+            walk = []
+            for v in row:
+                s = bisect_right(table[s], v)
+                walk.append(s)
+            states.append(walk)
+        states = np.array(states, dtype=np.intp).reshape(batch, burn_in + n)
+        return self._embedding[states[:, burn_in:]]
+
+    # Defined on the class, not inherited, so bench/tracing.py can wrap it.
     def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        states = self.sample_states(burn_in + n, rng)
-        return self._embedding[states[burn_in:]]
+        return self.sample_paths(1, n, rng, burn_in)[0]
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:

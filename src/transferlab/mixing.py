@@ -252,13 +252,12 @@ def decouple_trajectory(law: CovariateLaw, partition: BlockPartition,
 
     Each block is generated as a fresh stationary trajectory segment of
     length k, so the within-block law matches the original process exactly
-    while distinct blocks are exactly independent.
+    while distinct blocks are exactly independent. The blocks are one
+    ``sample_paths`` draw, in block order.
     """
     rng = np.random.default_rng(seed)
-    out = np.empty((partition.n, law.d_x))
-    for start, stop in partition.blocks:
-        out[start:stop] = law.sample_path(stop - start, rng, burn_in=0)
-    return out
+    paths = law.sample_paths(partition.num_blocks, partition.k, rng)
+    return paths.reshape(partition.n, law.d_x)
 
 
 def select_block_length(profile: GeometricProfile, m_samples: int, delta: float) -> int:

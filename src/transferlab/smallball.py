@@ -110,9 +110,12 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
     bounded by exp(-m / (8 C)), or exp(-m / (8 C ||G_dep||^2)) in blocked
     mode with the dependency-matrix norm of the supplied profile. The
     hypercontractivity precondition E[psi^2] <= C (E[psi])^2 is verified on a
-    large calibration sample first. The result's ``passed`` says whether the
-    frequency stays below the bound plus three binomial standard errors; a
-    failed verdict is returned, not raised.
+    large calibration sample first. ``psi`` maps an (n, d) sample to its n
+    row values, row by row. A covariate-law source draws every replicate at
+    once (paths in blocked mode); a plain ``f(m, rng)`` source is called once
+    per replicate, each call one sample of size m. The result's ``passed``
+    says whether the frequency stays below the bound plus three binomial
+    standard errors; a failed verdict is returned, not raised.
 
     Raises
     ------
@@ -140,10 +143,19 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
         dep_norm = dependency_matrix_bound(blocked.profile, m).spectral_norm
     bound = math.exp(-m / (8.0 * c * dep_norm ** 2))
 
-    hits = 0
-    for _ in range(replicates):
-        x = _draw(source, m, rng, path=blocked is not None)
-        if float(np.mean(np.asarray(psi(x), dtype=float))) <= 0.5 * mean_psi:
-            hits += 1
+    if hasattr(source, "sample_marginal"):
+        # all replicates in one draw; psi is row-wise, so one call on the
+        # stacked rows gives every replicate's values
+        if blocked is not None:
+            rows = source.sample_paths(replicates, m, rng).reshape(replicates * m, -1)
+        else:
+            rows = source.sample_marginal(replicates * m, rng)
+        vals = np.asarray(psi(np.atleast_2d(rows)), dtype=float)
+    else:
+        # one call of a plain sampler is one (possibly dependent) sample of size m
+        vals = np.stack([np.asarray(psi(np.atleast_2d(source(m, rng))), dtype=float)
+                         for _ in range(replicates)])
+    means = vals.reshape(replicates, -1).mean(axis=1)
+    hits = int(np.count_nonzero(means <= 0.5 * mean_psi))
     return TailCheckResult(empirical_freq=hits / replicates, bound=bound,
                            mean_psi=mean_psi, dep_norm=dep_norm, replicates=replicates)

@@ -74,6 +74,15 @@ def test_config_rejects_unknown_keys():
     cfg["fit"]["lr"] = 0.1
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["mixcheck"] = {"kind": "markvo", "transition": [[0.9, 0.1], [0.1, 0.9]]}
+    with pytest.raises(ConfigError, match="mixcheck.kind"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["bounds"] = {"class": {"kind": "parametrc", "d_theta": 4, "b_theta": 1.0,
+                               "l_theta": 1.0}}
+    with pytest.raises(ConfigError, match="bounds.class.kind"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_config_rejects_bad_axis_and_grid():
@@ -241,6 +250,21 @@ def test_run_mixcheck_two_cycle():
     out = run_mixcheck(ExperimentConfig.from_dict(cfg))
     assert out["profile"]["phi"] == [0.5] * 6
     assert out["dependency_norm"] > 1.0
+
+
+def test_run_bounds_missing_keys_exit_2(tmp_path, capsys):
+    cfg = example_config()
+    cfg["bounds"] = {"class": {"kind": "parametric", "d_theta": 4, "l_theta": 1.0}}
+    with pytest.raises(ConfigError, match="b_theta"):
+        run_bounds(ExperimentConfig.from_dict(cfg))
+    assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    cfg = example_config()
+    cfg["bounds"] = {}
+    del cfg["population"]["d_x"]
+    with pytest.raises(ConfigError, match="d_x"):
+        run_bounds(ExperimentConfig.from_dict(cfg))
+    assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    capsys.readouterr()
 
 
 def test_run_bounds_dispatch():

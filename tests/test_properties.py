@@ -1,10 +1,14 @@
 """Property tests (hypothesis): Penrose identities of the stacked pseudo-inverse,
-the PSD square-root round trip, and the orthonormal, seed-determined ALS output."""
+the PSD square-root round trip, the orthonormal, seed-determined ALS output, and
+sweep rows that do not depend on the thread count."""
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_gaussian_population
+from transferlab.cli import ExperimentConfig, example_config, run_sweep
 from transferlab.core import pinv, sqrt_psd
 from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.erm import FitOptions, fit_first_stage_linear
@@ -75,3 +79,24 @@ def test_linear_fit_orthonormal_and_seed_determined(seed, t, r, d_x):
     assert np.allclose(g @ g.T, np.eye(r), atol=1e-10)
     assert np.array_equal(g, again.rep.g)
     assert first.objective == again.objective
+
+
+@settings(deadline=None, max_examples=8, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_sweep_rows_do_not_depend_on_threads(seed):
+    cfg = example_config()
+    cfg["seed"] = seed
+    cfg["population"].update({"d_x": 5, "num_sources": 2, "noise_sigma": 0.3})
+    cfg["fit"].update({"restarts": 1, "max_iters": 40})
+    cfg["sweep"] = {"axis": "N", "grid": [8, 16, 32], "replicates": 1, "n": 16,
+                    "n_prime": 16}
+    cfg["diagnostics"] = {"mc_samples": 500}
+    config = ExperimentConfig.from_dict(cfg)
+    serial, threaded = run_sweep(config, threads=1), run_sweep(config, threads=2)
+    assert serial.slopes == threaded.slopes
+    assert len(serial.rows) == len(threaded.rows) == 3
+    for a, b in zip(serial.rows, threaded.rows):
+        for field in dataclasses.fields(a):
+            if field.name != "wall_time_ms":
+                va, vb = getattr(a, field.name), getattr(b, field.name)
+                assert va == vb or (np.isnan(va) and np.isnan(vb)), field.name
