@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -136,23 +136,31 @@ class ExperimentConfig:
             if grid and grid[0] < 1:
                 raise ConfigError("sweep grid values must be >= 1")
         diagnostics = cfg.get("diagnostics", {})
-        _check_keys(diagnostics, {"mc_samples", "nrls"}, "diagnostics")
+        _check_keys(diagnostics, {"mc_samples"}, "diagnostics")
         bounds_cfg = cfg.get("bounds")
         if bounds_cfg is not None:
             _check_keys(bounds_cfg, {"t_tasks", "n", "n_prime", "sigma_w", "b_f", "b_g",
                                      "class", "delta", "c_z", "mu_x", "mu_f",
                                      "mixing"}, "bounds")
-            cls_kind = bounds_cfg.get("class", {}).get("kind", "finite")
-            if cls_kind not in ("finite", "parametric"):
+            cls = bounds_cfg.get("class", {})
+            cls_kind = cls.get("kind", "finite")
+            allowed_class = {"finite": {"kind", "log_card"},
+                             "parametric": {"kind", "d_theta", "b_theta", "l_theta"}}
+            if cls_kind not in allowed_class:
                 raise ConfigError(f"bounds.class.kind must be finite or parametric, "
                                   f"got '{cls_kind}'")
+            _check_keys(cls, allowed_class[cls_kind], f"bounds.class({cls_kind})")
+            _check_keys(bounds_cfg.get("mixing") or {}, {"gamma", "rho", "k"},
+                        "bounds.mixing")
         mixcheck = cfg.get("mixcheck")
         if mixcheck is not None:
-            _check_keys(mixcheck, {"kind", "transition", "spectral_radius", "d_x",
-                                   "max_lag", "n", "delta", "mc_samples"}, "mixcheck")
             mix_kind = mixcheck.get("kind", "markov")
-            if mix_kind not in ("markov", "lds"):
+            allowed_mix = {"markov": {"kind", "transition", "max_lag", "n"},
+                           "lds": {"kind", "d_x", "spectral_radius", "n", "delta",
+                                   "mc_samples"}}
+            if mix_kind not in allowed_mix:
                 raise ConfigError(f"mixcheck.kind must be markov or lds, got '{mix_kind}'")
+            _check_keys(mixcheck, allowed_mix[mix_kind], f"mixcheck({mix_kind})")
         return ExperimentConfig(
             raw=cfg,
             seed=int(cfg.get("seed", 0)),
@@ -193,7 +201,7 @@ def example_config() -> dict:
         "fit": {"kind": "linear", "max_iters": 300, "tol": 1e-10, "restarts": 3},
         "sweep": {"axis": "T", "grid": [4, 8, 16], "replicates": 5, "n": 64,
                   "n_prime": 128},
-        "diagnostics": {"mc_samples": 100000, "nrls": True},
+        "diagnostics": {"mc_samples": 100000},
         "bounds": None,
         "mixcheck": None,
     }
@@ -274,6 +282,20 @@ def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed:
     return fit, fit_second_stage(data[0], fit.rep)
 
 
+def _shared_diagnostics(config: ExperimentConfig, spec: PopulationSpec, fit, second,
+                        seed: int) -> dict:
+    """The diagnostics that sweep rows and ``diagnose`` both report, by name."""
+    mc = int(config.diagnostics.get("mc_samples", 100_000))
+    return {
+        "excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep,
+                                                          mc, seed),
+        "est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep, mc, seed),
+        "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual),
+        "mu_x": diag.mu_x(spec, fit.rep, mc, seed),
+        "mu_f": diag.mu_f([task.head for task in spec.tasks]),
+    }
+
+
 def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
     """The sample that ``gen``, ``fit`` and ``diagnose`` share: N = N' = 256 by default."""
     spec = build_population(config.population, config.seed)
@@ -320,25 +342,12 @@ def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
     _, data = _sample(spec, n, n_prime, row_seed)
     fit, second = _two_stage(config, spec, data, row_seed)
 
-    mc = int(config.diagnostics.get("mc_samples", 100_000))
-    excess = diag.excess_risk_population(spec, second.head, fit.rep, mc, row_seed)
-    est_err = diag.estimation_error_avg(spec, fit.heads, fit.rep, mc, row_seed)
-    nu_hat = diag.nu_hat(data, fit.rep)
-    mu_x = diag.mu_x(spec, fit.rep, mc, row_seed)
-    true_heads = [task.head for task in spec.tasks]
-    mu_f = diag.mu_f(true_heads)
-    wall = (time.perf_counter() - start) * 1000.0
-    return SweepRow(
-        axis_value=axis_value,
-        replicate=replicate,
-        excess_risk_target=excess,
-        est_error_avg=est_err,
-        nu_hat=float("nan") if nu_hat is None else nu_hat,
-        mu_x=mu_x,
-        mu_f=mu_f,
-        fit_objective=fit.objective,
-        wall_time_ms=wall,
-    )
+    shared = _shared_diagnostics(config, spec, fit, second, row_seed)
+    if shared["nu_hat"] is None:
+        shared["nu_hat"] = float("nan")
+    return SweepRow(axis_value=axis_value, replicate=replicate, **shared,
+                    fit_objective=fit.objective,
+                    wall_time_ms=(time.perf_counter() - start) * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -430,14 +439,13 @@ def write_sweep_outputs(result: SweepResult, config: ExperimentConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
-    fields = ["axis_value", "replicate", "excess_risk_target", "est_error_avg",
-              "nu_hat", "mu_x", "mu_f", "fit_objective", "wall_time_ms"]
+    names = [f.name for f in fields(SweepRow)]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(names)
         for row in result.rows:
             writer.writerow([repr(getattr(row, f)) if isinstance(getattr(row, f), float)
-                             else getattr(row, f) for f in fields])
+                             else getattr(row, f) for f in names])
     summary_path = out / "summary.json"
     with open(summary_path, "w") as fh:
         json.dump(result.summary_json(config), fh, indent=2)
@@ -454,18 +462,11 @@ def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
     spec = req.spec
     fit, second = _two_stage(config, spec, data, config.seed)
     mc = int(config.diagnostics.get("mc_samples", 100_000))
-    nrls = diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,
-                                spec.rep_star, spec.noise_sigma, mc, config.seed)
     return diag.DiagnosticsReport(
-        mu_x=diag.mu_x(spec, fit.rep, mc, config.seed),
-        mu_f=diag.mu_f([task.head for task in spec.tasks]),
+        **_shared_diagnostics(config, spec, fit, second, config.seed),
         nu_true=diag.nu_true(spec, fit.rep, mc, config.seed),
-        nu_hat=diag.nu_hat(data, fit.rep),
-        excess_risk_target=diag.excess_risk_population(spec, second.head, fit.rep,
-                                                       mc, config.seed),
-        est_error_avg=diag.estimation_error_avg(spec, fit.heads, fit.rep, mc,
-                                                config.seed),
-        nrls=nrls,
+        nrls=diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,
+                                  spec.rep_star, spec.noise_sigma, mc, config.seed),
     )
 
 
@@ -491,24 +492,26 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
     mix = None
     if b.get("mixing"):
         m = b["mixing"]
-        profile = mixing_mod.GeometricProfile(gamma=float(m["gamma"]),
-                                              rho=float(m["rho"]))
-        mix = bounds_mod.MixingSetup(profile=profile, k=int(m["k"]))
+        profile = mixing_mod.GeometricProfile(
+            gamma=float(_require(m, "gamma", "bounds.mixing")),
+            rho=float(_require(m, "rho", "bounds.mixing")))
+        mix = bounds_mod.MixingSetup(profile=profile,
+                                     k=int(_require(m, "k", "bounds.mixing")))
+    coverage = {key: float(_require(b, key, "bounds")) for key in ("mu_x", "mu_f", "c_z")}
     cfg = bounds_mod.BoundConfig(
         dims=dims,
         t_tasks=int(b.get("t_tasks", pop.get("num_sources", 4))),
         n=int(b.get("n", 256)),
         n_prime=int(b.get("n_prime", 256)),
-        sigma_w=float(b.get("sigma_w", max(pop.get("noise_sigma", 0.1), 1e-6))),
+        # the population's noise level, with build_population's default
+        sigma_w=float(b.get("sigma_w", pop.get("noise_sigma", 0.0))),
         b_f=float(b.get("b_f", 1.0)),
         b_g=float(b.get("b_g", 1.0)),
         class_complexity=cls,
         delta=float(b.get("delta", 0.05)),
         mixing=mix,
     )
-    return bounds_mod.transfer_risk_bound(cfg, mu_x=float(b.get("mu_x", 1.0)),
-                                          mu_f=float(b.get("mu_f", 1.0)),
-                                          c_z=float(b.get("c_z", 1.0)))
+    return bounds_mod.transfer_risk_bound(cfg, **coverage)
 
 
 def run_mixcheck(config: ExperimentConfig) -> dict:

@@ -25,7 +25,6 @@ from .core import (
     spectral_norm,
     sqrt_psd,
 )
-from .erm import ls_head
 from .errors import RangeViolation
 
 # Denominators below this are reported as undefined (None): the
@@ -102,12 +101,6 @@ def mu_x(spec: PopulationSpec, g: Representation,
         half = inv_sqrt_psd(st)
         worst = max(worst, spectral_norm(half @ s0 @ half))
     return worst
-
-
-def mu_x_grid(spec: PopulationSpec, dictionary, mc_samples: int = 200_000,
-              seed: int = 0) -> float:
-    """Grid-max variant of mu_x over a finite representation dictionary."""
-    return max(mu_x(spec, g, mc_samples, seed) for g in dictionary)
 
 
 def mu_f(heads) -> float:
@@ -199,30 +192,25 @@ def nu_true(spec: PopulationSpec, g: Representation,
     return numer / denom
 
 
-def nu_hat(datasets, g: Representation) -> float | None:
-    """Plug-in estimator of nu(g) from one data batch (target first).
+def nu_hat(target_residual: float, source_residuals) -> float | None:
+    """Plug-in estimator of nu(g): mean source residual over the target residual.
 
-    Per task the infimal error is estimated by mean ||Y||^2 minus the energy
-    captured by the g-conditioned least-squares head; the ratio averages the
-    sources and divides by the target. None when the target term is below
-    NU_UNDEFINED_THRESHOLD.
+    Each residual is the mean squared residual of the least-squares head fitted
+    through the frozen g (``erm.fit_second_stage``; the first stage reports the
+    sources' as ``per_task_residual``) and estimates inf_F E||Y - F g(X)||^2.
+    With Z = g(X), F_hat = Y^T Z (Z^T Z)^+ and the orthogonal projection
+    P = Z (Z^T Z)^+ Z^T, the fit is Z F_hat^T = P Y, so by Pythagoras
+    (1/N) ||Y - P Y||_F^2 = mean ||Y||^2 - (1/N) ||P Y||_F^2
+                          = mean ||Y||^2 - tr(F_hat Sigma_hat_Z F_hat^T),
+    Sigma_hat_Z = Z^T Z / N: the energy of Y that the head does not capture.
+    None when the target residual is below NU_UNDEFINED_THRESHOLD.
     """
-    datasets = list(datasets)
-    if len(datasets) < 2:
-        raise ValueError("need the target dataset plus at least one source")
-
-    def term(ds):
-        z = g.features(ds.covariates)
-        f_hat = ls_head(z, ds.labels).f
-        mean_y2 = float(np.sum(ds.labels * ds.labels)) / ds.n
-        gram = z.T @ z / ds.n
-        return mean_y2 - float(np.trace(f_hat @ gram @ f_hat.T))
-
-    denom = term(datasets[0])
-    if denom < NU_UNDEFINED_THRESHOLD:
+    source_residuals = list(source_residuals)
+    if not source_residuals:
+        raise ValueError("need at least one source residual")
+    if target_residual < NU_UNDEFINED_THRESHOLD:
         return None
-    numer = sum(term(ds) for ds in datasets[1:]) / (len(datasets) - 1)
-    return numer / denom
+    return sum(source_residuals) / len(source_residuals) / target_residual
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +300,14 @@ def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead,
                 rep_star: Representation, mc_samples: int = 200_000,
                 seed: int = 0) -> float:
     """Excess of the fitted target head over the best head given ``rep``:
-    ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2, analytic for linear reps."""
-    if isinstance(rep, LinearRep) and isinstance(rep_star, LinearRep):
-        sx = target_law.second_moment()
-        sigma_z = rep.g @ sx @ rep.g.T
-        cross = true_head.f @ rep_star.g @ sx @ rep.g.T  # E[Y Z^T]
-        f_mis = cross @ pinv(sigma_z)
-    else:
-        q = nrls_quantities(target_law, rep, true_head, rep_star, 0.0, mc_samples, seed)
-        f_mis = q.misspecified_head
-        rng = np.random.default_rng(seed)
-        x = target_law.sample_marginal(max(1, mc_samples), rng)
-        z = rep.features(x)
-        sigma_z = z.T @ z / x.shape[0]
+    ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2.
+
+    Sigma_Z = E[g g^T] and E[Y Z^T] = F_* E[g_* g^T] come from the joint
+    feature moments (analytic for linear reps, Monte Carlo otherwise), and
+    F_mis = E[Y Z^T] Sigma_Z^+ is the population least-squares head.
+    """
+    sigma_z, cross, _, _ = _joint_moments(target_law, rep, rep_star, mc_samples, seed)
+    f_mis = true_head.f @ cross.T @ pinv(sigma_z)
     d = (fitted_head.f - f_mis) @ sqrt_psd(sigma_z)
     return float(np.sum(d * d))
 
@@ -386,7 +369,6 @@ class DiagnosticsReport:
     excess_risk_target: float
     est_error_avg: float
     nrls: NrlsQuantities
-    mu_x_variant: str = "given_g"  # or "grid_max"
 
     def to_json(self) -> dict:
         out = {
@@ -396,7 +378,6 @@ class DiagnosticsReport:
             "nu_hat": self.nu_hat,
             "excess_risk_target": self.excess_risk_target,
             "est_error_avg": self.est_error_avg,
-            "mu_x_variant": self.mu_x_variant,
         }
         out.update(self.nrls.as_dict())
         return out

@@ -22,7 +22,6 @@ from .core import (
     Representation,
     TanhFeatures,
     TanhRep,
-    inv_sqrt_psd,
     pinv,
 )
 from .errors import DegenerateData, DivergedOptimization, EmptyDictionary
@@ -34,7 +33,7 @@ logger = logging.getLogger(__name__)
 # square (Liang, Rakhlin, Sridharan 2015, offset Rademacher complexity):
 # M = Z F^T ranges over the matrices with columns in range(Z), where
 # <W, M> = <P_Z W, M>, so 4<P_Z W, M> - ||M||^2 = 4||P_Z W||^2 - ||M - 2 P_Z W||^2
-# peaks at M = 2 P_Z W with value 4||P_Z W||_F^2 = 4||(Z^T Z)^{+/2} Z^T W||_F^2.
+# peaks at M = 2 P_Z W with value 4||P_Z W||_F^2.
 OFFSET_SUP_CONSTANT = 4.0
 
 
@@ -78,19 +77,32 @@ def ls_head(z: np.ndarray, y: np.ndarray) -> LinearHead:
     return LinearHead(f=f)
 
 
-def _mean_sq_residual(z: np.ndarray, y: np.ndarray, f: np.ndarray) -> float:
-    resid = y - z @ f.T
-    return float(np.sum(resid * resid)) / z.shape[0]
+def fit_second_stage(target, rep: Representation) -> SecondStageFit:
+    """Least-squares head on the frozen representation's features and its mean
+    squared residual (1 / N) sum_i ||y_i - F z_i||^2; every head fitted through
+    a fixed representation, target or source, comes from here."""
+    z = rep.features(target.covariates)
+    head = ls_head(z, target.labels)
+    resid = target.labels - z @ head.f.T
+    return SecondStageFit(head=head, residual=float(np.sum(resid * resid)) / z.shape[0])
 
 
-def _pooled_objective(datasets, rep, heads) -> float:
-    """Mean squared prediction error pooled over all tasks and samples."""
-    total, count = 0.0, 0
-    for ds, head in zip(datasets, heads):
-        resid = ds.labels - rep.features(ds.covariates) @ head.f.T
-        total += float(np.sum(resid * resid))
-        count += ds.n
-    return total / count
+def _first_stage_fit(datasets, rep: Representation, iterations: int, converged: bool,
+                     history: tuple[float, ...] = ()) -> FirstStageFit:
+    """Per-task least-squares heads and residuals of ``rep``; ``objective`` is
+    their n-weighted mean, the pooled mean squared error over all samples."""
+    fits = [fit_second_stage(ds, rep) for ds in datasets]
+    residuals = tuple(fit.residual for fit in fits)
+    return FirstStageFit(
+        heads=tuple(fit.head for fit in fits),
+        rep=rep,
+        per_task_residual=residuals,
+        iterations=iterations,
+        converged=converged,
+        objective=sum(res * ds.n for res, ds in zip(residuals, datasets))
+        / sum(ds.n for ds in datasets),
+        objective_history=history,
+    )
 
 
 def _random_row_orthonormal(r: int, d_x: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +146,6 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _AlsRun(NamedTuple):
     g: np.ndarray
-    heads: np.ndarray  # (T, d_y, r), least-squares heads for g
     objective: float
     iterations: int
     converged: bool
@@ -210,7 +221,7 @@ def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
                        "(objective %.6g)", opts.max_iters, history[-1] if history else np.nan)
     # exact head refit on the orthonormalized representation
     f = _heads_from_stats(gram, gxty)
-    return _AlsRun(g=g, heads=f, objective=objective(f, gram, gxty),
+    return _AlsRun(g=g, objective=objective(f, gram, gxty),
                    iterations=iterations, converged=converged, history=tuple(history))
 
 
@@ -222,7 +233,8 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     representation is rotated to orthonormal rows and the heads are
     counter-rotated, so the returned rep satisfies G G^T = I_r. The best of
     ``opts.restarts`` random orthonormal initializations is kept, and one pass
-    over the raw rows reports its objective and per-task residuals exactly.
+    over the raw rows (``fit_second_stage`` per task) reports its heads,
+    objective and per-task residuals exactly.
 
     Raises
     ------
@@ -244,19 +256,8 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
         run = _als_single(xtx, xty, yy, n_total, r, opts, rng)
         if best is None or run.objective < best.objective:
             best = run
-
-    rep = LinearRep(best.g)
-    residuals = tuple(_mean_sq_residual(rep.features(ds.covariates), ds.labels, f)
-                      for ds, f in zip(datasets, best.heads))
-    return FirstStageFit(
-        heads=tuple(LinearHead(f) for f in best.heads),
-        rep=rep,
-        per_task_residual=residuals,
-        iterations=best.iterations,
-        converged=best.converged,
-        objective=sum(res * ds.n for res, ds in zip(residuals, datasets)) / n_total,
-        objective_history=best.history,
-    )
+    return _first_stage_fit(datasets, LinearRep(best.g), best.iterations,
+                            best.converged, best.history)
 
 
 def fit_first_stage_finite(datasets, dictionary, dictionary_id: str = "") -> FirstStageFit:
@@ -274,26 +275,13 @@ def fit_first_stage_finite(datasets, dictionary, dictionary_id: str = "") -> Fir
     dictionary = list(dictionary)
     if not dictionary:
         raise EmptyDictionary("representation dictionary is empty")
-    best_idx, best_obj, best_heads = -1, np.inf, None
+    best = None
     for idx, member in enumerate(dictionary):
-        heads = [ls_head(member.features(ds.covariates), ds.labels) for ds in datasets]
-        obj = _pooled_objective(datasets, member, heads)
-        if obj < best_obj:
-            best_idx, best_obj, best_heads = idx, obj, heads
-    member = dictionary[best_idx]
-    rep = FiniteMember(member=member, index=best_idx, dictionary_id=dictionary_id)
-    residuals = tuple(
-        _mean_sq_residual(member.features(ds.covariates), ds.labels, head.f)
-        for ds, head in zip(datasets, best_heads)
-    )
-    return FirstStageFit(
-        heads=tuple(best_heads),
-        rep=rep,
-        per_task_residual=residuals,
-        iterations=len(dictionary),
-        converged=True,
-        objective=best_obj,
-    )
+        rep = FiniteMember(member=member, index=idx, dictionary_id=dictionary_id)
+        fit = _first_stage_fit(datasets, rep, iterations=len(dictionary), converged=True)
+        if best is None or fit.objective < best.objective:
+            best = fit
+    return best
 
 
 def tanh_loss_and_grad(w: np.ndarray, datasets, heads) -> tuple[float, np.ndarray]:
@@ -345,41 +333,20 @@ def fit_first_stage_parametric(datasets, family: TanhFeatures,
                 converged = True
                 break
             w = w - opts.lr * grad
-        rep = TanhRep(w)
-        heads = [ls_head(rep.features(ds.covariates), ds.labels) for ds in datasets]
-        obj = _pooled_objective(datasets, rep, heads)
-        residuals = tuple(
-            _mean_sq_residual(rep.features(ds.covariates), ds.labels, head.f)
-            for ds, head in zip(datasets, heads)
-        )
-        fit = FirstStageFit(
-            heads=tuple(heads),
-            rep=rep,
-            per_task_residual=residuals,
-            iterations=iterations,
-            converged=converged,
-            objective=obj,
-            objective_history=tuple(history),
-        )
+        fit = _first_stage_fit(datasets, TanhRep(w), iterations, converged, tuple(history))
         if best is None or fit.objective < best.objective:
             best = fit
     return best
-
-
-def fit_second_stage(target, rep: Representation) -> SecondStageFit:
-    """Least-squares target head on the frozen representation's features."""
-    z = rep.features(target.covariates)
-    head = ls_head(z, target.labels)
-    return SecondStageFit(head=head, residual=_mean_sq_residual(z, target.labels, head.f))
 
 
 def offset_complexity_stat(datasets, rep: Representation, noise) -> float:
     """Martingale offset complexity of the fitted feature/noise pair.
 
     Evaluates (1 / sum_t N_t) * sum_t sup_F [4 <W_t, Z_t F^T> - ||Z_t F^T||_F^2]
-    through the closed form c * ||(Z^T Z)^{+/2} Z^T W||_F^2 with
-    c = OFFSET_SUP_CONSTANT; rank-deficient feature Grams go through the
-    pseudo-inverse square root.
+    through the closed form c * ||P_Z W||_F^2 with c = OFFSET_SUP_CONSTANT.
+    The projection P_Z W = Z (Z^T Z)^+ Z^T W is the fit Z F_W^T of the
+    least-squares head F_W = ``ls_head(Z, W)``, so rank-deficient feature
+    Grams go through the same pseudo-inverse as every head fit.
     """
     datasets = list(datasets)
     total = 0.0
@@ -389,7 +356,7 @@ def offset_complexity_stat(datasets, rep: Representation, noise) -> float:
         if w.shape[0] != ds.n:
             raise ValueError("noise matrix rows must match the dataset")
         z = rep.features(ds.covariates)
-        proj = inv_sqrt_psd(z.T @ z) @ (z.T @ w)
+        proj = z @ ls_head(z, w).f.T
         total += OFFSET_SUP_CONSTANT * float(np.sum(proj * proj))
         total_n += ds.n
     return total / total_n

@@ -9,6 +9,8 @@ from transferlab.core import (
     PopulationSpec,
     TaskSpec,
 )
+from transferlab.diagnostics import nu_hat
+from transferlab.erm import fit_second_stage
 
 
 def random_orthonormal_rows(r, d_x, rng):
@@ -32,6 +34,12 @@ def make_gaussian_population(d_x=6, d_y=2, r=2, t=3, noise_sigma=0.0, seed=0,
         tasks.append(TaskSpec(law=GaussianLaw(sigma_x=sigma), head=head))
     return PopulationSpec(dims=Dims(d_x=d_x, d_y=d_y, r=r), tasks=tuple(tasks),
                           rep_star=rep_star, noise_sigma=noise_sigma)
+
+
+def nu_hat_given_g(data, g):
+    """nu_hat for a fixed representation g, from one batch with the target first."""
+    target, *sources = (fit_second_stage(ds, g).residual for ds in data)
+    return nu_hat(target, sources)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_gaussian_population, random_orthonormal_rows
+from conftest import make_gaussian_population, nu_hat_given_g, random_orthonormal_rows
 from transferlab.bounds import (
     BoundConfig,
     FiniteClass,
@@ -41,7 +41,6 @@ from transferlab.diagnostics import (
     infimal_risk,
     mu_f,
     mu_x,
-    nu_hat,
     nu_true,
 )
 from transferlab.erm import (
@@ -148,7 +147,7 @@ def test_criterion_03_nu_hat_consistency():
         for k, n in enumerate((1_000, 10_000, 100_000)):
             data = sample_tasks(SampleRequest(spec=spec, per_task_n=(n,) * 4,
                                               seed=3320 + k))
-            errs.append(abs(nu_hat(data, g) - nu))
+            errs.append(abs(nu_hat_given_g(data, g) - nu))
         assert errs[2] <= 0.05, f"final error {errs[2]:.4f}"
         assert errs[1] <= 2.0 * errs[0] and errs[2] <= 2.0 * errs[1], \
             f"errors not non-increasing within 2x band: {errs}"
@@ -288,7 +287,7 @@ def test_criterion_08_mixing_machinery():
 
         reps = 4000
         rng = np.random.default_rng(80)
-        coupled = np.array([f(law.sample_path(n, rng)) for _ in range(reps)])
+        coupled = np.array([f(x) for x in law.sample_paths(reps, n, rng)])
         decoupled = np.array([f(decouple_trajectory(law, part, seed=81_000 + i))
                               for i in range(reps)])
         diff = abs(coupled.mean() - decoupled.mean())

@@ -83,6 +83,27 @@ def test_config_rejects_unknown_keys():
                                "l_theta": 1.0}}
     with pytest.raises(ConfigError, match="bounds.class.kind"):
         ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["bounds"] = {"class": {"kind": "finite", "log_cardd": 50.0}}
+    with pytest.raises(ConfigError, match="log_cardd"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["bounds"] = {"mixing": {"gama": 1.0, "rho": 0.5, "k": 4}}
+    with pytest.raises(ConfigError, match="bounds.mixing"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["mixcheck"] = {"kind": "markov", "transition": [[0.9, 0.1], [0.1, 0.9]],
+                       "mc_samples": 1000}
+    with pytest.raises(ConfigError, match="mc_samples"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["mixcheck"] = {"kind": "lds", "transition": [[0.9, 0.1], [0.1, 0.9]]}
+    with pytest.raises(ConfigError, match="transition"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = example_config()
+    cfg["diagnostics"]["nrls"] = True
+    with pytest.raises(ConfigError, match="nrls"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_config_rejects_bad_axis_and_grid():
@@ -264,7 +285,34 @@ def test_run_bounds_missing_keys_exit_2(tmp_path, capsys):
     with pytest.raises(ConfigError, match="d_x"):
         run_bounds(ExperimentConfig.from_dict(cfg))
     assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    complete = {"sigma_w": 0.5, "c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0}
+    cfg = example_config()
+    cfg["bounds"] = {**complete, "mixing": {"rho": 0.5, "k": 4}}
+    with pytest.raises(ConfigError, match="gamma"):
+        run_bounds(ExperimentConfig.from_dict(cfg))
+    assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    cfg["bounds"] = {**complete, "class": {"kind": "finite", "log_cardd": 50.0}}
+    assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    for key in ("mu_x", "mu_f", "c_z"):
+        cfg["bounds"] = {k: v for k, v in complete.items() if k != key}
+        with pytest.raises(ConfigError, match=key):
+            run_bounds(ExperimentConfig.from_dict(cfg))
+        assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    # sigma_w defaults to the population's noise level, here 0: not priceable
+    cfg["bounds"] = {k: v for k, v in complete.items() if k != "sigma_w"}
+    cfg["population"]["noise_sigma"] = 0.0
+    with pytest.raises(ValueError, match="sigma_w"):
+        run_bounds(ExperimentConfig.from_dict(cfg))
+    assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
     capsys.readouterr()
+
+
+def test_run_bounds_sigma_w_defaults_to_population_noise():
+    cfg = example_config()
+    cfg["bounds"] = {"c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0}
+    implicit = run_bounds(ExperimentConfig.from_dict(cfg))
+    cfg["bounds"]["sigma_w"] = cfg["population"]["noise_sigma"]
+    assert implicit == run_bounds(ExperimentConfig.from_dict(cfg))
 
 
 def test_run_bounds_dispatch():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_gaussian_population, random_orthonormal_rows
+from conftest import make_gaussian_population, nu_hat_given_g, random_orthonormal_rows
 from transferlab.core import (
     Dims,
     FiniteMember,
@@ -12,6 +12,7 @@ from transferlab.core import (
     PopulationSpec,
     TaskSpec,
 )
+from transferlab import cli
 from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.diagnostics import (
     estimation_error_avg,
@@ -22,11 +23,10 @@ from transferlab.diagnostics import (
     mu_x,
     nrls_excess,
     nrls_quantities,
-    nu_hat,
     nu_true,
     stacked_covariance,
 )
-from transferlab.erm import FitOptions, fit_first_stage_linear, fit_second_stage
+from transferlab.erm import FitOptions, fit_first_stage_linear, fit_second_stage, ls_head
 from transferlab.errors import RangeViolation
 
 
@@ -244,7 +244,46 @@ def test_nu_hat_undefined_for_equivalent_rep(rng):
     m = rng.standard_normal((2, 2)) + 2 * np.eye(2)
     g_equiv = LinearRep(m @ spec.rep_star.g)
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(50,) * 4, seed=29))
-    assert nu_hat(data, g_equiv) is None
+    assert nu_hat_given_g(data, g_equiv) is None
+
+
+def nu_hat_reference(datasets, g):
+    """nu_hat as it was computed before it read the fitted residuals: per task,
+    mean ||Y||^2 minus the energy tr(F_hat Sigma_hat_Z F_hat^T) that the
+    least-squares head through g captures, target first."""
+    def term(ds):
+        z = g.features(ds.covariates)
+        f_hat = ls_head(z, ds.labels).f
+        mean_y2 = float(np.sum(ds.labels * ds.labels)) / ds.n
+        return mean_y2 - float(np.trace(f_hat @ (z.T @ z / ds.n) @ f_hat.T))
+
+    denom = term(datasets[0])
+    if denom < 1e-12:
+        return None
+    return sum(term(ds) for ds in datasets[1:]) / (len(datasets) - 1) / denom
+
+
+@pytest.mark.parametrize("law", [{"kind": "gaussian", "scale_spread": 2.0},
+                                 {"kind": "lds", "spectral_radius": 0.8},
+                                 {"kind": "markov", "states": 6, "stay_prob": 0.7}])
+def test_cli_nu_hat_matches_reference(law):
+    cfg = cli.example_config()
+    cfg["population"].update({"d_x": 6, "num_sources": 3, "law": law})
+    cfg["sweep"].update({"n": 60, "n_prime": 40})
+    cfg["diagnostics"] = {"mc_samples": 2000}
+    config = cli.ExperimentConfig.from_dict(cfg)
+    req, data = cli._command_sample(config)
+    fit, _ = cli._two_stage(config, req.spec, data, config.seed)
+    expected = nu_hat_reference(data, fit.rep)
+    assert cli.run_diagnose(config).nu_hat == pytest.approx(expected, rel=1e-12)
+
+
+def test_nu_hat_matches_reference_undefined_for_equivalent_rep(rng):
+    spec = make_gaussian_population(noise_sigma=0.0, seed=28)
+    g_equiv = LinearRep((rng.standard_normal((2, 2)) + 2 * np.eye(2)) @ spec.rep_star.g)
+    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(50,) * 4, seed=29))
+    assert nu_hat_reference(data, g_equiv) is None
+    assert nu_hat_given_g(data, g_equiv) is None
 
 
 def test_nu_hat_symmetric_instance_near_one():
@@ -256,14 +295,14 @@ def test_nu_hat_symmetric_instance_near_one():
     g = misaligned_rep(spec, seed=31)
     data = sample_tasks(SampleRequest(spec=symmetric, per_task_n=(100_000,) * 2,
                                       seed=32))
-    assert abs(nu_hat(data, g) - 1.0) <= 0.05
+    assert abs(nu_hat_given_g(data, g) - 1.0) <= 0.05
 
 
 def test_nu_hat_consistent_with_nu_true():
     spec = make_gaussian_population(d_x=6, d_y=2, r=2, t=3, noise_sigma=0.0, seed=33)
     g = misaligned_rep(spec, seed=34)
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(100_000,) * 4, seed=35))
-    assert abs(nu_hat(data, g) - nu_true(spec, g)) <= 0.05
+    assert abs(nu_hat_given_g(data, g) - nu_true(spec, g)) <= 0.05
 
 
 def test_nu_hat_error_shrinks_with_n():
@@ -273,7 +312,7 @@ def test_nu_hat_error_shrinks_with_n():
     errs = []
     for n in (1_000, 10_000, 100_000):
         data = sample_tasks(SampleRequest(spec=spec, per_task_n=(n,) * 4, seed=38))
-        errs.append(abs(nu_hat(data, g) - nu))
+        errs.append(abs(nu_hat_given_g(data, g) - nu))
     assert errs[1] <= 2.0 * errs[0] and errs[2] <= 2.0 * errs[1]
     assert errs[2] <= errs[0]
 
@@ -321,6 +360,21 @@ def test_nrls_excess_decomposition():
                          spec.rep_star)
     floor = infimal_risk(spec.target.law, spec.target.head.f, g, spec.rep_star)
     assert er == pytest.approx(excess + floor, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nrls_excess_monte_carlo_matches_analytic(seed):
+    spec = make_gaussian_population(d_y=2, seed=70 + seed)
+    g = misaligned_rep(spec, seed=80 + seed)
+    # A head O(1) away from F_mis: the Monte Carlo error of the excess is about
+    # ||dF_mis|| / ||F_hat - F_mis||, so a head fitted on N' rows would test
+    # sqrt(N' / mc_samples) instead of the moments' own accuracy.
+    head = LinearHead(np.random.default_rng(90 + seed).standard_normal((2, 2)))
+    analytic = nrls_excess(spec.target.law, head, g, spec.target.head, spec.rep_star)
+    # FiniteMember wrapping forces the Monte Carlo moments for the same map
+    mc = nrls_excess(spec.target.law, head, FiniteMember(g, 0), spec.target.head,
+                     spec.rep_star, mc_samples=100_000, seed=seed)
+    assert mc == pytest.approx(analytic, rel=0.02)
 
 
 def test_decomposition_inequality_on_fitted_model():

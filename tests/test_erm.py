@@ -5,11 +5,14 @@ import pytest
 import scipy.linalg
 
 from conftest import make_gaussian_population, random_orthonormal_rows
+from transferlab import erm
 from transferlab.core import (
     LinearRep,
+    Representation,
     TanhFeatures,
     TanhRep,
     TaskDataset,
+    inv_sqrt_psd,
     pinv,
 )
 from transferlab.datagen import SampleRequest, sample_tasks
@@ -289,6 +292,44 @@ def test_finite_fit_matches_enumeration_oracle(rng):
     assert fit.objective == pytest.approx(best_val, rel=1e-12)
 
 
+class CountingRep(Representation):
+    """A linear map that counts the rows it featurizes, per call."""
+
+    def __init__(self, g):
+        self.inner = LinearRep(g)
+        self.calls = []
+
+    def features(self, x):
+        self.calls.append(x.shape[0])
+        return self.inner.features(x)
+
+
+def test_finite_fit_featurizes_each_task_once_per_member(rng):
+    spec = make_gaussian_population(d_x=5, d_y=2, r=2, t=3, noise_sigma=0.8, seed=14)
+    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(30,) * 4, seed=15))[1:]
+    dictionary = [CountingRep(random_orthonormal_rows(2, 5, rng)) for _ in range(4)]
+    fit_first_stage_finite(data, dictionary)
+    for member in dictionary:
+        assert member.calls == [30, 30, 30]
+
+
+def test_tanh_fit_featurizes_each_task_once_per_restart(monkeypatch):
+    featurized = []
+
+    class CountingTanhRep(TanhRep):
+        def features(self, x):
+            featurized.append(x.shape[0])
+            return super().features(x)
+
+    monkeypatch.setattr(erm, "TanhRep", CountingTanhRep)
+    rng = np.random.default_rng(16)
+    data = [make_dataset(rng.standard_normal((20 + t, 3)), rng.standard_normal((20 + t, 1)),
+                         task_id=t) for t in range(3)]
+    fit_first_stage_parametric(data, TanhFeatures(r=2, d_x=3),
+                               opts=FitOptions(max_iters=5, restarts=2, seed=17))
+    assert featurized == [20, 21, 22] * 2
+
+
 def test_finite_fit_empty_dictionary():
     with pytest.raises(EmptyDictionary):
         fit_first_stage_finite([], [])
@@ -421,6 +462,33 @@ def test_offset_closed_form_matches_bruteforce_sup():
         closed = OFFSET_SUP_CONSTANT * np.sum((half @ z.T @ w) ** 2)
         brute = offset_sup_oracle(z, w, seed=case)
         assert brute == pytest.approx(closed, rel=1e-6, abs=1e-9)
+
+
+def offset_reference(datasets, rep, noise):
+    """The offset statistic as computed before it went through ``ls_head``:
+    4 ||(Z^T Z)^{+/2} Z^T W||_F^2 per task through the inverse square root."""
+    total = 0.0
+    for ds, w in zip(datasets, noise):
+        z = rep.features(ds.covariates)
+        proj = inv_sqrt_psd(z.T @ z) @ (z.T @ w)
+        total += 4.0 * float(np.sum(proj * proj))
+    return total / sum(ds.n for ds in datasets)
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_offset_matches_inverse_sqrt_reference(rank_deficient):
+    rng = np.random.default_rng(20)
+    rep = LinearRep(random_orthonormal_rows(3, 6, rng))
+    for _ in range(10):
+        datasets, noise = [], []
+        for t in range(3):
+            x = rng.standard_normal((12, 6))
+            if rank_deficient:
+                x[:, 2:] = 0.0  # features span 2 of the 3 directions
+            datasets.append(make_dataset(x, rng.standard_normal((12, 2)), t))
+            noise.append(rng.standard_normal((12, 2)))
+        assert offset_complexity_stat(datasets, rep, noise) == pytest.approx(
+            offset_reference(datasets, rep, noise), rel=1e-12)
 
 
 def test_offset_stat_normalization(rng):
