@@ -176,8 +176,13 @@ class BurnIn:
     name: str
     required: float
     actual: float
-    satisfied: bool
     direction: str = "at_least"
+
+    @property
+    def satisfied(self) -> bool:
+        if self.direction == "at_least":
+            return self.actual >= self.required
+        return self.actual <= self.required
 
 
 @dataclass(frozen=True)
@@ -221,14 +226,15 @@ def burn_ins_to_csv(report: BoundReport) -> str:
 
 def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: float,
                         c42_target: float = 1.0, c42_sources: float = 1.0,
-                        h_z: float = 1.0, h_v: float = 1.0) -> BoundReport:
+                        h_v: float = 1.0) -> BoundReport:
     """Transfer-risk bound and burn-in table.
 
     The risk value is sigma_w^2 C_Z d_y r log(1/delta) / N' plus
     mu_x mu_f times the martingale complexity bound; mixing mode leaves the
     value unchanged and only rescales the burn-in table (target sample counts
     divided by the block length, source requirement inflated by the mixing
-    factor, plus the block tail condition).
+    factor, plus the block tail condition). The target requirement prices h_z
+    as c_z: the two suprema coincide after the change v -> Sigma_Z^{1/2} v.
     """
     if not (0.0 < config.delta < 1.0 / math.e):
         raise ValueError("transfer_risk_bound requires delta in (0, 1/e)")
@@ -251,21 +257,16 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     m_target = config.n_prime / k
     burn_ins = [
         BurnIn(name="target_nrls_samples",
-               required=c_z * math.sqrt(c42_target) * d.r + h_z ** 2 * log_inv_delta,
-               actual=m_target,
-               satisfied=m_target >= c_z * math.sqrt(c42_target) * d.r
-               + h_z ** 2 * log_inv_delta),
+               required=c_z * math.sqrt(c42_target) * d.r + c_z ** 2 * log_inv_delta,
+               actual=m_target),
         BurnIn(name="target_psi1_moment",
                required=h_v ** 2 * (log_inv_delta / math.log(max(config.n_prime, 2))) ** 8,
-               actual=m_target,
-               satisfied=m_target >= h_v ** 2
-               * (log_inv_delta / math.log(max(config.n_prime, 2))) ** 8),
+               actual=m_target),
     ]
     if config.mixing is not None:
         tail = m_target * config.mixing.phi_at_k()
         burn_ins.append(BurnIn(name="target_block_tail", required=config.delta,
-                               actual=tail, satisfied=tail <= config.delta,
-                               direction="at_most"))
+                               actual=tail, direction="at_most"))
     source_req = phi_cap * c42_sources * (
         d.d_y * d.r * math.log(math.e + config.b_f * config.b_g * config.n
                                * config.t_tasks / config.sigma_w)
@@ -273,7 +274,7 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
         + log_inv_delta / config.t_tasks
     )
     burn_ins.append(BurnIn(name="source_samples", required=source_req,
-                           actual=float(config.n), satisfied=config.n >= source_req))
+                           actual=float(config.n)))
 
     return BoundReport(
         covering_log=covering_star_hull(config, config.gamma_eff),

@@ -93,7 +93,7 @@ class ExperimentConfig:
     population: dict | None
     fit: dict
     sweep: dict | None
-    diagnostics: dict
+    mc_samples: int
     bounds: dict | None
     mixcheck: dict | None
 
@@ -168,7 +168,7 @@ class ExperimentConfig:
             population=population,
             fit=fit,
             sweep=sweep,
-            diagnostics=diagnostics,
+            mc_samples=int(diagnostics.get("mc_samples", 100_000)),
             bounds=bounds_cfg,
             mixcheck=mixcheck,
         )
@@ -285,7 +285,7 @@ def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed:
 def _shared_diagnostics(config: ExperimentConfig, spec: PopulationSpec, fit, second,
                         seed: int) -> dict:
     """The diagnostics that sweep rows and ``diagnose`` both report, by name."""
-    mc = int(config.diagnostics.get("mc_samples", 100_000))
+    mc = config.mc_samples
     return {
         "excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep,
                                                           mc, seed),
@@ -376,7 +376,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     one. Individual row failures (``ROW_ERRORS``) are recorded with their
     exception type and skipped; more than 50% failures (or a grid too short for
     a slope) raises SweepFailed. Output is sorted by (axis_value, replicate) so
-    execution order never changes the result.
+    execution order never changes the result. Slopes skip medians at the
+    round-off floor (``diag.NU_UNDEFINED_THRESHOLD``), which carry no rate.
     """
     if config.sweep is None:
         raise SweepFailed("no sweep section in config")
@@ -424,7 +425,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     slopes = {}
     for metric, per_value in medians.items():
         pts = [(v, val) for v, val in per_value.items()
-               if math.isfinite(val) and val > 0]
+               if math.isfinite(val) and val > diag.NU_UNDEFINED_THRESHOLD]
         if len(pts) >= 3:
             try:
                 slopes[metric] = slope_fit(pts)
@@ -461,12 +462,12 @@ def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
     req, data = _command_sample(config)
     spec = req.spec
     fit, second = _two_stage(config, spec, data, config.seed)
-    mc = int(config.diagnostics.get("mc_samples", 100_000))
     return diag.DiagnosticsReport(
         **_shared_diagnostics(config, spec, fit, second, config.seed),
-        nu_true=diag.nu_true(spec, fit.rep, mc, config.seed),
+        nu_true=diag.nu_true(spec, fit.rep, config.mc_samples, config.seed),
         nrls=diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,
-                                  spec.rep_star, spec.noise_sigma, mc, config.seed),
+                                  spec.rep_star, spec.noise_sigma, config.mc_samples,
+                                  config.seed),
     )
 
 
@@ -481,14 +482,15 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
     dims = Dims(d_x=int(_require(pop, "d_x", "population")),
                 d_y=int(_require(pop, "d_y", "population")),
                 r=int(_require(pop, "r", "population")))
-    cls_cfg = b.get("class", {"kind": "finite", "log_card": 1.0})
+    cls_cfg = _require(b, "class", "bounds")
     if cls_cfg.get("kind") == "parametric":
         cls = bounds_mod.ParametricClass(
             d_theta=int(_require(cls_cfg, "d_theta", "bounds.class")),
             b_theta=float(_require(cls_cfg, "b_theta", "bounds.class")),
             l_theta=float(_require(cls_cfg, "l_theta", "bounds.class")))
     else:
-        cls = bounds_mod.FiniteClass(log_card=float(cls_cfg.get("log_card", 1.0)))
+        cls = bounds_mod.FiniteClass(
+            log_card=float(_require(cls_cfg, "log_card", "bounds.class")))
     mix = None
     if b.get("mixing"):
         m = b["mixing"]

@@ -4,9 +4,9 @@ Computes the target excess risk and task-averaged estimation error, the
 coverage coefficients (covariate coverage via Schur complements, head
 coverage via whitened Grams), the task-diversity ratio and its plug-in
 estimator, the misspecified-regression noise quantities, and the
-hypercontractivity ratio. Quantities are evaluated analytically whenever
-both representations are linear (every covariate law exposes an exact
-second moment) and by seeded Monte Carlo otherwise.
+hypercontractivity ratio. Risks and coverage read the feature moments of
+``_feature_moments``: analytic whenever both representations are linear (every
+covariate law exposes an exact second moment), seeded Monte Carlo otherwise.
 """
 from __future__ import annotations
 
@@ -27,10 +27,13 @@ from .core import (
 )
 from .errors import RangeViolation
 
-# Denominators below this are reported as undefined (None): the
-# representation is already target-optimal and the diversity ratio is
-# vacuous.
+# A risk below this counts as zero (the round-off floor): a diversity ratio
+# with such a denominator is undefined (None), and sweeps fit no slope through
+# such medians.
 NU_UNDEFINED_THRESHOLD = 1e-12
+
+# Random unit directions, besides the coordinate ones, of the c_z supremum.
+SPHERE_DIRECTIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -47,40 +50,39 @@ class StackedCovariance:
     analytic: bool
 
 
-def _joint_moments(law: CovariateLaw, g: Representation, g_star: Representation,
-                   mc_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Blocks (E[g g^T], E[g g_*^T], E[g_* g_*^T]); analytic for linear reps."""
+def _feature_moments(law: CovariateLaw, g: Representation, g_star: Representation,
+                     mc_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Factors (H, S, analytic) of E[phi phi^T] = H S H^T, phi(x) = [g(x); g_star(x)].
+
+    For two linear representations phi(x) = H x with H = [G; G_star], and S is
+    the law's exact second moment E[x x^T] (analytic). Otherwise one seeded
+    draw of ``mc_samples`` covariates gives the rows Phi = [g(X), g_star(X)],
+    H = I and S = Phi^T Phi / n (Monte Carlo).
+
+    Either way phi = H psi with S = E[psi psi^T] (psi = x, or psi = phi), so a
+    quadratic risk is a trace: for heads F (d_y x r) and F_star,
+        F g - F_star g_star = [F, -F_star] H psi = c psi,
+        c = F H[:r] - F_star H[r:],
+        E ||F g(X) - F_star g_star(X)||^2 = E tr(c psi psi^T c^T) = tr(c S c^T).
+    """
     if isinstance(g, LinearRep) and isinstance(g_star, LinearRep):
-        sx = law.second_moment()
-        m11 = g.g @ sx @ g.g.T
-        m12 = g.g @ sx @ g_star.g.T
-        m22 = g_star.g @ sx @ g_star.g.T
-        return m11, m12, m22, True
+        return np.vstack([g.g, g_star.g]), law.second_moment(), True
     rng = np.random.default_rng(seed)
     x = law.sample_marginal(max(1, mc_samples), rng)
-    zg = g.features(x)
-    zs = g_star.features(x)
-    n = x.shape[0]
-    return zg.T @ zg / n, zg.T @ zs / n, zs.T @ zs / n, False
+    phi = np.hstack([g.features(x), g_star.features(x)])
+    return np.eye(phi.shape[1]), phi.T @ phi / phi.shape[0], False
 
 
 def stacked_covariance(law: CovariateLaw, g: Representation, g_star: Representation,
                        mc_samples: int = 200_000, seed: int = 0) -> StackedCovariance:
     """Stacked feature covariance of (g, g_star) under one task's covariate law."""
-    m11, m12, m22, analytic = _joint_moments(law, g, g_star, mc_samples, seed)
-    r1, r2 = m11.shape[0], m22.shape[0]
-    sigma = np.zeros((r1 + r2, r1 + r2))
-    sigma[:r1, :r1] = m11
-    sigma[:r1, r1:] = m12
-    sigma[r1:, :r1] = m12.T
-    sigma[r1:, r1:] = m22
-    schur = m22 - m12.T @ pinv(m11) @ m12
+    h, s, analytic = _feature_moments(law, g, g_star, mc_samples, seed)
+    sigma = h @ s @ h.T
+    r1 = g.out_dim
+    m11, m12 = sigma[:r1, :r1], sigma[:r1, r1:]
+    schur = sigma[r1:, r1:] - m12.T @ pinv(m11) @ m12
     schur = 0.5 * (schur + schur.T)
     return StackedCovariance(sigma=sigma, schur=schur, analytic=analytic)
-
-
-def _schur(law, g, g_star, mc_samples, seed) -> np.ndarray:
-    return stacked_covariance(law, g, g_star, mc_samples, seed).schur
 
 
 def mu_x(spec: PopulationSpec, g: Representation,
@@ -92,12 +94,12 @@ def mu_x(spec: PopulationSpec, g: Representation,
     Schur complement vanishes (g already captures g_star on the target law).
     """
     g_star = spec.rep_star
-    s0 = _schur(spec.target.law, g, g_star, mc_samples, seed)
+    s0 = stacked_covariance(spec.target.law, g, g_star, mc_samples, seed).schur
     if spectral_norm(s0) < 1e-14:
         return 0.0
     worst = 0.0
     for t, task in enumerate(spec.sources, start=1):
-        st = _schur(task.law, g, g_star, mc_samples, seed + t)
+        st = stacked_covariance(task.law, g, g_star, mc_samples, seed + t).schur
         half = inv_sqrt_psd(st)
         worst = max(worst, spectral_norm(half @ s0 @ half))
     return worst
@@ -131,15 +133,10 @@ def mu_f(heads) -> float:
 def _risk_one_task(law: CovariateLaw, f: np.ndarray, f_star: np.ndarray,
                    g: Representation, g_star: Representation,
                    mc_samples: int, seed: int) -> float:
-    """E || F g(X) - F_star g_star(X) ||^2 under one law."""
-    if isinstance(g, LinearRep) and isinstance(g_star, LinearRep):
-        sx = law.second_moment()
-        c = f @ g.g - f_star @ g_star.g  # d_y x d_x
-        return float(np.trace(c @ sx @ c.T))
-    rng = np.random.default_rng(seed)
-    x = law.sample_marginal(max(1, mc_samples), rng)
-    diff = g.features(x) @ f.T - g_star.features(x) @ f_star.T
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    """E || F g(X) - F_star g_star(X) ||^2 = tr(c S c^T); see ``_feature_moments``."""
+    h, s, _ = _feature_moments(law, g, g_star, mc_samples, seed)
+    c = f @ h[:f.shape[1]] - f_star @ h[f.shape[1]:]
+    return float(np.trace(c @ s @ c.T))
 
 
 def excess_risk_population(spec: PopulationSpec, head: LinearHead, g: Representation,
@@ -170,7 +167,7 @@ def infimal_risk(law: CovariateLaw, f_star: np.ndarray, g: Representation,
                  g_star: Representation, mc_samples: int = 200_000,
                  seed: int = 0) -> float:
     """inf_F E ||F g(X) - F_star g_star(X)||^2 = tr(F_star Schur(g) F_star^T)."""
-    schur = _schur(law, g, g_star, mc_samples, seed)
+    schur = stacked_covariance(law, g, g_star, mc_samples, seed).schur
     return float(np.trace(f_star @ schur @ f_star.T))
 
 
@@ -236,24 +233,22 @@ class NrlsQuantities:
         }
 
 
-def _sphere_directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    dirs = rng.standard_normal((count, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return np.vstack([dirs, np.eye(dim)])
-
-
 def nrls_quantities(target_law: CovariateLaw, rep: Representation,
                     true_head: LinearHead, rep_star: Representation,
                     noise_sigma: float, mc_samples: int = 200_000,
-                    seed: int = 0, sphere_directions: int = 1000) -> NrlsQuantities:
+                    seed: int = 0) -> NrlsQuantities:
     """Monte Carlo noise quantities of the second-stage regression through ``rep``.
 
     With Z = rep(X) and Y generated by (true_head, rep_star) plus noise, the
     population least-squares head F = E[Y Z^T] (E[Z Z^T])^+ defines the biased
-    noise U = Y - F Z and interaction term V = U Z^T Sigma_Z^{-1/2}. Sphere
-    suprema use ``sphere_directions`` random unit vectors plus the coordinate
-    directions (a lower bound on the true supremum); the Psi_1 norm is
-    estimated over moments p = 1..8.
+    noise U = Y - F Z and interaction term V = U Z^T Sigma_Z^{-1/2}; the Psi_1
+    norm is estimated over moments p = 1..8.
+
+    c_z^2 is the largest sample mean of (v^T z)^4, z the standardized features,
+    over SPHERE_DIRECTIONS random unit v and the coordinate axes. As
+    (v^T z)^2 = (v (x) v)^T (z (x) z), it is (v (x) v)^T M4 (v (x) v) with
+    M4 = mean (z (x) z)(z (x) z)^T. A sample maximum can exceed the population
+    supremum: 100 000 Gaussian samples give c_z near 1.739 > sqrt(3).
     """
     rng = np.random.default_rng(seed)
     x = target_law.sample_marginal(max(1, mc_samples), rng)
@@ -272,18 +267,15 @@ def nrls_quantities(target_law: CovariateLaw, rep: Representation,
     v_frob2 = u_norm2 * z_norm2                 # ||V_i||_F^2 for rank-one V_i
     sigma_v_sq = float(np.mean(v_frob2))
 
-    dirs = _sphere_directions(z.shape[1], sphere_directions, rng)
-    # chunk the direction block to keep the n x directions products small;
-    # fourth powers via two in-place squarings (np.power is far slower)
-    fourth_max = 0.0
-    for lo in range(0, dirs.shape[0], 64):
-        proj = z_std @ dirs[lo:lo + 64].T
-        proj *= proj
-        proj *= proj
-        fourth_max = max(fourth_max, float(proj.mean(axis=0).max(initial=0.0)))
-    # c_z also serves as the h_z of the bounds: the two suprema coincide after
-    # the change of variables v -> Sigma_Z^{1/2} v.
-    c_z = float(np.sqrt(fourth_max))
+    r = z.shape[1]
+    zz = (z_std[:, :, None] * z_std[:, None, :]).reshape(n, r * r)
+    m4 = zz.T @ zz / n
+    dirs = rng.standard_normal((SPHERE_DIRECTIONS, r))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.vstack([dirs, np.eye(r)])
+    vv = (dirs[:, :, None] * dirs[:, None, :]).reshape(dirs.shape[0], r * r)
+    fourth = np.sum((vv @ m4) * vv, axis=1)
+    c_z = float(np.sqrt(fourth.max(initial=0.0)))
 
     v_frob = np.sqrt(v_frob2)
     if sigma_v_sq > 0:
@@ -306,8 +298,10 @@ def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead,
     feature moments (analytic for linear reps, Monte Carlo otherwise), and
     F_mis = E[Y Z^T] Sigma_Z^+ is the population least-squares head.
     """
-    sigma_z, cross, _, _ = _joint_moments(target_law, rep, rep_star, mc_samples, seed)
-    f_mis = true_head.f @ cross.T @ pinv(sigma_z)
+    sigma = stacked_covariance(target_law, rep, rep_star, mc_samples, seed).sigma
+    r = rep.out_dim
+    sigma_z = sigma[:r, :r]
+    f_mis = true_head.f @ sigma[:r, r:].T @ pinv(sigma_z)
     d = (fitted_head.f - f_mis) @ sqrt_psd(sigma_z)
     return float(np.sum(d * d))
 
@@ -333,14 +327,16 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
         raise ValueError("hypothesis grid is empty")
     laws = list(laws)
     per_law = max(1, mc_samples // len(laws))
+    samples = []
+    for j, law in enumerate(laws):
+        x = law.sample_marginal(per_law, np.random.default_rng(seed + 7919 * j))
+        samples.append((x, g_star.features(x) @ f_star.T))
     best, best_idx = 0.0, -1
     for idx, (f, g) in enumerate(hypothesis_grid):
         f = f.f if isinstance(f, LinearHead) else np.asarray(f, dtype=float)
         m2_acc, m4_acc = 0.0, 0.0
-        for j, law in enumerate(laws):
-            rng = np.random.default_rng(seed + 7919 * j)
-            x = law.sample_marginal(per_law, rng)
-            h = g.features(x) @ f.T - g_star.features(x) @ f_star.T
+        for x, target in samples:
+            h = g.features(x) @ f.T - target
             norms2 = np.sum(h * h, axis=1)
             m2_acc += float(np.mean(norms2))
             m4_acc += float(np.mean(norms2 ** 2))

@@ -257,6 +257,16 @@ def test_snm_coverage_default_configuration():
     assert res.passed
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_snm_coverage_with_violations(seed):
+    # S = 100 I puts the violation rate near delta (about 0.01-0.02 at
+    # delta = 0.1), so a bound twice too loose would fail the rate floor
+    cfg = make_config(dims=Dims(3, 1, 1), n=50, t_tasks=5, sigma_w=1.0, delta=0.1)
+    res = snm_bound_check(cfg, replicates=2000, seed=seed, reg=100.0 * np.eye(3))
+    assert res.passed
+    assert res.violation_rate >= cfg.delta / 20
+
+
 def test_snm_result_stderr():
     res = SnmCheckResult(violation_rate=0.01, delta=0.05, replicates=2000)
     assert res.stderr == pytest.approx(math.sqrt(0.05 * 0.95 / 2000))

@@ -197,6 +197,19 @@ def test_sweep_builds_each_population_once(monkeypatch):
     assert calls == [2, 3, 4]
 
 
+def test_sweep_fits_no_slope_through_round_off_floor():
+    # noiseless rows recover the target exactly: these metrics sit at the
+    # round-off floor and carry no rate
+    floor_metrics = {"excess_risk_target", "est_error_avg", "fit_objective"}
+    cfg = small_sweep_config(axis="T", grid=[2, 3, 5], n=32, n_prime=32)
+    cfg["population"]["noise_sigma"] = 0.0
+    result = run_sweep(ExperimentConfig.from_dict(cfg))
+    assert all(result.medians[m][v] < 1e-12 for m in floor_metrics for v in (2, 3, 5))
+    assert not floor_metrics & set(result.slopes)
+    cfg["population"]["noise_sigma"] = 0.4
+    assert floor_metrics <= set(run_sweep(ExperimentConfig.from_dict(cfg)).slopes)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_records_linalg_error_row(monkeypatch, threads):
     cfg = ExperimentConfig.from_dict(small_sweep_config())
@@ -285,7 +298,8 @@ def test_run_bounds_missing_keys_exit_2(tmp_path, capsys):
     with pytest.raises(ConfigError, match="d_x"):
         run_bounds(ExperimentConfig.from_dict(cfg))
     assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
-    complete = {"sigma_w": 0.5, "c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0}
+    complete = {"sigma_w": 0.5, "c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0,
+                "class": {"kind": "finite", "log_card": 1.0}}
     cfg = example_config()
     cfg["bounds"] = {**complete, "mixing": {"rho": 0.5, "k": 4}}
     with pytest.raises(ConfigError, match="gamma"):
@@ -309,10 +323,23 @@ def test_run_bounds_missing_keys_exit_2(tmp_path, capsys):
 
 def test_run_bounds_sigma_w_defaults_to_population_noise():
     cfg = example_config()
-    cfg["bounds"] = {"c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0}
+    cfg["bounds"] = {"c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0,
+                     "class": {"kind": "finite", "log_card": 1.0}}
     implicit = run_bounds(ExperimentConfig.from_dict(cfg))
     cfg["bounds"]["sigma_w"] = cfg["population"]["noise_sigma"]
     assert implicit == run_bounds(ExperimentConfig.from_dict(cfg))
+
+
+@pytest.mark.parametrize("cls", [None, {"kind": "finite"}])
+def test_run_bounds_requires_class(tmp_path, capsys, cls):
+    cfg = example_config()
+    cfg["bounds"] = {"sigma_w": 0.5, "c_z": 1.0, "mu_x": 1.0, "mu_f": 1.0}
+    if cls is not None:
+        cfg["bounds"]["class"] = cls
+    with pytest.raises(ConfigError, match="log_card" if cls else "class"):
+        run_bounds(ExperimentConfig.from_dict(cfg))
+    assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 2
+    capsys.readouterr()
 
 
 def test_run_bounds_dispatch():

@@ -10,11 +10,15 @@ from transferlab.core import (
     LinearRep,
     MarkovLaw,
     PopulationSpec,
+    TanhRep,
     TaskSpec,
+    inv_sqrt_psd,
+    pinv,
 )
 from transferlab import cli
 from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.diagnostics import (
+    SPHERE_DIRECTIONS,
     estimation_error_avg,
     excess_risk_population,
     hypercontractivity_c42,
@@ -153,6 +157,26 @@ def test_excess_risk_monte_carlo_matches_analytic():
     mc = excess_risk_population(
         spec, head, FiniteMember(g, 0), mc_samples=200_000, seed=17)
     assert mc == pytest.approx(analytic, rel=0.02)
+
+
+def risk_reference(law, f, f_star, g, g_star, mc_samples, seed):
+    """E ||F g(X) - F_star g_star(X)||^2 as it was computed before the risks read
+    the feature moments: the mean over one seeded draw of per-sample norms."""
+    x = law.sample_marginal(mc_samples, np.random.default_rng(seed))
+    diff = g.features(x) @ f.T - g_star.features(x) @ f_star.T
+    return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_excess_risk_monte_carlo_matches_per_sample_reference(seed):
+    spec = make_gaussian_population(seed=140 + seed)
+    g = FiniteMember(misaligned_rep(spec, seed=150 + seed), 0)
+    head = LinearHead(np.random.default_rng(160 + seed).standard_normal(
+        (spec.dims.d_y, spec.dims.r)))
+    expected = risk_reference(spec.target.law, head.f, spec.target.head.f, g,
+                              spec.rep_star, 50_000, seed)
+    assert excess_risk_population(spec, head, g, mc_samples=50_000, seed=seed) \
+        == pytest.approx(expected, rel=1e-12)
 
 
 def test_estimation_error_true_model_is_zero():
@@ -349,6 +373,56 @@ def test_nrls_sigma_v_cauchy_schwarz_chain():
     assert q.sigma_v_sq <= q.c_z * q.sigma_u_sq * r + slack
 
 
+def c_z_reference(law, rep, head, rep_star, noise_sigma, mc_samples, seed):
+    """c_z as it was computed before the fourth-moment matrix: every standardized
+    sample projected on each direction, 64 directions at a time."""
+    rng = np.random.default_rng(seed)
+    x = law.sample_marginal(mc_samples, rng)
+    z = rep.features(x)
+    y = rep_star.features(x) @ head.f.T
+    if noise_sigma > 0:
+        y = y + noise_sigma * rng.standard_normal(y.shape)
+    z_std = z @ inv_sqrt_psd(z.T @ z / len(x)).T
+    dirs = rng.standard_normal((SPHERE_DIRECTIONS, z.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.vstack([dirs, np.eye(z.shape[1])])
+    fourth_max = 0.0
+    for lo in range(0, dirs.shape[0], 64):
+        proj = z_std @ dirs[lo:lo + 64].T
+        proj *= proj
+        proj *= proj
+        fourth_max = max(fourth_max, float(proj.mean(axis=0).max(initial=0.0)))
+    return float(np.sqrt(fourth_max))
+
+
+def nrls_case(kind, r, seed):
+    """(law, rep, head, rep_star, noise) for one c_z reference case."""
+    rng = np.random.default_rng(seed)
+    d_x = 6
+    rep_star = LinearRep(random_orthonormal_rows(r, d_x, rng))
+    rep, law, noise = LinearRep(random_orthonormal_rows(r, d_x, rng)), None, 0.3
+    if kind == "gaussian_well_specified":
+        rep, noise = rep_star, 0.0
+    elif kind == "markov":
+        p = rng.uniform(0.1, 1.0, (8, 8))
+        law = MarkovLaw(transition=p / p.sum(axis=1, keepdims=True), d_x=d_x)
+    elif kind == "tanh":
+        rep_star = TanhRep(rng.standard_normal((r, d_x)))
+    if law is None:
+        a = rng.standard_normal((d_x, d_x))
+        law = GaussianLaw(a @ a.T / d_x + np.eye(d_x))
+    return law, rep, LinearHead(rng.standard_normal((2, r))), rep_star, noise
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified",
+                                  "markov", "tanh"])
+def test_nrls_c_z_matches_per_direction_reference(kind, r):
+    case = nrls_case(kind, r, seed=170 + r)
+    q = nrls_quantities(*case, mc_samples=10_000, seed=r)
+    assert q.c_z == pytest.approx(c_z_reference(*case, 10_000, r), rel=1e-12)
+
+
 def test_nrls_excess_decomposition():
     # ER(F_hat, g) = ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2 + inf_F ER(F, g), exactly
     spec = make_gaussian_population(d_y=2, noise_sigma=0.4, seed=47)
@@ -432,3 +506,38 @@ def test_hypercontractivity_grid_max_matches_enumeration():
                for member in grid]
     assert res.c42 == pytest.approx(max(singles), rel=1e-12)
     assert res.argmax_index == int(np.argmax(singles))
+
+
+def c42_reference(laws, hypothesis_grid, f_star, g_star, mc_samples, seed):
+    """hypercontractivity_c42 as it was computed before each law was sampled
+    once: every grid member redraws every law's sample and F_star g_star(X)."""
+    per_law = max(1, mc_samples // len(laws))
+    best, best_idx = 0.0, -1
+    for idx, (f, g) in enumerate(hypothesis_grid):
+        m2_acc, m4_acc = 0.0, 0.0
+        for j, law in enumerate(laws):
+            x = law.sample_marginal(per_law, np.random.default_rng(seed + 7919 * j))
+            h = g.features(x) @ f.T - g_star.features(x) @ f_star.T
+            norms2 = np.sum(h * h, axis=1)
+            m2_acc += float(np.mean(norms2))
+            m4_acc += float(np.mean(norms2 ** 2))
+        m2, m4 = m2_acc / len(laws), m4_acc / len(laws)
+        if m2 >= 1e-14 and m4 / m2 ** 2 > best:
+            best, best_idx = m4 / m2 ** 2, idx
+    return best, best_idx
+
+
+def test_hypercontractivity_matches_per_member_reference():
+    spec = make_gaussian_population(d_x=5, d_y=2, r=2, t=2, seed=54)
+    laws = [task.law for task in spec.tasks]
+    laws.append(MarkovLaw(transition=np.full((6, 6), 1 / 6), d_x=5))
+    rng = np.random.default_rng(55)
+    f_star = spec.target.head.f
+    grid = [(rng.standard_normal((2, 2)), misaligned_rep(spec, seed=56 + i))
+            for i in range(4)]
+    grid.append((f_star, spec.rep_star))  # zero hypothesis: skipped
+    grid.append((rng.standard_normal((2, 2)), TanhRep(rng.standard_normal((2, 5)))))
+    res = hypercontractivity_c42(laws, grid, f_star, spec.rep_star,
+                                 mc_samples=40_000, seed=57)
+    assert (res.c42, res.argmax_index) == c42_reference(laws, grid, f_star, spec.rep_star,
+                                                        40_000, 57)
