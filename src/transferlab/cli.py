@@ -39,7 +39,7 @@ from .core import (
     PopulationSpec,
     TaskSpec,
 )
-from .datagen import SampleRequest, sample_tasks, write_datasets_csv
+from .datagen import SampleRequest, sample_task_stats, sample_tasks, write_datasets_csv
 from .erm import (
     FitOptions,
     first_stage_to_json,
@@ -80,6 +80,8 @@ class SweepRow:
     mu_x: float
     mu_f: float
     fit_objective: float
+    iterations: int
+    converged: bool
     wall_time_ms: float
 
 
@@ -267,12 +269,10 @@ def _fit_options(fit_cfg: dict, seed: int) -> FitOptions:
                                     if key in fit_cfg})
 
 
-def _sample(spec: PopulationSpec, n: int, n_prime: int, seed: int,
-            ) -> tuple[SampleRequest, list]:
-    """Sample N' target rows and N rows for each source."""
-    req = SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
-                        seed=seed)
-    return req, sample_tasks(req)
+def _request(spec: PopulationSpec, n: int, n_prime: int, seed: int) -> SampleRequest:
+    """N' target rows and N rows for each source."""
+    return SampleRequest(spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources,
+                         seed=seed)
 
 
 def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed: int):
@@ -296,12 +296,19 @@ def _shared_diagnostics(config: ExperimentConfig, spec: PopulationSpec, fit, sec
     }
 
 
-def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
-    """The sample that ``gen``, ``fit`` and ``diagnose`` share: N = N' = 256 by default."""
+def _command_request(config: ExperimentConfig) -> SampleRequest:
+    """The request that ``gen``, ``fit`` and ``diagnose`` share: N = N' = 256 by default."""
     spec = build_population(config.population, config.seed)
     sweep = config.sweep or {}
-    return _sample(spec, int(sweep.get("n", 256)), int(sweep.get("n_prime", 256)),
-                   config.seed)
+    return _request(spec, int(sweep.get("n", 256)), int(sweep.get("n_prime", 256)),
+                    config.seed)
+
+
+def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
+    """The request and its tasks' statistics, which ``fit`` and ``diagnose`` fit on;
+    like sweep rows, they read ``sample_task_stats``, and only ``gen`` reads raw rows."""
+    req = _command_request(config)
+    return req, sample_task_stats(req)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +346,15 @@ def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
     n = axis_value if axis == "N" else int(sweep.get("n", 64))
     n_prime = axis_value if axis == "N_prime" else int(sweep.get("n_prime", 128))
     row_seed = _row_seed(config.seed, axis_value, replicate)
-    _, data = _sample(spec, n, n_prime, row_seed)
+    data = sample_task_stats(_request(spec, n, n_prime, row_seed))
     fit, second = _two_stage(config, spec, data, row_seed)
 
     shared = _shared_diagnostics(config, spec, fit, second, row_seed)
     if shared["nu_hat"] is None:
         shared["nu_hat"] = float("nan")
     return SweepRow(axis_value=axis_value, replicate=replicate, **shared,
-                    fit_objective=fit.objective,
+                    fit_objective=fit.objective, iterations=fit.iterations,
+                    converged=fit.converged,
                     wall_time_ms=(time.perf_counter() - start) * 1000.0)
 
 
@@ -545,8 +553,10 @@ def run_mixcheck(config: ExperimentConfig) -> dict:
 
 
 def run_gen(config: ExperimentConfig, out_dir: str | Path) -> dict[str, str]:
-    req, data = _command_sample(config)
-    return write_datasets_csv(data, req, out_dir)
+    """Write the raw rows of the request that ``fit`` and ``diagnose`` read as
+    statistics; at equal seeds the two are different draws."""
+    req = _command_request(config)
+    return write_datasets_csv(sample_tasks(req), req, out_dir)
 
 
 def run_fit(config: ExperimentConfig) -> dict:

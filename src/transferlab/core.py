@@ -173,6 +173,48 @@ class TaskDataset:
 
 
 @dataclass(frozen=True)
+class TaskStats:
+    """One task's sample reduced to a factor of its joint Gram matrix.
+
+    ``covariates`` (k x d_x) and ``labels`` (k x d_y) are the column blocks
+    [X~ Y~] of a matrix with k <= d_x + d_y rows whose Gram equals that of the
+    raw rows [X Y] (N x (d_x + d_y)), and ``n`` is N. So X~^T X~ = X^T X,
+    X~^T Y~ = X^T Y and Y~^T Y~ = Y^T Y. For a linear representation G the
+    features Z~ = X~ G^T keep Z~^T Z~ = Z^T Z and Z~^T Y~ = Z^T Y, and the
+    residual sum of squares of any head F,
+        ||Y - Z F^T||_F^2 = tr Y^T Y - 2 tr(F Z^T Y) + tr(F Z^T Z F^T),
+    reads only these Grams: a least-squares fit on the k rows gives the raw
+    rows' heads and residual sum. A mean residual divides by ``n``, not by k.
+    Nonlinear features of the rows carry no such identity.
+    """
+
+    task_id: int
+    covariates: np.ndarray  # k x d_x
+    labels: np.ndarray      # k x d_y
+    n: int
+
+    def __post_init__(self):
+        x = _readonly(np.atleast_2d(self.covariates))
+        y = _readonly(np.atleast_2d(self.labels))
+        if x.shape[0] != y.shape[0] or int(self.n) < 1:
+            raise ValueError("factor blocks need an equal row count and n >= 1")
+        _require_finite(x, "covariate factor")
+        _require_finite(y, "label factor")
+        object.__setattr__(self, "covariates", x)
+        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "n", int(self.n))
+
+    @staticmethod
+    def from_rows(ds: TaskDataset) -> "TaskStats":
+        """The R factor of the QR decomposition [X Y] = Q R: R^T R = [X Y]^T [X Y],
+        with min(N, d_x + d_y) rows."""
+        r = np.linalg.qr(np.hstack([ds.covariates, ds.labels]), mode="r")
+        d_x = ds.covariates.shape[1]
+        return TaskStats(task_id=ds.task_id, covariates=r[:, :d_x], labels=r[:, d_x:],
+                         n=ds.n)
+
+
+@dataclass(frozen=True)
 class LinearHead:
     """Task-specific linear map F: R^r -> R^{d_y}.
 
@@ -214,6 +256,8 @@ class Representation:
     sup_bound: float
     out_dim: int
     in_dim: int
+    # Linear maps keep the Gram identities that a ``TaskStats`` factor relies on.
+    is_linear: bool = False
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Apply g to each row of an (n, d_x) array, returning (n, r)."""
@@ -230,6 +274,8 @@ class LinearRep(Representation):
 
     g: np.ndarray
     sup_bound: float = 0.0
+
+    is_linear = True
 
     def __post_init__(self):
         g = _readonly(np.atleast_2d(self.g))
@@ -311,6 +357,10 @@ class FiniteMember(Representation):
         return self.member.sup_bound
 
     @property
+    def is_linear(self) -> bool:
+        return self.member.is_linear
+
+    @property
     def out_dim(self) -> int:
         return self.member.out_dim
 
@@ -339,6 +389,10 @@ class CovariateLaw:
     is_trajectory: bool = False
 
     def second_moment(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def second_moment_factor(self) -> np.ndarray:
+        """A (d_x, m) factor L of the second moment, E[x x^T] = L L^T."""
         raise NotImplementedError
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -378,6 +432,9 @@ class GaussianLaw(CovariateLaw):
 
     def second_moment(self) -> np.ndarray:
         return np.array(self.sigma_x)
+
+    def second_moment_factor(self) -> np.ndarray:
+        return self._root
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._root.T
@@ -463,6 +520,9 @@ class LdsLaw(CovariateLaw):
 
     def second_moment(self) -> np.ndarray:
         return np.array(self._sigma)
+
+    def second_moment_factor(self) -> np.ndarray:
+        return self._sigma_root
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._sigma_root.T
@@ -576,6 +636,11 @@ class MarkovLaw(CovariateLaw):
 
     def second_moment(self) -> np.ndarray:
         return self._embedding.T @ (self._pi[:, None] * self._embedding)
+
+    def second_moment_factor(self) -> np.ndarray:
+        """E^T diag(sqrt(pi)), E the (S, d_x) embedding: a sum over states of
+        pi_s e_s e_s^T."""
+        return self._embedding.T * np.sqrt(self._pi)
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         states = rng.choice(self.n_states, size=n, p=self._pi)

@@ -6,10 +6,18 @@ Gaussian noise drawn after the covariates are fixed (martingale-difference
 contract). Each task consumes an independent RNG stream derived from the
 request seed, so tasks can be generated in any order or in parallel without
 changing the output.
+
+Two samplers read the same ``SampleRequest``. ``sample_tasks`` draws raw rows
+(``TaskDataset``), which the ``gen`` command writes out. ``sample_task_stats``
+gives each task's ``TaskStats``, the input of every linear fit: it draws the
+statistic of an iid Gaussian task exactly, in O(d^3) and without any rows, and
+compresses the raw rows of every other task. The two consume a task's stream
+differently, so at equal seeds they are different draws.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,9 +28,12 @@ import numpy as np
 from .core import (
     CovariateLaw,
     DatasetKind,
+    GaussianLaw,
     LdsLaw,
+    LinearRep,
     PopulationSpec,
     TaskDataset,
+    TaskStats,
 )
 
 # 64-bit golden-ratio constant used to derive independent per-task streams.
@@ -92,6 +103,84 @@ def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_upper(d: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of a d x d matrix, row by row."""
+    idx = np.flatnonzero(np.tri(d, k=-1).T)
+    idx.setflags(write=False)
+    return idx
+
+
+def _bartlett(d: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+    """Upper-triangular U with U^T U ~ Wishart_d(dof, I), dof >= d (Bartlett
+    decomposition): U_ii = sqrt(chi^2_{dof - i}) for i = 0..d-1, U_ij standard
+    normal for i < j, all independent."""
+    u = np.zeros(d * d)
+    u[::d + 1] = np.sqrt(rng.chisquare(dof - np.arange(d)))
+    u[_strict_upper(d)] = rng.standard_normal(d * (d - 1) // 2)
+    return u.reshape(d, d)
+
+
+def _draw_gaussian_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskStats:
+    """Exact draw of the statistic of n iid rows of a Gaussian task.
+
+    The rows are X = E_x L^T with E_x (n x d_x) standard normal and
+    Sigma = L L^T (``second_moment_factor``), and Y = X W^T + sigma E_y with
+    W = F_star G_star and E_y (n x d_y) standard normal, independent of E_x.
+
+    Take the thin QR decomposition E_x = Q_1 U with U upper triangular and a
+    positive diagonal. U^T U = E_x^T E_x is Wishart_{d_x}(n, I), and U has the
+    law of the Bartlett factor (``_bartlett``). Complete Q_1 to an orthogonal
+    Q = [Q_1 Q_2]. Given E_x, Q is fixed, and E_y is independent of it and
+    rotation invariant, so Xi = Q_1^T E_y (d_x x d_y) and E_2 = Q_2^T E_y
+    ((n - d_x) x d_y) are independent standard normal matrices, independent of
+    E_x. Hence
+
+        Q^T [X Y] = [[U L^T, U L^T W^T + sigma Xi], [0, sigma E_2]],
+
+    and [X Y]^T [X Y] is the Gram of this matrix. Only E_2^T E_2 enters that
+    Gram, and it is Wishart_{d_y}(n - d_x, I) = V^T V for V the Bartlett
+    factor of that law, independent of U and Xi; replacing sigma E_2 by
+    sigma V leaves the Gram's law unchanged. So the d_x + d_y rows
+
+        [[U L^T, U L^T W^T + sigma Xi], [0, sigma V]]
+
+    have exactly the law of [X Y]^T [X Y] as their Gram. The stream draws U,
+    then Xi, then V; without noise the last d_y rows are zero and are left out.
+    """
+    task = spec.tasks[t]
+    d_x, d_y = spec.dims.d_x, spec.dims.d_y
+    rng = np.random.default_rng(task_stream_seed(seed, t))
+    x = _bartlett(d_x, n, rng) @ task.law.second_moment_factor().T
+    y = x @ (task.head.f @ spec.rep_star.g).T
+    sigma = spec.noise_sigma
+    if sigma > 0:
+        y = np.vstack([y + sigma * rng.standard_normal((d_x, d_y)),
+                       sigma * _bartlett(d_y, n - d_x, rng)])
+        x = np.vstack([x, np.zeros((d_y, d_x))])
+    return TaskStats(task_id=t, covariates=x, labels=y, n=n)
+
+
+def sample_task_stats(req: SampleRequest) -> list[TaskStats]:
+    """Every task's ``TaskStats``; deterministic given the request (incl. seed).
+
+    A task whose law is a ``GaussianLaw``, with a ``LinearRep`` as ``rep_star``
+    and N >= d_x + d_y, draws its statistic exactly (``_draw_gaussian_stats``).
+    Every other task draws raw rows (``_sample_one_task``) and keeps their R
+    factor (``TaskStats.from_rows``). Both read the task's own stream.
+    """
+    spec = req.spec
+    exact_from = spec.dims.d_x + spec.dims.d_y
+    linear_labels = isinstance(spec.rep_star, LinearRep)
+    out = []
+    for t, n in enumerate(req.per_task_n):
+        if linear_labels and isinstance(spec.tasks[t].law, GaussianLaw) and n >= exact_from:
+            out.append(_draw_gaussian_stats(spec, t, n, req.seed))
+        else:
+            out.append(TaskStats.from_rows(_sample_one_task(spec, t, n, req.seed)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -112,7 +201,11 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
                        out_dir: str | Path) -> dict[str, str]:
     """Write one CSV per task (columns x_1..x_{d_x}, y_1..y_{d_y}) plus a JSON manifest.
 
-    Returns a map from artifact name to the written path.
+    ``datasets`` are the raw rows of ``sample_tasks(req)``. ``fit``,
+    ``diagnose`` and ``sweep`` read ``sample_task_stats(req)`` instead, which
+    draws Gaussian tasks' statistics directly: at equal seeds those are
+    different draws from the rows written here. Returns a map from artifact
+    name to the written path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

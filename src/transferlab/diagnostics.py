@@ -6,7 +6,7 @@ coverage via whitened Grams), the task-diversity ratio and its plug-in
 estimator, the misspecified-regression noise quantities, and the
 hypercontractivity ratio. Risks and coverage read the feature moments of
 ``_feature_moments``: analytic whenever both representations are linear (every
-covariate law exposes an exact second moment), seeded Monte Carlo otherwise.
+covariate law exposes an exact second-moment factor), seeded Monte Carlo otherwise.
 """
 from __future__ import annotations
 
@@ -52,32 +52,36 @@ class StackedCovariance:
 
 def _feature_moments(law: CovariateLaw, g: Representation, g_star: Representation,
                      mc_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Factors (H, S, analytic) of E[phi phi^T] = H S H^T, phi(x) = [g(x); g_star(x)].
+    """Factors (H, L, analytic) of E[phi phi^T] = H L L^T H^T, phi(x) = [g(x); g_star(x)].
 
-    For two linear representations phi(x) = H x with H = [G; G_star], and S is
-    the law's exact second moment E[x x^T] (analytic). Otherwise one seeded
-    draw of ``mc_samples`` covariates gives the rows Phi = [g(X), g_star(X)],
-    H = I and S = Phi^T Phi / n (Monte Carlo).
+    For two linear representations phi(x) = H x with H = [G; G_star], and L is
+    the law's exact second-moment factor, E[x x^T] = L L^T (analytic).
+    Otherwise one seeded draw of ``mc_samples`` covariates gives the rows
+    Phi = [g(X), g_star(X)], H = I and L = Phi^T / sqrt(n) (Monte Carlo).
 
-    Either way phi = H psi with S = E[psi psi^T] (psi = x, or psi = phi), so a
-    quadratic risk is a trace: for heads F (d_y x r) and F_star,
+    Either way phi = H psi with S = E[psi psi^T] = L L^T (psi = x, or
+    psi = phi), so a quadratic risk is a sum of squares: for heads F
+    (d_y x r) and F_star,
         F g - F_star g_star = [F, -F_star] H psi = c psi,
         c = F H[:r] - F_star H[r:],
-        E ||F g(X) - F_star g_star(X)||^2 = E tr(c psi psi^T c^T) = tr(c S c^T).
+        E ||F g(X) - F_star g_star(X)||^2 = tr(c S c^T) = ||c L||_F^2,
+    which is >= 0 in floating point too; in the Monte Carlo case it is
+    ||Phi c^T||_F^2 / n.
     """
     if isinstance(g, LinearRep) and isinstance(g_star, LinearRep):
-        return np.vstack([g.g, g_star.g]), law.second_moment(), True
+        return np.vstack([g.g, g_star.g]), law.second_moment_factor(), True
     rng = np.random.default_rng(seed)
     x = law.sample_marginal(max(1, mc_samples), rng)
     phi = np.hstack([g.features(x), g_star.features(x)])
-    return np.eye(phi.shape[1]), phi.T @ phi / phi.shape[0], False
+    return np.eye(phi.shape[1]), phi.T / np.sqrt(phi.shape[0]), False
 
 
 def stacked_covariance(law: CovariateLaw, g: Representation, g_star: Representation,
                        mc_samples: int = 200_000, seed: int = 0) -> StackedCovariance:
     """Stacked feature covariance of (g, g_star) under one task's covariate law."""
-    h, s, analytic = _feature_moments(law, g, g_star, mc_samples, seed)
-    sigma = h @ s @ h.T
+    h, l, analytic = _feature_moments(law, g, g_star, mc_samples, seed)
+    hl = h @ l
+    sigma = hl @ hl.T
     r1 = g.out_dim
     m11, m12 = sigma[:r1, :r1], sigma[:r1, r1:]
     schur = sigma[r1:, r1:] - m12.T @ pinv(m11) @ m12
@@ -133,10 +137,11 @@ def mu_f(heads) -> float:
 def _risk_one_task(law: CovariateLaw, f: np.ndarray, f_star: np.ndarray,
                    g: Representation, g_star: Representation,
                    mc_samples: int, seed: int) -> float:
-    """E || F g(X) - F_star g_star(X) ||^2 = tr(c S c^T); see ``_feature_moments``."""
-    h, s, _ = _feature_moments(law, g, g_star, mc_samples, seed)
+    """E || F g(X) - F_star g_star(X) ||^2 = ||c L||_F^2; see ``_feature_moments``."""
+    h, l, _ = _feature_moments(law, g, g_star, mc_samples, seed)
     c = f @ h[:f.shape[1]] - f_star @ h[f.shape[1]:]
-    return float(np.trace(c @ s @ c.T))
+    cl = c @ l
+    return float(np.sum(cl * cl))
 
 
 def excess_risk_population(spec: PopulationSpec, head: LinearHead, g: Representation,
@@ -195,6 +200,8 @@ def nu_hat(target_residual: float, source_residuals) -> float | None:
     Each residual is the mean squared residual of the least-squares head fitted
     through the frozen g (``erm.fit_second_stage``; the first stage reports the
     sources' as ``per_task_residual``) and estimates inf_F E||Y - F g(X)||^2.
+    For a linear g it reads only the Grams of [X Y], so raw rows and a
+    ``TaskStats`` factor give the same value.
     With Z = g(X), F_hat = Y^T Z (Z^T Z)^+ and the orthogonal projection
     P = Z (Z^T Z)^+ Z^T, the fit is Z F_hat^T = P Y, so by Pythagoras
     (1/N) ||Y - P Y||_F^2 = mean ||Y||^2 - (1/N) ||P Y||_F^2

@@ -5,6 +5,10 @@ tasks (alternating least squares for linear representations, enumeration for
 finite dictionaries, block-coordinate gradient descent for tanh features).
 Stage two regresses the target labels on the frozen fitted representation.
 Also provides the offset-complexity statistic of the fitted noise process.
+
+A task is either raw rows (``TaskDataset``) or a factor of their Gram matrix
+(``TaskStats``). Every fit through a linear representation accepts both and
+gives the same heads and residuals; nonlinear features need raw rows.
 """
 from __future__ import annotations
 
@@ -22,9 +26,10 @@ from .core import (
     Representation,
     TanhFeatures,
     TanhRep,
+    TaskStats,
     pinv,
 )
-from .errors import DegenerateData, DivergedOptimization, EmptyDictionary
+from .errors import DegenerateData, DivergedOptimization, EmptyDictionary, NeedsRawRows
 
 logger = logging.getLogger(__name__)
 
@@ -77,14 +82,30 @@ def ls_head(z: np.ndarray, y: np.ndarray) -> LinearHead:
     return LinearHead(f=f)
 
 
+def _require_raw_rows(datasets, what: str) -> None:
+    if any(isinstance(ds, TaskStats) for ds in datasets):
+        raise NeedsRawRows(f"{what} needs raw rows, not a TaskStats factor")
+
+
 def fit_second_stage(target, rep: Representation) -> SecondStageFit:
     """Least-squares head on the frozen representation's features and its mean
     squared residual (1 / N) sum_i ||y_i - F z_i||^2; every head fitted through
-    a fixed representation, target or source, comes from here."""
+    a fixed representation, target or source, comes from here.
+
+    ``target`` is a ``TaskDataset`` or, for a linear ``rep``, a ``TaskStats``,
+    whose few rows give the same head and residual sum (see ``TaskStats``).
+
+    Raises
+    ------
+    NeedsRawRows
+        If ``target`` is a ``TaskStats`` and ``rep`` is not linear.
+    """
+    if not rep.is_linear:
+        _require_raw_rows([target], f"{type(rep).__name__} features")
     z = rep.features(target.covariates)
     head = ls_head(z, target.labels)
     resid = target.labels - z @ head.f.T
-    return SecondStageFit(head=head, residual=float(np.sum(resid * resid)) / z.shape[0])
+    return SecondStageFit(head=head, residual=float(np.sum(resid * resid)) / target.n)
 
 
 def _first_stage_fit(datasets, rep: Representation, iterations: int, converged: bool,
@@ -233,8 +254,9 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     representation is rotated to orthonormal rows and the heads are
     counter-rotated, so the returned rep satisfies G G^T = I_r. The best of
     ``opts.restarts`` random orthonormal initializations is kept, and one pass
-    over the raw rows (``fit_second_stage`` per task) reports its heads,
-    objective and per-task residuals exactly.
+    over each task's rows (``fit_second_stage`` per task) reports its heads,
+    objective and per-task residuals exactly. A task may be raw rows or a
+    ``TaskStats`` factor; both give the same fit.
 
     Raises
     ------
@@ -313,8 +335,11 @@ def fit_first_stage_parametric(datasets, family: TanhFeatures,
     ------
     DivergedOptimization
         If the pooled loss becomes non-finite.
+    NeedsRawRows
+        If a task is a ``TaskStats`` factor.
     """
     datasets = list(datasets)
+    _require_raw_rows(datasets, "a tanh feature fit")
     rng = np.random.default_rng(opts.seed)
     best = None
     for _ in range(max(1, opts.restarts)):
@@ -347,8 +372,14 @@ def offset_complexity_stat(datasets, rep: Representation, noise) -> float:
     The projection P_Z W = Z (Z^T Z)^+ Z^T W is the fit Z F_W^T of the
     least-squares head F_W = ``ls_head(Z, W)``, so rank-deficient feature
     Grams go through the same pseudo-inverse as every head fit.
+
+    Raises
+    ------
+    NeedsRawRows
+        If a task is a ``TaskStats`` factor: the noise is given per row.
     """
     datasets = list(datasets)
+    _require_raw_rows(datasets, "the offset statistic")
     total = 0.0
     total_n = 0
     for ds, w in zip(datasets, noise):

@@ -21,6 +21,10 @@ class DegenerateData(TransferLabError):
     """Dataset carries no usable signal (e.g. all covariates zero)."""
 
 
+class NeedsRawRows(TransferLabError):
+    """A computation that needs raw rows (nonlinear features, per-row noise) got a Gram factor."""
+
+
 class EmptyDictionary(TransferLabError):
     """Finite representation dictionary is empty."""
 

@@ -166,7 +166,7 @@ def test_sweep_rows_and_outputs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["axis_value", "replicate", "excess_risk_target",
                        "est_error_avg", "nu_hat", "mu_x", "mu_f", "fit_objective",
-                       "wall_time_ms"]
+                       "iterations", "converged", "wall_time_ms"]
     assert len(rows) == 7
     with open(paths["summary"]) as fh:
         summary = json.load(fh)
@@ -210,6 +210,19 @@ def test_sweep_fits_no_slope_through_round_off_floor():
     assert floor_metrics <= set(run_sweep(ExperimentConfig.from_dict(cfg)).slopes)
 
 
+def test_sweep_risks_are_nonnegative_at_round_off_floor():
+    # noiseless Markov rows recover the truth up to round-off; a risk computed
+    # as a sum of squares cannot read below zero there
+    cfg = small_sweep_config()
+    cfg["population"].update({"noise_sigma": 0.0,
+                              "law": {"kind": "markov", "states": 6, "stay_prob": 0.7}})
+    result = run_sweep(ExperimentConfig.from_dict(cfg))
+    assert not result.errors
+    assert min(r.excess_risk_target for r in result.rows) < 1e-15
+    for row in result.rows:
+        assert row.excess_risk_target >= 0.0 and row.est_error_avg >= 0.0, row
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_records_linalg_error_row(monkeypatch, threads):
     cfg = ExperimentConfig.from_dict(small_sweep_config())
@@ -249,19 +262,25 @@ def test_run_diagnose_identical_covariates_mu_x_one():
 
 
 def test_commands_sample_the_same_request(tmp_path, monkeypatch):
+    # gen writes raw rows; fit and diagnose fit on the same request's statistics
     seen = []
-    real = cli.sample_tasks
 
-    def spy(req):
-        seen.append((req.per_task_n, req.seed))
-        return real(req)
+    def spy(name):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "sample_tasks", spy)
+        def call(req):
+            seen.append((name, req.per_task_n, req.seed))
+            return real(req)
+        return call
+
+    for name in ("sample_tasks", "sample_task_stats"):
+        monkeypatch.setattr(cli, name, spy(name))
     cfg = ExperimentConfig.from_dict(small_sweep_config(n=40, n_prime=24))
     cli.run_gen(cfg, tmp_path / "data")
     cli.run_fit(cfg)
     run_diagnose(cfg)
-    assert seen == [((24, 40, 40, 40), cfg.seed)] * 3
+    request = ((24, 40, 40, 40), cfg.seed)
+    assert seen == [("sample_tasks", *request)] + [("sample_task_stats", *request)] * 2
 
 
 def test_mixcheck_needs_no_population(tmp_path, capsys):

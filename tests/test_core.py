@@ -4,6 +4,7 @@ import pytest
 from transferlab.core import (
     Dims,
     GaussianLaw,
+    LdsLaw,
     LinearHead,
     LinearRep,
     MarkovLaw,
@@ -155,3 +156,15 @@ def test_stationary_distribution_not_ergodic():
 def test_gaussian_law_requires_psd():
     with pytest.raises(NotPSD):
         GaussianLaw(sigma_x=np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("law", [
+    GaussianLaw(sigma_x=np.array([[2.0, 0.5], [0.5, 1.0]])),
+    LdsLaw(a=np.array([[0.5, 0.3], [0.0, 0.7]])),
+    MarkovLaw(transition=np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]),
+              d_x=2),
+], ids=["gaussian", "lds", "markov"])
+def test_second_moment_factor_reproduces_second_moment(law):
+    factor = law.second_moment_factor()
+    assert factor.shape[0] == law.d_x
+    assert np.allclose(factor @ factor.T, law.second_moment(), rtol=0, atol=1e-13)

@@ -1,0 +1,241 @@
+"""Task statistics: fits on a Gram factor equal fits on the raw rows, and the
+exact draw of a Gaussian task's statistic has the law of the raw rows' Gram."""
+import math
+
+import numpy as np
+import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_orthonormal_rows
+from transferlab import cli
+from transferlab.core import (
+    Dims,
+    GaussianLaw,
+    LdsLaw,
+    LinearHead,
+    LinearRep,
+    MarkovLaw,
+    PopulationSpec,
+    TanhFeatures,
+    TanhRep,
+    TaskDataset,
+    TaskSpec,
+    TaskStats,
+)
+from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
+from transferlab.erm import (
+    FitOptions,
+    fit_first_stage_finite,
+    fit_first_stage_linear,
+    fit_first_stage_parametric,
+    fit_second_stage,
+    offset_complexity_stat,
+)
+from transferlab.errors import TransferLabError
+
+FAST = settings(deadline=None, max_examples=30, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# Fits on the factor equal fits on the rows
+# ---------------------------------------------------------------------------
+
+@st.composite
+def task_rows(draw):
+    """T raw datasets with shared (d_x, d_y); N may be below d_x + d_y, X may be
+    rank deficient (rank 1 at least), and the labels may be zero."""
+    d_x, d_y = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    t, n = draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    rank = draw(st.integers(1, min(n, d_x)))
+    zero_labels = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    datasets = []
+    for task_id in range(t):
+        x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d_x))
+        y = np.zeros((n, d_y)) if zero_labels else rng.standard_normal((n, d_y))
+        datasets.append(TaskDataset(task_id=task_id, covariates=x, labels=y))
+    r = draw(st.integers(1, d_x))
+    return datasets, r, rng
+
+
+def _close(a, b, scale, rel=1e-10):
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) <= rel * scale
+
+
+@FAST
+@given(task_rows())
+def test_second_stage_on_factor_equals_raw_rows(case):
+    datasets, r, rng = case
+    rep = LinearRep(random_orthonormal_rows(r, datasets[0].covariates.shape[1], rng))
+    for ds in datasets:
+        stats = TaskStats.from_rows(ds)
+        assert stats.n == ds.n and stats.covariates.shape[0] <= ds.n
+        raw, comp = fit_second_stage(ds, rep), fit_second_stage(stats, rep)
+        energy = float(np.sum(ds.labels ** 2)) / ds.n
+        assert _close(raw.head.f, comp.head.f, np.linalg.norm(raw.head.f))
+        assert abs(raw.residual - comp.residual) <= 1e-10 * energy
+
+
+@FAST
+@given(task_rows())
+def test_linear_first_stage_on_factors_equals_raw_rows(case):
+    # The fitted map F_t G is compared, since G is unique only up to rotation.
+    datasets, r, _ = case
+    opts = FitOptions(max_iters=60, restarts=1, seed=7)
+    raw = fit_first_stage_linear(datasets, r=r, opts=opts)
+    comp = fit_first_stage_linear([TaskStats.from_rows(ds) for ds in datasets], r=r,
+                                  opts=opts)
+    energy = sum(float(np.sum(ds.labels ** 2)) for ds in datasets) / sum(
+        ds.n for ds in datasets)
+    for h_raw, h_comp in zip(raw.heads, comp.heads):
+        m_raw = h_raw.f @ raw.rep.g
+        assert _close(m_raw, h_comp.f @ comp.rep.g, np.linalg.norm(m_raw))
+    assert _close(raw.per_task_residual, comp.per_task_residual, energy)
+    assert abs(raw.objective - comp.objective) <= 1e-10 * energy
+
+
+def test_nonlinear_features_of_a_factor_raise():
+    rng = np.random.default_rng(3)
+    ds = TaskDataset(task_id=0, covariates=rng.standard_normal((30, 4)),
+                     labels=rng.standard_normal((30, 1)))
+    stats = TaskStats.from_rows(ds)
+    tanh = TanhRep(rng.standard_normal((2, 4)))
+    fit_second_stage(ds, tanh)  # raw rows are fine
+    with pytest.raises(TransferLabError, match="raw rows"):
+        fit_second_stage(stats, tanh)
+    with pytest.raises(TransferLabError, match="raw rows"):
+        fit_first_stage_finite([stats], [tanh])
+    with pytest.raises(TransferLabError, match="raw rows"):
+        fit_first_stage_parametric([stats], TanhFeatures(r=2, d_x=4),
+                                   FitOptions(max_iters=5, restarts=1))
+    with pytest.raises(TransferLabError, match="raw rows"):
+        offset_complexity_stat([stats], LinearRep(np.eye(4)[:2]),
+                               [np.zeros((30, 1))])
+
+
+# ---------------------------------------------------------------------------
+# The sampler: which tasks are drawn exactly, and the law of the exact draw
+# ---------------------------------------------------------------------------
+
+def _population(law, d_x=3, d_y=2, r=2, noise=0.7, seed=0, tasks=1):
+    rng = np.random.default_rng(seed)
+    rep_star = LinearRep(random_orthonormal_rows(r, d_x, rng))
+    specs = tuple(TaskSpec(law=law, head=LinearHead(rng.standard_normal((d_y, r))))
+                  for _ in range(tasks))
+    return PopulationSpec(dims=Dims(d_x=d_x, d_y=d_y, r=r), tasks=specs,
+                          rep_star=rep_star, noise_sigma=noise)
+
+
+def _gram(x, y):
+    m = np.hstack([x, y])
+    return m.T @ m
+
+
+@pytest.mark.parametrize("law", [
+    LdsLaw(a=0.6 * np.eye(3)),
+    MarkovLaw(transition=np.full((4, 4), 0.25), d_x=3),
+    GaussianLaw(sigma_x=np.eye(3)),  # exact only from N = d_x + d_y = 5 on
+], ids=["lds", "markov", "gaussian-short"])
+def test_other_tasks_compress_their_raw_rows(law):
+    n = 4 if isinstance(law, GaussianLaw) else 50
+    req = SampleRequest(spec=_population(law), per_task_n=(n,), seed=5)
+    raw, stats = sample_tasks(req)[0], sample_task_stats(req)[0]
+    want = _gram(raw.covariates, raw.labels)
+    assert stats.n == n
+    assert np.abs(_gram(stats.covariates, stats.labels) - want).max() <= \
+        1e-12 * np.abs(want).max()
+
+
+def test_exact_draw_is_deterministic_per_task_stream():
+    spec = _population(GaussianLaw(sigma_x=np.eye(3)), tasks=3)
+    req = SampleRequest(spec=spec, per_task_n=(5, 9, 40), seed=11)
+    first, again = sample_task_stats(req), sample_task_stats(req)
+    bumped = sample_task_stats(SampleRequest(spec=spec, per_task_n=(5, 12, 40), seed=11))
+    for a, b in zip(first, again):
+        assert np.array_equal(a.covariates, b.covariates)
+        assert np.array_equal(a.labels, b.labels)
+    assert [s.covariates.shape[0] for s in first] == [5, 5, 5]
+    # tasks 0 and 2 read their own streams, unaffected by task 1's count
+    for t in (0, 2):
+        assert np.array_equal(first[t].labels, bumped[t].labels)
+    assert not np.array_equal(first[1].labels, bumped[1].labels)
+
+
+SIGMA = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+DRAWS = 6000
+# Each moment below is checked entry by entry against its closed form, within
+# this many standard errors of the Monte Carlo mean (38 checks per case).
+SE_BAND = 4.5
+
+
+@pytest.fixture(scope="module", params=[5, 40], ids=["n=d_x+d_y", "n=40"])
+def exact_draws(request):
+    """DRAWS exact statistics of one Gaussian task at N = n, with the truth."""
+    n = request.param
+    spec = _population(GaussianLaw(sigma_x=SIGMA), seed=4)
+    grams = np.stack([_gram(s.covariates, s.labels) for s in (
+        sample_task_stats(SampleRequest(spec=spec, per_task_n=(n,), seed=seed))[0]
+        for seed in range(DRAWS))])
+    w = spec.target.head.f @ spec.rep_star.g
+    return n, spec, w, grams
+
+
+def _within_band(samples, expected):
+    mean = samples.mean(axis=0)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
+    z = np.abs(mean - expected) / se
+    assert z.max() <= SE_BAND, f"largest deviation {z.max():.2f} standard errors"
+
+
+def test_exact_draw_first_moments(exact_draws):
+    n, spec, w, grams = exact_draws
+    sigma2 = spec.noise_sigma ** 2
+    _within_band(grams[:, :3, :3], n * SIGMA)                          # E X^T X
+    _within_band(grams[:, :3, 3:], n * SIGMA @ w.T)                    # E X^T Y
+    _within_band(grams[:, 3:, 3:], n * (w @ SIGMA @ w.T + sigma2 * np.eye(2)))  # E Y^T Y
+
+
+def test_exact_draw_covariate_gram_variance(exact_draws):
+    # Var (X^T X)_ij = n (Sigma_ij^2 + Sigma_ii Sigma_jj) for Wishart_d(n, Sigma);
+    # the sample variance's standard error is sqrt((m4 - s^4) / M).
+    n, _, _, grams = exact_draws
+    xtx = grams[:, :3, :3]
+    centered = xtx - xtx.mean(axis=0)
+    var = np.mean(centered ** 2, axis=0) * DRAWS / (DRAWS - 1)
+    se = np.sqrt((np.mean(centered ** 4, axis=0) - var ** 2) / DRAWS)
+    d = np.diag(SIGMA)
+    expected = n * (SIGMA ** 2 + np.outer(d, d))
+    z = np.abs(var - expected) / se
+    assert z.max() <= SE_BAND, f"largest deviation {z.max():.2f} standard errors"
+
+
+# ---------------------------------------------------------------------------
+# Sweep-row metrics: raw rows and statistics are the same experiment
+# ---------------------------------------------------------------------------
+
+def test_sweep_row_metrics_raw_rows_vs_statistics():
+    """Two-sample KS test over 200 seeds per side (disjoint seeds): the row
+    metrics fitted on raw rows and on exactly drawn statistics share a law."""
+    cfg = cli.example_config()
+    cfg["population"].update({"d_x": 4, "d_y": 2, "r": 1, "num_sources": 3,
+                              "noise_sigma": 0.5})
+    cfg["fit"].update({"restarts": 1, "max_iters": 50})
+    config = cli.ExperimentConfig.from_dict(cfg)
+    spec = cli.build_population(config.population, config.seed)
+    seeds = 200
+
+    def metrics(sampler, seed):
+        data = sampler(cli._request(spec, 24, 12, seed))
+        fit, second = cli._two_stage(config, spec, data, seed)
+        out = cli._shared_diagnostics(config, spec, fit, second, seed)
+        return (out["excess_risk_target"], out["est_error_avg"], fit.objective,
+                out["nu_hat"])
+
+    raw = np.array([metrics(sample_tasks, s) for s in range(seeds)])
+    stats = np.array([metrics(sample_task_stats, 10_000 + s) for s in range(seeds)])
+    for j, name in enumerate(("excess_risk_target", "est_error_avg", "fit_objective",
+                              "nu_hat")):
+        p = scipy.stats.ks_2samp(raw[:, j], stats[:, j]).pvalue
+        assert p >= 1e-3, f"{name}: KS p = {p:.2g}"
