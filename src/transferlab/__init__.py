@@ -25,7 +25,6 @@ cli
 
 from .core import (
     Dims,
-    DatasetKind,
     TaskDataset,
     LinearHead,
     Representation,
@@ -47,7 +46,7 @@ from .core import (
 from .datagen import SampleRequest, sample_tasks
 
 __all__ = [
-    "Dims", "DatasetKind", "TaskDataset", "LinearHead", "Representation",
+    "Dims", "TaskDataset", "LinearHead", "Representation",
     "LinearRep", "TanhRep", "TanhFeatures", "FiniteMember", "GaussianLaw",
     "LdsLaw", "MarkovLaw", "TaskSpec", "PopulationSpec", "pinv", "sqrt_psd",
     "inv_sqrt_psd", "spectral_norm", "logdet_psd", "SampleRequest", "sample_tasks",

@@ -1,10 +1,10 @@
 """Batch experiment front end.
 
-Reads a strict JSON configuration (unknown keys rejected), builds synthetic
-populations, and dispatches to the samplers, fitters, diagnostics, mixing
-checks, and bound calculators. The sweep harness runs a grid over T, N, or
-N' with replicates, aggregates by median, fits log-log slopes, and emits CSV
-rows plus a summary JSON keyed by a config hash.
+Reads a strict JSON configuration (one table per section below gives each key's
+kind, default and range), builds synthetic populations, and dispatches to the
+samplers, fitters, diagnostics, mixing checks, and bound calculators. The sweep
+harness runs a grid over T, N, or N' with replicates, aggregates by median, fits
+log-log slopes, and emits CSV rows plus a summary JSON keyed by a config hash.
 
 Subcommands: gen, fit, diagnose, bounds, sweep, mixcheck.
 Exit codes: 0 success, 2 validation error, 3 sweep failure.
@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,9 @@ from .errors import ConfigError, InvalidPoints, SweepFailed, TransferLabError
 
 SCHEMA_VERSION = 1
 
+# N = N' for gen, fit and diagnose when the config has no sweep section.
+COMMAND_SAMPLES = 256
+
 SWEEP_METRICS = ("excess_risk_target", "est_error_avg", "nu_hat", "mu_x", "mu_f",
                  "fit_objective")
 
@@ -58,16 +61,149 @@ SWEEP_METRICS = ("excess_risk_target", "est_error_avg", "nu_hat", "mu_x", "mu_f"
 ROW_ERRORS = (TransferLabError, np.linalg.LinAlgError, ValueError)
 
 
-def _check_keys(section: dict, allowed: set[str], context: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
+# ---------------------------------------------------------------------------
+# Config tables: each key maps to (kind, default or REQUIRED[, lower bound])
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
 
 
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"missing required key '{key}' in {context}")
-    return section[key]
+def _value(kind, value, lo=None):
+    """``value`` checked as ``kind``: int (a count, so >= 1 unless ``lo`` is given),
+    float (finite), str, a tuple of allowed values, list[int] (strictly increasing
+    counts) or list[list[float]]. A bad value raises ValueError naming the kind."""
+    if isinstance(kind, tuple):
+        ok, want = type(value) is type(kind[0]) and value in kind, f"one of {list(kind)}"
+    elif kind is int:
+        lo = 1 if lo is None else lo
+        ok, want = type(value) is int and value >= lo, f"an integer >= {lo}"
+    elif kind is float:
+        ok = (type(value) in (int, float) and abs(value) <= sys.float_info.max
+              and (lo is None or value >= lo))
+        want = "a finite number" + ("" if lo is None else f" >= {lo}")
+    elif kind is str:
+        ok, want = isinstance(value, str), "a string"
+    elif kind == list[int]:
+        ok = (isinstance(value, list) and all(type(v) is int and v >= 1 for v in value)
+              and all(b > a for a, b in zip(value, value[1:])))
+        want = "a strictly increasing list of integers >= 1"
+    else:
+        ok = isinstance(value, list) and all(isinstance(row, list) and all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in row) for row in value)
+        want = "a list of rows of finite numbers"
+    if not ok:
+        raise ValueError(want)
+    return float(value) if kind is float else value
+
+
+@dataclass(frozen=True)
+class _Kinds:
+    """A section whose ``kind`` key picks its table."""
+    tables: dict
+    default: object = REQUIRED
+
+
+# Library types check the other ranges themselves (noise_sigma >= 0 in PopulationSpec,
+# sigma_w > 0 in BoundConfig). A callable default reads the parsed section one level
+# up: the population for law keys, the whole config for bounds keys.
+_LAW = _Kinds({
+    "gaussian": {"scale_spread": (float, 1.0, 1.0)},
+    "lds": {"spectral_radius": (float, 0.9)},
+    "markov": {"states": (int, lambda pop: max(2, pop["d_x"]), 2), "stay_prob": (float, 0.8)},
+})
+_POPULATION = {
+    "d_x": (int, REQUIRED), "d_y": (int, REQUIRED), "r": (int, REQUIRED),
+    "num_sources": (int, 4), "noise_sigma": (float, 0.0), "head_scale": (float, 1.0),
+    "law": (_LAW, REQUIRED),
+}
+_FIT = {
+    "kind": (("linear",), "linear"),  # every command fits with fit_first_stage_linear
+    "max_iters": (int, FitOptions.max_iters), "tol": (float, FitOptions.tol),
+    "restarts": (int, FitOptions.restarts),
+}
+_SWEEP = {
+    "axis": (("T", "N", "N_prime"), REQUIRED), "grid": (list[int], REQUIRED),
+    "replicates": (int, 5), "n": (int, 64), "n_prime": (int, 128),
+}
+_BOUNDS = {
+    "t_tasks": (int, lambda cfg: cfg["population"]["num_sources"]),
+    "n": (int, 256), "n_prime": (int, 256),
+    "sigma_w": (float, lambda cfg: cfg["population"]["noise_sigma"]),
+    "b_f": (float, 1.0), "b_g": (float, 1.0), "delta": (float, 0.05),
+    "mu_x": (float, REQUIRED), "mu_f": (float, REQUIRED), "c_z": (float, REQUIRED),
+    "class": (_Kinds({"finite": {"log_card": (float, REQUIRED)},
+                      "parametric": {"d_theta": (int, REQUIRED), "b_theta": (float, REQUIRED),
+                                     "l_theta": (float, REQUIRED)}}, default="finite"),
+              REQUIRED),
+    "mixing": ({"gamma": (float, REQUIRED), "rho": (float, REQUIRED), "k": (int, REQUIRED)},
+               None),
+}
+_MIXCHECK = _Kinds({
+    "markov": {"transition": (list[list[float]], REQUIRED), "max_lag": (int, 32),
+               "n": (int, 64)},
+    "lds": {"d_x": (int, 2), "spectral_radius": (float, 0.9), "n": (int, 64),
+            "delta": (float, 0.1), "mc_samples": (int, 50_000)},
+}, default="markov")
+_CONFIG = {
+    "schema_version": ((SCHEMA_VERSION,), REQUIRED), "seed": (int, 0, 0),
+    "output_dir": (str, None), "population": (_POPULATION, None), "fit": (_FIT, {}),
+    "sweep": (_SWEEP, None), "diagnostics": ({"mc_samples": (int, 100_000)}, {}),
+    "bounds": (_BOUNDS, None), "mixcheck": (_MIXCHECK, None),
+}
+
+
+def _parse(raw, table, where: str, problems: tuple, parent: dict | None = None):
+    """The section ``raw`` checked against ``table``, every default filled in; null
+    counts as absent. ``problems`` collects (unknown, bad, missing) messages; once
+    it holds any, callable defaults are not evaluated."""
+    unknown, bad, missing = problems
+    if not isinstance(raw, dict):
+        bad.append(f"{where} must be an object, got {raw!r}")
+        return None
+    if isinstance(table, _Kinds):
+        chosen = table.default if raw.get("kind") is None else raw["kind"]
+        if chosen not in list(table.tables):
+            (missing if chosen is REQUIRED else unknown).append(
+                f"{where}.kind must be one of {sorted(table.tables)}, got {raw.get('kind')!r}")
+            return None
+        table = {"kind": ((chosen,), chosen), **table.tables[chosen]}
+        where = f"{where}({chosen})"
+    extra = set(raw) - set(table)
+    if extra:
+        unknown.append(f"unknown key(s) {sorted(extra)} in {where}")
+    out: dict = {}
+    for key, (kind, default, *lo) in table.items():
+        path = f"{where}.{key}"
+        value = raw.get(key)
+        if value is None and default is REQUIRED:
+            missing.append(f"missing required key '{key}' in {where}")
+        elif value is None and callable(default):
+            out[key] = None if any(problems) else default(parent)
+        elif value is None and not isinstance(default, dict):
+            out[key] = default
+        elif isinstance(kind, (dict, _Kinds)):
+            out[key] = _parse(default if value is None else value, kind, path, problems, out)
+        else:
+            try:
+                out[key] = _value(kind, value, *lo)
+            except ValueError as exc:
+                bad.append(f"{path} must be {exc}, got {value!r}")
+    return out
+
+
+def _checked(raw, table, problems: tuple, where: str = "config") -> dict:
+    """``_parse``, raising one ConfigError for the first kind of problem found:
+    unknown keys and kinds, then bad values, then missing keys."""
+    parsed = _parse(raw, table, where, problems)
+    for found in problems:
+        if found:
+            raise ConfigError("; ".join(found))
+    return parsed
+
+
+def _options(section: dict) -> dict:
+    """A parsed section's keys other than ``kind``, as keyword arguments."""
+    return {key: value for key, value in section.items() if key != "kind"}
 
 
 @dataclass(frozen=True)
@@ -87,13 +223,13 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment configuration; see ``example_config`` for the shape."""
+    """The config's sections parsed by their tables above; ``raw`` is the dict as given."""
 
     raw: dict
     seed: int
     output_dir: str | None
     population: dict | None
-    fit: dict
+    fit: FitOptions
     sweep: dict | None
     mc_samples: int
     bounds: dict | None
@@ -101,79 +237,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        _check_keys(cfg, {"schema_version", "seed", "output_dir", "population", "fit",
-                          "sweep", "diagnostics", "bounds", "mixcheck"}, "config")
-        version = _require(cfg, "schema_version", "config")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version}")
-        population = cfg.get("population")
-        if population is not None:
-            _check_keys(population, {"d_x", "d_y", "r", "num_sources", "noise_sigma",
-                                     "law", "head_scale"}, "population")
-            law = _require(population, "law", "population")
-            kind = _require(law, "kind", "population.law")
-            allowed_law = {
-                "gaussian": {"kind", "scale_spread"},
-                "lds": {"kind", "spectral_radius"},
-                "markov": {"kind", "states", "stay_prob"},
-            }
-            if kind not in allowed_law:
-                raise ConfigError(f"unknown covariate law kind '{kind}'")
-            _check_keys(law, allowed_law[kind], f"population.law({kind})")
-        fit = cfg.get("fit", {"kind": "linear"})
-        _check_keys(fit, {"kind", "max_iters", "tol", "restarts"}, "fit")
-        if fit.get("kind", "linear") != "linear":
-            # every command fits with fit_first_stage_linear
-            raise ConfigError(f"unsupported fit kind '{fit['kind']}'; "
-                              "only 'linear' is implemented")
-        sweep = cfg.get("sweep")
-        if sweep is not None:
-            _check_keys(sweep, {"axis", "grid", "replicates", "n", "n_prime"}, "sweep")
-            axis = _require(sweep, "axis", "sweep")
-            if axis not in ("T", "N", "N_prime"):
-                raise ConfigError(f"sweep axis must be T, N or N_prime, got '{axis}'")
-            grid = [int(v) for v in _require(sweep, "grid", "sweep")]
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError("sweep grid must be strictly increasing")
-            if grid and grid[0] < 1:
-                raise ConfigError("sweep grid values must be >= 1")
-        diagnostics = cfg.get("diagnostics", {})
-        _check_keys(diagnostics, {"mc_samples"}, "diagnostics")
-        bounds_cfg = cfg.get("bounds")
-        if bounds_cfg is not None:
-            _check_keys(bounds_cfg, {"t_tasks", "n", "n_prime", "sigma_w", "b_f", "b_g",
-                                     "class", "delta", "c_z", "mu_x", "mu_f",
-                                     "mixing"}, "bounds")
-            cls = bounds_cfg.get("class", {})
-            cls_kind = cls.get("kind", "finite")
-            allowed_class = {"finite": {"kind", "log_card"},
-                             "parametric": {"kind", "d_theta", "b_theta", "l_theta"}}
-            if cls_kind not in allowed_class:
-                raise ConfigError(f"bounds.class.kind must be finite or parametric, "
-                                  f"got '{cls_kind}'")
-            _check_keys(cls, allowed_class[cls_kind], f"bounds.class({cls_kind})")
-            _check_keys(bounds_cfg.get("mixing") or {}, {"gamma", "rho", "k"},
-                        "bounds.mixing")
-        mixcheck = cfg.get("mixcheck")
-        if mixcheck is not None:
-            mix_kind = mixcheck.get("kind", "markov")
-            allowed_mix = {"markov": {"kind", "transition", "max_lag", "n"},
-                           "lds": {"kind", "d_x", "spectral_radius", "n", "delta",
-                                   "mc_samples"}}
-            if mix_kind not in allowed_mix:
-                raise ConfigError(f"mixcheck.kind must be markov or lds, got '{mix_kind}'")
-            _check_keys(mixcheck, allowed_mix[mix_kind], f"mixcheck({mix_kind})")
-        return ExperimentConfig(
-            raw=cfg,
-            seed=int(cfg.get("seed", 0)),
-            output_dir=cfg.get("output_dir"),
-            population=population,
-            fit=fit,
-            sweep=sweep,
-            mc_samples=int(diagnostics.get("mc_samples", 100_000)),
-            bounds=bounds_cfg,
-            mixcheck=mixcheck,
-        )
+        problems = ([], [], [])
+        if isinstance(cfg, dict) and cfg.get("bounds") is not None \
+                and cfg.get("population") is None:
+            problems[2].append("missing section 'population', which bounds reads")
+        c = _checked(cfg, _CONFIG, problems)
+        del c["schema_version"]
+        return ExperimentConfig(raw=cfg, fit=FitOptions(**_options(c.pop("fit"))),
+                                mc_samples=c.pop("diagnostics")["mc_samples"], **c)
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
@@ -190,7 +261,7 @@ class ExperimentConfig:
 
 
 def example_config() -> dict:
-    """A complete configuration with every recognized key."""
+    """A runnable config writing out every population, fit, sweep and diagnostics key."""
     return {
         "schema_version": 1,
         "seed": 42,
@@ -215,58 +286,40 @@ def example_config() -> dict:
 
 def build_population(pop_cfg: dict | None, seed: int, num_sources: int | None = None,
                      ) -> PopulationSpec:
-    """Deterministic synthetic population from the config section and a seed."""
+    """Deterministic synthetic population from the config section and a seed;
+    ``num_sources`` overrides the section's source count."""
     if pop_cfg is None:
         raise ConfigError("config has no population section")
-    d_x = int(_require(pop_cfg, "d_x", "population"))
-    d_y = int(_require(pop_cfg, "d_y", "population"))
-    r = int(_require(pop_cfg, "r", "population"))
-    t = int(pop_cfg.get("num_sources", 4)) if num_sources is None else int(num_sources)
-    if t < 1:
-        raise ConfigError("num_sources must be >= 1")
-    noise = float(pop_cfg.get("noise_sigma", 0.0))
-    head_scale = float(pop_cfg.get("head_scale", 1.0))
-    law_cfg = pop_cfg["law"]
+    if num_sources is not None:
+        pop_cfg = {**pop_cfg, "num_sources": num_sources}
+    pop = _checked(pop_cfg, _POPULATION, ([], [], []), "population")
+    d_x, d_y, r, t, law_cfg = pop["d_x"], pop["d_y"], pop["r"], pop["num_sources"], pop["law"]
     rng = np.random.default_rng(np.random.SeedSequence([seed, t, d_x, d_y, r]))
 
     q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
     rep_star = LinearRep(q.T)
 
-    def make_law(i: int):
-        kind = law_cfg["kind"]
-        if kind == "gaussian":
-            spread = float(law_cfg.get("scale_spread", 1.0))
-            if spread < 1.0:
-                raise ConfigError("scale_spread must be >= 1")
+    def make_law():
+        if law_cfg["kind"] == "gaussian":
+            spread = law_cfg["scale_spread"]
             scale = 1.0 if spread == 1.0 else float(
                 np.exp(rng.uniform(-np.log(spread), np.log(spread))))
             return GaussianLaw(sigma_x=scale * np.eye(d_x))
-        if kind == "lds":
-            rho = float(law_cfg.get("spectral_radius", 0.9))
+        if law_cfg["kind"] == "lds":
             qq, _ = np.linalg.qr(rng.standard_normal((d_x, d_x)))
-            return LdsLaw(a=rho * qq)
-        if kind == "markov":
-            states = int(law_cfg.get("states", max(2, d_x)))
-            stay = float(law_cfg.get("stay_prob", 0.8))
-            p = np.full((states, states), (1.0 - stay) / (states - 1))
-            np.fill_diagonal(p, stay)
-            return MarkovLaw(transition=p, d_x=d_x)
-        raise ConfigError(f"unknown covariate law kind '{kind}'")
+            return LdsLaw(a=law_cfg["spectral_radius"] * qq)
+        states, stay = law_cfg["states"], law_cfg["stay_prob"]
+        p = np.full((states, states), (1.0 - stay) / (states - 1))
+        np.fill_diagonal(p, stay)
+        return MarkovLaw(transition=p, d_x=d_x)
 
     tasks = []
-    for i in range(t + 1):
-        law = make_law(i)
-        head = LinearHead(head_scale * rng.standard_normal((d_y, r)))
+    for _ in range(t + 1):
+        law = make_law()
+        head = LinearHead(pop["head_scale"] * rng.standard_normal((d_y, r)))
         tasks.append(TaskSpec(law=law, head=head))
     return PopulationSpec(dims=Dims(d_x=d_x, d_y=d_y, r=r), tasks=tuple(tasks),
-                          rep_star=rep_star, noise_sigma=noise)
-
-
-def _fit_options(fit_cfg: dict, seed: int) -> FitOptions:
-    """Solver options for the keys the config sets; ``FitOptions`` holds the defaults."""
-    casts = {"max_iters": int, "tol": float, "restarts": int}
-    return FitOptions(seed=seed, **{key: cast(fit_cfg[key]) for key, cast in casts.items()
-                                    if key in fit_cfg})
+                          rep_star=rep_star, noise_sigma=pop["noise_sigma"])
 
 
 def _request(spec: PopulationSpec, n: int, n_prime: int, seed: int) -> SampleRequest:
@@ -278,7 +331,7 @@ def _request(spec: PopulationSpec, n: int, n_prime: int, seed: int) -> SampleReq
 def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed: int):
     """Fit the shared representation on the sources, then the target head on it."""
     fit = fit_first_stage_linear(data[1:], r=spec.dims.r,
-                                 opts=_fit_options(config.fit, seed))
+                                 opts=replace(config.fit, seed=seed))
     return fit, fit_second_stage(data[0], fit.rep)
 
 
@@ -297,11 +350,11 @@ def _shared_diagnostics(config: ExperimentConfig, spec: PopulationSpec, fit, sec
 
 
 def _command_request(config: ExperimentConfig) -> SampleRequest:
-    """The request that ``gen``, ``fit`` and ``diagnose`` share: N = N' = 256 by default."""
+    """The request that ``gen``, ``fit`` and ``diagnose`` share: the sweep section's
+    N and N', or ``COMMAND_SAMPLES`` for both without one."""
     spec = build_population(config.population, config.seed)
-    sweep = config.sweep or {}
-    return _request(spec, int(sweep.get("n", 256)), int(sweep.get("n_prime", 256)),
-                    config.seed)
+    sweep = config.sweep or {"n": COMMAND_SAMPLES, "n_prime": COMMAND_SAMPLES}
+    return _request(spec, sweep["n"], sweep["n_prime"], config.seed)
 
 
 def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
@@ -342,9 +395,8 @@ def _row_seed(seed: int, axis_value: int, replicate: int) -> int:
 def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
                    axis_value: int, replicate: int) -> SweepRow:
     start = time.perf_counter()
-    sweep = config.sweep
-    n = axis_value if axis == "N" else int(sweep.get("n", 64))
-    n_prime = axis_value if axis == "N_prime" else int(sweep.get("n_prime", 128))
+    n = axis_value if axis == "N" else config.sweep["n"]
+    n_prime = axis_value if axis == "N_prime" else config.sweep["n_prime"]
     row_seed = _row_seed(config.seed, axis_value, replicate)
     data = sample_task_stats(_request(spec, n, n_prime, row_seed))
     fit, second = _two_stage(config, spec, data, row_seed)
@@ -389,9 +441,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """
     if config.sweep is None:
         raise SweepFailed("no sweep section in config")
-    axis = config.sweep["axis"]
-    grid = [int(v) for v in config.sweep["grid"]]
-    replicates = int(config.sweep.get("replicates", 5))
+    axis, grid, replicates = (config.sweep[key] for key in ("axis", "grid", "replicates"))
     if len(grid) < 3:
         raise SweepFailed("sweep grid needs at least 3 points for slope fits")
 
@@ -435,10 +485,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
         pts = [(v, val) for v, val in per_value.items()
                if math.isfinite(val) and val > diag.NU_UNDEFINED_THRESHOLD]
         if len(pts) >= 3:
-            try:
-                slopes[metric] = slope_fit(pts)
-            except InvalidPoints:
-                pass
+            slopes[metric] = slope_fit(pts)
     return SweepResult(rows=tuple(rows), medians=medians, slopes=slopes,
                        errors=tuple(errors))
 
@@ -483,45 +530,17 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
     """Evaluate the transfer-risk bound from the config's bounds section."""
     if config.bounds is None:
         raise ConfigError("config has no bounds section")
-    b = config.bounds
-    pop = config.population
-    if pop is None:
-        raise ConfigError("config has no population section")
-    dims = Dims(d_x=int(_require(pop, "d_x", "population")),
-                d_y=int(_require(pop, "d_y", "population")),
-                r=int(_require(pop, "r", "population")))
-    cls_cfg = _require(b, "class", "bounds")
-    if cls_cfg.get("kind") == "parametric":
-        cls = bounds_mod.ParametricClass(
-            d_theta=int(_require(cls_cfg, "d_theta", "bounds.class")),
-            b_theta=float(_require(cls_cfg, "b_theta", "bounds.class")),
-            l_theta=float(_require(cls_cfg, "l_theta", "bounds.class")))
-    else:
-        cls = bounds_mod.FiniteClass(
-            log_card=float(_require(cls_cfg, "log_card", "bounds.class")))
-    mix = None
-    if b.get("mixing"):
-        m = b["mixing"]
-        profile = mixing_mod.GeometricProfile(
-            gamma=float(_require(m, "gamma", "bounds.mixing")),
-            rho=float(_require(m, "rho", "bounds.mixing")))
-        mix = bounds_mod.MixingSetup(profile=profile,
-                                     k=int(_require(m, "k", "bounds.mixing")))
-    coverage = {key: float(_require(b, key, "bounds")) for key in ("mu_x", "mu_f", "c_z")}
+    b, pop = config.bounds, config.population
+    classes = {"finite": bounds_mod.FiniteClass, "parametric": bounds_mod.ParametricClass}
+    m = b["mixing"]
     cfg = bounds_mod.BoundConfig(
-        dims=dims,
-        t_tasks=int(b.get("t_tasks", pop.get("num_sources", 4))),
-        n=int(b.get("n", 256)),
-        n_prime=int(b.get("n_prime", 256)),
-        # the population's noise level, with build_population's default
-        sigma_w=float(b.get("sigma_w", pop.get("noise_sigma", 0.0))),
-        b_f=float(b.get("b_f", 1.0)),
-        b_g=float(b.get("b_g", 1.0)),
-        class_complexity=cls,
-        delta=float(b.get("delta", 0.05)),
-        mixing=mix,
-    )
-    return bounds_mod.transfer_risk_bound(cfg, **coverage)
+        dims=Dims(d_x=pop["d_x"], d_y=pop["d_y"], r=pop["r"]),
+        class_complexity=classes[b["class"]["kind"]](**_options(b["class"])),
+        mixing=None if m is None else bounds_mod.MixingSetup(
+            profile=mixing_mod.GeometricProfile(gamma=m["gamma"], rho=m["rho"]), k=m["k"]),
+        t_tasks=b["t_tasks"], n=b["n"], n_prime=b["n_prime"], sigma_w=b["sigma_w"],
+        b_f=b["b_f"], b_g=b["b_g"], delta=b["delta"])
+    return bounds_mod.transfer_risk_bound(cfg, mu_x=b["mu_x"], mu_f=b["mu_f"], c_z=b["c_z"])
 
 
 def run_mixcheck(config: ExperimentConfig) -> dict:
@@ -530,25 +549,20 @@ def run_mixcheck(config: ExperimentConfig) -> dict:
     if config.mixcheck is None:
         raise ConfigError("config has no mixcheck section")
     m = config.mixcheck
-    max_lag = int(m.get("max_lag", 32))
-    n = int(m.get("n", 64))
-    delta = float(m.get("delta", 0.1))
     out: dict = {}
-    if m.get("kind", "markov") == "markov":
-        p = np.asarray(_require(m, "transition", "mixcheck"), dtype=float)
-        profile = mixing_mod.phi_markov(p, max_lag=max_lag)
+    if m["kind"] == "markov":
+        profile = mixing_mod.phi_markov(np.asarray(m["transition"], dtype=float),
+                                        max_lag=m["max_lag"])
     else:
-        d_x = int(m.get("d_x", 2))
-        rho = float(m.get("spectral_radius", 0.9))
         profile = mixing_mod.geometric_profile_from_lds(
-            rho * np.eye(d_x), mc_samples=int(m.get("mc_samples", 50_000)),
+            m["spectral_radius"] * np.eye(m["d_x"]), mc_samples=m["mc_samples"],
             seed=config.seed)
         try:
-            out["block_length"] = mixing_mod.select_block_length(profile, n, delta)
+            out["block_length"] = mixing_mod.select_block_length(profile, m["n"], m["delta"])
         except TransferLabError as exc:
             out["block_length_error"] = str(exc)
     out["profile"] = mixing_mod.profile_to_json(profile)
-    out["dependency_norm"] = mixing_mod.dependency_matrix_bound(profile, n).spectral_norm
+    out["dependency_norm"] = mixing_mod.dependency_matrix_bound(profile, m["n"]).spectral_norm
     return out
 
 
@@ -589,13 +603,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="override the config output_dir")
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
 
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            raw = dict(config.raw)
-            raw["seed"] = int(args.seed)
-            config = ExperimentConfig.from_dict(raw)
+            config = ExperimentConfig.from_dict({**config.raw, "seed": args.seed})
         out_dir = args.out if args.out is not None else config.output_dir
 
         if args.command == "gen":
@@ -616,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "mixcheck":
             _emit(run_mixcheck(config), out_dir, "mixcheck.json")
         else:  # sweep
-            result = run_sweep(config, threads=max(1, args.threads))
+            result = run_sweep(config, threads=args.threads)
             if out_dir is None:
                 print(json.dumps(result.summary_json(config), indent=2))
             else:

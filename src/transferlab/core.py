@@ -8,7 +8,6 @@ operations are pure functions of their inputs.
 """
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -143,11 +142,6 @@ class Dims:
             raise ValueError(f"r={self.r} must not exceed d_x={self.d_x}")
 
 
-class DatasetKind(enum.Enum):
-    IID_DRAW = "iid_draw"
-    TRAJECTORY = "trajectory"
-
-
 @dataclass(frozen=True)
 class TaskDataset:
     """One task's covariate/label sample with provenance."""
@@ -155,7 +149,6 @@ class TaskDataset:
     task_id: int
     covariates: np.ndarray  # N x d_x
     labels: np.ndarray      # N x d_y
-    kind: DatasetKind = DatasetKind.IID_DRAW
 
     def __post_init__(self):
         x = _readonly(np.atleast_2d(self.covariates))
@@ -331,14 +324,6 @@ class TanhRep(Representation):
     @property
     def in_dim(self) -> int:
         return self.w.shape[1]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.w.reshape(-1)
-
-    @property
-    def family(self) -> TanhFeatures:
-        return TanhFeatures(r=self.out_dim, d_x=self.in_dim)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(np.asarray(x, dtype=float) @ self.w.T)

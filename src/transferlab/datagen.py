@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     CovariateLaw,
-    DatasetKind,
     GaussianLaw,
     LdsLaw,
     LinearRep,
@@ -82,17 +81,15 @@ def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskDat
     rng = np.random.default_rng(task_stream_seed(seed, t))
     if task.law.is_trajectory:
         x = task.law.sample_path(n, rng, burn_in=default_burn_in(task.law))
-        kind = DatasetKind.TRAJECTORY
     else:
         x = task.law.sample_marginal(n, rng)
-        kind = DatasetKind.IID_DRAW
     # Noise is drawn after the covariates so that w_i is a martingale
     # difference with respect to the covariate filtration.
     z = spec.rep_star.features(x)
     y = z @ task.head.f.T
     if spec.noise_sigma > 0:
         y = y + spec.noise_sigma * rng.standard_normal(y.shape)
-    return TaskDataset(task_id=t, covariates=x, labels=y, kind=kind)
+    return TaskDataset(task_id=t, covariates=x, labels=y)
 
 
 def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
@@ -230,7 +227,7 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
                 "task_id": t,
                 "stream_seed": task_stream_seed(req.seed, t),
                 "law": _law_description(task.law),
-                "kind": datasets[t].kind.value,
+                "kind": "trajectory" if task.law.is_trajectory else "iid_draw",
                 "burn_in": default_burn_in(task.law),
             }
             for t, task in enumerate(req.spec.tasks)

@@ -52,6 +52,11 @@ class FitOptions:
     seed: int = 0
     lr: float = 0.2  # parametric fitter only
 
+    def __post_init__(self):
+        if min(self.max_iters, self.restarts) < 1 or not self.tol >= 0.0:
+            raise ValueError(f"FitOptions needs max_iters >= 1, restarts >= 1 and tol >= 0, "
+                             f"got {self}")
+
 
 @dataclass(frozen=True)
 class FirstStageFit:
@@ -274,7 +279,7 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     n_total = sum(ds.n for ds in datasets)
     rng = np.random.default_rng(opts.seed)
     best = None
-    for _ in range(max(1, opts.restarts)):
+    for _ in range(opts.restarts):
         run = _als_single(xtx, xty, yy, n_total, r, opts, rng)
         if best is None or run.objective < best.objective:
             best = run
@@ -342,7 +347,7 @@ def fit_first_stage_parametric(datasets, family: TanhFeatures,
     _require_raw_rows(datasets, "a tanh feature fit")
     rng = np.random.default_rng(opts.seed)
     best = None
-    for _ in range(max(1, opts.restarts)):
+    for _ in range(opts.restarts):
         w = 0.5 * rng.standard_normal((family.r, family.d_x))
         history = []
         converged = False

@@ -135,6 +135,98 @@ def test_config_rejects_wrong_schema_version():
         ExperimentConfig.from_dict(cfg)
 
 
+def _with(path, value):
+    """``example_config()`` with the key at ``path`` (dotted) set to ``value``."""
+    cfg = example_config()
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    return cfg
+
+
+MARKOV_2 = [[0.9, 0.1], [0.1, 0.9]]
+MALFORMED = {
+    "zero fit iterations": _with("fit.max_iters", 0),
+    "zero restarts": _with("fit.restarts", 0),
+    "zero diagnostics samples": _with("diagnostics.mc_samples", 0),
+    "zero mixcheck samples": _with("mixcheck", {"kind": "lds", "mc_samples": 0}),
+    "zero mixcheck n": _with("mixcheck", {"transition": MARKOV_2, "n": 0}),
+    "string d_x": _with("population.d_x", "8"),
+    "fractional n": _with("sweep.n", 64.7),
+    "zero replicates": _with("sweep.replicates", 0),
+    "negative replicates": _with("sweep.replicates", -1),
+    "zero n": _with("sweep.n", 0),
+    "fit not an object": _with("fit", 5),
+    "one markov state": _with("population.law", {"kind": "markov", "states": 1}),
+    "noise beyond float range": _with("population.noise_sigma", 10 ** 400),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_config_is_a_config_error(name, tmp_path, capsys):
+    cfg = MALFORMED[name]
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(cfg)
+    assert main(["fit", "--config", write_config(tmp_path, cfg)]) == 2
+    capsys.readouterr()
+
+
+def _sections(config):
+    return {name: getattr(config, name) for name in
+            ("seed", "output_dir", "population", "fit", "sweep", "mc_samples", "bounds",
+             "mixcheck")}
+
+
+@pytest.mark.parametrize("written, left_out", [
+    ({"law": {"kind": "markov", "states": 8, "stay_prob": 0.8},
+      "mixcheck": {"kind": "markov", "transition": MARKOV_2, "max_lag": 32, "n": 64},
+      "class": {"kind": "finite", "log_card": 3.0}},
+     {"law": {"kind": "markov"}, "mixcheck": {"transition": MARKOV_2},
+      "class": {"log_card": 3.0}}),
+    ({"law": {"kind": "lds", "spectral_radius": 0.9},
+      "mixcheck": {"kind": "lds", "d_x": 2, "spectral_radius": 0.9, "n": 64, "delta": 0.1,
+                   "mc_samples": 50_000},
+      "class": {"kind": "parametric", "d_theta": 4, "b_theta": 1.0, "l_theta": 2.0}},
+     {"law": {"kind": "lds"}, "mixcheck": {"kind": "lds"},
+      "class": {"kind": "parametric", "d_theta": 4, "b_theta": 1.0, "l_theta": 2.0}}),
+])
+def test_defaults_written_out_parse_the_same(written, left_out):
+    dims = {"d_x": 8, "d_y": 1, "r": 2}
+    coverage = {"mu_x": 1.0, "mu_f": 2.0, "c_z": 1.5}
+    full = ExperimentConfig.from_dict({
+        "schema_version": 1, "seed": 0, "output_dir": None,
+        "population": {**dims, "num_sources": 4, "noise_sigma": 0.0, "head_scale": 1.0,
+                       "law": written["law"]},
+        "fit": {"kind": "linear", "max_iters": 500, "tol": 1e-10, "restarts": 5},
+        "sweep": {"axis": "T", "grid": [2, 4, 8], "replicates": 5, "n": 64, "n_prime": 128},
+        "diagnostics": {"mc_samples": 100_000},
+        "bounds": {**coverage, "t_tasks": 4, "n": 256, "n_prime": 256, "sigma_w": 0.0,
+                   "b_f": 1.0, "b_g": 1.0, "delta": 0.05, "class": written["class"],
+                   "mixing": None},
+        "mixcheck": written["mixcheck"],
+    })
+    minimal = {
+        "schema_version": 1,
+        "population": {**dims, "law": left_out["law"]},
+        "sweep": {"axis": "T", "grid": [2, 4, 8]},
+        "bounds": {**coverage, "class": left_out["class"]},
+        "mixcheck": left_out["mixcheck"],
+    }
+    assert _sections(ExperimentConfig.from_dict(minimal)) == _sections(full)
+    nulls = {**minimal, "fit": None, "diagnostics": None, "seed": None, "output_dir": None}
+    assert _sections(ExperimentConfig.from_dict(nulls)) == _sections(full)
+
+
+def test_threads_below_one_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, small_sweep_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", path, "--threads", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_build_population_deterministic():
     cfg = example_config()
     a = build_population(cfg["population"], seed=5)

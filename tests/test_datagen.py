@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_gaussian_population, random_orthonormal_rows
 from transferlab.core import (
-    DatasetKind,
     Dims,
     GaussianLaw,
     LdsLaw,
@@ -89,7 +88,7 @@ def test_lds_empirical_covariance_matches_lyapunov():
         rep_star=LinearRep(random_orthonormal_rows(2, 3, rng)),
     )
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(150_000,), seed=5))
-    assert data[0].kind == DatasetKind.TRAJECTORY
+    assert spec.tasks[0].law.is_trajectory
     x = data[0].covariates
     emp = x.T @ x / x.shape[0]
     sigma = lds_stationary_covariance(a)
@@ -174,3 +173,17 @@ def test_write_datasets_csv(tmp_path):
     assert manifest["dims"] == {"d_x": 6, "d_y": 2, "r": 2}
     assert manifest["tasks"][1]["stream_seed"] == task_stream_seed(15, 1)
     assert [task["burn_in"] for task in manifest["tasks"]] == [0, 0, 0, 0]
+
+
+def test_manifest_kind_follows_the_law(tmp_path):
+    rng = np.random.default_rng(16)
+    rep = LinearRep(random_orthonormal_rows(2, 3, rng))
+    head = LinearHead(np.ones((1, 2)))
+    spec = PopulationSpec(dims=Dims(3, 1, 2), rep_star=rep,
+                          tasks=(TaskSpec(law=LdsLaw(stable_matrix(3, 0.5, rng)), head=head),
+                                 TaskSpec(law=GaussianLaw(np.eye(3)), head=head)))
+    req = SampleRequest(spec=spec, per_task_n=(4, 4), seed=17)
+    paths = write_datasets_csv(sample_tasks(req), req, tmp_path)
+    with open(paths["manifest"]) as fh:
+        manifest = json.load(fh)
+    assert [task["kind"] for task in manifest["tasks"]] == ["trajectory", "iid_draw"]

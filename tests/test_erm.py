@@ -506,3 +506,9 @@ def test_offset_stat_normalization(rng):
         per_task += 4.0 * np.sum((half @ z.T @ w) ** 2)
     assert offset_complexity_stat(datasets, rep, noise) == pytest.approx(
         per_task / total_n, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": 0}, {"restarts": 0}, {"tol": -1e-3}])
+def test_fit_options_reject_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        FitOptions(**bad)
