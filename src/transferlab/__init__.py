@@ -3,15 +3,17 @@
 Modules
 -------
 core
-    Domain types (dimensions, datasets, heads, representations, covariate
-    laws, populations) and matrix primitives.
+    Domain types (dimensions, datasets, heads, the linear representation,
+    covariate laws, populations) and matrix primitives.
 datagen
     Seeded samplers for all covariate laws and realizable label generation.
 erm
-    Two-stage empirical risk minimization and the offset-complexity statistic.
+    Two-stage least squares (alternating least squares for the shared linear
+    representation, then the target head) and the offset-complexity statistic.
 diagnostics
-    Excess risk, estimation error, coverage coefficients, task diversity and
-    its estimator, misspecified-regression noise quantities.
+    Exact excess risk, estimation error, coverage coefficients and task
+    diversity, its estimator, and Monte Carlo misspecified-regression noise
+    quantities.
 mixing
     Mixing coefficients, blocking, decoupling, dependency matrices.
 smallball
@@ -27,11 +29,7 @@ from .core import (
     Dims,
     TaskDataset,
     LinearHead,
-    Representation,
     LinearRep,
-    TanhRep,
-    TanhFeatures,
-    FiniteMember,
     GaussianLaw,
     LdsLaw,
     MarkovLaw,
@@ -46,10 +44,9 @@ from .core import (
 from .datagen import SampleRequest, sample_tasks
 
 __all__ = [
-    "Dims", "TaskDataset", "LinearHead", "Representation",
-    "LinearRep", "TanhRep", "TanhFeatures", "FiniteMember", "GaussianLaw",
-    "LdsLaw", "MarkovLaw", "TaskSpec", "PopulationSpec", "pinv", "sqrt_psd",
-    "inv_sqrt_psd", "spectral_norm", "logdet_psd", "SampleRequest", "sample_tasks",
+    "Dims", "TaskDataset", "LinearHead", "LinearRep", "GaussianLaw", "LdsLaw",
+    "MarkovLaw", "TaskSpec", "PopulationSpec", "pinv", "sqrt_psd", "inv_sqrt_psd",
+    "spectral_norm", "logdet_psd", "SampleRequest", "sample_tasks",
 ]
 
 __version__ = "0.1.0"

@@ -117,7 +117,7 @@ _POPULATION = {
     "law": (_LAW, REQUIRED),
 }
 _FIT = {
-    "kind": (("linear",), "linear"),  # every command fits with fit_first_stage_linear
+    "kind": (("linear",), "linear"),  # LinearRep is the only representation
     "max_iters": (int, FitOptions.max_iters), "tol": (float, FitOptions.tol),
     "restarts": (int, FitOptions.restarts),
 }
@@ -335,16 +335,13 @@ def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed:
     return fit, fit_second_stage(data[0], fit.rep)
 
 
-def _shared_diagnostics(config: ExperimentConfig, spec: PopulationSpec, fit, second,
-                        seed: int) -> dict:
+def _shared_diagnostics(spec: PopulationSpec, fit, second) -> dict:
     """The diagnostics that sweep rows and ``diagnose`` both report, by name."""
-    mc = config.mc_samples
     return {
-        "excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep,
-                                                          mc, seed),
-        "est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep, mc, seed),
+        "excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep),
+        "est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep),
         "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual),
-        "mu_x": diag.mu_x(spec, fit.rep, mc, seed),
+        "mu_x": diag.mu_x(spec, fit.rep),
         "mu_f": diag.mu_f([task.head for task in spec.tasks]),
     }
 
@@ -401,7 +398,7 @@ def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
     data = sample_task_stats(_request(spec, n, n_prime, row_seed))
     fit, second = _two_stage(config, spec, data, row_seed)
 
-    shared = _shared_diagnostics(config, spec, fit, second, row_seed)
+    shared = _shared_diagnostics(spec, fit, second)
     if shared["nu_hat"] is None:
         shared["nu_hat"] = float("nan")
     return SweepRow(axis_value=axis_value, replicate=replicate, **shared,
@@ -518,8 +515,8 @@ def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
     spec = req.spec
     fit, second = _two_stage(config, spec, data, config.seed)
     return diag.DiagnosticsReport(
-        **_shared_diagnostics(config, spec, fit, second, config.seed),
-        nu_true=diag.nu_true(spec, fit.rep, config.mc_samples, config.seed),
+        **_shared_diagnostics(spec, fit, second),
+        nu_true=diag.nu_true(spec, fit.rep),
         nrls=diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,
                                   spec.rep_star, spec.noise_sigma, config.mc_samples,
                                   config.seed),

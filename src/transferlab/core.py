@@ -1,7 +1,7 @@
 """Shared domain types and matrix primitives.
 
 Every other module consumes the types defined here: problem dimensions,
-per-task datasets, linear heads, representation hypotheses, covariate laws,
+per-task datasets, linear heads, linear representations, covariate laws,
 and the full generative description of a task population. All types are
 immutable after construction (arrays are marked read-only), and all
 operations are pure functions of their inputs.
@@ -178,7 +178,8 @@ class TaskStats:
         ||Y - Z F^T||_F^2 = tr Y^T Y - 2 tr(F Z^T Y) + tr(F Z^T Z F^T),
     reads only these Grams: a least-squares fit on the k rows gives the raw
     rows' heads and residual sum. A mean residual divides by ``n``, not by k.
-    Nonlinear features of the rows carry no such identity.
+    Per-row quantities, such as a noise matrix given row by row, have no
+    counterpart on the factor.
     """
 
     task_id: int
@@ -209,25 +210,13 @@ class TaskStats:
 
 @dataclass(frozen=True)
 class LinearHead:
-    """Task-specific linear map F: R^r -> R^{d_y}.
-
-    ``frobenius_bound == 0`` means unconstrained; otherwise ||F||_F must not
-    exceed it.
-    """
+    """Task-specific linear map F: R^r -> R^{d_y}."""
 
     f: np.ndarray  # d_y x r
-    frobenius_bound: float = 0.0
 
     def __post_init__(self):
         f = _readonly(np.atleast_2d(self.f))
         _require_finite(f, "head matrix")
-        if self.frobenius_bound < 0:
-            raise ValueError("frobenius_bound must be nonnegative")
-        if self.frobenius_bound > 0:
-            nrm = float(np.linalg.norm(f))
-            if nrm > self.frobenius_bound * (1 + 1e-12):
-                raise ValueError(
-                    f"||F||_F = {nrm:g} exceeds declared bound {self.frobenius_bound:g}")
         object.__setattr__(self, "f", f)
 
     @property
@@ -243,32 +232,11 @@ class LinearHead:
 # Representations
 # ---------------------------------------------------------------------------
 
-class Representation:
-    """A map g: R^{d_x} -> R^r applied row-wise to sample matrices."""
-
-    sup_bound: float
-    out_dim: int
-    in_dim: int
-    # Linear maps keep the Gram identities that a ``TaskStats`` factor relies on.
-    is_linear: bool = False
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Apply g to each row of an (n, d_x) array, returning (n, r)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class LinearRep(Representation):
-    """g(x) = G x for a full-row-rank G in R^{r x d_x}.
-
-    sup_bound is declared metadata (0 = unbounded), since a linear map has no
-    finite sup norm on all of R^{d_x}.
-    """
+class LinearRep:
+    """The representation g(x) = G x, for a full-row-rank G in R^{r x d_x}."""
 
     g: np.ndarray
-    sup_bound: float = 0.0
-
-    is_linear = True
 
     def __post_init__(self):
         g = _readonly(np.atleast_2d(self.g))
@@ -287,74 +255,8 @@ class LinearRep(Representation):
         return self.g.shape[1]
 
     def features(self, x: np.ndarray) -> np.ndarray:
+        """Apply g to each row of an (n, d_x) array, returning (n, r)."""
         return np.asarray(x, dtype=float) @ self.g.T
-
-
-@dataclass(frozen=True)
-class TanhFeatures:
-    """Family descriptor for g_theta(x) = tanh(W x), theta = vec(W), W in R^{r x d_x}."""
-
-    r: int
-    d_x: int
-
-    @property
-    def d_theta(self) -> int:
-        return self.r * self.d_x
-
-
-@dataclass(frozen=True)
-class TanhRep(Representation):
-    """g(x) = tanh(W x) elementwise; ||g(x)||_2 <= sqrt(r) for all x."""
-
-    w: np.ndarray  # r x d_x
-
-    def __post_init__(self):
-        w = _readonly(np.atleast_2d(self.w))
-        _require_finite(w, "tanh feature weights")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def sup_bound(self) -> float:
-        return float(np.sqrt(self.out_dim))
-
-    @property
-    def out_dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.w.shape[1]
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(np.asarray(x, dtype=float) @ self.w.T)
-
-
-@dataclass(frozen=True)
-class FiniteMember(Representation):
-    """A member of a finite representation dictionary, tagged with its origin."""
-
-    member: Representation
-    index: int
-    dictionary_id: str = ""
-
-    @property
-    def sup_bound(self) -> float:
-        return self.member.sup_bound
-
-    @property
-    def is_linear(self) -> bool:
-        return self.member.is_linear
-
-    @property
-    def out_dim(self) -> int:
-        return self.member.out_dim
-
-    @property
-    def in_dim(self) -> int:
-        return self.member.in_dim
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return self.member.features(x)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +483,6 @@ class MarkovLaw(CovariateLaw):
 
     def __post_init__(self):
         p = _readonly(np.atleast_2d(self.transition))
-        _require_finite(p, "transition matrix")
-        if p.shape[0] != p.shape[1]:
-            raise InvalidMatrix("transition matrix must be square")
-        if np.any(p < -1e-15):
-            raise InvalidMatrix("transition matrix must be nonnegative")
-        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
-            raise InvalidMatrix("transition rows must sum to 1 within 1e-12")
         pi = stationary_distribution(p)
         base = np.zeros((p.shape[0], self.d_x))
         for s in range(min(p.shape[0], self.d_x)):
@@ -659,13 +554,26 @@ class MarkovLaw(CovariateLaw):
 def stationary_distribution(p: np.ndarray) -> np.ndarray:
     """Unique stationary distribution of a row-stochastic matrix.
 
+    This is the one check of a transition matrix: every chain, a ``MarkovLaw``
+    or the argument of ``mixing.phi_markov``, goes through it.
+
     Raises
     ------
+    InvalidMatrix
+        If P is non-finite, not square, has a negative entry, or has a row
+        that does not sum to 1 within 1e-12.
     NotErgodic
         If the eigenvalue-1 eigenspace of P^T has dimension != 1 (no unique
         stationary distribution). Periodic but irreducible chains are fine.
     """
     p = np.asarray(p, dtype=float)
+    _require_finite(p, "transition matrix")
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise InvalidMatrix("transition matrix must be square")
+    if np.any(p < -1e-15):
+        raise InvalidMatrix("transition matrix must be nonnegative")
+    if np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
+        raise InvalidMatrix("transition rows must sum to 1 within 1e-12")
     w, v = np.linalg.eig(p.T)
     idx = np.where(np.abs(w - 1.0) < 1e-9)[0]
     if len(idx) != 1:
@@ -697,7 +605,7 @@ class PopulationSpec:
 
     dims: Dims
     tasks: tuple[TaskSpec, ...]
-    rep_star: Representation
+    rep_star: LinearRep
     noise_sigma: float = 0.0
 
     def __post_init__(self):

@@ -29,7 +29,6 @@ from .core import (
     CovariateLaw,
     GaussianLaw,
     LdsLaw,
-    LinearRep,
     PopulationSpec,
     TaskDataset,
     TaskStats,
@@ -161,17 +160,16 @@ def _draw_gaussian_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> Tas
 def sample_task_stats(req: SampleRequest) -> list[TaskStats]:
     """Every task's ``TaskStats``; deterministic given the request (incl. seed).
 
-    A task whose law is a ``GaussianLaw``, with a ``LinearRep`` as ``rep_star``
-    and N >= d_x + d_y, draws its statistic exactly (``_draw_gaussian_stats``).
+    A task whose law is a ``GaussianLaw`` and N >= d_x + d_y draws its
+    statistic exactly (``_draw_gaussian_stats``).
     Every other task draws raw rows (``_sample_one_task``) and keeps their R
     factor (``TaskStats.from_rows``). Both read the task's own stream.
     """
     spec = req.spec
     exact_from = spec.dims.d_x + spec.dims.d_y
-    linear_labels = isinstance(spec.rep_star, LinearRep)
     out = []
     for t, n in enumerate(req.per_task_n):
-        if linear_labels and isinstance(spec.tasks[t].law, GaussianLaw) and n >= exact_from:
+        if isinstance(spec.tasks[t].law, GaussianLaw) and n >= exact_from:
             out.append(_draw_gaussian_stats(spec, t, n, req.seed))
         else:
             out.append(TaskStats.from_rows(_sample_one_task(spec, t, n, req.seed)))

@@ -4,9 +4,11 @@ Computes the target excess risk and task-averaged estimation error, the
 coverage coefficients (covariate coverage via Schur complements, head
 coverage via whitened Grams), the task-diversity ratio and its plug-in
 estimator, the misspecified-regression noise quantities, and the
-hypercontractivity ratio. Risks and coverage read the feature moments of
-``_feature_moments``: analytic whenever both representations are linear (every
-covariate law exposes an exact second-moment factor), seeded Monte Carlo otherwise.
+hypercontractivity ratio. Representations are linear and every covariate law
+exposes an exact second-moment factor, so the risks, the coverage coefficients
+and the NRLS excess are exact quadratic forms in that factor
+(``_feature_moments``). Only ``nrls_quantities`` and ``hypercontractivity_c42``,
+which read fourth and higher moments, draw a seeded Monte Carlo sample.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from .core import (
     LinearHead,
     LinearRep,
     PopulationSpec,
-    Representation,
     inv_sqrt_psd,
     pinv,
     spectral_norm,
@@ -47,50 +48,36 @@ class StackedCovariance:
 
     sigma: np.ndarray
     schur: np.ndarray
-    analytic: bool
 
 
-def _feature_moments(law: CovariateLaw, g: Representation, g_star: Representation,
-                     mc_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Factors (H, L, analytic) of E[phi phi^T] = H L L^T H^T, phi(x) = [g(x); g_star(x)].
+def _feature_moments(law: CovariateLaw, g: LinearRep,
+                     g_star: LinearRep) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (H, L) of E[phi phi^T] = H L L^T H^T, phi(x) = [g(x); g_star(x)].
 
-    For two linear representations phi(x) = H x with H = [G; G_star], and L is
-    the law's exact second-moment factor, E[x x^T] = L L^T (analytic).
-    Otherwise one seeded draw of ``mc_samples`` covariates gives the rows
-    Phi = [g(X), g_star(X)], H = I and L = Phi^T / sqrt(n) (Monte Carlo).
-
-    Either way phi = H psi with S = E[psi psi^T] = L L^T (psi = x, or
-    psi = phi), so a quadratic risk is a sum of squares: for heads F
-    (d_y x r) and F_star,
-        F g - F_star g_star = [F, -F_star] H psi = c psi,
+    phi(x) = H x with H = [G; G_star], and L is the law's exact second-moment
+    factor, E[x x^T] = L L^T = S. So a quadratic risk is a sum of squares:
+    for heads F (d_y x r) and F_star,
+        F g - F_star g_star = [F, -F_star] H x = c x,
         c = F H[:r] - F_star H[r:],
         E ||F g(X) - F_star g_star(X)||^2 = tr(c S c^T) = ||c L||_F^2,
-    which is >= 0 in floating point too; in the Monte Carlo case it is
-    ||Phi c^T||_F^2 / n.
+    which is >= 0 in floating point too.
     """
-    if isinstance(g, LinearRep) and isinstance(g_star, LinearRep):
-        return np.vstack([g.g, g_star.g]), law.second_moment_factor(), True
-    rng = np.random.default_rng(seed)
-    x = law.sample_marginal(max(1, mc_samples), rng)
-    phi = np.hstack([g.features(x), g_star.features(x)])
-    return np.eye(phi.shape[1]), phi.T / np.sqrt(phi.shape[0]), False
+    return np.vstack([g.g, g_star.g]), law.second_moment_factor()
 
 
-def stacked_covariance(law: CovariateLaw, g: Representation, g_star: Representation,
-                       mc_samples: int = 200_000, seed: int = 0) -> StackedCovariance:
+def stacked_covariance(law: CovariateLaw, g: LinearRep, g_star: LinearRep) -> StackedCovariance:
     """Stacked feature covariance of (g, g_star) under one task's covariate law."""
-    h, l, analytic = _feature_moments(law, g, g_star, mc_samples, seed)
+    h, l = _feature_moments(law, g, g_star)
     hl = h @ l
     sigma = hl @ hl.T
     r1 = g.out_dim
     m11, m12 = sigma[:r1, :r1], sigma[:r1, r1:]
     schur = sigma[r1:, r1:] - m12.T @ pinv(m11) @ m12
     schur = 0.5 * (schur + schur.T)
-    return StackedCovariance(sigma=sigma, schur=schur, analytic=analytic)
+    return StackedCovariance(sigma=sigma, schur=schur)
 
 
-def mu_x(spec: PopulationSpec, g: Representation,
-         mc_samples: int = 200_000, seed: int = 0) -> float:
+def mu_x(spec: PopulationSpec, g: LinearRep) -> float:
     """Covariate-coverage coefficient of the target by the sources, for a given g.
 
     max over source tasks t of || (S_t)^{+/2} S_0 (S_t)^{+/2} ||_2 where S_t is
@@ -98,12 +85,12 @@ def mu_x(spec: PopulationSpec, g: Representation,
     Schur complement vanishes (g already captures g_star on the target law).
     """
     g_star = spec.rep_star
-    s0 = stacked_covariance(spec.target.law, g, g_star, mc_samples, seed).schur
+    s0 = stacked_covariance(spec.target.law, g, g_star).schur
     if spectral_norm(s0) < 1e-14:
         return 0.0
     worst = 0.0
-    for t, task in enumerate(spec.sources, start=1):
-        st = stacked_covariance(task.law, g, g_star, mc_samples, seed + t).schur
+    for task in spec.sources:
+        st = stacked_covariance(task.law, g, g_star).schur
         half = inv_sqrt_psd(st)
         worst = max(worst, spectral_norm(half @ s0 @ half))
     return worst
@@ -135,61 +122,54 @@ def mu_f(heads) -> float:
 
 
 def _risk_one_task(law: CovariateLaw, f: np.ndarray, f_star: np.ndarray,
-                   g: Representation, g_star: Representation,
-                   mc_samples: int, seed: int) -> float:
+                   g: LinearRep, g_star: LinearRep) -> float:
     """E || F g(X) - F_star g_star(X) ||^2 = ||c L||_F^2; see ``_feature_moments``."""
-    h, l, _ = _feature_moments(law, g, g_star, mc_samples, seed)
+    h, l = _feature_moments(law, g, g_star)
     c = f @ h[:f.shape[1]] - f_star @ h[f.shape[1]:]
     cl = c @ l
     return float(np.sum(cl * cl))
 
 
-def excess_risk_population(spec: PopulationSpec, head: LinearHead, g: Representation,
-                           mc_samples: int = 200_000, seed: int = 0) -> float:
+def excess_risk_population(spec: PopulationSpec, head: LinearHead, g: LinearRep) -> float:
     """Target-population squared-loss gap E^(0) ||F g(X) - F_star^(0) g_star(X)||^2.
 
     Under the realizable label model the noise cancels, so this equals the
     excess risk of (F, g) over the optimal predictor.
     """
-    return _risk_one_task(spec.target.law, head.f, spec.target.head.f,
-                          g, spec.rep_star, mc_samples, seed)
+    return _risk_one_task(spec.target.law, head.f, spec.target.head.f, g, spec.rep_star)
 
 
-def estimation_error_avg(spec: PopulationSpec, heads, g: Representation,
-                         mc_samples: int = 200_000, seed: int = 0) -> float:
+def estimation_error_avg(spec: PopulationSpec, heads, g: LinearRep) -> float:
     """Source-task average of E^(t) ||F^(t) g(X) - F_star^(t) g_star(X)||^2."""
     heads = list(heads)
     if len(heads) != spec.num_sources:
         raise ValueError("need one fitted head per source task")
     total = 0.0
-    for t, (task, head) in enumerate(zip(spec.sources, heads), start=1):
-        total += _risk_one_task(task.law, head.f, task.head.f, g, spec.rep_star,
-                                mc_samples, seed + t)
+    for task, head in zip(spec.sources, heads):
+        total += _risk_one_task(task.law, head.f, task.head.f, g, spec.rep_star)
     return total / len(heads)
 
 
-def infimal_risk(law: CovariateLaw, f_star: np.ndarray, g: Representation,
-                 g_star: Representation, mc_samples: int = 200_000,
-                 seed: int = 0) -> float:
+def infimal_risk(law: CovariateLaw, f_star: np.ndarray, g: LinearRep,
+                 g_star: LinearRep) -> float:
     """inf_F E ||F g(X) - F_star g_star(X)||^2 = tr(F_star Schur(g) F_star^T)."""
-    schur = stacked_covariance(law, g, g_star, mc_samples, seed).schur
+    schur = stacked_covariance(law, g, g_star).schur
     return float(np.trace(f_star @ schur @ f_star.T))
 
 
-def nu_true(spec: PopulationSpec, g: Representation,
-            mc_samples: int = 200_000, seed: int = 0) -> float | None:
+def nu_true(spec: PopulationSpec, g: LinearRep) -> float | None:
     """Task-diversity ratio induced by g: source-averaged infimal error over target's.
 
     Returns None (undefined) when the target infimal excess risk is below
     NU_UNDEFINED_THRESHOLD, i.e. g is already target-optimal.
     """
     g_star = spec.rep_star
-    denom = infimal_risk(spec.target.law, spec.target.head.f, g, g_star, mc_samples, seed)
+    denom = infimal_risk(spec.target.law, spec.target.head.f, g, g_star)
     if denom < NU_UNDEFINED_THRESHOLD:
         return None
     numer = 0.0
-    for t, task in enumerate(spec.sources, start=1):
-        numer += infimal_risk(task.law, task.head.f, g, g_star, mc_samples, seed + t)
+    for task in spec.sources:
+        numer += infimal_risk(task.law, task.head.f, g, g_star)
     numer /= spec.num_sources
     return numer / denom
 
@@ -200,8 +180,8 @@ def nu_hat(target_residual: float, source_residuals) -> float | None:
     Each residual is the mean squared residual of the least-squares head fitted
     through the frozen g (``erm.fit_second_stage``; the first stage reports the
     sources' as ``per_task_residual``) and estimates inf_F E||Y - F g(X)||^2.
-    For a linear g it reads only the Grams of [X Y], so raw rows and a
-    ``TaskStats`` factor give the same value.
+    It reads only the Grams of [X Y], so raw rows and a ``TaskStats`` factor
+    give the same value.
     With Z = g(X), F_hat = Y^T Z (Z^T Z)^+ and the orthogonal projection
     P = Z (Z^T Z)^+ Z^T, the fit is Z F_hat^T = P Y, so by Pythagoras
     (1/N) ||Y - P Y||_F^2 = mean ||Y||^2 - (1/N) ||P Y||_F^2
@@ -240,8 +220,8 @@ class NrlsQuantities:
         }
 
 
-def nrls_quantities(target_law: CovariateLaw, rep: Representation,
-                    true_head: LinearHead, rep_star: Representation,
+def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
+                    true_head: LinearHead, rep_star: LinearRep,
                     noise_sigma: float, mc_samples: int = 200_000,
                     seed: int = 0) -> NrlsQuantities:
     """Monte Carlo noise quantities of the second-stage regression through ``rep``.
@@ -294,18 +274,16 @@ def nrls_quantities(target_law: CovariateLaw, rep: Representation,
                           c_z=c_z, h_v=h_v, misspecified_head=f_mis)
 
 
-def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead,
-                rep: Representation, true_head: LinearHead,
-                rep_star: Representation, mc_samples: int = 200_000,
-                seed: int = 0) -> float:
+def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead, rep: LinearRep,
+                true_head: LinearHead, rep_star: LinearRep) -> float:
     """Excess of the fitted target head over the best head given ``rep``:
     ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2.
 
-    Sigma_Z = E[g g^T] and E[Y Z^T] = F_* E[g_* g^T] come from the joint
-    feature moments (analytic for linear reps, Monte Carlo otherwise), and
-    F_mis = E[Y Z^T] Sigma_Z^+ is the population least-squares head.
+    Sigma_Z = E[g g^T] and E[Y Z^T] = F_* E[g_* g^T] come from the exact joint
+    feature moments, and F_mis = E[Y Z^T] Sigma_Z^+ is the population
+    least-squares head.
     """
-    sigma = stacked_covariance(target_law, rep, rep_star, mc_samples, seed).sigma
+    sigma = stacked_covariance(target_law, rep, rep_star).sigma
     r = rep.out_dim
     sigma_z = sigma[:r, :r]
     f_mis = true_head.f @ sigma[:r, r:].T @ pinv(sigma_z)
@@ -320,7 +298,7 @@ class HypercontractivityResult:
 
 
 def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
-                           g_star: Representation, mc_samples: int = 200_000,
+                           g_star: LinearRep, mc_samples: int = 200_000,
                            seed: int = 0) -> HypercontractivityResult:
     """(4->2) moment ratio maximized over a grid of centered hypotheses.
 

@@ -1,14 +1,14 @@
 """Two-stage empirical risk minimization solvers.
 
-Stage one fits task heads and a shared representation jointly on the source
-tasks (alternating least squares for linear representations, enumeration for
-finite dictionaries, block-coordinate gradient descent for tanh features).
-Stage two regresses the target labels on the frozen fitted representation.
-Also provides the offset-complexity statistic of the fitted noise process.
+Stage one fits task heads and a shared linear representation jointly on the
+source tasks by alternating least squares. Stage two regresses the target
+labels on the frozen fitted representation. Also provides the
+offset-complexity statistic of the fitted noise process.
 
 A task is either raw rows (``TaskDataset``) or a factor of their Gram matrix
-(``TaskStats``). Every fit through a linear representation accepts both and
-gives the same heads and residuals; nonlinear features need raw rows.
+(``TaskStats``). Every fit accepts both and gives the same heads and
+residuals; only the offset statistic, whose noise is given per row, needs raw
+rows.
 """
 from __future__ import annotations
 
@@ -19,17 +19,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    FiniteMember,
-    LinearHead,
-    LinearRep,
-    Representation,
-    TanhFeatures,
-    TanhRep,
-    TaskStats,
-    pinv,
-)
-from .errors import DegenerateData, DivergedOptimization, EmptyDictionary, NeedsRawRows
+from .core import LinearHead, LinearRep, TaskStats, pinv
+from .errors import DegenerateData, NeedsRawRows
 
 logger = logging.getLogger(__name__)
 
@@ -44,13 +35,12 @@ OFFSET_SUP_CONSTANT = 4.0
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver options shared by the first-stage fitters."""
+    """Options of the alternating-least-squares first-stage fit."""
 
     max_iters: int = 500
     tol: float = 1e-10
     restarts: int = 5
     seed: int = 0
-    lr: float = 0.2  # parametric fitter only
 
     def __post_init__(self):
         if min(self.max_iters, self.restarts) < 1 or not self.tol >= 0.0:
@@ -61,7 +51,7 @@ class FitOptions:
 @dataclass(frozen=True)
 class FirstStageFit:
     heads: tuple[LinearHead, ...]
-    rep: Representation
+    rep: LinearRep
     per_task_residual: tuple[float, ...]
     iterations: int
     converged: bool
@@ -87,48 +77,18 @@ def ls_head(z: np.ndarray, y: np.ndarray) -> LinearHead:
     return LinearHead(f=f)
 
 
-def _require_raw_rows(datasets, what: str) -> None:
-    if any(isinstance(ds, TaskStats) for ds in datasets):
-        raise NeedsRawRows(f"{what} needs raw rows, not a TaskStats factor")
-
-
-def fit_second_stage(target, rep: Representation) -> SecondStageFit:
+def fit_second_stage(target, rep: LinearRep) -> SecondStageFit:
     """Least-squares head on the frozen representation's features and its mean
     squared residual (1 / N) sum_i ||y_i - F z_i||^2; every head fitted through
     a fixed representation, target or source, comes from here.
 
-    ``target`` is a ``TaskDataset`` or, for a linear ``rep``, a ``TaskStats``,
-    whose few rows give the same head and residual sum (see ``TaskStats``).
-
-    Raises
-    ------
-    NeedsRawRows
-        If ``target`` is a ``TaskStats`` and ``rep`` is not linear.
+    ``target`` is a ``TaskDataset`` or a ``TaskStats``, whose few rows give the
+    same head and residual sum (see ``TaskStats``).
     """
-    if not rep.is_linear:
-        _require_raw_rows([target], f"{type(rep).__name__} features")
     z = rep.features(target.covariates)
     head = ls_head(z, target.labels)
     resid = target.labels - z @ head.f.T
     return SecondStageFit(head=head, residual=float(np.sum(resid * resid)) / target.n)
-
-
-def _first_stage_fit(datasets, rep: Representation, iterations: int, converged: bool,
-                     history: tuple[float, ...] = ()) -> FirstStageFit:
-    """Per-task least-squares heads and residuals of ``rep``; ``objective`` is
-    their n-weighted mean, the pooled mean squared error over all samples."""
-    fits = [fit_second_stage(ds, rep) for ds in datasets]
-    residuals = tuple(fit.residual for fit in fits)
-    return FirstStageFit(
-        heads=tuple(fit.head for fit in fits),
-        rep=rep,
-        per_task_residual=residuals,
-        iterations=iterations,
-        converged=converged,
-        objective=sum(res * ds.n for res, ds in zip(residuals, datasets))
-        / sum(ds.n for ds in datasets),
-        objective_history=history,
-    )
 
 
 def _random_row_orthonormal(r: int, d_x: int, rng: np.random.Generator) -> np.ndarray:
@@ -259,8 +219,9 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     representation is rotated to orthonormal rows and the heads are
     counter-rotated, so the returned rep satisfies G G^T = I_r. The best of
     ``opts.restarts`` random orthonormal initializations is kept, and one pass
-    over each task's rows (``fit_second_stage`` per task) reports its heads,
-    objective and per-task residuals exactly. A task may be raw rows or a
+    over each task's rows (``fit_second_stage`` per task) reports its heads and
+    per-task residuals exactly; ``objective`` is their n-weighted mean, the
+    pooled mean squared error over all samples. A task may be raw rows or a
     ``TaskStats`` factor; both give the same fit.
 
     Raises
@@ -283,93 +244,21 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
         run = _als_single(xtx, xty, yy, n_total, r, opts, rng)
         if best is None or run.objective < best.objective:
             best = run
-    return _first_stage_fit(datasets, LinearRep(best.g), best.iterations,
-                            best.converged, best.history)
+    rep = LinearRep(best.g)
+    fits = [fit_second_stage(ds, rep) for ds in datasets]
+    residuals = tuple(fit.residual for fit in fits)
+    return FirstStageFit(
+        heads=tuple(fit.head for fit in fits),
+        rep=rep,
+        per_task_residual=residuals,
+        iterations=best.iterations,
+        converged=best.converged,
+        objective=sum(res * ds.n for res, ds in zip(residuals, datasets)) / n_total,
+        objective_history=best.history,
+    )
 
 
-def fit_first_stage_finite(datasets, dictionary, dictionary_id: str = "") -> FirstStageFit:
-    """Select the dictionary member with minimal pooled residual.
-
-    Per member, heads are the per-task least-squares fits; ties are broken by
-    the lowest index.
-
-    Raises
-    ------
-    EmptyDictionary
-        If the dictionary has no members.
-    """
-    datasets = list(datasets)
-    dictionary = list(dictionary)
-    if not dictionary:
-        raise EmptyDictionary("representation dictionary is empty")
-    best = None
-    for idx, member in enumerate(dictionary):
-        rep = FiniteMember(member=member, index=idx, dictionary_id=dictionary_id)
-        fit = _first_stage_fit(datasets, rep, iterations=len(dictionary), converged=True)
-        if best is None or fit.objective < best.objective:
-            best = fit
-    return best
-
-
-def tanh_loss_and_grad(w: np.ndarray, datasets, heads) -> tuple[float, np.ndarray]:
-    """Pooled squared loss of g(x) = tanh(Wx) with fixed heads, and its W-gradient.
-
-    Loss is (1 / sum_t N_t) * sum_t sum_i ||y_i - F_t tanh(W x_i)||^2.
-    """
-    total_n = sum(ds.n for ds in datasets)
-    loss = 0.0
-    grad = np.zeros_like(w)
-    for ds, head in zip(datasets, heads):
-        z = np.tanh(ds.covariates @ w.T)  # N x r
-        err = z @ head.f.T - ds.labels    # N x d_y
-        loss += float(np.sum(err * err))
-        back = (err @ head.f) * (1.0 - z * z)  # N x r
-        grad += back.T @ ds.covariates
-    return loss / total_n, (2.0 / total_n) * grad
-
-
-def fit_first_stage_parametric(datasets, family: TanhFeatures,
-                               opts: FitOptions = FitOptions(max_iters=2000)) -> FirstStageFit:
-    """Block-coordinate fit of tanh features: exact heads, gradient steps on W.
-
-    Each outer iteration refits every head in closed form, then takes one
-    full-batch gradient step on the feature weights. The best of
-    ``opts.restarts`` random initializations is returned.
-
-    Raises
-    ------
-    DivergedOptimization
-        If the pooled loss becomes non-finite.
-    NeedsRawRows
-        If a task is a ``TaskStats`` factor.
-    """
-    datasets = list(datasets)
-    _require_raw_rows(datasets, "a tanh feature fit")
-    rng = np.random.default_rng(opts.seed)
-    best = None
-    for _ in range(opts.restarts):
-        w = 0.5 * rng.standard_normal((family.r, family.d_x))
-        history = []
-        converged = False
-        iterations = 0
-        for it in range(opts.max_iters):
-            iterations = it + 1
-            heads = [ls_head(np.tanh(ds.covariates @ w.T), ds.labels) for ds in datasets]
-            loss, grad = tanh_loss_and_grad(w, datasets, heads)
-            if not np.isfinite(loss):
-                raise DivergedOptimization("pooled loss is non-finite")
-            history.append(loss)
-            if len(history) >= 2 and abs(history[-2] - loss) <= opts.tol * max(history[-2], 1e-300):
-                converged = True
-                break
-            w = w - opts.lr * grad
-        fit = _first_stage_fit(datasets, TanhRep(w), iterations, converged, tuple(history))
-        if best is None or fit.objective < best.objective:
-            best = fit
-    return best
-
-
-def offset_complexity_stat(datasets, rep: Representation, noise) -> float:
+def offset_complexity_stat(datasets, rep: LinearRep, noise) -> float:
     """Martingale offset complexity of the fitted feature/noise pair.
 
     Evaluates (1 / sum_t N_t) * sum_t sup_F [4 <W_t, Z_t F^T> - ||Z_t F^T||_F^2]
@@ -384,7 +273,8 @@ def offset_complexity_stat(datasets, rep: Representation, noise) -> float:
         If a task is a ``TaskStats`` factor: the noise is given per row.
     """
     datasets = list(datasets)
-    _require_raw_rows(datasets, "the offset statistic")
+    if any(isinstance(ds, TaskStats) for ds in datasets):
+        raise NeedsRawRows("the offset statistic needs raw rows, not a TaskStats factor")
     total = 0.0
     total_n = 0
     for ds, w in zip(datasets, noise):
@@ -409,19 +299,9 @@ def _matrix_json(m: np.ndarray) -> dict:
 
 def first_stage_to_json(fit: FirstStageFit) -> dict:
     """JSON-ready dict; matrices row-major with a dims header."""
-    rep = fit.rep
-    if isinstance(rep, LinearRep):
-        rep_json = {"kind": "linear", "g": _matrix_json(rep.g)}
-    elif isinstance(rep, TanhRep):
-        rep_json = {"kind": "tanh_features", "w": _matrix_json(rep.w)}
-    elif isinstance(rep, FiniteMember):
-        rep_json = {"kind": "finite_member", "index": rep.index,
-                    "dictionary_id": rep.dictionary_id}
-    else:
-        rep_json = {"kind": type(rep).__name__}
     return {
         "heads": [_matrix_json(h.f) for h in fit.heads],
-        "rep": rep_json,
+        "rep": {"kind": "linear", "g": _matrix_json(fit.rep.g)},
         "per_task_residual": list(fit.per_task_residual),
         "iterations": fit.iterations,
         "converged": fit.converged,

@@ -22,15 +22,7 @@ class DegenerateData(TransferLabError):
 
 
 class NeedsRawRows(TransferLabError):
-    """A computation that needs raw rows (nonlinear features, per-row noise) got a Gram factor."""
-
-
-class EmptyDictionary(TransferLabError):
-    """Finite representation dictionary is empty."""
-
-
-class DivergedOptimization(TransferLabError):
-    """Iterative fit produced a non-finite objective."""
+    """A computation on per-row quantities (the offset statistic's noise) got a Gram factor."""
 
 
 class RangeViolation(TransferLabError):

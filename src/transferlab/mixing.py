@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovariateLaw, LdsLaw, spectral_norm, stationary_distribution
-from .errors import BadPartition, InvalidMatrix, SampleTooShort, TransferLabError, UnstableSystem
+from .errors import BadPartition, SampleTooShort, TransferLabError, UnstableSystem
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,12 @@ def phi_markov(p: np.ndarray, max_lag: int) -> ExactProfile:
 
     Raises
     ------
+    InvalidMatrix
+        If P is not a transition matrix (``core.stationary_distribution``).
     NotErgodic
         If the chain has no unique stationary distribution.
     """
     p = np.asarray(p, dtype=float)
-    if np.abs(p.sum(axis=1) - 1.0).max() > 1e-10:
-        raise InvalidMatrix("transition rows must sum to 1")
     pi = stationary_distribution(p)
     phi = np.empty(max_lag)
     power = np.eye(p.shape[0])

@@ -17,8 +17,10 @@ from transferlab.cli import (
     slope_fit,
     write_sweep_outputs,
 )
+from transferlab.core import MarkovLaw
 from transferlab.datagen import default_burn_in
-from transferlab.errors import ConfigError, InvalidPoints, SweepFailed
+from transferlab.errors import ConfigError, InvalidMatrix, InvalidPoints, SweepFailed
+from transferlab.mixing import phi_markov
 
 
 def small_sweep_config(**sweep_overrides):
@@ -386,6 +388,34 @@ def test_mixcheck_needs_no_population(tmp_path, capsys):
     with pytest.raises(ConfigError, match="population"):
         run_bounds(ExperimentConfig.from_dict(bounds_only))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("transition", [[[1.2, -0.2], [0.3, 0.7]],
+                                        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]],
+                         ids=["negative_entry", "not_square"])
+def test_transition_matrix_checked_once(tmp_path, capsys, transition):
+    p = np.array(transition)
+    with pytest.raises(InvalidMatrix):
+        phi_markov(p, max_lag=4)
+    with pytest.raises(InvalidMatrix):
+        MarkovLaw(transition=p, d_x=2)
+    path = write_config(tmp_path, {"schema_version": 1,
+                                   "mixcheck": {"kind": "markov", "transition": transition}})
+    assert main(["mixcheck", "--config", path]) == 2
+    assert "transition matrix must be" in capsys.readouterr().err
+
+
+def test_fit_json_rep_is_the_linear_representation(tmp_path, capsys):
+    cfg = small_sweep_config()
+    assert main(["fit", "--config", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rep = json.loads((tmp_path / "out" / "fit.json").read_text())["first_stage"]["rep"]
+    assert rep.keys() == {"kind", "g"} and rep["kind"] == "linear"
+    r, d_x = cfg["population"]["r"], cfg["population"]["d_x"]
+    assert (rep["g"]["rows"], rep["g"]["cols"]) == (r, d_x)
+    g = np.array(rep["g"]["data"]).reshape(r, d_x)
+    assert np.allclose(g @ g.T, np.eye(r), rtol=0, atol=1e-12)
 
 
 def test_run_mixcheck_two_cycle():

@@ -5,10 +5,8 @@ from transferlab.core import (
     Dims,
     GaussianLaw,
     LdsLaw,
-    LinearHead,
     LinearRep,
     MarkovLaw,
-    TanhRep,
     TaskDataset,
     inv_sqrt_psd,
     pinv,
@@ -109,27 +107,12 @@ def test_task_dataset_invariants():
                     labels=np.ones((1, 1)))
 
 
-def test_linear_head_bound():
-    LinearHead(np.ones((1, 2)), frobenius_bound=2.0)
-    with pytest.raises(ValueError):
-        LinearHead(np.ones((1, 2)), frobenius_bound=1.0)  # ||F||_F = sqrt(2)
-
-
 def test_linear_rep_rejects_rank_deficient():
     g = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(InvalidMatrix):
         LinearRep(g)
     # singular-value ratio just above the cutoff is accepted
     LinearRep(np.array([[1.0, 0.0], [0.0, 1e-6]]))
-
-
-def test_tanh_rep_sup_bound():
-    rng = np.random.default_rng(4)
-    rep = TanhRep(rng.standard_normal((3, 5)))
-    x = 100.0 * rng.standard_normal((200, 5))
-    norms = np.linalg.norm(rep.features(x), axis=1)
-    assert norms.max() <= np.sqrt(3) + 1e-12
-    assert rep.sup_bound == pytest.approx(np.sqrt(3))
 
 
 def test_markov_law_validation_and_moments():

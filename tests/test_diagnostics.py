@@ -4,16 +4,16 @@ import pytest
 from conftest import make_gaussian_population, nu_hat_given_g, random_orthonormal_rows
 from transferlab.core import (
     Dims,
-    FiniteMember,
     GaussianLaw,
+    LdsLaw,
     LinearHead,
     LinearRep,
     MarkovLaw,
     PopulationSpec,
-    TanhRep,
     TaskSpec,
     inv_sqrt_psd,
     pinv,
+    sqrt_psd,
 )
 from transferlab import cli
 from transferlab.datagen import SampleRequest, sample_tasks
@@ -52,6 +52,14 @@ def misaligned_rep(spec, seed=0):
     return LinearRep(random_orthonormal_rows(spec.dims.r, spec.dims.d_x, rng))
 
 
+def sampled_sigma(law, g, g_star, mc_samples, seed):
+    """E[phi phi^T], phi(x) = [g(x); g_star(x)], as the mean over one seeded
+    draw of the law's marginal: the sampled side of the moment oracles."""
+    x = law.sample_marginal(mc_samples, np.random.default_rng(seed))
+    phi = np.hstack([g.features(x), g_star.features(x)])
+    return phi.T @ phi / mc_samples
+
+
 # ---------------------------------------------------------------------------
 # Stacked covariance and Schur complements
 # ---------------------------------------------------------------------------
@@ -59,7 +67,6 @@ def misaligned_rep(spec, seed=0):
 def test_schur_zero_for_true_rep():
     spec = make_gaussian_population(seed=1)
     sc = stacked_covariance(spec.target.law, spec.rep_star, spec.rep_star)
-    assert sc.analytic
     assert np.allclose(sc.schur, 0.0, atol=1e-10)
 
 
@@ -77,12 +84,9 @@ def test_stacked_covariance_monte_carlo_matches_analytic():
     spec = make_gaussian_population(seed=2)
     g = misaligned_rep(spec, seed=3)
     analytic = stacked_covariance(spec.target.law, g, spec.rep_star)
-    # FiniteMember wrapping forces the Monte Carlo path for the same map
-    mc = stacked_covariance(spec.target.law, FiniteMember(g, 0), spec.rep_star,
-                            mc_samples=200_000, seed=4)
-    assert not mc.analytic
+    mc = sampled_sigma(spec.target.law, g, spec.rep_star, 200_000, seed=4)
     denom = np.linalg.norm(analytic.sigma)
-    assert np.linalg.norm(mc.sigma - analytic.sigma) <= 0.02 * denom
+    assert np.linalg.norm(mc - analytic.sigma) <= 0.02 * denom
 
 
 # ---------------------------------------------------------------------------
@@ -148,35 +152,36 @@ def test_excess_risk_head_scaling():
     assert er == pytest.approx(expected, rel=1e-10)
 
 
-def test_excess_risk_monte_carlo_matches_analytic():
-    spec = make_gaussian_population(seed=14)
-    g = misaligned_rep(spec, seed=15)
-    head = LinearHead(np.random.default_rng(16).standard_normal(
-        (spec.dims.d_y, spec.dims.r)))
-    analytic = excess_risk_population(spec, head, g)
-    mc = excess_risk_population(
-        spec, head, FiniteMember(g, 0), mc_samples=200_000, seed=17)
-    assert mc == pytest.approx(analytic, rel=0.02)
-
-
 def risk_reference(law, f, f_star, g, g_star, mc_samples, seed):
-    """E ||F g(X) - F_star g_star(X)||^2 as it was computed before the risks read
-    the feature moments: the mean over one seeded draw of per-sample norms."""
+    """E ||F g(X) - F_star g_star(X)||^2 as the mean over one seeded draw of the
+    law's marginal of per-sample squared norms."""
     x = law.sample_marginal(mc_samples, np.random.default_rng(seed))
     diff = g.features(x) @ f.T - g_star.features(x) @ f_star.T
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_excess_risk_monte_carlo_matches_per_sample_reference(seed):
-    spec = make_gaussian_population(seed=140 + seed)
-    g = FiniteMember(misaligned_rep(spec, seed=150 + seed), 0)
-    head = LinearHead(np.random.default_rng(160 + seed).standard_normal(
+def test_excess_risk_monte_carlo_matches_analytic():
+    spec = make_gaussian_population(seed=14)
+    g = misaligned_rep(spec, seed=15)
+    head = LinearHead(np.random.default_rng(16).standard_normal(
         (spec.dims.d_y, spec.dims.r)))
-    expected = risk_reference(spec.target.law, head.f, spec.target.head.f, g,
-                              spec.rep_star, 50_000, seed)
-    assert excess_risk_population(spec, head, g, mc_samples=50_000, seed=seed) \
-        == pytest.approx(expected, rel=1e-12)
+    # the same fitted pair on a Gaussian, a non-normal LDS and a Markov target
+    rng = np.random.default_rng(140)
+    a = rng.standard_normal((spec.dims.d_x, spec.dims.d_x))
+    p = rng.uniform(0.1, 1.0, (8, 8))
+    targets = {
+        "gaussian": spec.target.law,
+        "lds": LdsLaw(0.8 * a / np.abs(np.linalg.eigvals(a)).max()),
+        "markov": MarkovLaw(transition=p / p.sum(axis=1, keepdims=True), d_x=spec.dims.d_x),
+    }
+    for name, law in targets.items():
+        target = PopulationSpec(dims=spec.dims, rep_star=spec.rep_star,
+                                tasks=(TaskSpec(law=law, head=spec.target.head),)
+                                + spec.sources)
+        analytic = excess_risk_population(target, head, g)
+        mc = risk_reference(law, head.f, spec.target.head.f, g, spec.rep_star,
+                            200_000, seed=17)
+        assert mc == pytest.approx(analytic, rel=0.02), name
 
 
 def test_estimation_error_true_model_is_zero():
@@ -406,8 +411,6 @@ def nrls_case(kind, r, seed):
     elif kind == "markov":
         p = rng.uniform(0.1, 1.0, (8, 8))
         law = MarkovLaw(transition=p / p.sum(axis=1, keepdims=True), d_x=d_x)
-    elif kind == "tanh":
-        rep_star = TanhRep(rng.standard_normal((r, d_x)))
     if law is None:
         a = rng.standard_normal((d_x, d_x))
         law = GaussianLaw(a @ a.T / d_x + np.eye(d_x))
@@ -416,7 +419,7 @@ def nrls_case(kind, r, seed):
 
 @pytest.mark.parametrize("r", [1, 2, 4])
 @pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified",
-                                  "markov", "tanh"])
+                                  "markov"])
 def test_nrls_c_z_matches_per_direction_reference(kind, r):
     case = nrls_case(kind, r, seed=170 + r)
     q = nrls_quantities(*case, mc_samples=10_000, seed=r)
@@ -445,10 +448,12 @@ def test_nrls_excess_monte_carlo_matches_analytic(seed):
     # sqrt(N' / mc_samples) instead of the moments' own accuracy.
     head = LinearHead(np.random.default_rng(90 + seed).standard_normal((2, 2)))
     analytic = nrls_excess(spec.target.law, head, g, spec.target.head, spec.rep_star)
-    # FiniteMember wrapping forces the Monte Carlo moments for the same map
-    mc = nrls_excess(spec.target.law, head, FiniteMember(g, 0), spec.target.head,
-                     spec.rep_star, mc_samples=100_000, seed=seed)
-    assert mc == pytest.approx(analytic, rel=0.02)
+    # the same formula on the sampled joint feature moments
+    sigma = sampled_sigma(spec.target.law, g, spec.rep_star, 100_000, seed=seed)
+    r = spec.dims.r
+    f_mis = spec.target.head.f @ sigma[:r, r:].T @ pinv(sigma[:r, :r])
+    d = (head.f - f_mis) @ sqrt_psd(sigma[:r, :r])
+    assert float(np.sum(d * d)) == pytest.approx(analytic, rel=0.02)
 
 
 def test_decomposition_inequality_on_fitted_model():
@@ -536,7 +541,7 @@ def test_hypercontractivity_matches_per_member_reference():
     grid = [(rng.standard_normal((2, 2)), misaligned_rep(spec, seed=56 + i))
             for i in range(4)]
     grid.append((f_star, spec.rep_star))  # zero hypothesis: skipped
-    grid.append((rng.standard_normal((2, 2)), TanhRep(rng.standard_normal((2, 5)))))
+    grid.append((rng.standard_normal((2, 2)), LinearRep(rng.standard_normal((2, 5)))))
     res = hypercontractivity_c42(laws, grid, f_star, spec.rep_star,
                                  mc_samples=40_000, seed=57)
     assert (res.c42, res.argmax_index) == c42_reference(laws, grid, f_star, spec.rep_star,

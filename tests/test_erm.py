@@ -5,16 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import make_gaussian_population, random_orthonormal_rows
-from transferlab import erm
-from transferlab.core import (
-    LinearRep,
-    Representation,
-    TanhFeatures,
-    TanhRep,
-    TaskDataset,
-    inv_sqrt_psd,
-    pinv,
-)
+from transferlab.core import LinearRep, TaskDataset, inv_sqrt_psd, pinv
 from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.erm import (
     OFFSET_SUP_CONSTANT,
@@ -22,15 +13,12 @@ from transferlab.erm import (
     _heads_from_stats,
     _min_norm_lstsq,
     _normal_matrix,
-    fit_first_stage_finite,
     fit_first_stage_linear,
-    fit_first_stage_parametric,
     fit_second_stage,
     ls_head,
     offset_complexity_stat,
-    tanh_loss_and_grad,
 )
-from transferlab.errors import DegenerateData, EmptyDictionary
+from transferlab.errors import DegenerateData
 
 
 def make_dataset(x, y, task_id=0):
@@ -249,137 +237,6 @@ def test_heads_from_stats_match_ls_head(rng):
     for x, y, f in zip(xs, ys, heads):
         assert np.allclose(f, ls_head(x @ g.T, y).f, atol=1e-12)
     assert np.all(heads[0][:, 2] == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# First stage: finite dictionary
-# ---------------------------------------------------------------------------
-
-def test_finite_fit_selects_true_member(rng):
-    spec, data = noiseless_linear_instance(d_x=6, r=2, t=3, n=40, seed=12)
-    decoys = [LinearRep(random_orthonormal_rows(2, 6, rng)) for _ in range(4)]
-    dictionary = decoys[:2] + [spec.rep_star] + decoys[2:]
-    fit = fit_first_stage_finite(data[1:], dictionary)
-    assert fit.rep.index == 2
-    assert fit.objective <= 1e-18
-
-
-def test_finite_fit_tie_breaks_to_lowest_index():
-    rng = np.random.default_rng(13)
-    member = LinearRep(random_orthonormal_rows(2, 5, rng))
-    data = [make_dataset(rng.standard_normal((20, 5)), rng.standard_normal((20, 1)))]
-    fit = fit_first_stage_finite(data, [member, member])
-    assert fit.rep.index == 0
-
-
-def test_finite_fit_matches_enumeration_oracle(rng):
-    spec = make_gaussian_population(d_x=5, d_y=2, r=2, t=3, noise_sigma=0.8, seed=14)
-    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(30,) * 4, seed=15))
-    dictionary = [LinearRep(random_orthonormal_rows(2, 5, rng)) for _ in range(6)]
-    fit = fit_first_stage_finite(data[1:], dictionary)
-    # independent brute-force recomputation of every pooled residual
-    best_idx, best_val = -1, np.inf
-    for idx, member in enumerate(dictionary):
-        total, count = 0.0, 0
-        for ds in data[1:]:
-            z = member.features(ds.covariates)
-            f = ds.labels.T @ z @ np.linalg.pinv(z.T @ z)
-            total += np.sum((ds.labels - z @ f.T) ** 2)
-            count += ds.n
-        if total / count < best_val:
-            best_idx, best_val = idx, total / count
-    assert fit.rep.index == best_idx
-    assert fit.objective == pytest.approx(best_val, rel=1e-12)
-
-
-class CountingRep(Representation):
-    """A linear map that counts the rows it featurizes, per call."""
-
-    def __init__(self, g):
-        self.inner = LinearRep(g)
-        self.calls = []
-
-    def features(self, x):
-        self.calls.append(x.shape[0])
-        return self.inner.features(x)
-
-
-def test_finite_fit_featurizes_each_task_once_per_member(rng):
-    spec = make_gaussian_population(d_x=5, d_y=2, r=2, t=3, noise_sigma=0.8, seed=14)
-    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(30,) * 4, seed=15))[1:]
-    dictionary = [CountingRep(random_orthonormal_rows(2, 5, rng)) for _ in range(4)]
-    fit_first_stage_finite(data, dictionary)
-    for member in dictionary:
-        assert member.calls == [30, 30, 30]
-
-
-def test_tanh_fit_featurizes_each_task_once_per_restart(monkeypatch):
-    featurized = []
-
-    class CountingTanhRep(TanhRep):
-        def features(self, x):
-            featurized.append(x.shape[0])
-            return super().features(x)
-
-    monkeypatch.setattr(erm, "TanhRep", CountingTanhRep)
-    rng = np.random.default_rng(16)
-    data = [make_dataset(rng.standard_normal((20 + t, 3)), rng.standard_normal((20 + t, 1)),
-                         task_id=t) for t in range(3)]
-    fit_first_stage_parametric(data, TanhFeatures(r=2, d_x=3),
-                               opts=FitOptions(max_iters=5, restarts=2, seed=17))
-    assert featurized == [20, 21, 22] * 2
-
-
-def test_finite_fit_empty_dictionary():
-    with pytest.raises(EmptyDictionary):
-        fit_first_stage_finite([], [])
-
-
-# ---------------------------------------------------------------------------
-# First stage: tanh features
-# ---------------------------------------------------------------------------
-
-def test_tanh_zero_weights_loss(rng):
-    x = rng.standard_normal((30, 4))
-    y = rng.standard_normal((30, 2))
-    data = [make_dataset(x, y)]
-    heads = [ls_head(np.zeros((30, 3)), y)]  # all-zero features -> zero head
-    loss, grad = tanh_loss_and_grad(np.zeros((3, 4)), data, heads)
-    assert loss == pytest.approx(np.sum(y * y) / 30)
-    assert grad.shape == (3, 4)
-
-
-def test_tanh_gradient_matches_finite_differences(rng):
-    x = rng.standard_normal((12, 3))
-    y = rng.standard_normal((12, 2))
-    data = [make_dataset(x, y)]
-    w = 0.4 * rng.standard_normal((2, 3))
-    heads = [ls_head(np.tanh(x @ w.T), y)]
-    _, grad = tanh_loss_and_grad(w, data, heads)
-    step = 1e-5
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            wp, wm = w.copy(), w.copy()
-            wp[i, j] += step
-            wm[i, j] -= step
-            num = (tanh_loss_and_grad(wp, data, heads)[0]
-                   - tanh_loss_and_grad(wm, data, heads)[0]) / (2 * step)
-            assert num == pytest.approx(grad[i, j], rel=1e-5, abs=1e-9)
-
-
-def test_tanh_teacher_student():
-    rng = np.random.default_rng(16)
-    w_star = rng.standard_normal((2, 3))
-    teacher = TanhRep(w_star)
-    data = []
-    for t in range(4):
-        x = rng.standard_normal((200, 3))
-        f = rng.standard_normal((1, 2))
-        data.append(make_dataset(x, teacher.features(x) @ f.T, task_id=t))
-    fit = fit_first_stage_parametric(data, TanhFeatures(r=2, d_x=3),
-                                     opts=FitOptions(max_iters=3000, restarts=5,
-                                                     lr=0.5, seed=17))
-    assert fit.objective <= 1e-3
 
 
 # ---------------------------------------------------------------------------

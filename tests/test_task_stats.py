@@ -18,8 +18,6 @@ from transferlab.core import (
     LinearRep,
     MarkovLaw,
     PopulationSpec,
-    TanhFeatures,
-    TanhRep,
     TaskDataset,
     TaskSpec,
     TaskStats,
@@ -27,9 +25,7 @@ from transferlab.core import (
 from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
 from transferlab.erm import (
     FitOptions,
-    fit_first_stage_finite,
     fit_first_stage_linear,
-    fit_first_stage_parametric,
     fit_second_stage,
     offset_complexity_stat,
 )
@@ -97,19 +93,11 @@ def test_linear_first_stage_on_factors_equals_raw_rows(case):
 
 
 def test_nonlinear_features_of_a_factor_raise():
+    """The offset statistic's noise is given per row, which a factor does not keep."""
     rng = np.random.default_rng(3)
     ds = TaskDataset(task_id=0, covariates=rng.standard_normal((30, 4)),
                      labels=rng.standard_normal((30, 1)))
     stats = TaskStats.from_rows(ds)
-    tanh = TanhRep(rng.standard_normal((2, 4)))
-    fit_second_stage(ds, tanh)  # raw rows are fine
-    with pytest.raises(TransferLabError, match="raw rows"):
-        fit_second_stage(stats, tanh)
-    with pytest.raises(TransferLabError, match="raw rows"):
-        fit_first_stage_finite([stats], [tanh])
-    with pytest.raises(TransferLabError, match="raw rows"):
-        fit_first_stage_parametric([stats], TanhFeatures(r=2, d_x=4),
-                                   FitOptions(max_iters=5, restarts=1))
     with pytest.raises(TransferLabError, match="raw rows"):
         offset_complexity_stat([stats], LinearRep(np.eye(4)[:2]),
                                [np.zeros((30, 1))])
@@ -229,7 +217,7 @@ def test_sweep_row_metrics_raw_rows_vs_statistics():
     def metrics(sampler, seed):
         data = sampler(cli._request(spec, 24, 12, seed))
         fit, second = cli._two_stage(config, spec, data, seed)
-        out = cli._shared_diagnostics(config, spec, fit, second, seed)
+        out = cli._shared_diagnostics(spec, fit, second)
         return (out["excess_risk_target"], out["est_error_avg"], fit.objective,
                 out["nu_hat"])
 
