@@ -18,6 +18,7 @@ import csv
 import functools
 import hashlib
 import json
+import logging
 import math
 import sys
 import time
@@ -599,9 +600,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the config output_dir")
     parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="lowest level of log records written to stderr")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
         config = ExperimentConfig.from_file(args.config)

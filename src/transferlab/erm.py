@@ -120,13 +120,32 @@ def _normal_matrix(xtx: np.ndarray, ftf: np.ndarray) -> np.ndarray:
 
 
 def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b by pivoted QR (LAPACK gelsy).
+    """Minimum-norm least-squares solution of a x = b for a symmetric PSD ``a``.
 
-    Columns whose pivoted-QR condition estimate exceeds 1 / (eps * n) are
-    treated as dependent, so singular normal matrices get the minimum-norm
-    solution, as with the SVD-based driver, at a fraction of its cost.
+    Both paths share one cutoff, cond = n * eps:
+
+    * Cholesky (LAPACK dpotrf, dpocon, dpotrs) when the factor exists and its
+      reciprocal 1-norm condition estimate, with ||a||_1 taken before
+      factoring, is >= cond. Then ``a`` is positive definite, a x = b has
+      exactly one solution, and that solution is also the minimum-norm one.
+    * Otherwise pivoted QR (LAPACK gelsy), which treats columns whose
+      condition estimate exceeds 1 / cond as dependent and so returns the
+      minimum-norm solution of a singular system, as the SVD-based driver
+      would. A non-finite ``a`` always lands here, and gelsy's finiteness
+      check raises ValueError: OpenBLAS's dpotrf need not flag a NaN, but a
+      NaN makes ||a||_1, and with it the condition estimate, NaN, which fails
+      the comparison.
     """
-    cond = np.finfo(float).eps * a.shape[0]
+    n = a.shape[0]
+    cond = np.finfo(float).eps * n
+    anorm = np.linalg.norm(a, 1)
+    factor, info = scipy.linalg.lapack.dpotrf(a)
+    rcond = scipy.linalg.lapack.dpocon(factor, anorm)[0] if info == 0 else np.nan
+    if rcond >= cond:
+        return scipy.linalg.lapack.dpotrs(factor, b)[0]
+    logger.debug("normal matrix of size n = %d is singular to working precision (Cholesky "
+                 "info %d, rcond estimate %.3g, cutoff %.3g); minimum-norm solve by "
+                 "pivoted QR", n, info, rcond, cond)
     return scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsy")[0]
 
 
@@ -154,8 +173,13 @@ def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
     * G given heads: setting the G-gradient to zero gives
       sum_t (F_t^T F_t) G S_t = sum_t F_t^T B_t^T. Column-stacked,
       vec(A G C) = (C^T kron A) vec(G) and S_t is symmetric, so
-      [sum_t S_t kron (F_t^T F_t)] vec(G) = vec(sum_t F_t^T B_t^T),
-      solved for the minimum-norm vec(G).
+      [sum_t S_t kron (F_t^T F_t)] vec(G) = vec(sum_t F_t^T B_t^T).
+      This (d_x r) x (d_x r) system is symmetric PSD, and ``_min_norm_lstsq``
+      returns its minimum-norm vec(G): by Cholesky when the normal matrix is
+      positive definite to within the cutoff n * eps, the usual case, and by
+      pivoted QR when it is singular: e.g. with T = 1 and d_y < r, with fewer
+      than d_x samples in all, or with a Markov law that visits fewer than
+      d_x states.
 
     The statistics carry a relative round-off of about eps, and the objective
     subtracts terms of size ||Y||^2, so it is only resolved down to a floor of

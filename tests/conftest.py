@@ -10,12 +10,21 @@ from transferlab.core import (
     TaskSpec,
 )
 from transferlab.diagnostics import nu_hat
-from transferlab.erm import fit_second_stage
+from transferlab.erm import _normal_matrix, fit_second_stage
 
 
 def random_orthonormal_rows(r, d_x, rng):
     q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
     return q.T
+
+
+def random_normal_matrix(t, d_x, r, d_y, n, rng):
+    """The ALS G-step normal matrix sum_t kron(X_t^T X_t, F_t^T F_t) for T tasks
+    of n standard normal rows and standard normal (d_y, r) heads; singular when
+    T n < d_x or T d_y < r."""
+    x = rng.standard_normal((t, n, d_x))
+    f = rng.standard_normal((t, d_y, r))
+    return _normal_matrix(np.swapaxes(x, 1, 2) @ x, np.swapaxes(f, 1, 2) @ f)
 
 
 def make_gaussian_population(d_x=6, d_y=2, r=2, t=3, noise_sigma=0.0, seed=0,

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transferlab import cli
+import transferlab
+from transferlab import cli, erm
 from transferlab.cli import (
     ExperimentConfig,
     build_population,
@@ -335,6 +340,31 @@ def test_sweep_records_linalg_error_row(monkeypatch, threads):
         [(16, 0), (16, 1), (32, 1), (64, 0), (64, 1)]
 
 
+def test_sweep_records_non_finite_normal_matrix_row(monkeypatch):
+    # A NaN in the ALS normal matrix raises ValueError from the pivoted-QR
+    # solve; the row is recorded and the sweep goes on.
+    cfg = ExperimentConfig.from_dict(small_sweep_config())
+    bad_seed = cli._row_seed(cfg.seed, 32, 0)
+    real_fit, real_normal = cli.fit_first_stage_linear, erm._normal_matrix
+    poisoned = [False]
+
+    def fit(*args, opts, **kwargs):
+        poisoned[0] = opts.seed == bad_seed
+        return real_fit(*args, opts=opts, **kwargs)
+
+    def normal(xtx, ftf):
+        m = real_normal(xtx, ftf)
+        if poisoned[0]:
+            m[0, 1] = np.nan
+        return m
+
+    monkeypatch.setattr(cli, "fit_first_stage_linear", fit)
+    monkeypatch.setattr(erm, "_normal_matrix", normal)
+    result = run_sweep(cfg, threads=1)
+    assert result.errors == ((32, 0, "ValueError: array must not contain infs or NaNs"),)
+    assert len(result.rows) == 5
+
+
 # ---------------------------------------------------------------------------
 # orchestration commands
 # ---------------------------------------------------------------------------
@@ -541,6 +571,32 @@ def test_main_fit_writes_fit_json(tmp_path, capsys):
     expected = json.loads(json.dumps(cli.run_fit(ExperimentConfig.from_dict(cfg))))
     assert written == expected
     capsys.readouterr()
+
+
+def test_log_level_shows_min_norm_solve(tmp_path):
+    # T = 1 and d_y = 1 < r = 2: every ALS normal matrix is singular.
+    cfg = small_sweep_config()
+    cfg["population"].update({"num_sources": 1, "d_y": 1, "r": 2})
+    path = write_config(tmp_path, cfg)
+    env = {**os.environ, "PYTHONPATH": str(Path(transferlab.__file__).parents[1])}
+    stderr = {}
+    for level in ("DEBUG", "WARNING"):
+        proc = subprocess.run([sys.executable, "-m", "transferlab", "fit", "--config", path,
+                               "--log-level", level],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stderr[level] = proc.stderr
+    assert "DEBUG transferlab.erm: normal matrix of size n = 12 is singular" in stderr["DEBUG"]
+    assert "minimum-norm solve by pivoted QR" in stderr["DEBUG"]
+    assert stderr["WARNING"] == ""
+
+
+def test_bad_log_level_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, small_sweep_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--config", path, "--log-level", "VERBOSE"])
+    assert exc.value.code == 2
+    assert "--log-level" in capsys.readouterr().err
 
 
 def test_main_missing_config_file(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_gaussian_population, random_orthonormal_rows
+from conftest import make_gaussian_population, random_normal_matrix, random_orthonormal_rows
 from transferlab.core import LinearRep, TaskDataset, inv_sqrt_psd, pinv
 from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.erm import (
@@ -23,6 +23,21 @@ from transferlab.errors import DegenerateData
 
 def make_dataset(x, y, task_id=0):
     return TaskDataset(task_id=task_id, covariates=x, labels=y)
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The LAPACK driver of every ``scipy.linalg.lstsq`` call, the pivoted-QR
+    path of ``_min_norm_lstsq``."""
+    calls = []
+    real = scipy.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +197,13 @@ def als_single_reference(datasets, r, opts, rng):
     return g, heads, pooled(g, heads)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_linear_fit_matches_raw_data_oracle_noisy(seed):
-    spec = make_gaussian_population(d_x=8, d_y=2, r=2, t=5, noise_sigma=0.5, seed=seed)
-    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(60,) * 6, seed=seed + 1))[1:]
+@pytest.mark.parametrize("seed, d_x, d_y, t, n", [
+    *(pytest.param(seed, 8, 2, 5, 60, id=str(seed)) for seed in range(3)),
+    pytest.param(3, 64, 1, 16, 128, id="t_sweep_size"),
+])
+def test_linear_fit_matches_raw_data_oracle_noisy(seed, d_x, d_y, t, n):
+    spec = make_gaussian_population(d_x=d_x, d_y=d_y, r=2, t=t, noise_sigma=0.5, seed=seed)
+    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(n,) * (t + 1), seed=seed + 1))[1:]
     opts = FitOptions(restarts=1, seed=seed + 2)
     fit = fit_first_stage_linear(data, r=2, opts=opts)
     g, _, obj = als_single_reference(data, 2, opts, np.random.default_rng(seed + 2))
@@ -194,13 +212,14 @@ def test_linear_fit_matches_raw_data_oracle_noisy(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_linear_fit_matches_raw_data_oracle_rank_deficient(seed):
+def test_linear_fit_matches_raw_data_oracle_rank_deficient(seed, lstsq_calls):
     # T = 1, N < d_x and d_y < r: the normal matrix kron(X^T X, F^T F) is
     # singular, and G itself only has rank d_y, so compare fitted maps F G.
     rng = np.random.default_rng(seed)
     data = [make_dataset(rng.standard_normal((5, 8)), rng.standard_normal((5, 1)))]
     opts = FitOptions(restarts=1, seed=seed)
     fit = fit_first_stage_linear(data, r=3, opts=opts)
+    assert lstsq_calls and set(lstsq_calls) == {"gelsy"}  # every G-step took pivoted QR
     g, heads, obj = als_single_reference(data, 3, opts, np.random.default_rng(seed))
     assert np.linalg.norm(fit.heads[0].f @ fit.rep.g - heads[0] @ g) <= 1e-10
     assert fit.objective <= 1e-20 and obj <= 1e-20
@@ -217,12 +236,48 @@ def test_normal_matrix_equals_kron_sum(rng):
     assert np.abs(_normal_matrix(xtx, ftf) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_min_norm_lstsq_matches_svd_solver_rank_deficient(rng):
-    b = rng.standard_normal((12, 5))
-    a = b @ b.T  # rank 5 of 12
-    rhs = a @ rng.standard_normal(12)  # consistent
+def _below_cutoff_normal_matrix(rng):
+    """T = 1, d_x = 8, r = 2: X^T X has one eigenvalue at 0.2 n eps of its
+    largest, so the Cholesky factor of the 16 x 16 normal matrix exists but its
+    condition estimate is past the n eps cutoff."""
+    d_x = 8
+    q, _ = np.linalg.qr(rng.standard_normal((d_x, d_x)))
+    lam = np.linspace(1.0, 2.0, d_x)
+    lam[-1] = 0.2 * np.finfo(float).eps * 2 * d_x
+    f = rng.standard_normal((3, 2))
+    return _normal_matrix(((q * lam) @ q.T)[None], (f.T @ f)[None])
+
+
+@pytest.mark.parametrize("build, path", [
+    pytest.param(lambda rng: random_normal_matrix(16, 64, 2, 1, 128, rng), "cholesky",
+                 id="positive_definite_n128"),
+    pytest.param(lambda rng: random_normal_matrix(8, 10, 2, 4, 50, rng), "cholesky",
+                 id="positive_definite_n20"),
+    pytest.param(lambda rng: random_normal_matrix(2, 8, 2, 2, 3, rng), "pivoted_qr",
+                 id="singular_n_below_d_x"),
+    pytest.param(lambda rng: random_normal_matrix(1, 8, 3, 1, 20, rng), "pivoted_qr",
+                 id="singular_t_d_y_below_r"),
+    pytest.param(_below_cutoff_normal_matrix, "pivoted_qr_despite_factor", id="below_cutoff"),
+])
+def test_min_norm_lstsq_matches_svd_solver(build, path, rng, lstsq_calls):
+    a = build(rng)
+    if path == "pivoted_qr_despite_factor":
+        assert scipy.linalg.lapack.dpotrf(a)[1] == 0  # only the condition estimate rejects it
+    rhs = rng.standard_normal(a.shape[0])
     expected = np.linalg.lstsq(a, rhs, rcond=None)[0]
     assert np.linalg.norm(_min_norm_lstsq(a, rhs) - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert lstsq_calls == ([] if path == "cholesky" else ["gelsy"])
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (2, 5), (5, 2)], ids=["diagonal", "upper", "lower"])
+def test_min_norm_lstsq_non_finite_raises_through_pivoted_qr(entry, rng, lstsq_calls):
+    # OpenBLAS's dpotrf reads one triangle and need not flag a NaN even there;
+    # the NaN norm must still send the solve to gelsy, whose check raises.
+    a = random_normal_matrix(4, 8, 2, 1, 30, rng)
+    a[entry] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _min_norm_lstsq(a, rng.standard_normal(a.shape[0]))
+    assert lstsq_calls == ["gelsy"]
 
 
 def test_heads_from_stats_match_ls_head(rng):

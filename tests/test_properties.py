@@ -1,17 +1,18 @@
 """Property tests (hypothesis): Penrose identities of the stacked pseudo-inverse,
-the PSD square-root round trip, the orthonormal, seed-determined ALS output, and
-sweep rows that do not depend on the thread count."""
+the PSD square-root round trip, the ALS normal-equation solve against the SVD
+solver, the orthonormal, seed-determined ALS output, and sweep rows that do not
+depend on the thread count."""
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_gaussian_population
+from conftest import make_gaussian_population, random_normal_matrix
 from transferlab.cli import ExperimentConfig, example_config, run_sweep
 from transferlab.core import pinv, sqrt_psd
 from transferlab.datagen import SampleRequest, sample_tasks
-from transferlab.erm import FitOptions, fit_first_stage_linear
+from transferlab.erm import FitOptions, _min_norm_lstsq, fit_first_stage_linear
 
 # Few examples and no deadline keep the module to about a second of tier-1 time;
 # derandomized, every run checks the same examples.
@@ -64,6 +65,42 @@ def test_sqrt_psd_round_trip(seed, d, rank):
     assert np.linalg.norm(s - s.T) <= 1e-12 * scale
     assert np.linalg.eigvalsh(0.5 * (s + s.T)).min(initial=0.0) >= -1e-10 * scale
     assert np.linalg.norm(s @ s - m) <= 1e-10 * scale
+
+
+@st.composite
+def als_sizes(draw):
+    """(T, d_x, r, d_y, N) of an ALS normal matrix; a third of the draws have
+    T N < d_x and a third T d_y < r, so the matrix is singular."""
+    kind = draw(st.sampled_from(["any", "few_rows", "few_heads"]))
+    t, d_y = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d_x, r, n = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    if kind == "few_rows":
+        d_x = draw(st.integers(t + 1, 8 + t))
+        n = draw(st.integers(1, (d_x - 1) // t))
+    elif kind == "few_heads":
+        r = draw(st.integers(t * d_y + 1, t * d_y + 2))
+    return t, d_x, r, d_y, n
+
+
+@FAST
+@given(SEEDS, als_sizes())
+def test_min_norm_lstsq_matches_svd_solver(seed, sizes):
+    # A least-squares right-hand side also tests the minimum-norm choice on
+    # the null space of a singular matrix.
+    rng = np.random.default_rng(seed)
+    t, d_x, r, d_y, n = sizes
+    a = random_normal_matrix(t, d_x, r, d_y, n, rng)
+    s = np.linalg.svd(a, compute_uv=False)
+    cutoff = a.shape[0] * np.finfo(float).eps * s[0]
+    # Within two decades of the shared n eps cutoff, pivoted QR and the SVD may
+    # decide the rank differently, and then both answers are defensible.
+    assume(not np.any((s > cutoff / 100) & (s < cutoff * 100)))
+    kept = s[s > cutoff]
+    b = rng.standard_normal(a.shape[0])
+    expected = np.linalg.lstsq(a, b, rcond=None)[0]
+    # forward error of two backward-stable solves on the kept spectrum
+    tol = 10 * cutoff / kept[-1]
+    assert np.linalg.norm(_min_norm_lstsq(a, b) - expected) <= tol * np.linalg.norm(expected)
 
 
 @settings(FAST, max_examples=10)
