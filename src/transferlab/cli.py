@@ -565,8 +565,8 @@ def run_mixcheck(config: ExperimentConfig) -> dict:
 
 
 def run_gen(config: ExperimentConfig, out_dir: str | Path) -> dict[str, str]:
-    """Write the raw rows of the request that ``fit`` and ``diagnose`` read as
-    statistics; at equal seeds the two are different draws."""
+    """Write the raw rows of the request whose statistics ``fit`` and ``diagnose``
+    draw directly; at equal seeds the two are different draws."""
     req = _command_request(config)
     return write_datasets_csv(sample_tasks(req), req, out_dir)
 

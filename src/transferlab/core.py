@@ -8,6 +8,7 @@ operations are pure functions of their inputs.
 """
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -123,6 +124,24 @@ def logdet_psd(m: np.ndarray) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_upper(d: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of a d x d matrix, row by row."""
+    idx = np.flatnonzero(np.tri(d, k=-1).T)
+    idx.setflags(write=False)
+    return idx
+
+
+def bartlett(d: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+    """Upper-triangular U with U^T U ~ Wishart_d(dof, I), dof >= d (Bartlett
+    decomposition): U_ii = sqrt(chi^2_{dof - i}) for i = 0..d-1, U_ij standard
+    normal for i < j, all independent."""
+    u = np.zeros(d * d)
+    u[::d + 1] = np.sqrt(rng.chisquare(dof - np.arange(d)))
+    u[_strict_upper(d)] = rng.standard_normal(d * (d - 1) // 2)
+    return u.reshape(d, d)
+
+
 # ---------------------------------------------------------------------------
 # Dimensions and datasets
 # ---------------------------------------------------------------------------
@@ -170,8 +189,8 @@ class TaskStats:
     """One task's sample reduced to a factor of its joint Gram matrix.
 
     ``covariates`` (k x d_x) and ``labels`` (k x d_y) are the column blocks
-    [X~ Y~] of a matrix with k <= d_x + d_y rows whose Gram equals that of the
-    raw rows [X Y] (N x (d_x + d_y)), and ``n`` is N. So X~^T X~ = X^T X,
+    [X~ Y~] of a matrix with k <= N rows whose Gram equals that of the raw
+    rows [X Y] (N x (d_x + d_y)), and ``n`` is N. So X~^T X~ = X^T X,
     X~^T Y~ = X^T Y and Y~^T Y~ = Y^T Y. For a linear representation G the
     features Z~ = X~ G^T keep Z~^T Z~ = Z^T Z and Z~^T Y~ = Z^T Y, and the
     residual sum of squares of any head F,
@@ -267,9 +286,9 @@ class CovariateLaw:
     """Marginal/stationary covariate distribution on R^{d_x}.
 
     Every law exposes an exact second-moment matrix, seeded marginal
-    sampling and seeded path sampling. For an iid law a path is an iid
-    draw and burn-in is irrelevant; trajectory laws override
-    ``sample_paths``.
+    sampling, seeded path sampling and a seeded factor of a path's Gram
+    (``gram_factor``). For an iid law a path is an iid draw and burn-in is
+    irrelevant; trajectory laws override ``sample_paths``.
     """
 
     d_x: int
@@ -296,6 +315,12 @@ class CovariateLaw:
 
     def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
         return self.sample_paths(1, n, rng, burn_in)[0]
+
+    def gram_factor(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
+        """A (k, d_x) factor R, k <= n, of a path X = ``sample_path(n, rng, burn_in)``:
+        X = Q_1 R, Q_1 with orthonormal columns that depend on the draw alone, so
+        R^T R = X^T X. A law may draw R in law, without rows; here it is X's R factor."""
+        return np.linalg.qr(self.sample_path(n, rng, burn_in), mode="r")
 
 
 @dataclass(frozen=True)
@@ -325,6 +350,13 @@ class GaussianLaw(CovariateLaw):
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._root.T
+
+    def gram_factor(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
+        """From n = d_x on, R = U L^T with Sigma = L L^T and U the Bartlett factor: rows
+        X = E L^T with E = Q_1 U standard normal, and U has the law of E's R factor."""
+        if n < self.d_x:
+            return super().gram_factor(n, rng, burn_in)
+        return bartlett(self.d_x, n, rng) @ self._root.T
 
 
 def lds_stationary_covariance(a: np.ndarray) -> np.ndarray:
@@ -526,9 +558,8 @@ class MarkovLaw(CovariateLaw):
         states = rng.choice(self.n_states, size=n, p=self._pi)
         return self._embedding[states]
 
-    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
-                     burn_in: int = 0) -> np.ndarray:
-        """``batch`` embedded paths after ``burn_in`` discarded steps.
+    def _walk(self, batch: int, n: int, rng: np.random.Generator, burn_in: int) -> np.ndarray:
+        """(batch, n) states after ``burn_in`` discarded steps.
 
         One (batch, 1 + burn_in + n) uniform draw: per path, column 0 picks
         the stationary start state and each later column one transition.
@@ -543,12 +574,22 @@ class MarkovLaw(CovariateLaw):
                 s = bisect_right(table[s], v)
                 walk.append(s)
             states.append(walk)
-        states = np.array(states, dtype=np.intp).reshape(batch, burn_in + n)
-        return self._embedding[states[:, burn_in:]]
+        return np.array(states, dtype=np.intp).reshape(batch, burn_in + n)[:, burn_in:]
+
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
+                     burn_in: int = 0) -> np.ndarray:
+        return self._embedding[self._walk(batch, n, rng, burn_in)]
 
     # Defined on the class, not inherited, so bench/tracing.py can wrap it.
     def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
         return self.sample_paths(1, n, rng, burn_in)[0]
+
+    def gram_factor(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
+        """Row sqrt(c_s) e_s per state s visited c_s > 0 times by ``sample_path``'s walk,
+        e_s its embedding; Q_1's column s is the indicator of s's steps over sqrt(c_s)."""
+        counts = np.bincount(self._walk(1, n, rng, burn_in)[0], minlength=self.n_states)
+        visited = np.flatnonzero(counts)
+        return np.sqrt(counts[visited])[:, None] * self._embedding[visited]
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:

@@ -9,15 +9,14 @@ changing the output.
 
 Two samplers read the same ``SampleRequest``. ``sample_tasks`` draws raw rows
 (``TaskDataset``), which the ``gen`` command writes out. ``sample_task_stats``
-gives each task's ``TaskStats``, the input of every linear fit: it draws the
-statistic of an iid Gaussian task exactly, in O(d^3) and without any rows, and
-compresses the raw rows of every other task. The two consume a task's stream
-differently, so at equal seeds they are different draws.
+gives each task's ``TaskStats``, the input of every linear fit: the law draws a
+factor of the covariates' Gram (``CovariateLaw.gram_factor``) and the labels are
+drawn given it, exactly, for every law and every N. The two consume a task's
+stream differently, so at equal seeds they are different draws.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,11 +26,11 @@ import numpy as np
 
 from .core import (
     CovariateLaw,
-    GaussianLaw,
     LdsLaw,
     PopulationSpec,
     TaskDataset,
     TaskStats,
+    bartlett,
 )
 
 # 64-bit golden-ratio constant used to derive independent per-task streams.
@@ -78,10 +77,7 @@ class SampleRequest:
 def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskDataset:
     task = spec.tasks[t]
     rng = np.random.default_rng(task_stream_seed(seed, t))
-    if task.law.is_trajectory:
-        x = task.law.sample_path(n, rng, burn_in=default_burn_in(task.law))
-    else:
-        x = task.law.sample_marginal(n, rng)
+    x = task.law.sample_path(n, rng, burn_in=default_burn_in(task.law))
     # Noise is drawn after the covariates so that w_i is a martingale
     # difference with respect to the covariate filtration.
     z = spec.rep_star.features(x)
@@ -93,87 +89,50 @@ def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskDat
 
 def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
     """Draw every task's dataset; deterministic given the request (incl. seed)."""
-    return [
-        _sample_one_task(req.spec, t, req.per_task_n[t], req.seed)
-        for t in range(len(req.spec.tasks))
-    ]
+    return [_sample_one_task(req.spec, t, n, req.seed) for t, n in enumerate(req.per_task_n)]
 
 
-@functools.lru_cache(maxsize=None)
-def _strict_upper(d: int) -> np.ndarray:
-    """Flat indices of the strict upper triangle of a d x d matrix, row by row."""
-    idx = np.flatnonzero(np.tri(d, k=-1).T)
-    idx.setflags(write=False)
-    return idx
+def _task_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskStats:
+    """Exact draw of the statistic of task t's n rows.
 
+    The rows are a path X (n x d_x) of the task's law and Y = X W^T + sigma E,
+    W = F_star G_star, E (n x d_y) standard normal and independent of X. The law
+    gives R = ``gram_factor(n, rng, burn_in)`` (k x d_x, k <= n) with X = Q_1 R,
+    Q_1 (n x k) with orthonormal columns that depend on the covariate draw alone.
 
-def _bartlett(d: int, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """Upper-triangular U with U^T U ~ Wishart_d(dof, I), dof >= d (Bartlett
-    decomposition): U_ii = sqrt(chi^2_{dof - i}) for i = 0..d-1, U_ij standard
-    normal for i < j, all independent."""
-    u = np.zeros(d * d)
-    u[::d + 1] = np.sqrt(rng.chisquare(dof - np.arange(d)))
-    u[_strict_upper(d)] = rng.standard_normal(d * (d - 1) // 2)
-    return u.reshape(d, d)
+    Complete Q_1 to an orthogonal Q = [Q_1 Q_2]. Given the covariate draw, Q
+    is fixed, and E is independent of it and rotation invariant, so
+    Xi = Q_1^T E (k x d_y) and E_2 = Q_2^T E ((n - k) x d_y) are independent
+    standard normal matrices, independent of X. Hence
 
+        Q^T [X Y] = [[R, R W^T + sigma Xi], [0, sigma E_2]],
 
-def _draw_gaussian_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskStats:
-    """Exact draw of the statistic of n iid rows of a Gaussian task.
-
-    The rows are X = E_x L^T with E_x (n x d_x) standard normal and
-    Sigma = L L^T (``second_moment_factor``), and Y = X W^T + sigma E_y with
-    W = F_star G_star and E_y (n x d_y) standard normal, independent of E_x.
-
-    Take the thin QR decomposition E_x = Q_1 U with U upper triangular and a
-    positive diagonal. U^T U = E_x^T E_x is Wishart_{d_x}(n, I), and U has the
-    law of the Bartlett factor (``_bartlett``). Complete Q_1 to an orthogonal
-    Q = [Q_1 Q_2]. Given E_x, Q is fixed, and E_y is independent of it and
-    rotation invariant, so Xi = Q_1^T E_y (d_x x d_y) and E_2 = Q_2^T E_y
-    ((n - d_x) x d_y) are independent standard normal matrices, independent of
-    E_x. Hence
-
-        Q^T [X Y] = [[U L^T, U L^T W^T + sigma Xi], [0, sigma E_2]],
-
-    and [X Y]^T [X Y] is the Gram of this matrix. Only E_2^T E_2 enters that
-    Gram, and it is Wishart_{d_y}(n - d_x, I) = V^T V for V the Bartlett
-    factor of that law, independent of U and Xi; replacing sigma E_2 by
-    sigma V leaves the Gram's law unchanged. So the d_x + d_y rows
-
-        [[U L^T, U L^T W^T + sigma Xi], [0, sigma V]]
-
-    have exactly the law of [X Y]^T [X Y] as their Gram. The stream draws U,
-    then Xi, then V; without noise the last d_y rows are zero and are left out.
+    whose Gram is [X Y]^T [X Y]. Only E_2^T E_2 enters it. For n - k >= d_y
+    that is Wishart_{d_y}(n - k, I) = V^T V with V the Bartlett factor,
+    independent of R and Xi, and replacing E_2 by V keeps the Gram's law;
+    otherwise V = E_2, possibly with no rows. So the Gram of the rows
+    [[R, R W^T + sigma Xi], [0, sigma V]] has exactly the law of [X Y]^T [X Y].
+    The stream draws R, then Xi, then V; without noise the V rows are zero and
+    are left out.
     """
     task = spec.tasks[t]
-    d_x, d_y = spec.dims.d_x, spec.dims.d_y
     rng = np.random.default_rng(task_stream_seed(seed, t))
-    x = _bartlett(d_x, n, rng) @ task.law.second_moment_factor().T
+    x = task.law.gram_factor(n, rng, burn_in=default_burn_in(task.law))
     y = x @ (task.head.f @ spec.rep_star.g).T
     sigma = spec.noise_sigma
     if sigma > 0:
-        y = np.vstack([y + sigma * rng.standard_normal((d_x, d_y)),
-                       sigma * _bartlett(d_y, n - d_x, rng)])
-        x = np.vstack([x, np.zeros((d_y, d_x))])
+        (k, d_x), d_y = x.shape, spec.dims.d_y
+        y = y + sigma * rng.standard_normal((k, d_y))
+        v = bartlett(d_y, n - k, rng) if n - k >= d_y else rng.standard_normal((n - k, d_y))
+        y = np.vstack([y, sigma * v])
+        x = np.vstack([x, np.zeros((v.shape[0], d_x))])
     return TaskStats(task_id=t, covariates=x, labels=y, n=n)
 
 
 def sample_task_stats(req: SampleRequest) -> list[TaskStats]:
-    """Every task's ``TaskStats``; deterministic given the request (incl. seed).
-
-    A task whose law is a ``GaussianLaw`` and N >= d_x + d_y draws its
-    statistic exactly (``_draw_gaussian_stats``).
-    Every other task draws raw rows (``_sample_one_task``) and keeps their R
-    factor (``TaskStats.from_rows``). Both read the task's own stream.
-    """
-    spec = req.spec
-    exact_from = spec.dims.d_x + spec.dims.d_y
-    out = []
-    for t, n in enumerate(req.per_task_n):
-        if isinstance(spec.tasks[t].law, GaussianLaw) and n >= exact_from:
-            out.append(_draw_gaussian_stats(spec, t, n, req.seed))
-        else:
-            out.append(TaskStats.from_rows(_sample_one_task(spec, t, n, req.seed)))
-    return out
+    """Every task's ``TaskStats`` (``_task_stats``), each drawn exactly from the
+    task's own stream; deterministic given the request (incl. seed)."""
+    return [_task_stats(req.spec, t, n, req.seed) for t, n in enumerate(req.per_task_n)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +157,9 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
 
     ``datasets`` are the raw rows of ``sample_tasks(req)``. ``fit``,
     ``diagnose`` and ``sweep`` read ``sample_task_stats(req)`` instead, which
-    draws Gaussian tasks' statistics directly: at equal seeds those are
-    different draws from the rows written here. Returns a map from artifact
-    name to the written path.
+    draws every task's statistic directly: at equal seeds those are different
+    draws from the rows written here. Returns a map from artifact name to the
+    written path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

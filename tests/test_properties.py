@@ -1,7 +1,7 @@
 """Property tests (hypothesis): Penrose identities of the stacked pseudo-inverse,
 the PSD square-root round trip, the ALS normal-equation solve against the SVD
 solver, the orthonormal, seed-determined ALS output, and sweep rows that do not
-depend on the thread count."""
+depend on the thread count for any law kind."""
 import dataclasses
 
 import numpy as np
@@ -121,19 +121,25 @@ def test_linear_fit_orthonormal_and_seed_determined(seed, t, r, d_x):
 @settings(deadline=None, max_examples=8, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 31 - 1))
 def test_sweep_rows_do_not_depend_on_threads(seed):
-    cfg = example_config()
-    cfg["seed"] = seed
-    cfg["population"].update({"d_x": 5, "num_sources": 2, "noise_sigma": 0.3})
-    cfg["fit"].update({"restarts": 1, "max_iters": 40})
-    cfg["sweep"] = {"axis": "N", "grid": [8, 16, 32], "replicates": 1, "n": 16,
-                    "n_prime": 16}
-    cfg["diagnostics"] = {"mc_samples": 500}
-    config = ExperimentConfig.from_dict(cfg)
-    serial, threaded = run_sweep(config, threads=1), run_sweep(config, threads=2)
-    assert serial.slopes == threaded.slopes
-    assert len(serial.rows) == len(threaded.rows) == 3
-    for a, b in zip(serial.rows, threaded.rows):
-        for field in dataclasses.fields(a):
-            if field.name != "wall_time_ms":
-                va, vb = getattr(a, field.name), getattr(b, field.name)
-                assert va == vb or (np.isnan(va) and np.isnan(vb)), field.name
+    # One sweep per law kind: iid Gaussian, LDS and Markov covariates.
+    for law in ({"kind": "gaussian", "scale_spread": 1.0},
+                {"kind": "lds", "spectral_radius": 0.9},
+                {"kind": "markov", "states": 6, "stay_prob": 0.8}):
+        cfg = example_config()
+        cfg["seed"] = seed
+        cfg["population"].update({"d_x": 5, "num_sources": 2, "noise_sigma": 0.3,
+                                  "law": law})
+        cfg["fit"].update({"restarts": 1, "max_iters": 40})
+        cfg["sweep"] = {"axis": "N", "grid": [8, 16, 32], "replicates": 1, "n": 16,
+                        "n_prime": 16}
+        cfg["diagnostics"] = {"mc_samples": 500}
+        config = ExperimentConfig.from_dict(cfg)
+        serial, threaded = run_sweep(config, threads=1), run_sweep(config, threads=2)
+        assert serial.slopes == threaded.slopes, law["kind"]
+        assert len(serial.rows) == len(threaded.rows) == 3
+        for a, b in zip(serial.rows, threaded.rows):
+            for field in dataclasses.fields(a):
+                if field.name != "wall_time_ms":
+                    va, vb = getattr(a, field.name), getattr(b, field.name)
+                    assert va == vb or (np.isnan(va) and np.isnan(vb)), (law["kind"],
+                                                                          field.name)

@@ -1,5 +1,6 @@
-"""Task statistics: fits on a Gram factor equal fits on the raw rows, and the
-exact draw of a Gaussian task's statistic has the law of the raw rows' Gram."""
+"""Task statistics: fits on a Gram factor equal fits on the raw rows, each law's
+Gram factor factors its path's Gram, and the exact draw of a task's statistic
+has the law of the raw rows' Gram."""
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from transferlab.core import (
     TaskDataset,
     TaskSpec,
     TaskStats,
+    pinv,
 )
 from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
 from transferlab.erm import (
@@ -104,7 +106,53 @@ def test_nonlinear_features_of_a_factor_raise():
 
 
 # ---------------------------------------------------------------------------
-# The sampler: which tasks are drawn exactly, and the law of the exact draw
+# Gram factors of the covariate laws
+# ---------------------------------------------------------------------------
+
+def _chain(states, seed=0):
+    return np.random.default_rng(seed).dirichlet(np.full(states, 0.5), size=states)
+
+
+SIGMA = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+LDS_A = np.array([[0.5, 0.3, 0.0], [-0.2, 0.4, 0.2], [0.1, 0.0, 0.6]])
+
+
+GRAM_FACTOR_LAWS = {
+    "lds": LdsLaw(a=LDS_A),
+    "markov-S<d_x": MarkovLaw(transition=_chain(2), d_x=3),
+    "markov-S>d_x": MarkovLaw(transition=_chain(5), d_x=3),
+    "gaussian": GaussianLaw(sigma_x=SIGMA),  # rows below d_x only; above, Bartlett
+}
+
+
+@pytest.mark.parametrize("case,n", [(case, n) for case in GRAM_FACTOR_LAWS
+                                    for n in (1, 2, 40) if case != "gaussian" or n < 3])
+def test_gram_factor_factors_the_path_gram(case, n):
+    """R^T R is the Gram of ``sample_path`` (for an iid law, of ``sample_marginal``)
+    drawn from the same seed and burn-in."""
+    law = GRAM_FACTOR_LAWS[case]
+    for seed in range(5):
+        r = law.gram_factor(n, np.random.default_rng(seed), burn_in=7)
+        x = law.sample_path(n, np.random.default_rng(seed), burn_in=7)
+        want = x.T @ x
+        assert r.shape[0] <= n and r.shape[1] == 3
+        assert np.abs(r.T @ r - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("states,n", [(2, 40), (3, 2), (4, 3), (4, 40)])
+def test_markov_gram_factor_has_one_row_per_visited_state(states, n):
+    # With S <= d_x + 1 states the embedding rows are distinct, so a path's
+    # rows name its states.
+    law = MarkovLaw(transition=_chain(states, seed=states), d_x=3)
+    for seed in range(5):
+        r = law.gram_factor(n, np.random.default_rng(seed), burn_in=4)
+        x = law.sample_path(n, np.random.default_rng(seed), burn_in=4)
+        visited = np.all(x[:, None, :] == law.embedding[None], axis=2).any(axis=0)
+        assert r.shape[0] == np.count_nonzero(visited)
+
+
+# ---------------------------------------------------------------------------
+# The sampler: the law of the exact draw
 # ---------------------------------------------------------------------------
 
 def _population(law, d_x=3, d_y=2, r=2, noise=0.7, seed=0, tasks=1):
@@ -119,21 +167,6 @@ def _population(law, d_x=3, d_y=2, r=2, noise=0.7, seed=0, tasks=1):
 def _gram(x, y):
     m = np.hstack([x, y])
     return m.T @ m
-
-
-@pytest.mark.parametrize("law", [
-    LdsLaw(a=0.6 * np.eye(3)),
-    MarkovLaw(transition=np.full((4, 4), 0.25), d_x=3),
-    GaussianLaw(sigma_x=np.eye(3)),  # exact only from N = d_x + d_y = 5 on
-], ids=["lds", "markov", "gaussian-short"])
-def test_other_tasks_compress_their_raw_rows(law):
-    n = 4 if isinstance(law, GaussianLaw) else 50
-    req = SampleRequest(spec=_population(law), per_task_n=(n,), seed=5)
-    raw, stats = sample_tasks(req)[0], sample_task_stats(req)[0]
-    want = _gram(raw.covariates, raw.labels)
-    assert stats.n == n
-    assert np.abs(_gram(stats.covariates, stats.labels) - want).max() <= \
-        1e-12 * np.abs(want).max()
 
 
 def test_exact_draw_is_deterministic_per_task_stream():
@@ -151,44 +184,81 @@ def test_exact_draw_is_deterministic_per_task_stream():
     assert not np.array_equal(first[1].labels, bumped[1].labels)
 
 
-SIGMA = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
 DRAWS = 6000
 # Each moment below is checked entry by entry against its closed form, within
-# this many standard errors of the Monte Carlo mean (38 checks per case).
+# this many standard errors of the Monte Carlo mean (35 checks per case, 44 for
+# a Gaussian law).
 SE_BAND = 4.5
+# A statistic that is exactly zero, such as the residual sum of squares of
+# n <= d_x rows, is zero only to round-off; its standard error is at least this
+# fraction of the largest entry of Y^T Y.
+ROUND_OFF = 1e-9
+
+GAUSSIAN_CASES = {
+    "n=d_x+d_y": 5,
+    "n=40": 40,
+    "gaussian-n<d_x": 2,
+    "gaussian-d_x<=n<d_x+d_y": 4,
+}
+EXACT_CASES = {
+    **{case: (GaussianLaw(sigma_x=SIGMA), n) for case, n in GAUSSIAN_CASES.items()},
+    "lds": (LdsLaw(a=LDS_A), 40),
+    "markov-S<=d_x": (MarkovLaw(transition=_chain(3), d_x=3), 40),
+    "markov-S>d_x": (MarkovLaw(transition=_chain(5), d_x=3), 40),
+}
 
 
-@pytest.fixture(scope="module", params=[5, 40], ids=["n=d_x+d_y", "n=40"])
+@pytest.fixture(scope="module", params=list(EXACT_CASES))
 def exact_draws(request):
-    """DRAWS exact statistics of one Gaussian task at N = n, with the truth."""
-    n = request.param
-    spec = _population(GaussianLaw(sigma_x=SIGMA), seed=4)
-    grams = np.stack([_gram(s.covariates, s.labels) for s in (
-        sample_task_stats(SampleRequest(spec=spec, per_task_n=(n,), seed=seed))[0]
-        for seed in range(DRAWS))])
+    """DRAWS exact statistics of one task at N = n, with the truth and rank X."""
+    law, n = EXACT_CASES[request.param]
+    spec = _population(law, seed=4)
+    stats = [sample_task_stats(SampleRequest(spec=spec, per_task_n=(n,), seed=seed))[0]
+             for seed in range(DRAWS)]
+    grams = np.stack([_gram(s.covariates, s.labels) for s in stats])
+    ranks = np.array([np.linalg.matrix_rank(s.covariates) for s in stats])
     w = spec.target.head.f @ spec.rep_star.g
-    return n, spec, w, grams
+    return n, spec, w, grams, ranks
 
 
-def _within_band(samples, expected):
+def _within_band(samples, expected, scale=0.0):
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
-    z = np.abs(mean - expected) / se
+    z = np.abs(mean - expected) / np.maximum(se, ROUND_OFF * scale)
     assert z.max() <= SE_BAND, f"largest deviation {z.max():.2f} standard errors"
 
 
 def test_exact_draw_first_moments(exact_draws):
-    n, spec, w, grams = exact_draws
+    n, spec, w, grams, _ = exact_draws
     sigma2 = spec.noise_sigma ** 2
-    _within_band(grams[:, :3, :3], n * SIGMA)                          # E X^T X
-    _within_band(grams[:, :3, 3:], n * SIGMA @ w.T)                    # E X^T Y
-    _within_band(grams[:, 3:, 3:], n * (w @ SIGMA @ w.T + sigma2 * np.eye(2)))  # E Y^T Y
+    m = spec.target.law.second_moment()  # every law starts stationary
+    _within_band(grams[:, :3, :3], n * m)                          # E X^T X
+    _within_band(grams[:, :3, 3:], n * m @ w.T)                    # E X^T Y
+    _within_band(grams[:, 3:, 3:], n * (w @ m @ w.T + sigma2 * np.eye(2)))  # E Y^T Y
 
 
+def test_exact_draw_conditional_label_moments(exact_draws):
+    """Given X the labels are X W^T + sigma E: D = X^T Y - X^T X W^T = sigma X^T E
+    has E D = 0 and E D_ij^2 = sigma^2 (X^T X)_ii, and the residual sum of
+    squares Y^T Y - Y^T X (X^T X)^+ X^T Y is sigma^2 times a
+    Wishart_{d_y}(n - rank X, I), of mean sigma^2 (n - rank X) I."""
+    n, spec, w, grams, ranks = exact_draws
+    sigma2 = spec.noise_sigma ** 2
+    xtx, xty, yty = grams[:, :3, :3], grams[:, :3, 3:], grams[:, 3:, 3:]
+    d = xty - xtx @ w.T
+    _within_band(d, 0.0)
+    _within_band(d ** 2 - sigma2 * np.diagonal(xtx, axis1=1, axis2=2)[:, :, None], 0.0)
+    rss = yty - np.swapaxes(xty, 1, 2) @ pinv(xtx) @ xty
+    _within_band(rss - sigma2 * (n - ranks)[:, None, None] * np.eye(2), 0.0,
+                 scale=np.abs(yty).max())
+
+
+@pytest.mark.parametrize("exact_draws", list(GAUSSIAN_CASES), indirect=True)
 def test_exact_draw_covariate_gram_variance(exact_draws):
-    # Var (X^T X)_ij = n (Sigma_ij^2 + Sigma_ii Sigma_jj) for Wishart_d(n, Sigma);
-    # the sample variance's standard error is sqrt((m4 - s^4) / M).
-    n, _, _, grams = exact_draws
+    # Var (X^T X)_ij = n (Sigma_ij^2 + Sigma_ii Sigma_jj) for the Gram of n iid
+    # N(0, Sigma) rows; the sample variance's standard error is
+    # sqrt((m4 - s^4) / M).
+    n, _, _, grams, _ = exact_draws
     xtx = grams[:, :3, :3]
     centered = xtx - xtx.mean(axis=0)
     var = np.mean(centered ** 2, axis=0) * DRAWS / (DRAWS - 1)
@@ -203,27 +273,35 @@ def test_exact_draw_covariate_gram_variance(exact_draws):
 # Sweep-row metrics: raw rows and statistics are the same experiment
 # ---------------------------------------------------------------------------
 
+def _row_metrics(config, spec, sampler, n_prime, seed):
+    data = sampler(cli._request(spec, 24, n_prime, seed))
+    fit, second = cli._two_stage(config, spec, data, seed)
+    out = cli._shared_diagnostics(spec, fit, second)
+    return out["excess_risk_target"], out["est_error_avg"], fit.objective, out["nu_hat"]
+
+
 def test_sweep_row_metrics_raw_rows_vs_statistics():
-    """Two-sample KS test over 200 seeds per side (disjoint seeds): the row
-    metrics fitted on raw rows and on exactly drawn statistics share a law."""
-    cfg = cli.example_config()
-    cfg["population"].update({"d_x": 4, "d_y": 2, "r": 1, "num_sources": 3,
-                              "noise_sigma": 0.5})
-    cfg["fit"].update({"restarts": 1, "max_iters": 50})
-    config = cli.ExperimentConfig.from_dict(cfg)
-    spec = cli.build_population(config.population, config.seed)
+    """Two-sample KS test over 200 seeds per side (disjoint seeds), per law: the
+    row metrics fitted on raw rows and on exactly drawn statistics share a law.
+    The laws are Gaussian, LDS (rho 0.9), Markov (6 states) and Gaussian with
+    N' = 3 < d_x."""
+    cases = [("gaussian", {"kind": "gaussian", "scale_spread": 1.0}, 12),
+             ("lds", {"kind": "lds", "spectral_radius": 0.9}, 12),
+             ("markov", {"kind": "markov", "states": 6, "stay_prob": 0.8}, 12),
+             ("gaussian-short", {"kind": "gaussian", "scale_spread": 1.0}, 3)]
     seeds = 200
-
-    def metrics(sampler, seed):
-        data = sampler(cli._request(spec, 24, 12, seed))
-        fit, second = cli._two_stage(config, spec, data, seed)
-        out = cli._shared_diagnostics(spec, fit, second)
-        return (out["excess_risk_target"], out["est_error_avg"], fit.objective,
-                out["nu_hat"])
-
-    raw = np.array([metrics(sample_tasks, s) for s in range(seeds)])
-    stats = np.array([metrics(sample_task_stats, 10_000 + s) for s in range(seeds)])
-    for j, name in enumerate(("excess_risk_target", "est_error_avg", "fit_objective",
-                              "nu_hat")):
-        p = scipy.stats.ks_2samp(raw[:, j], stats[:, j]).pvalue
-        assert p >= 1e-3, f"{name}: KS p = {p:.2g}"
+    for case, law, n_prime in cases:
+        cfg = cli.example_config()
+        cfg["population"].update({"d_x": 4, "d_y": 2, "r": 1, "num_sources": 3,
+                                  "noise_sigma": 0.5, "law": law})
+        cfg["fit"].update({"restarts": 1, "max_iters": 50})
+        config = cli.ExperimentConfig.from_dict(cfg)
+        spec = cli.build_population(config.population, config.seed)
+        raw = np.array([_row_metrics(config, spec, sample_tasks, n_prime, s)
+                        for s in range(seeds)])
+        stats = np.array([_row_metrics(config, spec, sample_task_stats, n_prime, 10_000 + s)
+                          for s in range(seeds)])
+        for j, name in enumerate(("excess_risk_target", "est_error_avg", "fit_objective",
+                                  "nu_hat")):
+            p = scipy.stats.ks_2samp(raw[:, j], stats[:, j]).pvalue
+            assert p >= 1e-3, f"{case}: {name}: KS p = {p:.2g}"
