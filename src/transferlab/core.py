@@ -89,14 +89,15 @@ def inv_sqrt_psd(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square root M^{+/2} of a symmetric PSD matrix.
 
     Eigenvalues below ``tol * lambda_max`` are treated as zero (their inverse
-    square root is set to zero), so rank-deficient inputs are handled.
+    square root is set to zero), so rank-deficient inputs are handled. A stack
+    of shape (..., d, d) is handled matrix by matrix, each with its own cutoff.
     """
     m = np.asarray(m, dtype=float)
     _require_finite(m, "inv_sqrt_psd input")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    cutoff = tol * max(w.max(initial=0.0), 0.0)
-    inv_root = np.where(w > max(cutoff, 0.0), 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    return (v * inv_root) @ v.T
+    w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    cutoff = tol * w.max(axis=-1, initial=0.0, keepdims=True)
+    inv_root = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    return (v * inv_root[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -6,9 +6,13 @@ coverage via whitened Grams), the task-diversity ratio and its plug-in
 estimator, the misspecified-regression noise quantities, and the
 hypercontractivity ratio. Representations are linear and every covariate law
 exposes an exact second-moment factor, so the risks, the coverage coefficients
-and the NRLS excess are exact quadratic forms in that factor
-(``_feature_moments``). Only ``nrls_quantities`` and ``hypercontractivity_c42``,
-which read fourth and higher moments, draw a seeded Monte Carlo sample.
+and the NRLS excess are exact quadratic forms in that factor. The tasks'
+factors form one zero-padded stack (``_factor_stack``), and each population
+quantity is one stacked computation over it, with no loop over tasks: the
+feature moments and Schur complements (``_stacked_moments``), the risks
+(``_risks``) and the infimal risks (``_infimal_risks``). Only
+``nrls_quantities`` and ``hypercontractivity_c42``, which read fourth and
+higher moments, draw a seeded Monte Carlo sample.
 """
 from __future__ import annotations
 
@@ -43,38 +47,70 @@ class StackedCovariance:
 
     ``sigma`` stacks the blocks [[E g g^T, E g g_*^T], [E g_* g^T, E g_* g_*^T]];
     ``schur`` is E[g_* g_*^T] - E[g_* g^T] (E[g g^T])^+ E[g g_*^T], the feature
-    covariance of g_* left unexplained by regressing on g.
+    covariance of g_* left unexplained by regressing on g. ``_stacked_moments``
+    gives both with a leading task axis.
     """
 
     sigma: np.ndarray
     schur: np.ndarray
 
 
-def _feature_moments(law: CovariateLaw, g: LinearRep,
-                     g_star: LinearRep) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (H, L) of E[phi phi^T] = H L L^T H^T, phi(x) = [g(x); g_star(x)].
+def _factor_stack(laws) -> np.ndarray:
+    """The laws' second-moment factors L_t, zero-padded to the widest and stacked.
 
-    phi(x) = H x with H = [G; G_star], and L is the law's exact second-moment
-    factor, E[x x^T] = L L^T = S. So a quadratic risk is a sum of squares:
-    for heads F (d_y x r) and F_star,
-        F g - F_star g_star = [F, -F_star] H x = c x,
-        c = F H[:r] - F_star H[r:],
-        E ||F g(X) - F_star g_star(X)||^2 = tr(c S c^T) = ||c L||_F^2,
-    which is >= 0 in floating point too.
+    Returns a (len(laws), d_x, m) array. A zero column leaves L L^T unchanged,
+    so laws whose factors differ in width (a Markov law has one column per
+    state) share one stack.
     """
-    return np.vstack([g.g, g_star.g]), law.second_moment_factor()
+    factors = [law.second_moment_factor() for law in laws]
+    stack = np.zeros((len(factors), factors[0].shape[0], max(f.shape[1] for f in factors)))
+    for out, f in zip(stack, factors):
+        out[:, :f.shape[1]] = f
+    return stack
+
+
+def _stacked_moments(factors: np.ndarray, g: LinearRep, g_star: LinearRep) -> StackedCovariance:
+    """``StackedCovariance`` of (g, g_star) under each factor of a (K, d_x, m) stack.
+
+    phi(x) = [g(x); g_star(x)] = H x with H = [G; G_star], and E[x x^T] = L L^T,
+    so E[phi phi^T] = (H L)(H L)^T. The returned ``sigma`` is (K, r + r_*, r + r_*)
+    and ``schur`` (K, r_*, r_*), each computed matrix by matrix with its own
+    pseudo-inverse cutoff.
+    """
+    hl = np.vstack([g.g, g_star.g]) @ factors
+    sigma = hl @ np.swapaxes(hl, -1, -2)
+    r1 = g.out_dim
+    m11, m12 = sigma[:, :r1, :r1], sigma[:, :r1, r1:]
+    schur = sigma[:, r1:, r1:] - np.swapaxes(m12, -1, -2) @ pinv(m11) @ m12
+    return StackedCovariance(sigma=sigma, schur=0.5 * (schur + np.swapaxes(schur, -1, -2)))
 
 
 def stacked_covariance(law: CovariateLaw, g: LinearRep, g_star: LinearRep) -> StackedCovariance:
-    """Stacked feature covariance of (g, g_star) under one task's covariate law."""
-    h, l = _feature_moments(law, g, g_star)
-    hl = h @ l
-    sigma = hl @ hl.T
-    r1 = g.out_dim
-    m11, m12 = sigma[:r1, :r1], sigma[:r1, r1:]
-    schur = sigma[r1:, r1:] - m12.T @ pinv(m11) @ m12
-    schur = 0.5 * (schur + schur.T)
-    return StackedCovariance(sigma=sigma, schur=schur)
+    """Stacked feature covariance of (g, g_star) under one task's covariate law:
+    ``_stacked_moments`` on a stack of one."""
+    one = _stacked_moments(_factor_stack([law]), g, g_star)
+    return StackedCovariance(sigma=one.sigma[0], schur=one.schur[0])
+
+
+def _risks(laws, heads: np.ndarray, true_heads: np.ndarray, g: LinearRep,
+           g_star: LinearRep) -> np.ndarray:
+    """E^(t) ||F_t g(X) - F_star^(t) g_star(X)||^2 for each task t, as an array.
+
+    ``heads`` and ``true_heads`` are (K, d_y, r) stacks, one matrix per law. With
+    F g - F_star g_star = c x, c = F G - F_star G_star, and E[x x^T] = L L^T,
+        E ||F g(X) - F_star g_star(X)||^2 = tr(c L L^T c^T) = ||c L||_F^2,
+    which is >= 0 in floating point too.
+    """
+    cl = (heads @ g.g - true_heads @ g_star.g) @ _factor_stack(laws)
+    return np.sum(cl * cl, axis=(-2, -1))
+
+
+def _infimal_risks(laws, true_heads: np.ndarray, g: LinearRep,
+                   g_star: LinearRep) -> np.ndarray:
+    """inf_F E^(t) ||F g(X) - F_star^(t) g_star(X)||^2 = tr(F_star Schur_t F_star^T)
+    for each task t, as an array; ``true_heads`` is a (K, d_y, r_*) stack."""
+    schur = _stacked_moments(_factor_stack(laws), g, g_star).schur
+    return np.trace(true_heads @ schur @ np.swapaxes(true_heads, -1, -2), axis1=-2, axis2=-1)
 
 
 def mu_x(spec: PopulationSpec, g: LinearRep) -> float:
@@ -84,16 +120,13 @@ def mu_x(spec: PopulationSpec, g: LinearRep) -> float:
     the task-t Schur complement of (g, g_star). Returns 0 when the target
     Schur complement vanishes (g already captures g_star on the target law).
     """
-    g_star = spec.rep_star
-    s0 = stacked_covariance(spec.target.law, g, g_star).schur
+    schur = _stacked_moments(_factor_stack(task.law for task in spec.tasks), g,
+                             spec.rep_star).schur
+    s0 = schur[0]
     if spectral_norm(s0) < 1e-14:
         return 0.0
-    worst = 0.0
-    for task in spec.sources:
-        st = stacked_covariance(task.law, g, g_star).schur
-        half = inv_sqrt_psd(st)
-        worst = max(worst, spectral_norm(half @ s0 @ half))
-    return worst
+    half = inv_sqrt_psd(schur[1:])
+    return float(np.linalg.norm(half @ s0 @ half, 2, axis=(-2, -1)).max(initial=0.0))
 
 
 def mu_f(heads) -> float:
@@ -121,22 +154,14 @@ def mu_f(heads) -> float:
     return spectral_norm(half @ gram0 @ half)
 
 
-def _risk_one_task(law: CovariateLaw, f: np.ndarray, f_star: np.ndarray,
-                   g: LinearRep, g_star: LinearRep) -> float:
-    """E || F g(X) - F_star g_star(X) ||^2 = ||c L||_F^2; see ``_feature_moments``."""
-    h, l = _feature_moments(law, g, g_star)
-    c = f @ h[:f.shape[1]] - f_star @ h[f.shape[1]:]
-    cl = c @ l
-    return float(np.sum(cl * cl))
-
-
 def excess_risk_population(spec: PopulationSpec, head: LinearHead, g: LinearRep) -> float:
     """Target-population squared-loss gap E^(0) ||F g(X) - F_star^(0) g_star(X)||^2.
 
     Under the realizable label model the noise cancels, so this equals the
     excess risk of (F, g) over the optimal predictor.
     """
-    return _risk_one_task(spec.target.law, head.f, spec.target.head.f, g, spec.rep_star)
+    return float(_risks([spec.target.law], head.f[None], spec.target.head.f[None], g,
+                        spec.rep_star)[0])
 
 
 def estimation_error_avg(spec: PopulationSpec, heads, g: LinearRep) -> float:
@@ -144,17 +169,15 @@ def estimation_error_avg(spec: PopulationSpec, heads, g: LinearRep) -> float:
     heads = list(heads)
     if len(heads) != spec.num_sources:
         raise ValueError("need one fitted head per source task")
-    total = 0.0
-    for task, head in zip(spec.sources, heads):
-        total += _risk_one_task(task.law, head.f, task.head.f, g, spec.rep_star)
-    return total / len(heads)
+    risks = _risks([task.law for task in spec.sources], np.stack([head.f for head in heads]),
+                   np.stack([task.head.f for task in spec.sources]), g, spec.rep_star)
+    return sum(risks.tolist()) / len(heads)
 
 
 def infimal_risk(law: CovariateLaw, f_star: np.ndarray, g: LinearRep,
                  g_star: LinearRep) -> float:
     """inf_F E ||F g(X) - F_star g_star(X)||^2 = tr(F_star Schur(g) F_star^T)."""
-    schur = stacked_covariance(law, g, g_star).schur
-    return float(np.trace(f_star @ schur @ f_star.T))
+    return float(_infimal_risks([law], np.asarray(f_star, dtype=float)[None], g, g_star)[0])
 
 
 def nu_true(spec: PopulationSpec, g: LinearRep) -> float | None:
@@ -163,15 +186,11 @@ def nu_true(spec: PopulationSpec, g: LinearRep) -> float | None:
     Returns None (undefined) when the target infimal excess risk is below
     NU_UNDEFINED_THRESHOLD, i.e. g is already target-optimal.
     """
-    g_star = spec.rep_star
-    denom = infimal_risk(spec.target.law, spec.target.head.f, g, g_star)
-    if denom < NU_UNDEFINED_THRESHOLD:
+    infimal = _infimal_risks([task.law for task in spec.tasks],
+                             np.stack([task.head.f for task in spec.tasks]), g, spec.rep_star)
+    if infimal[0] < NU_UNDEFINED_THRESHOLD:
         return None
-    numer = 0.0
-    for task in spec.sources:
-        numer += infimal_risk(task.law, task.head.f, g, g_star)
-    numer /= spec.num_sources
-    return numer / denom
+    return sum(infimal[1:].tolist()) / spec.num_sources / float(infimal[0])
 
 
 def nu_hat(target_residual: float, source_residuals) -> float | None:

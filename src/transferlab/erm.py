@@ -65,30 +65,33 @@ class SecondStageFit:
     residual: float
 
 
-def ls_head(z: np.ndarray, y: np.ndarray) -> LinearHead:
-    """Minimum-Frobenius-norm least-squares head F = Y^T Z (Z^T Z)^+.
+def ls_head(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimum-Frobenius-norm least-squares head F = Y^T Z (Z^T Z)^+, a (d_y, r) array.
 
     Minimizes sum_i ||y_i - F z_i||^2; rank deficiency is handled by the
     pseudo-inverse, so unexcited feature directions get exactly zero weight.
+    Stacks Z (..., k, r) and Y (..., k, d_y) give a (..., d_y, r) stack of
+    heads, each with its own pseudo-inverse cutoff (``pinv``).
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    f = y.T @ z @ pinv(z.T @ z)
-    return LinearHead(f=f)
+    return np.swapaxes(y, -1, -2) @ z @ pinv(np.swapaxes(z, -1, -2) @ z)
 
 
 def fit_second_stage(target, rep: LinearRep) -> SecondStageFit:
     """Least-squares head on the frozen representation's features and its mean
-    squared residual (1 / N) sum_i ||y_i - F z_i||^2; every head fitted through
-    a fixed representation, target or source, comes from here.
+    squared residual (1 / N) sum_i ||y_i - F z_i||^2; the target's head comes
+    from here, and the first stage refits the source heads through the same
+    ``ls_head``.
 
     ``target`` is a ``TaskDataset`` or a ``TaskStats``, whose few rows give the
     same head and residual sum (see ``TaskStats``).
     """
     z = rep.features(target.covariates)
-    head = ls_head(z, target.labels)
-    resid = target.labels - z @ head.f.T
-    return SecondStageFit(head=head, residual=float(np.sum(resid * resid)) / target.n)
+    f = ls_head(z, target.labels)
+    resid = target.labels - z @ f.T
+    return SecondStageFit(head=LinearHead(f=f),
+                          residual=float(np.sum(resid * resid)) / target.n)
 
 
 def _random_row_orthonormal(r: int, d_x: int, rng: np.random.Generator) -> np.ndarray:
@@ -235,6 +238,19 @@ def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
                    iterations=iterations, converged=converged, history=tuple(history))
 
 
+def _padded_rows(datasets) -> tuple[np.ndarray, np.ndarray]:
+    """Every task's covariate and label rows, zero-padded to the most rows and
+    stacked: (T, k, d_x) and (T, k, d_y). A zero row adds nothing to a Gram or
+    to a residual sum, so each task keeps its heads and residuals."""
+    k = max(ds.covariates.shape[0] for ds in datasets)
+    x = np.zeros((len(datasets), k, datasets[0].covariates.shape[1]))
+    y = np.zeros((len(datasets), k, datasets[0].labels.shape[1]))
+    for xt, yt, ds in zip(x, y, datasets):
+        xt[:ds.covariates.shape[0]] = ds.covariates
+        yt[:ds.labels.shape[0]] = ds.labels
+    return x, y
+
+
 def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) -> FirstStageFit:
     """Joint fit of per-task heads and a shared linear representation.
 
@@ -242,11 +258,13 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     sufficient statistics (see ``_als_single``); after every round the
     representation is rotated to orthonormal rows and the heads are
     counter-rotated, so the returned rep satisfies G G^T = I_r. The best of
-    ``opts.restarts`` random orthonormal initializations is kept, and one pass
-    over each task's rows (``fit_second_stage`` per task) reports its heads and
-    per-task residuals exactly; ``objective`` is their n-weighted mean, the
-    pooled mean squared error over all samples. A task may be raw rows or a
-    ``TaskStats`` factor; both give the same fit.
+    ``opts.restarts`` random orthonormal initializations is kept. The tasks'
+    rows, zero-padded to one (T, k, d_x) stack (``_padded_rows``), give the
+    statistics, and one stacked ``ls_head`` call on their features refits
+    every task's head and reports its residual exactly, as ``fit_second_stage``
+    would; ``objective`` is the residuals' n-weighted mean, the pooled mean
+    squared error over all samples. A task may be raw rows or a ``TaskStats``
+    factor; both give the same fit.
 
     Raises
     ------
@@ -256,12 +274,13 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     datasets = list(datasets)
     if not datasets:
         raise DegenerateData("no source tasks")
-    if max(float(np.abs(ds.covariates).max(initial=0.0)) for ds in datasets) == 0.0:
+    x, y = _padded_rows(datasets)
+    if not x.any():
         raise DegenerateData("all covariates are zero")
-    xtx = np.stack([ds.covariates.T @ ds.covariates for ds in datasets])
-    xty = np.stack([ds.covariates.T @ ds.labels for ds in datasets])
-    yy = sum(float(np.sum(ds.labels * ds.labels)) for ds in datasets)
-    n_total = sum(ds.n for ds in datasets)
+    x_t = np.swapaxes(x, 1, 2)
+    xtx, xty, yy = x_t @ x, x_t @ y, float(np.sum(y * y))
+    n = np.array([ds.n for ds in datasets])
+    n_total = int(n.sum())
     rng = np.random.default_rng(opts.seed)
     best = None
     for _ in range(opts.restarts):
@@ -269,15 +288,17 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
         if best is None or run.objective < best.objective:
             best = run
     rep = LinearRep(best.g)
-    fits = [fit_second_stage(ds, rep) for ds in datasets]
-    residuals = tuple(fit.residual for fit in fits)
+    z = rep.features(x)
+    f = ls_head(z, y)
+    resid = y - z @ np.swapaxes(f, 1, 2)
+    residuals = np.sum(resid * resid, axis=(1, 2)) / n
     return FirstStageFit(
-        heads=tuple(fit.head for fit in fits),
+        heads=tuple(LinearHead(f=ft) for ft in f),
         rep=rep,
-        per_task_residual=residuals,
+        per_task_residual=tuple(residuals.tolist()),
         iterations=best.iterations,
         converged=best.converged,
-        objective=sum(res * ds.n for res, ds in zip(residuals, datasets)) / n_total,
+        objective=sum((residuals * n).tolist()) / n_total,
         objective_history=best.history,
     )
 
@@ -306,7 +327,7 @@ def offset_complexity_stat(datasets, rep: LinearRep, noise) -> float:
         if w.shape[0] != ds.n:
             raise ValueError("noise matrix rows must match the dataset")
         z = rep.features(ds.covariates)
-        proj = z @ ls_head(z, w).f.T
+        proj = z @ ls_head(z, w).T
         total += OFFSET_SUP_CONSTANT * float(np.sum(proj * proj))
         total_n += ds.n
     return total / total_n

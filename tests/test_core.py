@@ -86,6 +86,21 @@ def test_inv_sqrt_psd_rank_deficient():
     assert np.allclose(h, np.diag([0.5, 0.0]), atol=1e-12)
 
 
+def test_inv_sqrt_psd_stack_matches_per_matrix():
+    """Each matrix of a stack gets its own cutoff: a member of rank 1, scaled below
+    the others' cutoff, keeps its nonzero eigenvalue, and the zero matrix maps to 0."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 3))
+    u = rng.standard_normal(3)
+    stack = np.stack([a @ a.T, 1e-12 * np.outer(u, u), np.zeros((3, 3)), np.diag([4.0, 1.0, 0.0])])
+    h = inv_sqrt_psd(stack)
+    assert h.shape == stack.shape
+    for hm, m in zip(h, stack):
+        assert np.allclose(hm, inv_sqrt_psd(m), rtol=1e-12, atol=1e-12)
+    rank_one = h[1] @ stack[1] @ h[1]
+    assert np.allclose(rank_one, np.outer(u, u) / (u @ u), atol=1e-8)
+
+
 def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 6))

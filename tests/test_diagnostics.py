@@ -268,6 +268,57 @@ def test_psd_ordering_certificate():
             assert np.linalg.eigvalsh(gap).min() >= -1e-9
 
 
+def mixed_width_population(seed=0, d_x=5, d_y=2, r=2):
+    """A Markov target with more states than d_x, then Gaussian, LDS and
+    four-state Markov sources: second-moment factors of widths 8, 5, 5 and 4."""
+    rng = np.random.default_rng(seed)
+
+    def markov(states, stay):
+        p = np.full((states, states), (1.0 - stay) / (states - 1))
+        np.fill_diagonal(p, stay)
+        return MarkovLaw(transition=p, d_x=d_x)
+
+    a = rng.standard_normal((d_x, d_x))
+    laws = [markov(8, 0.6), GaussianLaw(a @ a.T / d_x + 0.5 * np.eye(d_x)),
+            LdsLaw(0.7 * np.linalg.qr(rng.standard_normal((d_x, d_x)))[0]), markov(4, 0.8)]
+    tasks = tuple(TaskSpec(law=law, head=LinearHead(rng.standard_normal((d_y, r))))
+                  for law in laws)
+    return PopulationSpec(dims=Dims(d_x, d_y, r), tasks=tasks,
+                          rep_star=LinearRep(random_orthonormal_rows(r, d_x, rng)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_diagnostics_match_per_task_reference_on_mixed_widths(seed):
+    """mu_x, nu_true and both risks, stacked over zero-padded factors of different
+    widths, equal the per-task formulas on each law's own ``stacked_covariance``:
+    the Schur complements for mu_x and nu_true, and
+    E||F g - F_* g_*||^2 = tr([F, -F_*] sigma [F, -F_*]^T) for the risks."""
+    spec = mixed_width_population(seed)
+    assert len({task.law.second_moment_factor().shape[1] for task in spec.tasks}) == 3
+    rng = np.random.default_rng(100 + seed)
+    g = misaligned_rep(spec, seed=200 + seed)
+    heads = [LinearHead(rng.standard_normal((spec.dims.d_y, spec.dims.r)))
+             for _ in spec.tasks]
+    covs = [stacked_covariance(task.law, g, spec.rep_star) for task in spec.tasks]
+
+    def risk(cov, head, task):
+        c = np.hstack([head.f, -task.head.f])
+        return float(np.trace(c @ cov.sigma @ c.T))
+
+    risks = [risk(cov, head, task) for cov, head, task in zip(covs, heads, spec.tasks)]
+    infimal = [float(np.trace(task.head.f @ cov.schur @ task.head.f.T))
+               for cov, task in zip(covs, spec.tasks)]
+    s0 = covs[0].schur
+    halves = [inv_sqrt_psd(cov.schur) for cov in covs[1:]]
+    mu_x_ref = max(np.linalg.norm(h @ s0 @ h, 2) for h in halves)
+
+    assert mu_x(spec, g) == pytest.approx(mu_x_ref, rel=1e-12)
+    assert nu_true(spec, g) == pytest.approx(np.mean(infimal[1:]) / infimal[0], rel=1e-12)
+    assert excess_risk_population(spec, heads[0], g) == pytest.approx(risks[0], rel=1e-12)
+    assert estimation_error_avg(spec, heads[1:], g) == pytest.approx(np.mean(risks[1:]),
+                                                                     rel=1e-12)
+
+
 def test_nu_hat_undefined_for_equivalent_rep(rng):
     spec = make_gaussian_population(noise_sigma=0.0, seed=28)
     m = rng.standard_normal((2, 2)) + 2 * np.eye(2)
@@ -282,7 +333,7 @@ def nu_hat_reference(datasets, g):
     least-squares head through g captures, target first."""
     def term(ds):
         z = g.features(ds.covariates)
-        f_hat = ls_head(z, ds.labels).f
+        f_hat = ls_head(z, ds.labels)
         mean_y2 = float(np.sum(ds.labels * ds.labels)) / ds.n
         return mean_y2 - float(np.trace(f_hat @ (z.T @ z / ds.n) @ f_hat.T))
 

@@ -1,12 +1,13 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import make_gaussian_population, random_normal_matrix, random_orthonormal_rows
-from transferlab.core import LinearRep, TaskDataset, inv_sqrt_psd, pinv
-from transferlab.datagen import SampleRequest, sample_tasks
+from transferlab.core import LinearRep, MarkovLaw, TaskDataset, TaskStats, inv_sqrt_psd, pinv
+from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
 from transferlab.erm import (
     OFFSET_SUP_CONSTANT,
     FitOptions,
@@ -46,34 +47,31 @@ def lstsq_calls(monkeypatch):
 
 def test_ls_head_identity_regression():
     z = np.eye(3)
-    head = ls_head(z, z)
-    assert np.allclose(head.f, np.eye(3), atol=1e-12)
+    assert np.allclose(ls_head(z, z), np.eye(3), atol=1e-12)
 
 
 def test_ls_head_noiseless_recovery(rng):
     f_true = rng.standard_normal((2, 4))
     z = rng.standard_normal((50, 4))
-    head = ls_head(z, z @ f_true.T)
-    assert np.linalg.norm(head.f - f_true) <= 1e-9
+    assert np.linalg.norm(ls_head(z, z @ f_true.T) - f_true) <= 1e-9
 
 
 def test_ls_head_zero_column_gets_zero_weight(rng):
     z = rng.standard_normal((20, 3))
     z[:, 1] = 0.0
     y = rng.standard_normal((20, 2))
-    head = ls_head(z, y)
-    assert np.all(head.f[:, 1] == 0.0)
+    assert np.all(ls_head(z, y)[:, 1] == 0.0)
 
 
 def test_ls_head_optimality_under_perturbation(rng):
     z = rng.standard_normal((25, 3))
     y = rng.standard_normal((25, 2))
-    head = ls_head(z, y)
-    base = np.sum((y - z @ head.f.T) ** 2)
+    f = ls_head(z, y)
+    base = np.sum((y - z @ f.T) ** 2)
     for _ in range(20):
-        d = rng.standard_normal(head.f.shape)
+        d = rng.standard_normal(f.shape)
         d /= np.linalg.norm(d)
-        perturbed = np.sum((y - z @ (head.f + 1e-3 * d).T) ** 2)
+        perturbed = np.sum((y - z @ (f + 1e-3 * d).T) ** 2)
         assert perturbed >= base - 1e-12
 
 
@@ -176,7 +174,7 @@ def als_single_reference(datasets, r, opts, rng):
     g = random_orthonormal_rows(r, d_x, rng)
     history = []
     for _ in range(opts.max_iters):
-        heads = [ls_head(x @ g.T, y).f for x, y in zip(xs, ys)]
+        heads = [ls_head(x @ g.T, y) for x, y in zip(xs, ys)]
         lhs = np.zeros((r * d_x, r * d_x))
         rhs = np.zeros((r, d_x))
         for f, gx, xyt in zip(heads, gram_x, xy):
@@ -193,7 +191,7 @@ def als_single_reference(datasets, r, opts, rng):
             break
         if history[-1] <= 1e-28:
             break
-    heads = [ls_head(x @ g.T, y).f for x, y in zip(xs, ys)]
+    heads = [ls_head(x @ g.T, y) for x, y in zip(xs, ys)]
     return g, heads, pooled(g, heads)
 
 
@@ -290,7 +288,7 @@ def test_heads_from_stats_match_ls_head(rng):
     xty = np.stack([x.T @ y for x, y in zip(xs, ys)])
     heads = _heads_from_stats(g @ xtx @ g.T, g @ xty)
     for x, y, f in zip(xs, ys, heads):
-        assert np.allclose(f, ls_head(x @ g.T, y).f, atol=1e-12)
+        assert np.allclose(f, ls_head(x @ g.T, y), atol=1e-12)
     assert np.all(heads[0][:, 2] == 0.0)
 
 
@@ -317,8 +315,38 @@ def test_second_stage_matches_ls_head(rng):
     x = rng.standard_normal((30, 5))
     y = rng.standard_normal((30, 1))
     fit = fit_second_stage(make_dataset(x, y), rep)
-    direct = ls_head(rep.features(x), y)
-    assert np.allclose(fit.head.f, direct.f, atol=1e-12)
+    assert np.allclose(fit.head.f, ls_head(rep.features(x), y), atol=1e-12)
+
+
+def test_ls_head_stack_matches_per_matrix(rng):
+    z = rng.standard_normal((3, 12, 4))
+    z[1, :, 2] = 0.0  # a rank-deficient member keeps its own cutoff
+    y = rng.standard_normal((3, 12, 2))
+    f = ls_head(z, y)
+    assert f.shape == (3, 2, 4)
+    for ft, zt, yt in zip(f, z, y):
+        assert np.allclose(ft, ls_head(zt, yt), rtol=1e-12, atol=1e-12)
+
+
+def test_first_stage_refit_on_ragged_tasks_matches_second_stage():
+    """One stacked refit over zero-padded rows gives every task the head and residual
+    of its own ``fit_second_stage``: Markov statistics whose walks visit different
+    numbers of states (so factors of different row counts), mixed with raw rows."""
+    p = np.full((9, 9), 0.2 / 8)
+    np.fill_diagonal(p, 0.8)
+    spec = make_gaussian_population(d_x=6, d_y=2, r=2, t=6, noise_sigma=0.3, seed=7)
+    spec = replace(spec, tasks=tuple(replace(task, law=MarkovLaw(transition=p, d_x=6))
+                                     for task in spec.tasks))
+    req = SampleRequest(spec=spec, per_task_n=(12,) * 7, seed=3)
+    stats, rows = sample_task_stats(req), sample_tasks(req)
+    datasets = [stats[t] if t % 3 else rows[t] for t in range(1, 7)]
+    assert len({ds.covariates.shape[0] for ds in datasets}) >= 3
+    assert {type(ds) for ds in datasets} == {TaskStats, TaskDataset}
+    fit = fit_first_stage_linear(datasets, r=2, opts=FitOptions(max_iters=50, restarts=1))
+    for ds, head, residual in zip(datasets, fit.heads, fit.per_task_residual):
+        ref = fit_second_stage(ds, fit.rep)
+        assert np.allclose(head.f, ref.head.f, rtol=1e-12, atol=1e-12 * np.abs(ref.head.f).max())
+        assert residual == pytest.approx(ref.residual, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
