@@ -3,8 +3,9 @@
 Modules
 -------
 core
-    Domain types (dimensions, datasets, heads, the linear representation,
-    covariate laws, populations) and matrix primitives.
+    Domain types (dimensions, task samples as raw rows or a Gram factor,
+    heads, the linear representation, covariate laws, populations) and matrix
+    primitives.
 datagen
     Seeded samplers for all covariate laws and realizable label generation.
 erm

@@ -356,7 +356,7 @@ def _command_request(config: ExperimentConfig) -> SampleRequest:
 
 
 def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
-    """The request and its tasks' statistics, which ``fit`` and ``diagnose`` fit on;
+    """The request and its tasks' Gram factors, which ``fit`` and ``diagnose`` fit on;
     like sweep rows, they read ``sample_task_stats``, and only ``gen`` reads raw rows."""
     req = _command_request(config)
     return req, sample_task_stats(req)

@@ -1,7 +1,7 @@
 """Shared domain types and matrix primitives.
 
 Every other module consumes the types defined here: problem dimensions,
-per-task datasets, linear heads, linear representations, covariate laws,
+per-task samples, linear heads, linear representations, covariate laws,
 and the full generative description of a task population. All types are
 immutable after construction (arrays are marked read-only), and all
 operations are pure functions of their inputs.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPSD, NotErgodic, UnstableSystem
+from .errors import InvalidMatrix, NeedsRawRows, NotPSD, NotErgodic, UnstableSystem
 
 # Relative singular-value / eigenvalue cutoff used by every pseudo-inverse
 # in the package. Matches double-precision conditioning at the dimensions
@@ -164,68 +164,52 @@ class Dims:
 
 @dataclass(frozen=True)
 class TaskDataset:
-    """One task's covariate/label sample with provenance."""
+    """One task's sample: k <= n rows [X~ Y~] whose Gram equals that of its n rows.
 
-    task_id: int
-    covariates: np.ndarray  # N x d_x
-    labels: np.ndarray      # N x d_y
-
-    def __post_init__(self):
-        x = _readonly(np.atleast_2d(self.covariates))
-        y = _readonly(np.atleast_2d(self.labels))
-        if x.shape[0] != y.shape[0] or x.shape[0] < 1:
-            raise ValueError("covariates and labels need an equal, positive row count")
-        _require_finite(x, "covariates")
-        _require_finite(y, "labels")
-        object.__setattr__(self, "covariates", x)
-        object.__setattr__(self, "labels", y)
-
-    @property
-    def n(self) -> int:
-        return self.covariates.shape[0]
-
-
-@dataclass(frozen=True)
-class TaskStats:
-    """One task's sample reduced to a factor of its joint Gram matrix.
-
-    ``covariates`` (k x d_x) and ``labels`` (k x d_y) are the column blocks
-    [X~ Y~] of a matrix with k <= N rows whose Gram equals that of the raw
-    rows [X Y] (N x (d_x + d_y)), and ``n`` is N. So X~^T X~ = X^T X,
-    X~^T Y~ = X^T Y and Y~^T Y~ = Y^T Y. For a linear representation G the
+    ``covariates`` (k x d_x) and ``labels`` (k x d_y) are the column blocks of a
+    matrix whose Gram equals that of the task's rows [X Y] (n x (d_x + d_y)), and
+    ``n`` (default k) is their count. So X~^T X~ = X^T X, X~^T Y~ = X^T Y and
+    Y~^T Y~ = Y^T Y; the rows themselves are the case k = n, and ``compressed``
+    gives a factor of at most d_x + d_y rows. For a linear representation G the
     features Z~ = X~ G^T keep Z~^T Z~ = Z^T Z and Z~^T Y~ = Z^T Y, and the
     residual sum of squares of any head F,
         ||Y - Z F^T||_F^2 = tr Y^T Y - 2 tr(F Z^T Y) + tr(F Z^T Z F^T),
-    reads only these Grams: a least-squares fit on the k rows gives the raw
-    rows' heads and residual sum. A mean residual divides by ``n``, not by k.
-    Per-row quantities, such as a noise matrix given row by row, have no
-    counterpart on the factor.
+    reads only these Grams: a least-squares fit on the k rows gives the n rows'
+    heads and residual sum. A mean residual divides by ``n``, not by k.
+    Per-row quantities, such as a noise matrix given row by row, need k = n
+    (``require_rows``).
     """
 
     task_id: int
     covariates: np.ndarray  # k x d_x
     labels: np.ndarray      # k x d_y
-    n: int
+    n: int | None = None
 
     def __post_init__(self):
         x = _readonly(np.atleast_2d(self.covariates))
         y = _readonly(np.atleast_2d(self.labels))
-        if x.shape[0] != y.shape[0] or int(self.n) < 1:
-            raise ValueError("factor blocks need an equal row count and n >= 1")
-        _require_finite(x, "covariate factor")
-        _require_finite(y, "label factor")
+        k = x.shape[0]
+        n = k if self.n is None else int(self.n)
+        if y.shape[0] != k or n < max(k, 1):
+            raise ValueError(f"need equal row counts k <= n, n >= 1: {k}, {y.shape[0]}, n={n}")
+        _require_finite(x, "covariates")
+        _require_finite(y, "labels")
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
-    @staticmethod
-    def from_rows(ds: TaskDataset) -> "TaskStats":
-        """The R factor of the QR decomposition [X Y] = Q R: R^T R = [X Y]^T [X Y],
-        with min(N, d_x + d_y) rows."""
-        r = np.linalg.qr(np.hstack([ds.covariates, ds.labels]), mode="r")
-        d_x = ds.covariates.shape[1]
-        return TaskStats(task_id=ds.task_id, covariates=r[:, :d_x], labels=r[:, d_x:],
-                         n=ds.n)
+    def compressed(self) -> "TaskDataset":
+        """The R factor of the QR decomposition [X~ Y~] = Q R: R^T R = [X Y]^T [X Y],
+        with min(k, d_x + d_y) rows and the same ``n``."""
+        r = np.linalg.qr(np.hstack([self.covariates, self.labels]), mode="r")
+        d_x = self.covariates.shape[1]
+        return TaskDataset(task_id=self.task_id, covariates=r[:, :d_x], labels=r[:, d_x:],
+                           n=self.n)
+
+    def require_rows(self) -> None:
+        """Raise ``NeedsRawRows`` unless the sample holds all n rows (k = n)."""
+        if self.covariates.shape[0] != self.n:
+            raise NeedsRawRows(f"task {self.task_id}: per-row data needs raw rows, not a factor")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,11 @@ contract). Each task consumes an independent RNG stream derived from the
 request seed, so tasks can be generated in any order or in parallel without
 changing the output.
 
-Two samplers read the same ``SampleRequest``. ``sample_tasks`` draws raw rows
-(``TaskDataset``), which the ``gen`` command writes out. ``sample_task_stats``
-gives each task's ``TaskStats``, the input of every linear fit: the law draws a
-factor of the covariates' Gram (``CovariateLaw.gram_factor``) and the labels are
-drawn given it, exactly, for every law and every N. The two consume a task's
-stream differently, so at equal seeds they are different draws.
+Both samplers end in one exact draw (``_draw``) of ``TaskDataset``s.
+``sample_tasks`` draws the law's path, so a task keeps its n raw rows (for
+``gen``); ``sample_task_stats`` draws its Gram factor (``gram_factor``), the
+input of every linear fit. The two consume a task's stream differently, so at
+equal seeds they are different draws.
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ from .core import (
     LdsLaw,
     PopulationSpec,
     TaskDataset,
-    TaskStats,
     bartlett,
 )
 
@@ -74,31 +72,15 @@ class SampleRequest:
             raise ValueError("per-task sample counts must be >= 1")
 
 
-def _sample_one_task(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskDataset:
-    task = spec.tasks[t]
-    rng = np.random.default_rng(task_stream_seed(seed, t))
-    x = task.law.sample_path(n, rng, burn_in=default_burn_in(task.law))
-    # Noise is drawn after the covariates so that w_i is a martingale
-    # difference with respect to the covariate filtration.
-    z = spec.rep_star.features(x)
-    y = z @ task.head.f.T
-    if spec.noise_sigma > 0:
-        y = y + spec.noise_sigma * rng.standard_normal(y.shape)
-    return TaskDataset(task_id=t, covariates=x, labels=y)
-
-
-def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
-    """Draw every task's dataset; deterministic given the request (incl. seed)."""
-    return [_sample_one_task(req.spec, t, n, req.seed) for t, n in enumerate(req.per_task_n)]
-
-
-def _task_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskStats:
-    """Exact draw of the statistic of task t's n rows.
+def _draw(req: SampleRequest, t: int, factor) -> TaskDataset:
+    """Exact draw of task t's sample given a factor of its covariates' Gram.
 
     The rows are a path X (n x d_x) of the task's law and Y = X W^T + sigma E,
-    W = F_star G_star, E (n x d_y) standard normal and independent of X. The law
-    gives R = ``gram_factor(n, rng, burn_in)`` (k x d_x, k <= n) with X = Q_1 R,
-    Q_1 (n x k) with orthonormal columns that depend on the covariate draw alone.
+    W = F_star G_star, E (n x d_y) standard normal and independent of X.
+    ``factor(n, rng, burn_in=...)`` draws R (k x d_x, k <= n) with X = Q_1 R,
+    Q_1 (n x k) with orthonormal columns that depend on the covariate draw
+    alone: the law's ``sample_path`` (R = X, Q_1 = I, k = n) or its
+    ``gram_factor``.
 
     Complete Q_1 to an orthogonal Q = [Q_1 Q_2]. Given the covariate draw, Q
     is fixed, and E is independent of it and rotation invariant, so
@@ -110,14 +92,15 @@ def _task_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskStats:
     whose Gram is [X Y]^T [X Y]. Only E_2^T E_2 enters it. For n - k >= d_y
     that is Wishart_{d_y}(n - k, I) = V^T V with V the Bartlett factor,
     independent of R and Xi, and replacing E_2 by V keeps the Gram's law;
-    otherwise V = E_2, possibly with no rows. So the Gram of the rows
-    [[R, R W^T + sigma Xi], [0, sigma V]] has exactly the law of [X Y]^T [X Y].
-    The stream draws R, then Xi, then V; without noise the V rows are zero and
-    are left out.
+    otherwise V = E_2, possibly with no rows (always, for k = n). So the Gram
+    of the rows [[R, R W^T + sigma Xi], [0, sigma V]] has exactly the law of
+    [X Y]^T [X Y]. The stream draws R, then Xi, then V (the path, then its
+    noise, for R = X); without noise the V rows are zero and are left out.
     """
+    spec, n = req.spec, req.per_task_n[t]
     task = spec.tasks[t]
-    rng = np.random.default_rng(task_stream_seed(seed, t))
-    x = task.law.gram_factor(n, rng, burn_in=default_burn_in(task.law))
+    rng = np.random.default_rng(task_stream_seed(req.seed, t))
+    x = factor(n, rng, burn_in=default_burn_in(task.law))
     y = x @ (task.head.f @ spec.rep_star.g).T
     sigma = spec.noise_sigma
     if sigma > 0:
@@ -126,13 +109,17 @@ def _task_stats(spec: PopulationSpec, t: int, n: int, seed: int) -> TaskStats:
         v = bartlett(d_y, n - k, rng) if n - k >= d_y else rng.standard_normal((n - k, d_y))
         y = np.vstack([y, sigma * v])
         x = np.vstack([x, np.zeros((v.shape[0], d_x))])
-    return TaskStats(task_id=t, covariates=x, labels=y, n=n)
+    return TaskDataset(task_id=t, covariates=x, labels=y, n=n)
 
 
-def sample_task_stats(req: SampleRequest) -> list[TaskStats]:
-    """Every task's ``TaskStats`` (``_task_stats``), each drawn exactly from the
-    task's own stream; deterministic given the request (incl. seed)."""
-    return [_task_stats(req.spec, t, n, req.seed) for t, n in enumerate(req.per_task_n)]
+def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
+    """Every task's n raw rows (``_draw`` on the law's path)."""
+    return [_draw(req, t, task.law.sample_path) for t, task in enumerate(req.spec.tasks)]
+
+
+def sample_task_stats(req: SampleRequest) -> list[TaskDataset]:
+    """Every task's Gram factor (``_draw`` on the law's ``gram_factor``)."""
+    return [_draw(req, t, task.law.gram_factor) for t, task in enumerate(req.spec.tasks)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +144,12 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
 
     ``datasets`` are the raw rows of ``sample_tasks(req)``. ``fit``,
     ``diagnose`` and ``sweep`` read ``sample_task_stats(req)`` instead, which
-    draws every task's statistic directly: at equal seeds those are different
-    draws from the rows written here. Returns a map from artifact name to the
-    written path.
+    draws every task's Gram factor directly: at equal seeds those are different
+    draws from the rows written here. A Gram factor of fewer than n rows raises
+    ``NeedsRawRows``. Returns a map from artifact name to the written path.
     """
+    for ds in datasets:
+        ds.require_rows()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dims = req.spec.dims

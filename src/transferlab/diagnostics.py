@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RANK_TOL,
     CovariateLaw,
     LinearHead,
     LinearRep,
@@ -113,27 +114,50 @@ def _infimal_risks(laws, true_heads: np.ndarray, g: LinearRep,
     return np.trace(true_heads @ schur @ np.swapaxes(true_heads, -1, -2), axis1=-2, axis2=-1)
 
 
+def _whitened_cover(target: np.ndarray, sources: np.ndarray, floor) -> float:
+    """max_t ||S_t^{+/2} S_0 S_t^{+/2}||_2 over a (K, d, d) stack of PSD S_t: the
+    least c with S_0 <= c S_t for all t. One ``eigh`` per S_t gives its
+    pseudo-inverse root and the projector P_t onto its range; eigenvalues at or
+    below RANK_TOL times the larger of S_t's largest and ``floor`` count as zero.
+    ``RangeViolation`` if ||S_0 - P_t S_0||_2 > 1e-8 ||S_0||_2 for some t."""
+    w, v = np.linalg.eigh(0.5 * (sources + np.swapaxes(sources, -1, -2)))
+    keep = w > RANK_TOL * np.maximum(w.max(axis=-1, initial=0.0), floor)[:, None]
+    v_t = np.swapaxes(v, -1, -2)
+    outside = target - (v * keep[:, None, :]) @ v_t @ target
+    if np.linalg.norm(outside, 2, axis=(-2, -1)).max() > 1e-8 * max(spectral_norm(target),
+                                                                     1e-300):
+        raise RangeViolation("the target matrix leaves the range of a source matrix")
+    inv_root = np.where(keep, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    half = (v * inv_root[:, None, :]) @ v_t
+    return float(np.linalg.norm(half @ target @ half, 2, axis=(-2, -1)).max(initial=0.0))
+
+
 def mu_x(spec: PopulationSpec, g: LinearRep) -> float:
     """Covariate-coverage coefficient of the target by the sources, for a given g.
 
     max over source tasks t of || (S_t)^{+/2} S_0 (S_t)^{+/2} ||_2 where S_t is
-    the task-t Schur complement of (g, g_star). Returns 0 when the target
-    Schur complement vanishes (g already captures g_star on the target law).
+    the task-t Schur complement of (g, g_star) (``_whitened_cover``). Returns 0
+    when the target Schur complement vanishes (g already captures g_star on the
+    target law). S_t is a difference of moments of size tr E^(t)[g_* g_*^T], the
+    floor of its eigenvalue cutoff, so a round-off S_t (g explains g_star on the
+    source's support) has no range. Raises ``RangeViolation`` if S_0 leaves
+    some S_t's range: that source covers the target with no finite coefficient.
     """
-    schur = _stacked_moments(_factor_stack(task.law for task in spec.tasks), g,
-                             spec.rep_star).schur
-    s0 = schur[0]
+    moments = _stacked_moments(_factor_stack(task.law for task in spec.tasks), g,
+                               spec.rep_star)
+    s0 = moments.schur[0]
     if spectral_norm(s0) < 1e-14:
         return 0.0
-    half = inv_sqrt_psd(schur[1:])
-    return float(np.linalg.norm(half @ s0 @ half, 2, axis=(-2, -1)).max(initial=0.0))
+    r = g.out_dim
+    return _whitened_cover(s0, moments.schur[1:],
+                           np.trace(moments.sigma[1:, r:, r:], axis1=-2, axis2=-1))
 
 
 def mu_f(heads) -> float:
     """Head-coverage coefficient: target head Gram whitened by the source average.
 
-    heads[0] is the target. Requires range(F0^T F0) within range of the
-    averaged source Gram (projector residual <= 1e-8).
+    heads[0] is the target; ``_whitened_cover`` of F0^T F0 by the averaged
+    source Gram, which requires range(F0^T F0) within its range.
 
     Raises
     ------
@@ -143,15 +167,11 @@ def mu_f(heads) -> float:
     heads = list(heads)
     if len(heads) < 2:
         raise ValueError("need a target head and at least one source head")
-    f0 = heads[0].f
-    gram0 = f0.T @ f0
-    gram_src = sum(h.f.T @ h.f for h in heads[1:]) / (len(heads) - 1)
-    proj = gram_src @ pinv(gram_src)
-    scale = max(spectral_norm(gram0), 1e-300)
-    if spectral_norm(gram0 - proj @ gram0) > 1e-8 * scale:
-        raise RangeViolation("target head Gram leaves the source head Gram range")
-    half = inv_sqrt_psd(gram_src)
-    return spectral_norm(half @ gram0 @ half)
+    f = np.stack([head.f for head in heads])
+    grams = np.swapaxes(f, 1, 2) @ f
+    # cumsum sums in task order, so the mean rounds as a per-task loop's does
+    gram_src = np.cumsum(grams[1:], axis=0)[-1:] / (len(heads) - 1)
+    return _whitened_cover(grams[0], gram_src, 0.0)
 
 
 def excess_risk_population(spec: PopulationSpec, head: LinearHead, g: LinearRep) -> float:
@@ -199,8 +219,8 @@ def nu_hat(target_residual: float, source_residuals) -> float | None:
     Each residual is the mean squared residual of the least-squares head fitted
     through the frozen g (``erm.fit_second_stage``; the first stage reports the
     sources' as ``per_task_residual``) and estimates inf_F E||Y - F g(X)||^2.
-    It reads only the Grams of [X Y], so raw rows and a ``TaskStats`` factor
-    give the same value.
+    It reads only the Grams of [X Y], so raw rows and a Gram factor give the
+    same value.
     With Z = g(X), F_hat = Y^T Z (Z^T Z)^+ and the orthogonal projection
     P = Z (Z^T Z)^+ Z^T, the fit is Z F_hat^T = P Y, so by Pythagoras
     (1/N) ||Y - P Y||_F^2 = mean ||Y||^2 - (1/N) ||P Y||_F^2

@@ -5,10 +5,10 @@ source tasks by alternating least squares. Stage two regresses the target
 labels on the frozen fitted representation. Also provides the
 offset-complexity statistic of the fitted noise process.
 
-A task is either raw rows (``TaskDataset``) or a factor of their Gram matrix
-(``TaskStats``). Every fit accepts both and gives the same heads and
-residuals; only the offset statistic, whose noise is given per row, needs raw
-rows.
+A task is a ``TaskDataset``: its n raw rows, or a factor of their Gram matrix
+in fewer rows. Every fit reads only the Grams, so both give the same heads
+and residuals; only the offset statistic, whose noise is given per row, needs
+the raw rows.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .core import LinearHead, LinearRep, TaskStats, pinv
-from .errors import DegenerateData, NeedsRawRows
+from .core import LinearHead, LinearRep, pinv
+from .errors import DegenerateData
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,8 @@ def fit_second_stage(target, rep: LinearRep) -> SecondStageFit:
     from here, and the first stage refits the source heads through the same
     ``ls_head``.
 
-    ``target`` is a ``TaskDataset`` or a ``TaskStats``, whose few rows give the
-    same head and residual sum (see ``TaskStats``).
+    ``target`` is a ``TaskDataset``, raw rows or a Gram factor; both give the
+    same head and residual sum (see ``TaskDataset``).
     """
     z = rep.features(target.covariates)
     f = ls_head(z, target.labels)
@@ -263,8 +263,8 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     statistics, and one stacked ``ls_head`` call on their features refits
     every task's head and reports its residual exactly, as ``fit_second_stage``
     would; ``objective`` is the residuals' n-weighted mean, the pooled mean
-    squared error over all samples. A task may be raw rows or a ``TaskStats``
-    factor; both give the same fit.
+    squared error over all samples. A task may be raw rows or a Gram factor;
+    both give the same fit.
 
     Raises
     ------
@@ -315,14 +315,12 @@ def offset_complexity_stat(datasets, rep: LinearRep, noise) -> float:
     Raises
     ------
     NeedsRawRows
-        If a task is a ``TaskStats`` factor: the noise is given per row.
+        If a task is a Gram factor of fewer than n rows: the noise is given per row.
     """
-    datasets = list(datasets)
-    if any(isinstance(ds, TaskStats) for ds in datasets):
-        raise NeedsRawRows("the offset statistic needs raw rows, not a TaskStats factor")
     total = 0.0
     total_n = 0
     for ds, w in zip(datasets, noise):
+        ds.require_rows()
         w = np.atleast_2d(np.asarray(w, dtype=float))
         if w.shape[0] != ds.n:
             raise ValueError("noise matrix rows must match the dataset")

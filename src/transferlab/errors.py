@@ -22,7 +22,7 @@ class DegenerateData(TransferLabError):
 
 
 class NeedsRawRows(TransferLabError):
-    """A computation on per-row quantities (the offset statistic's noise) got a Gram factor."""
+    """Per-row data (the offset statistic's noise, CSV rows) asked of a Gram factor."""
 
 
 class RangeViolation(TransferLabError):

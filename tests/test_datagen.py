@@ -22,7 +22,7 @@ from transferlab.datagen import (
     task_stream_seed,
     write_datasets_csv,
 )
-from transferlab.errors import UnstableSystem
+from transferlab.errors import NeedsRawRows, UnstableSystem
 
 
 def stable_matrix(d, radius, rng):
@@ -117,6 +117,28 @@ def test_stream_independence_across_tasks():
     assert bumped[1].n == 80
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "lds", "markov"])
+def test_sample_tasks_stream_order(kind):
+    """Each task's stream, from ``task_stream_seed``, gives the path first (after the
+    law's burn-in) and then the n x d_y noise, so w_i is drawn after x_i is fixed."""
+    rng = np.random.default_rng(20)
+    law = {"gaussian": GaussianLaw(np.diag([1.0, 2.0, 0.5])),
+           "lds": LdsLaw(stable_matrix(3, 0.8, rng)),
+           "markov": MarkovLaw(transition=np.full((4, 4), 0.25), d_x=3)}[kind]
+    rep_star = LinearRep(random_orthonormal_rows(2, 3, rng))
+    tasks = (TaskSpec(law=GaussianLaw(np.eye(3)), head=LinearHead(np.eye(2))),
+             TaskSpec(law=law, head=LinearHead(rng.standard_normal((2, 2)))))
+    spec = PopulationSpec(dims=Dims(3, 2, 2), rep_star=rep_star, tasks=tasks, noise_sigma=0.3)
+    n = 25
+    ds = sample_tasks(SampleRequest(spec=spec, per_task_n=(5, n), seed=21))[1]
+    stream = np.random.default_rng(task_stream_seed(21, 1))
+    x = law.sample_path(n, stream, burn_in=default_burn_in(law))
+    noise = stream.standard_normal((n, 2))
+    clean = spec.rep_star.features(x) @ spec.tasks[1].head.f.T
+    assert ds.n == n and np.array_equal(ds.covariates, x)
+    assert np.allclose(ds.labels, clean + 0.3 * noise, rtol=0, atol=1e-14)
+
+
 def test_task_stream_seed_distinct():
     seeds = {task_stream_seed(123, t) for t in range(100)}
     assert len(seeds) == 100
@@ -173,6 +195,16 @@ def test_write_datasets_csv(tmp_path):
     assert manifest["dims"] == {"d_x": 6, "d_y": 2, "r": 2}
     assert manifest["tasks"][1]["stream_seed"] == task_stream_seed(15, 1)
     assert [task["burn_in"] for task in manifest["tasks"]] == [0, 0, 0, 0]
+
+
+def test_write_datasets_csv_rejects_a_compressed_sample(tmp_path):
+    spec = make_gaussian_population(noise_sigma=0.1, seed=14)
+    req = SampleRequest(spec=spec, per_task_n=(20,) * 4, seed=15)
+    data = sample_tasks(req)
+    data[2] = data[2].compressed()
+    with pytest.raises(NeedsRawRows):
+        write_datasets_csv(data, req, tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_manifest_kind_follows_the_law(tmp_path):

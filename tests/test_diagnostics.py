@@ -270,7 +270,8 @@ def test_psd_ordering_certificate():
 
 def mixed_width_population(seed=0, d_x=5, d_y=2, r=2):
     """A Markov target with more states than d_x, then Gaussian, LDS and
-    four-state Markov sources: second-moment factors of widths 8, 5, 5 and 4."""
+    six-state Markov sources: second-moment factors of widths 8, 5, 5 and 6.
+    Every source's Schur complement has full rank, so each covers the target."""
     rng = np.random.default_rng(seed)
 
     def markov(states, stay):
@@ -280,7 +281,7 @@ def mixed_width_population(seed=0, d_x=5, d_y=2, r=2):
 
     a = rng.standard_normal((d_x, d_x))
     laws = [markov(8, 0.6), GaussianLaw(a @ a.T / d_x + 0.5 * np.eye(d_x)),
-            LdsLaw(0.7 * np.linalg.qr(rng.standard_normal((d_x, d_x)))[0]), markov(4, 0.8)]
+            LdsLaw(0.7 * np.linalg.qr(rng.standard_normal((d_x, d_x)))[0]), markov(6, 0.8)]
     tasks = tuple(TaskSpec(law=law, head=LinearHead(rng.standard_normal((d_y, r))))
                   for law in laws)
     return PopulationSpec(dims=Dims(d_x, d_y, r), tasks=tasks,
@@ -317,6 +318,39 @@ def test_stacked_diagnostics_match_per_task_reference_on_mixed_widths(seed):
     assert excess_risk_population(spec, heads[0], g) == pytest.approx(risks[0], rel=1e-12)
     assert estimation_error_avg(spec, heads[1:], g) == pytest.approx(np.mean(risks[1:]),
                                                                      rel=1e-12)
+
+
+def uncovered_population(seed, states, d_x=5, d_y=2, r=2):
+    """A Gaussian target and one Markov source with few states: its centered
+    embedding spans states - 1 dimensions, so for a generic g of rank r the
+    source's Schur complement has rank at most states - 1 - r (zero for three
+    states), while the target's has full rank r."""
+    rng = np.random.default_rng(seed)
+    p = np.full((states, states), 0.2 / (states - 1))
+    np.fill_diagonal(p, 0.8)
+    a = rng.standard_normal((d_x, d_x))
+    laws = [GaussianLaw(a @ a.T / d_x + 0.5 * np.eye(d_x)), MarkovLaw(transition=p, d_x=d_x)]
+    tasks = tuple(TaskSpec(law=law, head=LinearHead(rng.standard_normal((d_y, r))))
+                  for law in laws)
+    return PopulationSpec(dims=Dims(d_x, d_y, r), tasks=tasks,
+                          rep_star=LinearRep(random_orthonormal_rows(r, d_x, rng)))
+
+
+@pytest.mark.parametrize("states", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2, 16])
+def test_mu_x_raises_when_a_source_does_not_cover_the_target(seed, states):
+    """A source whose Schur complement misses a direction of the target's (all of
+    them, when g explains g_star on a three-state support) covers it with no
+    finite coefficient, so mu_x raises instead of whitening by round-off. At
+    seed 16 with three states both round-off eigenvalues are positive, so a
+    cutoff relative to the Schur complement alone would keep them both."""
+    spec = uncovered_population(seed, states)
+    g = misaligned_rep(spec, seed=100 + seed)
+    schur = [stacked_covariance(task.law, g, spec.rep_star).schur for task in spec.tasks]
+    assert np.linalg.eigvalsh(schur[0]).min() > 1e-3
+    assert np.linalg.matrix_rank(schur[1], tol=1e-12) == states - 1 - spec.dims.r
+    with pytest.raises(RangeViolation):
+        mu_x(spec, g)
 
 
 def test_nu_hat_undefined_for_equivalent_rep(rng):

@@ -21,7 +21,6 @@ from transferlab.core import (
     PopulationSpec,
     TaskDataset,
     TaskSpec,
-    TaskStats,
     pinv,
 )
 from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
@@ -31,7 +30,7 @@ from transferlab.erm import (
     fit_second_stage,
     offset_complexity_stat,
 )
-from transferlab.errors import TransferLabError
+from transferlab.errors import NeedsRawRows
 
 FAST = settings(deadline=None, max_examples=30, derandomize=True, database=None)
 
@@ -68,7 +67,7 @@ def test_second_stage_on_factor_equals_raw_rows(case):
     datasets, r, rng = case
     rep = LinearRep(random_orthonormal_rows(r, datasets[0].covariates.shape[1], rng))
     for ds in datasets:
-        stats = TaskStats.from_rows(ds)
+        stats = ds.compressed()
         assert stats.n == ds.n and stats.covariates.shape[0] <= ds.n
         raw, comp = fit_second_stage(ds, rep), fit_second_stage(stats, rep)
         energy = float(np.sum(ds.labels ** 2)) / ds.n
@@ -83,7 +82,7 @@ def test_linear_first_stage_on_factors_equals_raw_rows(case):
     datasets, r, _ = case
     opts = FitOptions(max_iters=60, restarts=1, seed=7)
     raw = fit_first_stage_linear(datasets, r=r, opts=opts)
-    comp = fit_first_stage_linear([TaskStats.from_rows(ds) for ds in datasets], r=r,
+    comp = fit_first_stage_linear([ds.compressed() for ds in datasets], r=r,
                                   opts=opts)
     energy = sum(float(np.sum(ds.labels ** 2)) for ds in datasets) / sum(
         ds.n for ds in datasets)
@@ -99,8 +98,8 @@ def test_nonlinear_features_of_a_factor_raise():
     rng = np.random.default_rng(3)
     ds = TaskDataset(task_id=0, covariates=rng.standard_normal((30, 4)),
                      labels=rng.standard_normal((30, 1)))
-    stats = TaskStats.from_rows(ds)
-    with pytest.raises(TransferLabError, match="raw rows"):
+    stats = ds.compressed()
+    with pytest.raises(NeedsRawRows, match="raw rows"):
         offset_complexity_stat([stats], LinearRep(np.eye(4)[:2]),
                                [np.zeros((30, 1))])
 
