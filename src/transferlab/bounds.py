@@ -326,7 +326,14 @@ def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
     Replicates are drawn in chunks of at most 2^20 normals, one
     draw per chunk in the order replicate, task, covariates then noise, and
     each chunk's Grams go through one batched ``eigh`` and ``slogdet``.
+
+    Raises
+    ------
+    ValueError
+        If replicates is below 1.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     d = config.dims.d_x
     n, t = config.n, config.t_tasks
     sigma, delta = config.sigma_w, config.delta

@@ -43,6 +43,8 @@ def smallball_q(source, hypothesis_grid, u: float, mc_samples: int = 100_000,
     hypothesis_grid = list(hypothesis_grid)
     if not hypothesis_grid:
         raise ValueError("hypothesis grid is empty")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     rng = np.random.default_rng(seed)
     z = _draw(source, mc_samples, rng)
     q_best, idx_best = 1.0, 0
@@ -73,6 +75,10 @@ def paley_zygmund_lower(second_moment: float, fourth_moment: float, theta: float
     if fourth_moment == 0.0:
         return 0.0
     return (1.0 - theta) ** 2 * second_moment ** 2 / fourth_moment
+
+
+# Batches of the calibration sample behind the standard error of its moment ratio.
+_CALIBRATION_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -111,17 +117,36 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
     mode with the dependency-matrix norm of the supplied profile. The
     hypercontractivity precondition E[psi^2] <= C (E[psi])^2 is verified on a
     large calibration sample first. ``psi`` maps an (n, d) sample to its n
-    row values, row by row. A covariate-law source draws every replicate at
-    once (paths in blocked mode); a plain ``f(m, rng)`` source is called once
-    per replicate, each call one sample of size m. The result's ``passed``
-    says whether the frequency stays below the bound plus three binomial
-    standard errors; a failed verdict is returned, not raised.
+    row values, row by row, and is applied once to all replicates' rows.
+
+    Sampler contract. In iid mode (``blocked`` is None) the source is read as
+    a marginal sampler: the rows of all replicates come from one draw of
+    ``replicates * m`` rows, from a law's ``sample_marginal`` or from one call
+    ``f(replicates * m, rng)`` of a plain sampler. The bound holds only for iid
+    rows, so a sampler whose rows are dependent within a call is no iid-mode
+    source. In blocked mode a law draws all replicates' paths at once with
+    ``sample_paths``, and a plain ``f(m, rng)`` sampler is called once per
+    replicate, each call one dependent path of length m.
+
+    The result's ``passed`` says whether the frequency stays below the bound
+    plus three binomial standard errors; a failed verdict is returned, not
+    raised.
 
     Raises
     ------
+    ValueError
+        If m or replicates is below 1, or the calibration sample is smaller
+        than its batch count.
     PreconditionViolated
-        If the calibration sample rejects E[psi^2] <= C (E[psi])^2.
+        If psi is negative, or the calibration sample rejects (or yields no
+        finite value for) E[psi^2] <= C (E[psi])^2.
     """
+    for name, count in (("m", m), ("replicates", replicates)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    if calibration_samples < _CALIBRATION_BATCHES:
+        raise ValueError(f"calibration_samples must be >= {_CALIBRATION_BATCHES} "
+                         f"(one per batch), got {calibration_samples}")
     rng = np.random.default_rng(seed)
     calib = _draw(source, calibration_samples, rng, path=blocked is not None)
     vals = np.asarray(psi(calib), dtype=float)
@@ -130,11 +155,12 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
     mean_psi = float(np.mean(vals))
     mean_psi_sq = float(np.mean(vals ** 2))
     # batch the calibration sample to get an honest stderr for the ratio check
-    batches = np.array_split(vals, 20)
+    batches = np.array_split(vals, _CALIBRATION_BATCHES)
     ratios = [np.mean(b ** 2) / max(np.mean(b) ** 2, 1e-300) for b in batches]
     ratio = mean_psi_sq / max(mean_psi ** 2, 1e-300)
     slack = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(len(batches))
-    if ratio > c + slack:
+    # written so that a NaN ratio or slack rejects the precondition
+    if not ratio <= c + slack:
         raise PreconditionViolated(
             f"E[psi^2] / (E psi)^2 = {ratio:g} exceeds C = {c:g} (+{slack:g} MC slack)")
 
@@ -143,19 +169,13 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
         dep_norm = dependency_matrix_bound(blocked.profile, m).spectral_norm
     bound = math.exp(-m / (8.0 * c * dep_norm ** 2))
 
-    if hasattr(source, "sample_marginal"):
-        # all replicates in one draw; psi is row-wise, so one call on the
-        # stacked rows gives every replicate's values
-        if blocked is not None:
-            rows = source.sample_paths(replicates, m, rng).reshape(replicates * m, -1)
-        else:
-            rows = source.sample_marginal(replicates * m, rng)
-        vals = np.asarray(psi(np.atleast_2d(rows)), dtype=float)
+    if blocked is None:
+        rows = _draw(source, replicates * m, rng)
+    elif hasattr(source, "sample_paths"):
+        rows = source.sample_paths(replicates, m, rng).reshape(replicates * m, -1)
     else:
-        # one call of a plain sampler is one (possibly dependent) sample of size m
-        vals = np.stack([np.asarray(psi(np.atleast_2d(source(m, rng))), dtype=float)
-                         for _ in range(replicates)])
-    means = vals.reshape(replicates, -1).mean(axis=1)
+        rows = np.concatenate([_draw(source, m, rng) for _ in range(replicates)])
+    means = np.asarray(psi(rows), dtype=float).reshape(replicates, -1).mean(axis=1)
     hits = int(np.count_nonzero(means <= 0.5 * mean_psi))
     return TailCheckResult(empirical_freq=hits / replicates, bound=bound,
                            mean_psi=mean_psi, dep_norm=dep_norm, replicates=replicates)

@@ -254,6 +254,21 @@ def test_tail_frequency_equals_per_replicate_reference(name):
         assert res.empirical_freq > 0.05
 
 
+@pytest.mark.parametrize("name", ["callable", "gaussian_iid"])
+def test_tail_frequency_equals_per_replicate_reference_at_benchmark_size(name):
+    # the benchmark's iid tail check (m = 64, 6000 replicates, C = 3.5): the
+    # bad event is rare, but the three seeds hit it, so not every count is 0
+    source, _ = TAIL_SOURCES[name]
+    freqs = []
+    for seed in range(3):
+        res = lower_isometry_tail_check(source, square, c=3.5, m=64, replicates=6000,
+                                        seed=seed, calibration_samples=20_000)
+        ref = tail_frequency_reference(source, square, 64, 6000, seed, 20_000, False)
+        assert res.empirical_freq == ref
+        freqs.append(ref)
+    assert sum(freqs) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # stacked log-determinant
 # ---------------------------------------------------------------------------

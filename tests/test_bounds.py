@@ -251,6 +251,12 @@ def test_snm_empty_data_reduces_to_deviation_term():
     assert res.violation_rate == 0.0
 
 
+def test_snm_rejects_zero_replicates():
+    cfg = make_config(dims=Dims(3, 1, 1), n=50, t_tasks=5, sigma_w=1.0, delta=0.05)
+    with pytest.raises(ValueError, match="replicates"):
+        snm_bound_check(cfg, replicates=0, seed=2)
+
+
 def test_snm_coverage_default_configuration():
     cfg = make_config(dims=Dims(3, 1, 1), n=50, t_tasks=5, sigma_w=1.0, delta=0.05)
     res = snm_bound_check(cfg, replicates=2000, seed=3)

@@ -12,7 +12,7 @@ from scipy.stats import norm
 import transferlab
 from transferlab.core import LdsLaw
 from transferlab.errors import InvalidMoments, PreconditionViolated
-from transferlab.mixing import geometric_profile_from_lds
+from transferlab.mixing import GeometricProfile, geometric_profile_from_lds
 from transferlab.smallball import (
     BlockedMode,
     lower_isometry_tail_check,
@@ -150,15 +150,22 @@ def test_tail_check_rejects_negative_psi():
 
 
 def repeated_at_m(n, rng):
-    """iid N(0, 1) at the calibration size; one N(0, 1) scalar repeated at m = 64."""
+    """iid N(0, 1) at the calibration size; one N(0, 1) scalar repeated at m = 64.
+
+    Each call of length 64 is one fully dependent path, so the sampler is a
+    blocked-mode source.
+    """
     if n == 64:
         return np.full((n, 1), rng.standard_normal())
     return rng.standard_normal((n, 1))
 
 
 def failing_tail_check(seed):
+    # a phi = 0 profile claims independence: dependency norm 1, iid bound
     return lower_isometry_tail_check(repeated_at_m, lambda x: x[:, 0] ** 2, c=3.5, m=64,
-                                     replicates=2000, seed=seed)
+                                     replicates=2000, seed=seed,
+                                     blocked=BlockedMode(profile=GeometricProfile(0.0, 0.0),
+                                                         k=4))
 
 
 def test_tail_check_returns_failed_verdict():
@@ -195,3 +202,78 @@ def test_tail_check_blocked_mode():
     assert res.bound == pytest.approx(math.exp(-64.0 / (24.0 * res.dep_norm ** 2)),
                                       rel=1e-12)
     assert res.passed
+
+
+# ---------------------------------------------------------------------------
+# sampler contract and argument checks
+# ---------------------------------------------------------------------------
+
+class CountingSampler:
+    """A plain Gaussian sampler that records the size of every call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, n, rng):
+        self.sizes.append(n)
+        return rng.standard_normal((n, 1))
+
+
+def test_iid_mode_draws_all_replicates_in_one_call():
+    sampler = CountingSampler()
+    lower_isometry_tail_check(sampler, lambda x: x[:, 0] ** 2, c=3.5, m=16,
+                              replicates=50, seed=14, calibration_samples=1000)
+    assert sampler.sizes == [1000, 50 * 16]
+
+
+def test_blocked_mode_calls_a_plain_sampler_once_per_replicate():
+    sampler = CountingSampler()
+    lower_isometry_tail_check(sampler, lambda x: x[:, 0] ** 2, c=3.5, m=16,
+                              replicates=50, seed=15, calibration_samples=1000,
+                              blocked=BlockedMode(profile=GeometricProfile(0.0, 0.0), k=4))
+    assert sampler.sizes == [1000] + [16] * 50
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"m": 0}, "m"),
+    ({"replicates": 0}, "replicates"),
+    ({"calibration_samples": 10}, "calibration_samples"),
+])
+def test_tail_check_rejects_zero_counts_before_any_draw(kwargs, name):
+    sampler = CountingSampler()
+    args = {"c": 3.5, "m": 16, "replicates": 50, "calibration_samples": 1000, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        lower_isometry_tail_check(sampler, lambda x: x[:, 0] ** 2, seed=16, **args)
+    assert sampler.sizes == []
+
+
+def test_tail_check_small_calibration_cannot_bypass_the_guard():
+    # Cauchy^2 has no finite moments; ten calibration draws once left empty
+    # batches, a NaN slack and a returned verdict
+    def cauchy(n, rng):
+        return rng.standard_cauchy((n, 1))
+
+    with pytest.raises(ValueError, match="calibration_samples"):
+        lower_isometry_tail_check(cauchy, lambda x: x[:, 0] ** 2, c=1.01, m=16,
+                                  replicates=50, seed=17, calibration_samples=10)
+    with pytest.raises(PreconditionViolated):
+        lower_isometry_tail_check(cauchy, lambda x: x[:, 0] ** 2, c=1.01, m=16,
+                                  replicates=50, seed=17, calibration_samples=1000)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_tail_check_nan_ratio_rejects_the_precondition():
+    # one infinite psi value makes E[psi^2] / (E psi)^2 = inf / inf = NaN
+    def psi(x):
+        vals = x[:, 0] ** 2
+        vals[0] = np.inf
+        return vals
+
+    with pytest.raises(PreconditionViolated):
+        lower_isometry_tail_check(gaussian_sampler, psi, c=3.5, m=16, replicates=50,
+                                  seed=18, calibration_samples=1000)
+
+
+def test_q_rejects_zero_mc_samples():
+    with pytest.raises(ValueError, match="mc_samples"):
+        smallball_q(gaussian_sampler, [h_first_coord], u=1.0, mc_samples=0)
