@@ -4,7 +4,7 @@ Covering numbers, the chaining log-integral, the martingale offset-complexity
 bound, the estimation-error and transfer-risk bounds with their burn-in
 tables (iid and mixing modes), and a Monte Carlo coverage check of the
 multi-task self-normalized martingale inequality. All unspecified universal
-constants default to 1 and the reports say so; this module verifies bound
+constants are taken as 1 and the reports say so; this module verifies bound
 structure (monotonicity, rates, coverage), not constants.
 """
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .core import Dims, logdet_psd
 from .mixing import GeometricProfile, MixingProfile, phi_capital
@@ -67,7 +66,6 @@ class BoundConfig:
     class_complexity: ClassComplexity
     delta: float = 0.05
     mixing: MixingSetup | None = None
-    c_universal: float = 1.0
 
     def __post_init__(self):
         # n == 0 is allowed so the SNM coverage check can exercise its
@@ -131,6 +129,8 @@ def log_integral_bound(c: float) -> LogIntegralResult:
     bound = math.sqrt(1.0 + math.log1p(c))
     if c == 0:
         return LogIntegralResult(bound=bound, quadrature=0.0)
+    import scipy.integrate  # deferred: slow to import, and no command calls this
+
     quad, _ = scipy.integrate.quad(lambda x: math.sqrt(math.log1p(c / x)), 0.0, 1.0,
                                    limit=200)
     return LogIntegralResult(bound=bound, quadrature=float(quad))
@@ -147,12 +147,12 @@ def _class_rate_term(config: BoundConfig) -> float:
 
 def martingale_complexity_terms(config: BoundConfig) -> tuple[float, float, float]:
     """(head, class, deviation) addends of the martingale complexity bound,
-    each already scaled by c_universal * sigma_w^2."""
+    each already scaled by sigma_w^2."""
     if config.n < 1:
         raise ValueError("rate formulas need N >= 1")
     d = config.dims
     n, t = config.n, config.t_tasks
-    scale = config.c_universal * config.sigma_w ** 2
+    scale = config.sigma_w ** 2
     head = (d.d_y * d.r / n) * math.log(math.e + config.b_f * config.b_g * n * t / config.sigma_w)
     cls = _class_rate_term(config) / (n * t)
     dev = math.log(1.0 / config.delta) / (n * t)
@@ -239,7 +239,7 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     if not (0.0 < config.delta < 1.0 / math.e):
         raise ValueError("transfer_risk_bound requires delta in (0, 1/e)")
     d = config.dims
-    scale = config.c_universal * config.sigma_w ** 2
+    scale = config.sigma_w ** 2
     log_inv_delta = math.log(1.0 / config.delta)
 
     nrls = scale * c_z * d.d_y * d.r * log_inv_delta / config.n_prime

@@ -12,10 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 sweep failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import contextlib
 import csv
-import functools
 import hashlib
 import json
 import logging
@@ -427,15 +424,16 @@ class SweepResult:
         }
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the configured sweep grid; median-aggregate and fit log-log slopes.
 
     The population is built once per axis value and released before the next
-    one. Individual row failures (``ROW_ERRORS``) are recorded with their
-    exception type and skipped; more than 50% failures (or a grid too short for
-    a slope) raises SweepFailed. Output is sorted by (axis_value, replicate) so
-    execution order never changes the result. Slopes skip medians at the
-    round-off floor (``diag.NU_UNDEFINED_THRESHOLD``), which carry no rate.
+    one. Rows run on the calling thread in grid order, so they come out sorted
+    by (axis_value, replicate) with no sort. Individual row failures
+    (``ROW_ERRORS``) are recorded with their exception type and skipped; more
+    than 50% failures (or a grid too short for a slope) raises SweepFailed.
+    Slopes skip medians at the round-off floor (``diag.NU_UNDEFINED_THRESHOLD``),
+    which carry no rate.
     """
     if config.sweep is None:
         raise SweepFailed("no sweep section in config")
@@ -445,29 +443,19 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
 
     rows: list[SweepRow] = []
     errors: list[tuple[int, int, str]] = []
-
-    def attempt(spec: PopulationSpec, v: int, rep: int):
-        try:
-            return _sweep_one_row(config, spec, axis, v, rep)
-        except ROW_ERRORS as exc:
-            return (v, rep, f"{type(exc).__name__}: {exc}")
-
-    # The serial path stays on the calling thread: rows sampled on a worker
-    # thread allocate from another glibc arena, which changes their timing.
-    with (concurrent.futures.ThreadPoolExecutor(max_workers=threads) if threads > 1
-          else contextlib.nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        for v in grid:
-            spec = build_population(config.population, config.seed,
-                                    num_sources=v if axis == "T" else None)
-            for out in run(functools.partial(attempt, spec, v), range(replicates)):
-                (errors if isinstance(out, tuple) else rows).append(out)
-            del spec
+    for v in grid:
+        spec = build_population(config.population, config.seed,
+                                num_sources=v if axis == "T" else None)
+        for rep in range(replicates):
+            try:
+                rows.append(_sweep_one_row(config, spec, axis, v, rep))
+            except ROW_ERRORS as exc:
+                errors.append((v, rep, f"{type(exc).__name__}: {exc}"))
+        del spec
 
     jobs = len(grid) * replicates
     if len(errors) > jobs / 2:
         raise SweepFailed(f"{len(errors)} of {jobs} sweep rows failed")
-    rows.sort(key=lambda r: (r.axis_value, r.replicate))
 
     medians: dict = {}
     for metric in SWEEP_METRICS:
@@ -543,7 +531,9 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
 
 def run_mixcheck(config: ExperimentConfig) -> dict:
     """Mixing-profile report: coefficients, inflation factor, dependency norm,
-    and (geometric profiles) a block-length selection."""
+    and (geometric profiles) a block-length selection. A Markov profile stops at
+    ``max_lag``, so its dependency norm over n > max_lag + 1 counts phi = 0 at
+    the later lags (see ``mixing.dependency_matrix_bound``)."""
     if config.mixcheck is None:
         raise ConfigError("config has no mixcheck section")
     m = config.mixcheck
@@ -599,13 +589,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the config output_dir")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"],
                         help="lowest level of log records written to stderr")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
@@ -632,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "mixcheck":
             _emit(run_mixcheck(config), out_dir, "mixcheck.json")
         else:  # sweep
-            result = run_sweep(config, threads=args.threads)
+            result = run_sweep(config)
             if out_dir is None:
                 print(json.dumps(result.summary_json(config), indent=2))
             else:

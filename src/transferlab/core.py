@@ -37,10 +37,10 @@ def _require_finite(m: np.ndarray, name: str) -> None:
 # Matrix primitives
 # ---------------------------------------------------------------------------
 
-def pinv(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
 
-    Singular values below ``tol * sigma_max`` are treated as zero. Satisfies
+    Singular values below ``RANK_TOL * sigma_max`` are treated as zero. Satisfies
     the four Penrose identities to high relative accuracy. A stack of shape
     (..., m, n) is inverted matrix by matrix, each with its own cutoff.
 
@@ -53,14 +53,14 @@ def pinv(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     _require_finite(m, "pinv input")
     if m.ndim < 2:
         raise InvalidMatrix("pinv expects a matrix or a stack of matrices")
-    return np.linalg.pinv(m, rcond=tol)
+    return np.linalg.pinv(m, rcond=RANK_TOL)
 
 
-def sqrt_psd(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix.
 
     Eigenvalues in ``[-tol_eff, 0)`` are clipped to zero, where
-    ``tol_eff = tol * max(1, |lambda|_max)``; anything further below zero
+    ``tol_eff = RANK_TOL * max(1, |lambda|_max)``; anything further below zero
     raises. The result S is symmetric with ``S @ S == m`` up to roundoff.
 
     Raises
@@ -78,24 +78,24 @@ def sqrt_psd(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     if np.abs(m - m.T).max(initial=0.0) > 1e-10 * scale:
         raise InvalidMatrix("sqrt_psd expects a symmetric matrix")
     w, v = np.linalg.eigh(0.5 * (m + m.T))
-    tol_eff = tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+    tol_eff = RANK_TOL * max(1.0, float(np.abs(w).max(initial=0.0)))
     if w.min(initial=0.0) < -tol_eff:
         raise NotPSD(f"eigenvalue {w.min():g} below -{tol_eff:g}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
 
 
-def inv_sqrt_psd(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root M^{+/2} of a symmetric PSD matrix.
 
-    Eigenvalues below ``tol * lambda_max`` are treated as zero (their inverse
+    Eigenvalues below ``RANK_TOL * lambda_max`` are treated as zero (their inverse
     square root is set to zero), so rank-deficient inputs are handled. A stack
     of shape (..., d, d) is handled matrix by matrix, each with its own cutoff.
     """
     m = np.asarray(m, dtype=float)
     _require_finite(m, "inv_sqrt_psd input")
     w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
-    cutoff = tol * w.max(axis=-1, initial=0.0, keepdims=True)
+    cutoff = RANK_TOL * w.max(axis=-1, initial=0.0, keepdims=True)
     inv_root = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
     return (v * inv_root[..., None, :]) @ np.swapaxes(v, -1, -2)
 

@@ -187,6 +187,11 @@ def dependency_matrix_bound(profile: MixingProfile, n: int) -> DependencyBound:
     satisfies ||G|| <= 1 + sqrt(2) * sum_i sqrt(phi(i)) (Schur test on the
     banded triangle); this is checked.
 
+    An ``ExactProfile`` without a tail counts phi = 0 past ``max_lag``, so for
+    n > max_lag + 1 the norm is truncated and can understate the full one:
+    ``phi_markov`` gives no tail, and a two-state chain with stay probability
+    0.97 and max_lag 32 reads 20.85 at n = 240 against 30.74 with every lag.
+
     Raises
     ------
     TransferLabError

@@ -128,7 +128,7 @@ def test_martingale_parametric_class_term():
     cfg = make_config(class_complexity=ParametricClass(d_theta=6, b_theta=2.0,
                                                        l_theta=3.0))
     _, cls, _ = martingale_complexity_terms(cfg)
-    expected = cfg.c_universal * cfg.sigma_w ** 2 * 6 * math.log(
+    expected = cfg.sigma_w ** 2 * 6 * math.log(
         math.e + 2.0 * 2.0 * 3.0 * 256 * 4 / 0.5) / (256 * 4)
     assert cls == pytest.approx(expected, rel=1e-12)
 
