@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, logdet_psd
+from .core import Dims, bartlett, logdet_psd
+from .errors import InvalidMatrix, NotPSD
 from .mixing import GeometricProfile, MixingProfile, phi_capital
 
 
@@ -288,8 +289,8 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     )
 
 
-# Standard normals drawn per chunk of SNM replicates (8 MB of doubles), so the
-# check's memory stays bounded at any replicate count and dimensions.
+# Values drawn per chunk of SNM replicates (8 MB of doubles), so the check's
+# memory stays bounded at any replicate count and dimensions.
 _SNM_DRAW_BUDGET = 1 << 20
 
 
@@ -309,6 +310,38 @@ class SnmCheckResult:
         return self.violation_rate <= self.delta + 3.0 * self.stderr
 
 
+def _regularizer(reg: np.ndarray | None, d: int) -> np.ndarray:
+    """The SNM regularizer S: the identity, or ``reg`` checked to be a finite,
+    symmetric, positive definite d x d matrix."""
+    if reg is None:
+        return np.eye(d)
+    s = np.asarray(reg, dtype=float)
+    if s.shape != (d, d):
+        raise InvalidMatrix(f"reg must be a {d} x {d} matrix (d = dims.d_x), "
+                            f"got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise InvalidMatrix("reg contains non-finite entries")
+    if np.abs(s - s.T).max() > 1e-10 * max(1.0, float(np.abs(s).max())):
+        raise InvalidMatrix("reg must be symmetric")
+    if np.linalg.eigvalsh(s)[0] <= 0.0:
+        raise NotPSD("reg must be positive definite")
+    return s
+
+
+def _snm_terms(factor: np.ndarray, noise: np.ndarray,
+               reg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-task ||W^T X G^{-1/2}||_F^2 and log det G, G = S + X^T X, from a
+    factor R of X (X = Q_1 R) and the projected noise Xi = Q_1^T W, or from X
+    and W themselves; both are stacks over the leading axes.
+
+    With A = R^T Xi = X^T W, ||W^T X G^{-1/2}||_F^2 = tr(A^T G^{-1} A), the
+    sum of A * G^{-1} A, one batched solve.
+    """
+    gram = reg + np.swapaxes(factor, -1, -2) @ factor
+    cross = np.swapaxes(factor, -1, -2) @ noise
+    return (cross * np.linalg.solve(gram, cross)).sum(axis=(-2, -1)), logdet_psd(gram)
+
+
 def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
                     reg: np.ndarray | None = None) -> SnmCheckResult:
     """Monte Carlo coverage of the multi-task self-normalized martingale bound.
@@ -323,36 +356,52 @@ def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
     whether the violation rate stays within delta plus three binomial standard
     errors; a failed verdict is returned, not raised.
 
-    Replicates are drawn in chunks of at most 2^20 normals, one
-    draw per chunk in the order replicate, task, covariates then noise, and
-    each chunk's Grams go through one batched ``eigh`` and ``slogdet``.
+    Both sides read a task only through X^T X and X^T W, so each task is drawn
+    as a Gram factor, exactly in law (the k = min(N, d) convention of
+    ``TaskDataset``). For N >= d, X = Q_1 R with Q_1 (N x d) orthonormal, and
+    R has the law of the Bartlett factor U (``core.bartlett(d, N)``). W's d
+    columns are N(0, sigma^2 I_N) and independent of X, so given X, by
+    rotation invariance, Xi = Q_1^T W (d x d) has iid N(0, sigma^2) entries;
+    its law does not depend on X, so Xi is independent of R. Hence
+    (X^T X, X^T W) = (R^T R, R^T Xi) jointly in law, and the violation
+    indicator keeps its law. For N < d the task keeps its raw rows (R = X,
+    Xi = W); N = 0 leaves the deviation term alone.
+
+    Streams: ``SeedSequence(seed)`` spawns three, for the chi-squares of the
+    factors, their normals (or the raw covariates) and the noise. Each is
+    drawn in replicate-then-task order, so chunking replicates to at most
+    ``_SNM_DRAW_BUDGET`` values does not change the result.
 
     Raises
     ------
     ValueError
         If replicates is below 1.
+    InvalidMatrix
+        If ``reg`` is not a finite symmetric d x d matrix.
+    NotPSD
+        If ``reg`` is not positive definite.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     d = config.dims.d_x
     n, t = config.n, config.t_tasks
     sigma, delta = config.sigma_w, config.delta
-    s_reg = np.eye(d) if reg is None else np.asarray(reg, dtype=float)
+    s_reg = _regularizer(reg, d)
     logdet_reg = logdet_psd(s_reg)
-    rng = np.random.default_rng(seed)
+    chi_rng, cov_rng, noise_rng = (np.random.default_rng(s)
+                                   for s in np.random.SeedSequence(seed).spawn(3))
     offset = 2.0 * sigma ** 2 * math.log(1.0 / delta)
-    chunk = max(1, _SNM_DRAW_BUDGET // max(1, 2 * t * n * d))
+    k = min(n, d)
+    cov_values = d * (d + 1) // 2 if n >= d else n * d
+    chunk = max(1, _SNM_DRAW_BUDGET // max(1, t * (cov_values + k * d)))
     violations = 0
     for start in range(0, replicates, chunk):
-        z = rng.standard_normal((min(chunk, replicates - start), t, 2, n, d))
-        x, w = z[:, :, 0], sigma * z[:, :, 1]
-        gram = s_reg + np.swapaxes(x, -1, -2) @ x
-        vals, vecs = np.linalg.eigh(gram)
-        # with gram = V diag(vals) V^T, ||W^T X gram^{-1/2}||_F^2 is the sum
-        # of (W^T X V)_ij^2 / vals_j
-        proj = np.swapaxes(w, -1, -2) @ x @ vecs
-        lhs = (proj * proj / vals[..., None, :]).sum(axis=(1, 2, 3))
-        rhs = offset + (d * sigma ** 2 * (logdet_psd(gram) - logdet_reg)).sum(axis=1)
-        violations += int(np.count_nonzero(lhs > rhs))
+        shape = (min(chunk, replicates - start), t)
+        factor = (bartlett(d, n, chi_rng, shape, normal_rng=cov_rng) if n >= d
+                  else cov_rng.standard_normal((*shape, n, d)))
+        noise = sigma * noise_rng.standard_normal((*shape, k, d))
+        lhs, logdet = _snm_terms(factor, noise, s_reg)
+        rhs = offset + (d * sigma ** 2 * (logdet - logdet_reg)).sum(axis=1)
+        violations += int(np.count_nonzero(lhs.sum(axis=1) > rhs))
     return SnmCheckResult(violation_rate=violations / replicates, delta=delta,
                           replicates=replicates)

@@ -133,14 +133,23 @@ def _strict_upper(d: int) -> np.ndarray:
     return idx
 
 
-def bartlett(d: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+def bartlett(d: int, dof: int, rng: np.random.Generator, shape: tuple[int, ...] = (),
+             normal_rng: np.random.Generator | None = None) -> np.ndarray:
     """Upper-triangular U with U^T U ~ Wishart_d(dof, I), dof >= d (Bartlett
     decomposition): U_ii = sqrt(chi^2_{dof - i}) for i = 0..d-1, U_ij standard
-    normal for i < j, all independent."""
-    u = np.zeros(d * d)
-    u[::d + 1] = np.sqrt(rng.chisquare(dof - np.arange(d)))
-    u[_strict_upper(d)] = rng.standard_normal(d * (d - 1) // 2)
-    return u.reshape(d, d)
+    normal for i < j, all independent.
+
+    ``shape`` stacks independent factors, giving shape (*shape, d, d). The
+    chi-squares come from ``rng`` and the normals from ``normal_rng`` (default
+    ``rng``), each in C order of the stack. With two streams, a stack equals
+    its factors drawn one by one in that order.
+    """
+    u = np.zeros((*shape, d * d))
+    size = (*shape, d) if shape else None  # a size costs ~2 us per call; one factor needs none
+    u[..., ::d + 1] = np.sqrt(rng.chisquare(dof - np.arange(d), size=size))
+    normals = rng if normal_rng is None else normal_rng
+    u[..., _strict_upper(d)] = normals.standard_normal((*shape, d * (d - 1) // 2))
+    return u.reshape(*shape, d, d)
 
 
 # ---------------------------------------------------------------------------

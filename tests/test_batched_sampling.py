@@ -4,7 +4,8 @@ per-path, per-block and per-replicate loops they replaced.
 The reference functions below are those loops, kept verbatim in behaviour:
 Markov paths, iid paths, decoupled samples, SNM violation counts and tail-check
 frequencies must match them exactly; LDS paths differ only by the round-off of
-the chunked recursion.
+the chunked recursion. The SNM loop draws each task's Gram factor, as the check
+does; a raw-row draw checks that the factor draw keeps the violation law.
 """
 import math
 
@@ -13,7 +14,8 @@ import pytest
 
 from transferlab import bounds
 from transferlab.bounds import BoundConfig, FiniteClass, snm_bound_check
-from transferlab.core import Dims, GaussianLaw, LdsLaw, MarkovLaw, logdet_psd, sqrt_psd
+from transferlab.core import (Dims, GaussianLaw, LdsLaw, MarkovLaw, bartlett, logdet_psd,
+                              sqrt_psd)
 from transferlab.errors import NotPSD
 from transferlab.mixing import decouple_trajectory, geometric_profile_from_lds, make_blocks
 from transferlab.smallball import BlockedMode, lower_isometry_tail_check
@@ -66,23 +68,50 @@ def decouple_reference(law, partition, seed):
 
 
 def snm_violations_reference(config, replicates, seed, reg):
+    """One replicate, one task at a time: the Bartlett factor R (chi-squares
+    and normals from their own streams) or, for N < d, the raw covariates, and
+    the projected noise Xi; the left side by an eigendecomposition."""
     d, n, t = config.dims.d_x, config.n, config.t_tasks
     sigma, delta = config.sigma_w, config.delta
     logdet_reg = logdet_psd(reg)
-    rng = np.random.default_rng(seed)
+    chi_rng, cov_rng, noise_rng = (np.random.default_rng(s)
+                                   for s in np.random.SeedSequence(seed).spawn(3))
     violations = 0
     for _ in range(replicates):
         lhs = 0.0
         rhs = 2.0 * sigma ** 2 * math.log(1.0 / delta)
         for _ in range(t):
-            x = rng.standard_normal((n, d))
-            w = sigma * rng.standard_normal((n, d))
-            gram = reg + x.T @ x
+            if n >= d:
+                r = bartlett(d, n, chi_rng, normal_rng=cov_rng)
+            else:
+                r = cov_rng.standard_normal((n, d))
+            xi = sigma * noise_rng.standard_normal((min(n, d), d))
+            gram = reg + r.T @ r
             vals, vecs = np.linalg.eigh(gram)
-            s_mat = w.T @ x @ ((vecs / np.sqrt(vals)) @ vecs.T)
+            s_mat = xi.T @ r @ ((vecs / np.sqrt(vals)) @ vecs.T)
             lhs += float(np.sum(s_mat * s_mat))
             rhs += d * sigma ** 2 * (logdet_psd(gram) - logdet_reg)
         violations += lhs > rhs
+    return violations
+
+
+def snm_raw_rows_violations(config, replicates, seed, reg):
+    """Violation count from N raw rows of X and W per task, the law the
+    factor draw must keep."""
+    d, n, t = config.dims.d_x, config.n, config.t_tasks
+    sigma, delta = config.sigma_w, config.delta
+    rng = np.random.default_rng(seed)
+    violations = 0
+    for start in range(0, replicates, 500):
+        z = rng.standard_normal((min(500, replicates - start), t, 2, n, d))
+        x, w = z[:, :, 0], sigma * z[:, :, 1]
+        gram = reg + np.swapaxes(x, -1, -2) @ x
+        vals, vecs = np.linalg.eigh(gram)
+        proj = np.swapaxes(w, -1, -2) @ x @ vecs
+        lhs = (proj * proj / vals[..., None, :]).sum(axis=(1, 2, 3))
+        rhs = (2.0 * sigma ** 2 * math.log(1.0 / delta)
+               + (d * sigma ** 2 * (logdet_psd(gram) - logdet_psd(reg))).sum(axis=1))
+        violations += int(np.count_nonzero(lhs > rhs))
     return violations
 
 
@@ -191,8 +220,8 @@ def test_decouple_trajectory_lds_within_round_off():
 # SNM coverage check
 # ---------------------------------------------------------------------------
 
-def snm_config(delta):
-    return BoundConfig(dims=Dims(d_x=3, d_y=1, r=1), t_tasks=5, n=5, n_prime=1,
+def snm_config(delta, n=5):
+    return BoundConfig(dims=Dims(d_x=3, d_y=1, r=1), t_tasks=5, n=n, n_prime=1,
                        sigma_w=1.0, b_f=1.0, b_g=1.0,
                        class_complexity=FiniteClass(log_card=1.0), delta=delta)
 
@@ -211,15 +240,55 @@ def test_snm_violations_equal_per_replicate_reference(delta):
     assert sum(counts) > 0
 
 
+def test_snm_raw_rows_below_d_equal_per_replicate_reference():
+    # N = 2 < d = 3: the tasks keep their raw rows
+    reg = 100.0 * np.eye(3)
+    counts = []
+    for seed in range(10):
+        res = snm_bound_check(snm_config(1.0, n=2), replicates=60, seed=seed, reg=reg)
+        counts.append(snm_violations_reference(snm_config(1.0, n=2), 60, seed, reg))
+        assert round(res.violation_rate * 60) == counts[-1]
+    assert sum(counts) > 0
+
+
 def test_snm_chunks_keep_the_replicate_stream(monkeypatch):
     reg = 100.0 * np.eye(3)
     whole = snm_bound_check(snm_config(1.0), replicates=50, seed=4, reg=reg)
-    # 150 normals per replicate: chunks of 7 replicates, the last one short
-    monkeypatch.setattr(bounds, "_SNM_DRAW_BUDGET", 7 * 150)
+    # per replicate, 5 tasks of 6 factor values (3 chi-squares, 3 normals)
+    # and 9 noise values, 75 in all: chunks of 7 replicates, the last one short
+    monkeypatch.setattr(bounds, "_SNM_DRAW_BUDGET", 7 * 75)
     chunked = snm_bound_check(snm_config(1.0), replicates=50, seed=4, reg=reg)
     assert chunked.violation_rate == whole.violation_rate
     assert round(whole.violation_rate * 50) == snm_violations_reference(
         snm_config(1.0), 50, 4, reg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_snm_factor_terms_equal_raw_row_terms(n):
+    # R and Xi = Q_1^T W from the reduced QR of raw rows X (k = min(N, d))
+    rng = np.random.default_rng(n)
+    reg = 100.0 * np.eye(3)
+    x, w = rng.standard_normal((2, n, 3))
+    q1, r = np.linalg.qr(x)
+    lhs, logdet = bounds._snm_terms(r, q1.T @ w, reg)
+    gram = reg + x.T @ x
+    vals, vecs = np.linalg.eigh(gram)
+    s_mat = w.T @ x @ ((vecs / np.sqrt(vals)) @ vecs.T)
+    assert lhs == pytest.approx(np.sum(s_mat * s_mat), rel=1e-12)
+    assert logdet == pytest.approx(logdet_psd(gram), rel=1e-12)
+
+
+def test_snm_factor_draw_keeps_the_raw_row_violation_law():
+    # S = 100 I and delta = 1 put the violation rate near 0.15
+    cfg = BoundConfig(dims=Dims(d_x=3, d_y=1, r=1), t_tasks=5, n=50, n_prime=1,
+                      sigma_w=1.0, b_f=1.0, b_g=1.0,
+                      class_complexity=FiniteClass(log_card=1.0), delta=1.0)
+    reg, reps = 100.0 * np.eye(3), 4000
+    factor = snm_bound_check(cfg, replicates=reps, seed=11, reg=reg).violation_rate
+    raw = snm_raw_rows_violations(cfg, reps, 11, reg) / reps
+    se = math.sqrt((factor * (1 - factor) + raw * (1 - raw)) / reps)
+    assert 0.1 < raw < 0.2
+    assert abs(factor - raw) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from transferlab.bounds import (
     transfer_risk_bound,
 )
 from transferlab.core import Dims
+from transferlab.errors import InvalidMatrix, NotPSD
 from transferlab.mixing import GeometricProfile
 
 
@@ -255,6 +256,24 @@ def test_snm_rejects_zero_replicates():
     cfg = make_config(dims=Dims(3, 1, 1), n=50, t_tasks=5, sigma_w=1.0, delta=0.05)
     with pytest.raises(ValueError, match="replicates"):
         snm_bound_check(cfg, replicates=0, seed=2)
+
+
+@pytest.mark.parametrize("reg, error", [
+    (np.array([[100.0]]), InvalidMatrix),  # would broadcast over X^T X
+    (100.0, InvalidMatrix),
+    (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), InvalidMatrix),
+    (np.diag([1.0, np.inf, 1.0]), InvalidMatrix),
+    (np.diag([-1.0, -1.0, 1.0]), NotPSD),  # determinant 1
+    (np.diag([1.0, 0.0, 1.0]), NotPSD),
+])
+def test_snm_rejects_malformed_reg_before_any_draw(reg, error, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking reg")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    cfg = make_config(dims=Dims(3, 1, 1), n=50, t_tasks=5, sigma_w=1.0, delta=0.05)
+    with pytest.raises(error, match="reg"):
+        snm_bound_check(cfg, replicates=10, seed=2, reg=reg)
 
 
 def test_snm_coverage_default_configuration():

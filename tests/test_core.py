@@ -8,6 +8,7 @@ from transferlab.core import (
     LinearRep,
     MarkovLaw,
     TaskDataset,
+    bartlett,
     inv_sqrt_psd,
     pinv,
     spectral_norm,
@@ -105,6 +106,44 @@ def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 6))
     assert np.isclose(spectral_norm(m), np.linalg.svd(m, compute_uv=False)[0])
+
+
+def bartlett_reference(d, dof, rng):
+    """One factor as drawn before stacks: the chi-squares, then the normals."""
+    u = np.zeros((d, d))
+    u[np.diag_indices(d)] = np.sqrt(rng.chisquare(dof - np.arange(d)))
+    u[np.triu_indices(d, 1)] = rng.standard_normal(d * (d - 1) // 2)
+    return u
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 64])
+def test_bartlett_single_factor_is_unchanged(d):
+    for seed in range(5):
+        assert np.array_equal(bartlett(d, d + 7, np.random.default_rng(seed)),
+                              bartlett_reference(d, d + 7, np.random.default_rng(seed)))
+
+
+def test_bartlett_stack_equals_factors_drawn_one_by_one():
+    chi, normals = np.random.default_rng(0), np.random.default_rng(1)
+    stack = bartlett(3, 7, chi, (4, 2), normal_rng=normals)
+    chi, normals = np.random.default_rng(0), np.random.default_rng(1)
+    for i in range(4):
+        for j in range(2):
+            assert np.array_equal(stack[i, j], bartlett(3, 7, chi, normal_rng=normals))
+
+
+def test_bartlett_stack_moments():
+    d, dof, draws = 4, 6, 20_000
+    u = bartlett(d, dof, np.random.default_rng(3), (draws,))
+    assert u.shape == (draws, d, d)
+    assert not np.tril(u, -1).any()
+    diag_sq = np.diagonal(u, axis1=1, axis2=2) ** 2
+    chi_dof = dof - np.arange(d)
+    assert np.all(np.abs(diag_sq.mean(axis=0) - chi_dof) <= 4.0 * np.sqrt(2.0 * chi_dof / draws))
+    rows, cols = np.triu_indices(d, 1)
+    off = u[:, rows, cols]
+    assert np.all(np.abs(off.mean(axis=0)) <= 4.0 / np.sqrt(draws))
+    assert np.all(np.abs(off.var(axis=0) - 1.0) <= 4.0 * np.sqrt(2.0 / draws))
 
 
 def test_dims_invariants():
