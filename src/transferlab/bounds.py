@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import Dims, bartlett, logdet_psd
 from .errors import InvalidMatrix, NotPSD
 from .mixing import GeometricProfile, MixingProfile, phi_capital
@@ -236,6 +237,10 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     divided by the block length, source requirement inflated by the mixing
     factor, plus the block tail condition). The target requirement prices h_z
     as c_z: the two suprema coincide after the change v -> Sigma_Z^{1/2} v.
+
+    ``c42_target``, ``c42_sources`` and ``h_v`` enter only the burn-in table.
+    They default to 1.0, and no command passes them: the ``bounds`` command
+    prices its burn-ins at these defaults.
     """
     if not (0.0 < config.delta < 1.0 / math.e):
         raise ValueError("transfer_risk_bound requires delta in (0, 1/e)")
@@ -287,11 +292,6 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
         burn_ins=tuple(burn_ins),
         mode=mode,
     )
-
-
-# Values drawn per chunk of SNM replicates (8 MB of doubles), so the check's
-# memory stays bounded at any replicate count and dimensions.
-_SNM_DRAW_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,7 @@ def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
     Streams: ``SeedSequence(seed)`` spawns three, for the chi-squares of the
     factors, their normals (or the raw covariates) and the noise. Each is
     drawn in replicate-then-task order, so chunking replicates to at most
-    ``_SNM_DRAW_BUDGET`` values does not change the result.
+    ``core.MC_DRAW_BUDGET`` values does not change the result.
 
     Raises
     ------
@@ -393,7 +393,7 @@ def snm_bound_check(config: BoundConfig, replicates: int = 2000, seed: int = 0,
     offset = 2.0 * sigma ** 2 * math.log(1.0 / delta)
     k = min(n, d)
     cov_values = d * (d + 1) // 2 if n >= d else n * d
-    chunk = max(1, _SNM_DRAW_BUDGET // max(1, t * (cov_values + k * d)))
+    chunk = max(1, core.MC_DRAW_BUDGET // max(1, t * (cov_values + k * d)))
     violations = 0
     for start in range(0, replicates, chunk):
         shape = (min(chunk, replicates - start), t)

@@ -21,6 +21,13 @@ from .errors import InvalidMatrix, NeedsRawRows, NotPSD, NotErgodic, UnstableSys
 # this laboratory runs at (a few hundred at most).
 RANK_TOL = 1e-10
 
+# Values a Monte Carlo loop draws per chunk (512 KB of doubles). The SNM
+# check, the lower-isometry tail check and ``diagnostics.nrls_quantities``
+# draw their samples in consecutive chunks of at most this many values, so
+# their memory stays bounded at any sample or replicate count.
+# Modules read it as ``core.MC_DRAW_BUDGET`` at call time.
+MC_DRAW_BUDGET = 1 << 16
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)

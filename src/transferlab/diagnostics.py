@@ -12,14 +12,20 @@ quantity is one stacked computation over it, with no loop over tasks: the
 feature moments and Schur complements (``_stacked_moments``), the risks
 (``_risks``) and the infimal risks (``_infimal_risks``). Only
 ``nrls_quantities`` and ``hypercontractivity_c42``, which read fourth and
-higher moments, draw a seeded Monte Carlo sample.
+higher moments, draw a seeded Monte Carlo sample. ``nrls_quantities`` makes
+two passes: it draws x in chunks of at most ``core.MC_DRAW_BUDGET`` values and
+keeps only the features and labels, then sums the moments chunk by chunk, so
+its memory is O(n (r + d_y)) plus one chunk. The chunked draw consumes the
+generator in the order of one whole draw, so the sample is unchanged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     RANK_TOL,
     CovariateLaw,
@@ -275,27 +281,57 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     (v^T z)^2 = (v (x) v)^T (z (x) z), it is (v (x) v)^T M4 (v (x) v) with
     M4 = mean (z (x) z)(z (x) z)^T. A sample maximum can exceed the population
     supremum: 100 000 Gaussian samples give c_z near 1.739 > sqrt(3).
+
+    Two passes keep memory at O(n (r + d_y)) plus one chunk of at most
+    ``core.MC_DRAW_BUDGET`` values, whatever d_x. The first draws x one chunk
+    at a time and keeps only Z and the noiseless Y; the label noise is then
+    drawn in one call, and the sphere directions after it. Chunked marginal
+    draws consume the generator as one draw of n rows does, so the sample is
+    that of one draw. The second pass runs over chunks of (Z, Y) and sums
+    ||u||^4, ||V||_F^2, M4 and ||V||_F^p, so the quantities differ from
+    whole-sample means only by summation order.
+
+    Raises
+    ------
+    ValueError
+        If mc_samples is below 1.
     """
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+    n, r = mc_samples, rep.out_dim
+    step = max(1, core.MC_DRAW_BUDGET // max(target_law.d_x, r * r))
     rng = np.random.default_rng(seed)
-    x = target_law.sample_marginal(max(1, mc_samples), rng)
-    n = x.shape[0]
-    z = rep.features(x)
-    y = rep_star.features(x) @ true_head.f.T
+    z = np.empty((n, r))
+    y = np.empty((n, true_head.d_y))
+    for start in range(0, n, step):
+        x = target_law.sample_marginal(min(step, n - start), rng)
+        z[start:start + step] = rep.features(x)
+        y[start:start + step] = rep_star.features(x) @ true_head.f.T
     if noise_sigma > 0:
-        y = y + noise_sigma * rng.standard_normal(y.shape)
+        y += noise_sigma * rng.standard_normal(y.shape)
     sigma_z = z.T @ z / n
     f_mis = (y.T @ z / n) @ pinv(sigma_z)
-    u = y - z @ f_mis.T                         # n x d_y
-    z_std = z @ inv_sqrt_psd(sigma_z).T         # n x r, standardized features
-    u_norm2 = np.sum(u * u, axis=1)
-    z_norm2 = np.sum(z_std * z_std, axis=1)
-    sigma_u_sq = float(np.sqrt(np.mean(u_norm2 ** 2)))
-    v_frob2 = u_norm2 * z_norm2                 # ||V_i||_F^2 for rank-one V_i
-    sigma_v_sq = float(np.mean(v_frob2))
+    whiten = inv_sqrt_psd(sigma_z).T
 
-    r = z.shape[1]
-    zz = (z_std[:, :, None] * z_std[:, None, :]).reshape(n, r * r)
-    m4 = zz.T @ zz / n
+    sum_u4 = sum_v2 = 0.0
+    m4 = np.zeros((r * r, r * r))
+    v_moments = np.zeros(8)                     # sums of ||V_i||_F^p, p = 1..8
+    for start in range(0, n, step):
+        u = y[start:start + step] - z[start:start + step] @ f_mis.T
+        z_std = z[start:start + step] @ whiten  # standardized features
+        u_norm2 = np.sum(u * u, axis=1)
+        v_frob2 = u_norm2 * np.sum(z_std * z_std, axis=1)  # ||V_i||_F^2, V_i rank one
+        sum_u4 += float(np.sum(u_norm2 ** 2))
+        sum_v2 += float(np.sum(v_frob2))
+        zz = (z_std[:, :, None] * z_std[:, None, :]).reshape(-1, r * r)
+        m4 += zz.T @ zz
+        v_frob = np.sqrt(v_frob2)
+        for p in range(1, 9):
+            v_moments[p - 1] += np.sum(v_frob ** p)
+    sigma_u_sq = math.sqrt(sum_u4 / n)
+    sigma_v_sq = sum_v2 / n
+    m4 /= n
+
     dirs = rng.standard_normal((SPHERE_DIRECTIONS, r))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(r)])
@@ -303,9 +339,8 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     fourth = np.sum((vv @ m4) * vv, axis=1)
     c_z = float(np.sqrt(fourth.max(initial=0.0)))
 
-    v_frob = np.sqrt(v_frob2)
     if sigma_v_sq > 0:
-        psi1 = max(np.mean(v_frob ** p) ** (1.0 / p) / p for p in range(1, 9))
+        psi1 = max((v_moments[p - 1] / n) ** (1.0 / p) / p for p in range(1, 9))
         h_v = float(psi1 ** 2 / sigma_v_sq)
     else:
         h_v = 0.0
@@ -344,13 +379,21 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
     ``laws`` is the list of task laws forming a uniform mixture; each grid
     member is a pair (F, g) and the centered hypothesis is
     h(x) = F g(x) - F_star g_star(x). Members with second moment below 1e-14
-    are skipped.
+    are skipped. Each law draws mc_samples // len(laws) samples.
+
+    Raises
+    ------
+    ValueError
+        If the grid is empty, or mc_samples is below the number of laws.
     """
     hypothesis_grid = list(hypothesis_grid)
     if not hypothesis_grid:
         raise ValueError("hypothesis grid is empty")
     laws = list(laws)
-    per_law = max(1, mc_samples // len(laws))
+    if mc_samples < len(laws):
+        raise ValueError(f"mc_samples must be >= the number of laws ({len(laws)}), "
+                         f"got {mc_samples}")
+    per_law = mc_samples // len(laws)
     samples = []
     for j, law in enumerate(laws):
         x = law.sample_marginal(per_law, np.random.default_rng(seed + 7919 * j))

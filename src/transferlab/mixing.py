@@ -124,9 +124,13 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
 
     Raises
     ------
+    ValueError
+        If mc_samples is below 1.
     UnstableSystem
         If the spectral radius of A is >= 1.
     """
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     law = LdsLaw(a=a)  # validates stability
     rho0 = law.spectral_radius
     rho = rho0 ** 2
@@ -137,7 +141,7 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     d = sigma.shape[0]
     _, logdet = np.linalg.slogdet(sigma)
     rng = np.random.default_rng(seed)
-    x = law.sample_marginal(max(1, mc_samples), rng)
+    x = law.sample_marginal(mc_samples, rng)
     mean_shift = np.einsum("ij,jk,ik->i", x @ law.a.T, sigma_inv, x @ law.a.T)
     kl = 0.5 * (np.trace(sigma_inv) - d + mean_shift + logdet)
     tv1 = float(np.mean(np.minimum(1.0, np.sqrt(np.maximum(kl, 0.0) / 2.0))))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .errors import InvalidMoments, PreconditionViolated
 from .mixing import MixingProfile, dependency_matrix_bound
 
@@ -117,16 +118,21 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
     mode with the dependency-matrix norm of the supplied profile. The
     hypercontractivity precondition E[psi^2] <= C (E[psi])^2 is verified on a
     large calibration sample first. ``psi`` maps an (n, d) sample to its n
-    row values, row by row, and is applied once to all replicates' rows.
+    row values, row by row, and is applied once per chunk of replicates.
 
-    Sampler contract. In iid mode (``blocked`` is None) the source is read as
-    a marginal sampler: the rows of all replicates come from one draw of
-    ``replicates * m`` rows, from a law's ``sample_marginal`` or from one call
-    ``f(replicates * m, rng)`` of a plain sampler. The bound holds only for iid
-    rows, so a sampler whose rows are dependent within a call is no iid-mode
-    source. In blocked mode a law draws all replicates' paths at once with
-    ``sample_paths``, and a plain ``f(m, rng)`` sampler is called once per
-    replicate, each call one dependent path of length m.
+    Sampler contract. After the calibration draw, the replicates come in
+    consecutive chunks of whole replicates, as many as fit in
+    ``core.MC_DRAW_BUDGET`` values (m rows of the calibration sample's width
+    each; at least one). In iid mode (``blocked`` is None) the source is read
+    as a marginal sampler: a chunk of c replicates is one draw of c * m rows,
+    from a law's ``sample_marginal`` or from one call ``f(c * m, rng)`` of a
+    plain sampler; below the budget that is one draw of ``replicates * m``
+    rows. The bound holds only for iid rows, so a sampler whose rows are
+    dependent within a call is no iid-mode source. In blocked mode a law draws
+    a chunk's paths at once with ``sample_paths``, and a plain ``f(m, rng)``
+    sampler is called once per replicate, each call one dependent path of
+    length m. A law's draws consume its generator alike in one call or in
+    chunks, so the frequency does not depend on the budget.
 
     The result's ``passed`` says whether the frequency stays below the bound
     plus three binomial standard errors; a failed verdict is returned, not
@@ -169,13 +175,17 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
         dep_norm = dependency_matrix_bound(blocked.profile, m).spectral_norm
     bound = math.exp(-m / (8.0 * c * dep_norm ** 2))
 
-    if blocked is None:
-        rows = _draw(source, replicates * m, rng)
-    elif hasattr(source, "sample_paths"):
-        rows = source.sample_paths(replicates, m, rng).reshape(replicates * m, -1)
-    else:
-        rows = np.concatenate([_draw(source, m, rng) for _ in range(replicates)])
-    means = np.asarray(psi(rows), dtype=float).reshape(replicates, -1).mean(axis=1)
-    hits = int(np.count_nonzero(means <= 0.5 * mean_psi))
+    chunk = max(1, core.MC_DRAW_BUDGET // (m * calib.shape[1]))
+    hits = 0
+    for start in range(0, replicates, chunk):
+        count = min(chunk, replicates - start)
+        if blocked is None:
+            rows = _draw(source, count * m, rng)
+        elif hasattr(source, "sample_paths"):
+            rows = source.sample_paths(count, m, rng).reshape(count * m, -1)
+        else:
+            rows = np.concatenate([_draw(source, m, rng) for _ in range(count)])
+        means = np.asarray(psi(rows), dtype=float).reshape(count, -1).mean(axis=1)
+        hits += int(np.count_nonzero(means <= 0.5 * mean_psi))
     return TailCheckResult(empirical_freq=hits / replicates, bound=bound,
                            mean_psi=mean_psi, dep_norm=dep_norm, replicates=replicates)

@@ -5,14 +5,16 @@ The reference functions below are those loops, kept verbatim in behaviour:
 Markov paths, iid paths, decoupled samples, SNM violation counts and tail-check
 frequencies must match them exactly; LDS paths differ only by the round-off of
 the chunked recursion. The SNM loop draws each task's Gram factor, as the check
-does; a raw-row draw checks that the factor draw keeps the violation law.
+does; a raw-row draw checks that the factor draw keeps the violation law. The
+checks draw in chunks of at most ``core.MC_DRAW_BUDGET`` values; shrinking the
+budget leaves SNM counts and tail frequencies unchanged.
 """
 import math
 
 import numpy as np
 import pytest
 
-from transferlab import bounds
+from transferlab import bounds, core
 from transferlab.bounds import BoundConfig, FiniteClass, snm_bound_check
 from transferlab.core import (Dims, GaussianLaw, LdsLaw, MarkovLaw, bartlett, logdet_psd,
                               sqrt_psd)
@@ -256,7 +258,7 @@ def test_snm_chunks_keep_the_replicate_stream(monkeypatch):
     whole = snm_bound_check(snm_config(1.0), replicates=50, seed=4, reg=reg)
     # per replicate, 5 tasks of 6 factor values (3 chi-squares, 3 normals)
     # and 9 noise values, 75 in all: chunks of 7 replicates, the last one short
-    monkeypatch.setattr(bounds, "_SNM_DRAW_BUDGET", 7 * 75)
+    monkeypatch.setattr(core, "MC_DRAW_BUDGET", 7 * 75)
     chunked = snm_bound_check(snm_config(1.0), replicates=50, seed=4, reg=reg)
     assert chunked.violation_rate == whole.violation_rate
     assert round(whole.violation_rate * 50) == snm_violations_reference(
@@ -336,6 +338,39 @@ def test_tail_frequency_equals_per_replicate_reference_at_benchmark_size(name):
         assert res.empirical_freq == ref
         freqs.append(ref)
     assert sum(freqs) > 0.0
+
+
+def test_tail_chunks_are_whole_replicates_above_the_budget(monkeypatch):
+    # a budget of 7 replicates of m = 16 one-column rows: after the calibration
+    # call, 50 replicates come as seven calls of 7 replicates and one of 1
+    sizes = []
+
+    def counting(n, rng):
+        sizes.append(n)
+        return rng.standard_normal((n, 1))
+
+    monkeypatch.setattr(core, "MC_DRAW_BUDGET", 7 * 16)
+    res = lower_isometry_tail_check(counting, square, c=3.5, m=16, replicates=50,
+                                    seed=14, calibration_samples=1000)
+    assert sizes == [1000] + [7 * 16] * 7 + [16]
+    assert res.empirical_freq == tail_frequency_reference(counting, square, 16, 50, 14,
+                                                          1000, False)
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SOURCES))
+def test_tail_frequency_does_not_depend_on_the_budget(name, monkeypatch):
+    # one replicate per chunk against the default budget's single chunk
+    source, blocked = TAIL_SOURCES[name]
+    mode = None
+    if blocked:
+        mode = BlockedMode(profile=geometric_profile_from_lds(source.a, mc_samples=5000,
+                                                              seed=0), k=4)
+    whole = lower_isometry_tail_check(source, square, c=3.5, m=8, replicates=400, seed=5,
+                                      blocked=mode, calibration_samples=20_000)
+    monkeypatch.setattr(core, "MC_DRAW_BUDGET", 1)
+    chunked = lower_isometry_tail_check(source, square, c=3.5, m=8, replicates=400, seed=5,
+                                        blocked=mode, calibration_samples=20_000)
+    assert chunked.empirical_freq == whole.empirical_freq > 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from transferlab.bounds import (
     snm_bound_check,
     transfer_risk_bound,
 )
-from transferlab.core import Dims
+from transferlab import bounds
+from transferlab.core import Dims, bartlett, logdet_psd
 from transferlab.errors import InvalidMatrix, NotPSD
 from transferlab.mixing import GeometricProfile
 
@@ -237,13 +238,14 @@ def test_burn_in_csv_rendering():
 # ---------------------------------------------------------------------------
 
 def test_snm_zero_noise_never_violates():
-    # with W = 0 the left side vanishes and the inequality is 0 <= RHS
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((50, 3))
-    gram = np.eye(3) + x.T @ x
-    vals, vecs = np.linalg.eigh(gram)
-    lhs = np.zeros((3, 50)) @ x @ ((vecs / np.sqrt(vals)) @ vecs.T)
-    assert np.sum(lhs * lhs) == 0.0
+    # with W = 0 the left side vanishes and the inequality is 0 <= RHS, whose
+    # log det term is that of S + R^T R
+    factor = bartlett(3, 50, np.random.default_rng(1))
+    reg = np.diag([1.0, 2.0, 0.5])
+    lhs, logdet = bounds._snm_terms(factor, np.zeros((3, 3)), reg)
+    assert lhs == 0.0
+    assert logdet == logdet_psd(reg + factor.T @ factor)
+    assert logdet > logdet_psd(reg)
 
 
 def test_snm_empty_data_reduces_to_deviation_term():

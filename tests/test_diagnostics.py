@@ -15,7 +15,7 @@ from transferlab.core import (
     pinv,
     sqrt_psd,
 )
-from transferlab import cli
+from transferlab import cli, core
 from transferlab.datagen import SampleRequest, sample_tasks
 from transferlab.diagnostics import (
     SPHERE_DIRECTIONS,
@@ -443,6 +443,33 @@ def test_nrls_well_specified_noiseless():
     assert q.sigma_v_sq == pytest.approx(0.0, abs=1e-16)
 
 
+@pytest.mark.parametrize("mc_samples", [0, -3])
+def test_nrls_rejects_empty_sample_before_any_draw(mc_samples, monkeypatch):
+    spec = make_gaussian_population(seed=39)
+    draws = []
+    monkeypatch.setattr(GaussianLaw, "sample_marginal",
+                        lambda self, n, rng: draws.append(n))
+    with pytest.raises(ValueError, match="mc_samples"):
+        nrls_quantities(spec.target.law, spec.rep_star, spec.target.head,
+                        spec.rep_star, 0.5, mc_samples=mc_samples, seed=40)
+    assert draws == []
+
+
+def test_nrls_chunks_move_quantities_only_by_summation_order(monkeypatch):
+    # a budget of 7 rows of d_x = 6 values: 20 001 samples in 2858 chunks,
+    # the last one short; the sample is that of one draw
+    spec = make_gaussian_population(d_y=2, seed=44)
+    g = misaligned_rep(spec, seed=45)
+    args = (spec.target.law, g, spec.target.head, spec.rep_star, 0.5)
+    whole = nrls_quantities(*args, mc_samples=20_001, seed=46)
+    monkeypatch.setattr(core, "MC_DRAW_BUDGET", 7 * 6)
+    chunked = nrls_quantities(*args, mc_samples=20_001, seed=46)
+    for key, value in whole.as_dict().items():
+        assert chunked.as_dict()[key] == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(chunked.misspecified_head, whole.misspecified_head,
+                               rtol=1e-12)
+
+
 def test_nrls_gaussian_kurtosis():
     spec = make_gaussian_population(d_y=1, seed=41)
     g = misaligned_rep(spec, seed=42)
@@ -582,6 +609,18 @@ def test_hypercontractivity_constant_norm_ratio_one():
     res = hypercontractivity_c42([law], [(np.array([[2.0]]), g)],
                                  np.zeros((1, 1)), g, mc_samples=50_000, seed=51)
     assert res.c42 == pytest.approx(1.0, rel=1e-9)
+
+
+def test_hypercontractivity_rejects_fewer_samples_than_laws(monkeypatch):
+    law = GaussianLaw(np.eye(2))
+    g = LinearRep(np.eye(2))
+    draws = []
+    monkeypatch.setattr(GaussianLaw, "sample_marginal",
+                        lambda self, n, rng: draws.append(n))
+    with pytest.raises(ValueError, match="mc_samples"):
+        hypercontractivity_c42([law, law, law], [(np.eye(2), g)], np.zeros((2, 2)), g,
+                               mc_samples=2, seed=53)
+    assert draws == []
 
 
 def test_hypercontractivity_grid_max_matches_enumeration():

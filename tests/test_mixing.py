@@ -70,6 +70,15 @@ def test_geometric_from_zero_matrix():
     assert phi_capital(profile) == 0.0
 
 
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), 0.5 * np.eye(2)])
+def test_geometric_rejects_empty_sample_before_any_draw(a, monkeypatch):
+    draws = []
+    monkeypatch.setattr(LdsLaw, "sample_marginal", lambda self, n, rng: draws.append(n))
+    with pytest.raises(ValueError, match="mc_samples"):
+        geometric_profile_from_lds(a, mc_samples=0)
+    assert draws == []
+
+
 def test_geometric_rho_is_radius_squared():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
