@@ -12,9 +12,9 @@ erm
     Two-stage least squares (alternating least squares for the shared linear
     representation, then the target head) and the offset-complexity statistic.
 diagnostics
-    Exact excess risk, estimation error, coverage coefficients and task
-    diversity, its estimator, and Monte Carlo misspecified-regression noise
-    quantities.
+    Exact excess risk, estimation error, coverage coefficients, task
+    diversity, its estimator and misspecified head, and Monte Carlo
+    misspecified-regression noise quantities.
 mixing
     Mixing coefficients, blocking, decoupling, dependency matrices.
 smallball

@@ -12,11 +12,10 @@ quantity is one stacked computation over it, with no loop over tasks: the
 feature moments and Schur complements (``_stacked_moments``), the risks
 (``_risks``) and the infimal risks (``_infimal_risks``). Only
 ``nrls_quantities`` and ``hypercontractivity_c42``, which read fourth and
-higher moments, draw a seeded Monte Carlo sample. ``nrls_quantities`` makes
-two passes: it draws x in chunks of at most ``core.MC_DRAW_BUDGET`` values and
-keeps only the features and labels, then sums the moments chunk by chunk, so
-its memory is O(n (r + d_y)) plus one chunk. The chunked draw consumes the
-generator in the order of one whole draw, so the sample is unchanged.
+higher moments, draw a seeded Monte Carlo sample. ``nrls_quantities`` takes
+the misspecified head from the exact moments, as ``nrls_excess`` does
+(``_misspecified_head``), and sums in one pass over chunks, so its memory does
+not grow with the sample.
 """
 from __future__ import annotations
 
@@ -265,31 +264,41 @@ class NrlsQuantities:
         }
 
 
+def _misspecified_head(law: CovariateLaw, rep: LinearRep, true_head: LinearHead,
+                       rep_star: LinearRep) -> tuple[np.ndarray, np.ndarray]:
+    """(F_mis, Sigma_Z) from the exact joint feature moments: Sigma_Z = E[Z Z^T],
+    Z = rep(X), and the population least-squares head F_mis = E[Y Z^T] Sigma_Z^+
+    of Y on Z, where E[Y Z^T] = F_* E[g_* g^T] as the noise is independent of X."""
+    sigma = stacked_covariance(law, rep, rep_star).sigma
+    r = rep.out_dim
+    sigma_z = sigma[:r, :r]
+    return true_head.f @ sigma[:r, r:].T @ pinv(sigma_z), sigma_z
+
+
 def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
                     true_head: LinearHead, rep_star: LinearRep,
                     noise_sigma: float, mc_samples: int = 200_000,
                     seed: int = 0) -> NrlsQuantities:
     """Monte Carlo noise quantities of the second-stage regression through ``rep``.
 
-    With Z = rep(X) and Y generated by (true_head, rep_star) plus noise, the
-    population least-squares head F = E[Y Z^T] (E[Z Z^T])^+ defines the biased
-    noise U = Y - F Z and interaction term V = U Z^T Sigma_Z^{-1/2}; the Psi_1
-    norm is estimated over moments p = 1..8.
+    With Z = rep(X) and Y generated by (true_head, rep_star) plus noise W, the
+    exact population head F_mis (``_misspecified_head``) defines the biased noise
+    U = Y - F_mis Z and interaction term V = U Z^T Sigma_Z^{-1/2}; the Psi_1 norm
+    is estimated over moments p = 1..8. h_v is 0 when sigma_v_sq is below
+    NU_UNDEFINED_THRESHOLD, the round-off of a well-specified noiseless target.
 
-    c_z^2 is the largest sample mean of (v^T z)^4, z the standardized features,
-    over SPHERE_DIRECTIONS random unit v and the coordinate axes. As
-    (v^T z)^2 = (v (x) v)^T (z (x) z), it is (v (x) v)^T M4 (v (x) v) with
-    M4 = mean (z (x) z)(z (x) z)^T. A sample maximum can exceed the population
-    supremum: 100 000 Gaussian samples give c_z near 1.739 > sqrt(3).
+    c_z^2 is the largest sample mean of (v^T z)^4, z = Sigma_Z^{-1/2} Z the
+    standardized features, over SPHERE_DIRECTIONS random unit v and the
+    coordinate axes. As (v^T z)^2 = (v (x) v)^T (z (x) z), it is
+    (v (x) v)^T M4 (v (x) v) with M4 = mean (z (x) z)(z (x) z)^T. A sample
+    maximum can exceed the population supremum: 100 000 Gaussian samples give
+    c_z near 1.739 > sqrt(3).
 
-    Two passes keep memory at O(n (r + d_y)) plus one chunk of at most
-    ``core.MC_DRAW_BUDGET`` values, whatever d_x. The first draws x one chunk
-    at a time and keeps only Z and the noiseless Y; the label noise is then
-    drawn in one call, and the sphere directions after it. Chunked marginal
-    draws consume the generator as one draw of n rows does, so the sample is
-    that of one draw. The second pass runs over chunks of (Z, Y) and sums
-    ||u||^4, ||V||_F^2, M4 and ||V||_F^p, so the quantities differ from
-    whole-sample means only by summation order.
+    U = X (F_* G_* - F_mis G)^T + W and z = X G^T Sigma_Z^{-1/2}, so one pass
+    over chunks of at most ``core.MC_DRAW_BUDGET`` values draws x, adds W and
+    sums ||u||^4, ||V||_F^2, M4 and ||V||_F^p. ``SeedSequence(seed)`` spawns
+    one stream each for x, W and the directions, so chunking changes the
+    quantities only by summation order.
 
     Raises
     ------
@@ -298,27 +307,23 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    n, r = mc_samples, rep.out_dim
+    n, r, d_y = mc_samples, rep.out_dim, true_head.d_y
+    f_mis, sigma_z = _misspecified_head(target_law, rep, true_head, rep_star)
+    # x -> [u without noise, z], one product per chunk
+    proj = np.hstack([(true_head.f @ rep_star.g - f_mis @ rep.g).T,
+                      rep.g.T @ inv_sqrt_psd(sigma_z).T])
+    x_rng, noise_rng, dir_rng = (np.random.default_rng(s)
+                                 for s in np.random.SeedSequence(seed).spawn(3))
     step = max(1, core.MC_DRAW_BUDGET // max(target_law.d_x, r * r))
-    rng = np.random.default_rng(seed)
-    z = np.empty((n, r))
-    y = np.empty((n, true_head.d_y))
-    for start in range(0, n, step):
-        x = target_law.sample_marginal(min(step, n - start), rng)
-        z[start:start + step] = rep.features(x)
-        y[start:start + step] = rep_star.features(x) @ true_head.f.T
-    if noise_sigma > 0:
-        y += noise_sigma * rng.standard_normal(y.shape)
-    sigma_z = z.T @ z / n
-    f_mis = (y.T @ z / n) @ pinv(sigma_z)
-    whiten = inv_sqrt_psd(sigma_z).T
 
     sum_u4 = sum_v2 = 0.0
     m4 = np.zeros((r * r, r * r))
     v_moments = np.zeros(8)                     # sums of ||V_i||_F^p, p = 1..8
     for start in range(0, n, step):
-        u = y[start:start + step] - z[start:start + step] @ f_mis.T
-        z_std = z[start:start + step] @ whiten  # standardized features
+        xm = target_law.sample_marginal(min(step, n - start), x_rng) @ proj
+        u, z_std = xm[:, :d_y], xm[:, d_y:]
+        if noise_sigma > 0:
+            u = u + noise_sigma * noise_rng.standard_normal(u.shape)
         u_norm2 = np.sum(u * u, axis=1)
         v_frob2 = u_norm2 * np.sum(z_std * z_std, axis=1)  # ||V_i||_F^2, V_i rank one
         sum_u4 += float(np.sum(u_norm2 ** 2))
@@ -332,18 +337,18 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     sigma_v_sq = sum_v2 / n
     m4 /= n
 
-    dirs = rng.standard_normal((SPHERE_DIRECTIONS, r))
+    dirs = dir_rng.standard_normal((SPHERE_DIRECTIONS, r))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(r)])
     vv = (dirs[:, :, None] * dirs[:, None, :]).reshape(dirs.shape[0], r * r)
     fourth = np.sum((vv @ m4) * vv, axis=1)
     c_z = float(np.sqrt(fourth.max(initial=0.0)))
 
-    if sigma_v_sq > 0:
+    if sigma_v_sq < NU_UNDEFINED_THRESHOLD:
+        h_v = 0.0
+    else:
         psi1 = max((v_moments[p - 1] / n) ** (1.0 / p) / p for p in range(1, 9))
         h_v = float(psi1 ** 2 / sigma_v_sq)
-    else:
-        h_v = 0.0
     return NrlsQuantities(sigma_u_sq=sigma_u_sq, sigma_v_sq=sigma_v_sq,
                           c_z=c_z, h_v=h_v, misspecified_head=f_mis)
 
@@ -351,16 +356,10 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
 def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead, rep: LinearRep,
                 true_head: LinearHead, rep_star: LinearRep) -> float:
     """Excess of the fitted target head over the best head given ``rep``:
-    ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2.
-
-    Sigma_Z = E[g g^T] and E[Y Z^T] = F_* E[g_* g^T] come from the exact joint
-    feature moments, and F_mis = E[Y Z^T] Sigma_Z^+ is the population
-    least-squares head.
+    ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2, with F_mis and Sigma_Z from
+    ``_misspecified_head``.
     """
-    sigma = stacked_covariance(target_law, rep, rep_star).sigma
-    r = rep.out_dim
-    sigma_z = sigma[:r, :r]
-    f_mis = true_head.f @ sigma[:r, r:].T @ pinv(sigma_z)
+    f_mis, sigma_z = _misspecified_head(target_law, rep, true_head, rep_star)
     d = (fitted_head.f - f_mis) @ sqrt_psd(sigma_z)
     return float(np.sum(d * d))
 

@@ -8,6 +8,7 @@ keep plus about one chunk's arrays.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from transferlab.core import GaussianLaw, LinearHead, LinearRep
 from transferlab.diagnostics import nrls_quantities
@@ -23,16 +24,17 @@ def traced_peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-def test_nrls_memory_does_not_grow_with_d_x():
-    # d_x = 64, r = 2, d_y = 1, 200 000 samples: a whole sample holds 102 MB of
-    # x alone; the two passes keep Z and Y (4.8 MB) and the noise (1.6 MB)
+@pytest.mark.parametrize("mc_samples", [200_000, 1_000_000])
+def test_nrls_memory_does_not_grow_with_the_sample(mc_samples):
+    # d_x = 64, r = 2, d_y = 1: a whole sample of 200 000 holds 102 MB of x
+    # alone; the one pass keeps a chunk of 1024 rows (0.5 MB of x)
     rng = np.random.default_rng(0)
     rep = LinearRep(rng.standard_normal((2, 64)))
     head = LinearHead(rng.standard_normal((1, 2)))
     law = GaussianLaw(sigma_x=np.eye(64))
     peak = traced_peak_mb(lambda: nrls_quantities(law, rep, head, rep, 0.5,
-                                                  mc_samples=200_000, seed=1))
-    assert peak < 16.0
+                                                  mc_samples=mc_samples, seed=1))
+    assert peak < 4.0
 
 
 def test_iid_tail_check_memory_at_benchmark_size():

@@ -435,12 +435,38 @@ def test_nu_hat_error_shrinks_with_n():
 # NRLS quantities
 # ---------------------------------------------------------------------------
 
-def test_nrls_well_specified_noiseless():
-    spec = make_gaussian_population(seed=39)
-    q = nrls_quantities(spec.target.law, spec.rep_star, spec.target.head,
-                        spec.rep_star, 0.0, mc_samples=20_000, seed=40)
+def nrls_target(kind, d_x, seed):
+    """(law, rep_star, head): a Gaussian, LDS or Markov target of a random
+    population with r = 2 and d_y = 2."""
+    spec = make_gaussian_population(d_x=d_x, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    a = rng.standard_normal((d_x, d_x))
+    p = rng.uniform(0.1, 1.0, (8, 8))
+    law = {"gaussian": spec.target.law,
+           "lds": LdsLaw(0.8 * a / np.abs(np.linalg.eigvals(a)).max()),
+           "markov": MarkovLaw(transition=p / p.sum(axis=1, keepdims=True), d_x=d_x)}[kind]
+    return law, spec.rep_star, spec.target.head
+
+
+NRLS_TARGETS = [("gaussian", 6), ("gaussian", 64), ("lds", 6), ("markov", 6)]
+
+
+@pytest.mark.parametrize("kind, d_x", NRLS_TARGETS)
+def test_nrls_well_specified_noiseless(kind, d_x):
+    # sigma_v^2 is round-off here, and h_v, a ratio with it, is floored to 0
+    law, rep_star, head = nrls_target(kind, d_x, seed=39)
+    q = nrls_quantities(law, rep_star, head, rep_star, 0.0, mc_samples=20_000, seed=40)
     assert q.sigma_u_sq == pytest.approx(0.0, abs=1e-16)
     assert q.sigma_v_sq == pytest.approx(0.0, abs=1e-16)
+    assert q.h_v == 0.0
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lds", "markov"])
+def test_nrls_quantities_and_excess_share_one_head(kind):
+    law, rep_star, head = nrls_target(kind, 6, seed=41)
+    g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(42)))
+    q = nrls_quantities(law, g, head, rep_star, 0.4, mc_samples=2_000, seed=43)
+    assert nrls_excess(law, LinearHead(q.misspecified_head), g, head, rep_star) == 0.0
 
 
 @pytest.mark.parametrize("mc_samples", [0, -3])
@@ -492,15 +518,15 @@ def test_nrls_sigma_v_cauchy_schwarz_chain():
 
 def c_z_reference(law, rep, head, rep_star, noise_sigma, mc_samples, seed):
     """c_z as it was computed before the fourth-moment matrix: every standardized
-    sample projected on each direction, 64 directions at a time."""
-    rng = np.random.default_rng(seed)
-    x = law.sample_marginal(mc_samples, rng)
-    z = rep.features(x)
-    y = rep_star.features(x) @ head.f.T
-    if noise_sigma > 0:
-        y = y + noise_sigma * rng.standard_normal(y.shape)
-    z_std = z @ inv_sqrt_psd(z.T @ z / len(x)).T
-    dirs = rng.standard_normal((SPHERE_DIRECTIONS, z.shape[1]))
+    sample projected on each direction, 64 directions at a time. x comes from
+    the first of the three spawned streams and the directions from the third;
+    z is whitened by the exact E[z z^T] = G L L^T G^T."""
+    x_rng, _, dir_rng = (np.random.default_rng(s)
+                         for s in np.random.SeedSequence(seed).spawn(3))
+    z = rep.features(law.sample_marginal(mc_samples, x_rng))
+    gl = rep.g @ law.second_moment_factor()
+    z_std = z @ inv_sqrt_psd(gl @ gl.T).T
+    dirs = dir_rng.standard_normal((SPHERE_DIRECTIONS, z.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(z.shape[1])])
     fourth_max = 0.0
@@ -538,9 +564,16 @@ def test_nrls_c_z_matches_per_direction_reference(kind, r):
     assert q.c_z == pytest.approx(c_z_reference(*case, 10_000, r), rel=1e-12)
 
 
-def test_nrls_excess_decomposition():
-    # ER(F_hat, g) = ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2 + inf_F ER(F, g), exactly
-    spec = make_gaussian_population(d_y=2, noise_sigma=0.4, seed=47)
+@pytest.mark.parametrize("law", [{"kind": "gaussian", "scale_spread": 2.0},
+                                 {"kind": "lds", "spectral_radius": 0.8},
+                                 {"kind": "markov", "states": 6, "stay_prob": 0.7}],
+                         ids=lambda law: law["kind"])
+def test_nrls_excess_decomposition(law):
+    # ER(F_hat, g) = ||(F_hat - F_mis) sqrt(Sigma_Z)||_F^2 + inf_F ER(F, g), exactly;
+    # noisy fits only: a noiseless fit sits at the round-off floor
+    pop = {**cli.example_config()["population"],
+           "d_x": 6, "d_y": 2, "num_sources": 3, "noise_sigma": 0.4, "law": law}
+    spec = cli.build_population(pop, seed=47)
     g = misaligned_rep(spec, seed=48)
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(60,) * 4, seed=49))
     second = fit_second_stage(data[0], g)
@@ -548,7 +581,7 @@ def test_nrls_excess_decomposition():
     excess = nrls_excess(spec.target.law, second.head, g, spec.target.head,
                          spec.rep_star)
     floor = infimal_risk(spec.target.law, spec.target.head.f, g, spec.rep_star)
-    assert er == pytest.approx(excess + floor, rel=1e-9)
+    assert er == pytest.approx(excess + floor, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -561,7 +594,7 @@ def test_nrls_excess_monte_carlo_matches_analytic(seed):
     head = LinearHead(np.random.default_rng(90 + seed).standard_normal((2, 2)))
     analytic = nrls_excess(spec.target.law, head, g, spec.target.head, spec.rep_star)
     # the same formula on the sampled joint feature moments
-    sigma = sampled_sigma(spec.target.law, g, spec.rep_star, 100_000, seed=seed)
+    sigma = sampled_sigma(spec.target.law, g, spec.rep_star, 400_000, seed=seed)
     r = spec.dims.r
     f_mis = spec.target.head.f @ sigma[:r, r:].T @ pinv(sigma[:r, :r])
     d = (head.f - f_mis) @ sqrt_psd(sigma[:r, :r])
