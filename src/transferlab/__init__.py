@@ -24,6 +24,10 @@ bounds
     self-normalized martingale coverage check.
 cli
     JSON-configured batch front end with the rate-sweep harness.
+
+Importing the package, parsing a config and building a population load numpy
+only: scipy is imported on first use by the ALS G-step solve, the LDS Lyapunov
+solve and the ``log_integral_bound`` quadrature.
 """
 
 from .core import (

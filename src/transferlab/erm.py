@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import LinearHead, LinearRep, pinv
 from .errors import DegenerateData
@@ -139,6 +138,8 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       NaN makes ||a||_1, and with it the condition estimate, NaN, which fails
       the comparison.
     """
+    import scipy.linalg  # deferred: slow to import, and only fits solve this system
+
     n = a.shape[0]
     cond = np.finfo(float).eps * n
     anorm = np.linalg.norm(a, 1)

@@ -27,6 +27,16 @@ def random_normal_matrix(t, d_x, r, d_y, n, rng):
     return _normal_matrix(np.swapaxes(x, 1, 2) @ x, np.swapaxes(f, 1, 2) @ f)
 
 
+def pinv_sqrt(m):
+    """(M^+)^{1/2} of a symmetric PSD M by eigh, with eigenvalues at or below
+    1e-12 times the largest taken as zero; an oracle that uses nothing of core."""
+    w, v = np.linalg.eigh(m)
+    keep = w > 1e-12 * max(w.max(), 0.0)
+    inv_root = np.zeros_like(w)
+    inv_root[keep] = 1.0 / np.sqrt(w[keep])
+    return (v * inv_root) @ v.T
+
+
 def make_gaussian_population(d_x=6, d_y=2, r=2, t=3, noise_sigma=0.0, seed=0,
                              identical=False, scale_lo=0.5, scale_hi=2.0):
     """Random linear-Gaussian population; per-task SPD covariances unless identical."""

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_gaussian_population, nu_hat_given_g, random_orthonormal_rows
+from conftest import (make_gaussian_population, nu_hat_given_g, pinv_sqrt,
+                      random_orthonormal_rows)
 from transferlab.bounds import (
     BoundConfig,
     FiniteClass,
@@ -210,7 +211,7 @@ def test_criterion_05_offset_complexity_oracle():
             if case % 5 == 0:
                 z[:, 0] = 0.0
             w = rng.standard_normal((n, d_y))
-            half = np.linalg.pinv(scipy.linalg.sqrtm(z.T @ z).real)
+            half = pinv_sqrt(z.T @ z)
             closed = OFFSET_SUP_CONSTANT * np.sum((half @ z.T @ w) ** 2)
             brute = _offset_sup_bruteforce(z, w, seed=case)
             assert brute == pytest.approx(closed, rel=1e-6, abs=1e-9)

@@ -593,12 +593,32 @@ def test_main_missing_config_file(tmp_path):
     assert main(["diagnose", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate serves only bounds.log_integral_bound, which no command
-    # calls; importing it costs every command's start-up
+COMMANDS_IN_ONE_PROCESS = """
+import json, sys
+from transferlab.cli import main
+config, out = sys.argv[1:3]
+loaded = {}
+for command in ("gen", "bounds", "mixcheck", "fit"):
+    code = main([command, "--config", config, "--out", f"{out}/{command}"])
+    loaded[command] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_fit_loads_scipy(tmp_path):
+    # gen, bounds (finite class) and Markov mixcheck run on numpy alone, in a fresh
+    # interpreter; fit loads scipy.linalg for its G-step solve
+    cfg = small_sweep_config()
+    cfg["population"]["law"] = {"kind": "gaussian", "scale_spread": 2.0}
+    cfg["bounds"] = {"mu_x": 1.0, "mu_f": 2.0, "c_z": 1.5,
+                     "class": {"kind": "finite", "log_card": 3.0}}
+    cfg["mixcheck"] = {"kind": "markov", "transition": MARKOV_2, "max_lag": 6, "n": 8}
     env = {**os.environ, "PYTHONPATH": str(Path(transferlab.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", "import sys, transferlab.cli; "
-                           "print('scipy.integrate' in sys.modules)"],
+    proc = subprocess.run([sys.executable, "-c", COMMANDS_IN_ONE_PROCESS,
+                           write_config(tmp_path, cfg), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [loaded[command] for command in ("gen", "bounds", "mixcheck")] == [[0, []]] * 3
+    assert loaded["fit"][0] == 0 and "scipy.linalg" in loaded["fit"][1]
+    assert list((tmp_path / "gen").glob("*.csv"))

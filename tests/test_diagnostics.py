@@ -601,11 +601,25 @@ def test_nrls_excess_monte_carlo_matches_analytic(seed):
     assert float(np.sum(d * d)) == pytest.approx(analytic, rel=0.02)
 
 
-def test_decomposition_inequality_on_fitted_model():
-    # ER(F0_hat, g_hat) <= NRLS excess + nu(g_hat)^{-1} * est_error_avg + 1e-9
-    for seed in range(5):
-        spec = make_gaussian_population(d_x=6, d_y=2, r=2, t=4, noise_sigma=0.5,
+def decomposition_population(law, seed):
+    """The populations of the decomposition-lemma test: the conftest Gaussian
+    population, or a CLI-built one for the other laws."""
+    if law == "gaussian":
+        return make_gaussian_population(d_x=6, d_y=2, r=2, t=4, noise_sigma=0.5,
                                         seed=500 + seed)
+    pop = {**cli.example_config()["population"], "d_x": 6, "d_y": 2, "num_sources": 4,
+           "noise_sigma": 0.5, "law": law}
+    return cli.build_population(pop, seed=500 + seed)
+
+
+@pytest.mark.parametrize("law", ["gaussian", {"kind": "lds", "spectral_radius": 0.8},
+                                 {"kind": "markov", "states": 6, "stay_prob": 0.8}],
+                         ids=["gaussian", "lds", "markov"])
+def test_decomposition_inequality_on_fitted_model(law):
+    # ER(F0_hat, g_hat) <= NRLS excess + nu(g_hat)^{-1} * est_error_avg + 1e-9, from
+    # ER = NRLS excess + infimal risk and nu * infimal risk <= est_error_avg
+    for seed in range(5):
+        spec = decomposition_population(law, seed)
         data = sample_tasks(SampleRequest(spec=spec, per_task_n=(40,) * 5,
                                           seed=600 + seed))
         fit = fit_first_stage_linear(data[1:], r=2,
@@ -617,7 +631,10 @@ def test_decomposition_inequality_on_fitted_model():
         er = excess_risk_population(spec, second.head, fit.rep)
         excess = nrls_excess(spec.target.law, second.head, fit.rep,
                              spec.target.head, spec.rep_star)
+        floor = infimal_risk(spec.target.law, spec.target.head.f, fit.rep, spec.rep_star)
         est = estimation_error_avg(spec, fit.heads, fit.rep)
+        assert er == pytest.approx(excess + floor, rel=1e-10)
+        assert nu * floor <= est
         assert er <= excess + est / nu + 1e-9
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_gaussian_population, random_normal_matrix, random_orthonormal_rows
+from conftest import (make_gaussian_population, pinv_sqrt, random_normal_matrix,
+                      random_orthonormal_rows)
 from transferlab.core import LinearRep, MarkovLaw, TaskDataset, inv_sqrt_psd, pinv
 from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
 from transferlab.erm import (
@@ -399,7 +400,7 @@ def test_offset_closed_form_matches_bruteforce_sup():
         if case % 5 == 0:
             z[:, 0] = 0.0  # exercise the rank-deficient branch
         w = rng.standard_normal((n, d_y))
-        half = np.linalg.pinv(scipy.linalg.sqrtm(z.T @ z).real)
+        half = pinv_sqrt(z.T @ z)
         closed = OFFSET_SUP_CONSTANT * np.sum((half @ z.T @ w) ** 2)
         brute = offset_sup_oracle(z, w, seed=case)
         assert brute == pytest.approx(closed, rel=1e-6, abs=1e-9)
@@ -443,7 +444,7 @@ def test_offset_stat_normalization(rng):
     per_task = 0.0
     for ds, w in zip(datasets, noise):
         z = rep.features(ds.covariates)
-        half = np.linalg.pinv(scipy.linalg.sqrtm(z.T @ z).real)
+        half = pinv_sqrt(z.T @ z)
         per_task += 4.0 * np.sum((half @ z.T @ w) ** 2)
     assert offset_complexity_stat(datasets, rep, noise) == pytest.approx(
         per_task / total_n, rel=1e-10)
