@@ -18,7 +18,7 @@ diagnostics
 mixing
     Mixing coefficients, blocking, decoupling, dependency matrices.
 smallball
-    Small-ball probabilities, Paley-Zygmund bound, lower-isometry tail checks.
+    Lower-isometry tail checks, iid and blocked.
 bounds
     Closed-form covering/complexity/risk bounds with burn-in tables, plus the
     self-normalized martingale coverage check.

@@ -185,10 +185,10 @@ class TaskDataset:
     ``covariates`` (k x d_x) and ``labels`` (k x d_y) are the column blocks of a
     matrix whose Gram equals that of the task's rows [X Y] (n x (d_x + d_y)), and
     ``n`` (default k) is their count. So X~^T X~ = X^T X, X~^T Y~ = X^T Y and
-    Y~^T Y~ = Y^T Y; the rows themselves are the case k = n, and ``compressed``
-    gives a factor of at most d_x + d_y rows. For a linear representation G the
-    features Z~ = X~ G^T keep Z~^T Z~ = Z^T Z and Z~^T Y~ = Z^T Y, and the
-    residual sum of squares of any head F,
+    Y~^T Y~ = Y^T Y; the rows themselves are the case k = n, and
+    ``datagen.sample_task_stats`` draws a factor of few rows. For a linear
+    representation G the features Z~ = X~ G^T keep Z~^T Z~ = Z^T Z and
+    Z~^T Y~ = Z^T Y, and the residual sum of squares of any head F,
         ||Y - Z F^T||_F^2 = tr Y^T Y - 2 tr(F Z^T Y) + tr(F Z^T Z F^T),
     reads only these Grams: a least-squares fit on the k rows gives the n rows'
     heads and residual sum. A mean residual divides by ``n``, not by k.
@@ -213,14 +213,6 @@ class TaskDataset:
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "n", n)
-
-    def compressed(self) -> "TaskDataset":
-        """The R factor of the QR decomposition [X~ Y~] = Q R: R^T R = [X Y]^T [X Y],
-        with min(k, d_x + d_y) rows and the same ``n``."""
-        r = np.linalg.qr(np.hstack([self.covariates, self.labels]), mode="r")
-        d_x = self.covariates.shape[1]
-        return TaskDataset(task_id=self.task_id, covariates=r[:, :d_x], labels=r[:, d_x:],
-                           n=self.n)
 
     def require_rows(self) -> None:
         """Raise ``NeedsRawRows`` unless the sample holds all n rows (k = n)."""

@@ -25,7 +25,9 @@ import numpy as np
 
 from .core import (
     CovariateLaw,
+    GaussianLaw,
     LdsLaw,
+    MarkovLaw,
     PopulationSpec,
     TaskDataset,
     bartlett,
@@ -127,8 +129,6 @@ def sample_task_stats(req: SampleRequest) -> list[TaskDataset]:
 # ---------------------------------------------------------------------------
 
 def _law_description(law: CovariateLaw) -> dict:
-    from .core import GaussianLaw, MarkovLaw
-
     if isinstance(law, GaussianLaw):
         return {"kind": "gaussian", "sigma_x": law.sigma_x.tolist()}
     if isinstance(law, LdsLaw):

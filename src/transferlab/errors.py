@@ -41,10 +41,6 @@ class SampleTooShort(TransferLabError):
     """No admissible block length exists for the requested sample size."""
 
 
-class InvalidMoments(TransferLabError):
-    """Moment inputs violate a moment inequality (e.g. fourth < second squared)."""
-
-
 class PreconditionViolated(TransferLabError):
     """An empirically checked precondition (e.g. hypercontractivity) failed."""
 

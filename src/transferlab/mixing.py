@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovariateLaw, LdsLaw, spectral_norm, stationary_distribution
-from .errors import BadPartition, SampleTooShort, TransferLabError, UnstableSystem
+from .errors import BadPartition, SampleTooShort, TransferLabError
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,6 @@ class BlockPartition:
     def odd_blocks(self) -> tuple[tuple[int, int], ...]:
         """Blocks a_1, a_3, ... in 1-based blocking order."""
         return self.blocks[0::2]
-
-    @property
-    def even_blocks(self) -> tuple[tuple[int, int], ...]:
-        """Blocks a_2, a_4, ... in 1-based blocking order."""
-        return self.blocks[1::2]
 
 
 def make_blocks(n: int, k: int) -> BlockPartition:

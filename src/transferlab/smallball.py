@@ -1,8 +1,8 @@
-"""Lower-tail machinery: small-ball quantities, the Paley-Zygmund bound, and
-empirical checks of the exponential lower-isometry tail (iid and blocked).
+"""Empirical checks of the exponential lower-isometry tail, iid and blocked.
 
-Hypothesis classes enter as finite grids of callables; infima over a grid are
-reported with the grid size so they are understood as grid infima.
+The bad event, after Ziemann and Tu 2022 ("Learning with little mixing"), is
+that the mean of a nonnegative psi over m rows falls to half its expectation;
+``lower_isometry_tail_check`` counts it against its exponential bound.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import InvalidMoments, PreconditionViolated
+from .errors import PreconditionViolated
 from .mixing import MixingProfile, dependency_matrix_bound
 
 
@@ -23,59 +23,6 @@ def _draw(source, n: int, rng: np.random.Generator, path: bool = False) -> np.nd
     if hasattr(source, "sample_marginal"):
         return np.atleast_2d(source.sample_marginal(n, rng))
     return np.atleast_2d(source(n, rng))
-
-
-@dataclass(frozen=True)
-class SmallBallEstimate:
-    q_value: float
-    threshold: float
-    grid_size: int
-    mc_samples: int
-    argmin_hypothesis: int
-
-
-def smallball_q(source, hypothesis_grid, u: float, mc_samples: int = 100_000,
-                seed: int = 0) -> SmallBallEstimate:
-    """Monte Carlo small-ball quantity: inf over the grid of P(h^2(Z) >= u^2).
-
-    ``source`` is a covariate law or an ``f(n, rng)`` sampler; grid members
-    map an (n, d) sample array to n scalar hypothesis values.
-    """
-    hypothesis_grid = list(hypothesis_grid)
-    if not hypothesis_grid:
-        raise ValueError("hypothesis grid is empty")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    rng = np.random.default_rng(seed)
-    z = _draw(source, mc_samples, rng)
-    q_best, idx_best = 1.0, 0
-    for idx, h in enumerate(hypothesis_grid):
-        vals = np.asarray(h(z), dtype=float)
-        q = float(np.mean(vals * vals >= u * u))
-        if q < q_best:
-            q_best, idx_best = q, idx
-    return SmallBallEstimate(q_value=q_best, threshold=u, grid_size=len(hypothesis_grid),
-                             mc_samples=mc_samples, argmin_hypothesis=idx_best)
-
-
-def paley_zygmund_lower(second_moment: float, fourth_moment: float, theta: float) -> float:
-    """Lower bound on P(h^2 > theta * E h^2): (1 - theta)^2 (E h^2)^2 / E h^4.
-
-    Raises
-    ------
-    InvalidMoments
-        If theta is outside [0, 1], a moment is negative, or the fourth
-        moment is below the squared second moment (Cauchy-Schwarz).
-    """
-    if not (0.0 <= theta <= 1.0):
-        raise InvalidMoments("theta must lie in [0, 1]")
-    if second_moment < 0 or fourth_moment < 0:
-        raise InvalidMoments("moments must be nonnegative")
-    if fourth_moment < second_moment ** 2 * (1 - 1e-12):
-        raise InvalidMoments("fourth moment below squared second moment")
-    if fourth_moment == 0.0:
-        return 0.0
-    return (1.0 - theta) ** 2 * second_moment ** 2 / fourth_moment
 
 
 # Batches of the calibration sample behind the standard error of its moment ratio.

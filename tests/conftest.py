@@ -7,6 +7,7 @@ from transferlab.core import (
     LinearHead,
     LinearRep,
     PopulationSpec,
+    TaskDataset,
     TaskSpec,
 )
 from transferlab.diagnostics import nu_hat
@@ -16,6 +17,14 @@ from transferlab.erm import _normal_matrix, fit_second_stage
 def random_orthonormal_rows(r, d_x, rng):
     q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
     return q.T
+
+
+def qr_factor(ds):
+    """The R factor of the QR decomposition [X~ Y~] = Q R: a reference Gram factor
+    with R^T R = [X Y]^T [X Y], min(k, d_x + d_y) rows and the same ``n``."""
+    r = np.linalg.qr(np.hstack([ds.covariates, ds.labels]), mode="r")
+    d_x = ds.covariates.shape[1]
+    return TaskDataset(task_id=ds.task_id, covariates=r[:, :d_x], labels=r[:, d_x:], n=ds.n)
 
 
 def random_normal_matrix(t, d_x, r, d_y, n, rng):

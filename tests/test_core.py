@@ -177,20 +177,6 @@ def test_task_dataset_n_defaults_to_the_row_count():
     assert TaskDataset(task_id=0, covariates=np.ones((2, 2)), labels=np.ones((2, 1)), n=9).n == 9
 
 
-@pytest.mark.parametrize("n", [1, 3, 40])
-def test_compressed_keeps_n_and_the_gram_in_few_rows(n):
-    rng = np.random.default_rng(n)
-    ds = TaskDataset(task_id=2, covariates=rng.standard_normal((n, 4)),
-                     labels=rng.standard_normal((n, 2)))
-    comp = ds.compressed()
-    full = np.hstack([ds.covariates, ds.labels])
-    factor = np.hstack([comp.covariates, comp.labels])
-    assert (comp.task_id, comp.n) == (2, n)
-    assert comp.covariates.shape[0] <= min(n, 4 + 2)
-    assert np.allclose(factor.T @ factor, full.T @ full, rtol=0,
-                       atol=1e-12 * np.abs(full).max() ** 2)
-
-
 def test_linear_rep_rejects_rank_deficient():
     g = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(InvalidMatrix):

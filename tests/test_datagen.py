@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_gaussian_population, random_orthonormal_rows
+from conftest import make_gaussian_population, qr_factor, random_orthonormal_rows
 from transferlab.core import (
     Dims,
     GaussianLaw,
@@ -201,7 +201,7 @@ def test_write_datasets_csv_rejects_a_compressed_sample(tmp_path):
     spec = make_gaussian_population(noise_sigma=0.1, seed=14)
     req = SampleRequest(spec=spec, per_task_n=(20,) * 4, seed=15)
     data = sample_tasks(req)
-    data[2] = data[2].compressed()
+    data[2] = qr_factor(data[2])
     with pytest.raises(NeedsRawRows):
         write_datasets_csv(data, req, tmp_path)
     assert not list(tmp_path.iterdir())

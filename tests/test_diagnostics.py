@@ -505,6 +505,27 @@ def test_nrls_gaussian_kurtosis():
     assert q.c_z == pytest.approx(np.sqrt(3.0), rel=0.05)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "lds"])
+def test_nrls_gaussian_closed_forms(kind):
+    """For a Gaussian marginal N(0, Sigma), u = Y - F_mis Z = W x + w with
+    W = F_* G_* - F_mis G is N(0, C), C = W Sigma W^T + sigma^2 I. The normal
+    equations make u uncorrelated with z, so, jointly Gaussian, independent of
+    it. Hence E||u||^4 = (tr C)^2 + 2 tr C^2, E ||u||^2 ||z||^2 = r tr C, and
+    every unit direction of the standard normal z has E (v^T z)^4 = 3."""
+    law, rep_star, head = nrls_target(kind, 6, seed=47)
+    g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(48)))
+    sigma, noise = law.second_moment(), 0.5
+    w_star = head.f @ rep_star.g
+    f_mis = w_star @ sigma @ g.g.T @ np.linalg.pinv(g.g @ sigma @ g.g.T)
+    w = w_star - f_mis @ g.g
+    c = w @ sigma @ w.T + noise ** 2 * np.eye(head.d_y)
+    q = nrls_quantities(law, g, head, rep_star, noise, mc_samples=200_000, seed=49)
+    assert q.sigma_u_sq == pytest.approx(np.sqrt(np.trace(c) ** 2 + 2 * np.trace(c @ c)),
+                                         rel=0.01)
+    assert q.sigma_v_sq == pytest.approx(g.out_dim * np.trace(c), rel=0.02)
+    assert q.c_z == pytest.approx(np.sqrt(3.0), abs=0.03)
+
+
 def test_nrls_sigma_v_cauchy_schwarz_chain():
     spec = make_gaussian_population(d_y=2, seed=44)
     g = misaligned_rep(spec, seed=45)

@@ -64,3 +64,58 @@ def test_set_up_loads_no_scipy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Public names that only tests reach, each with the reason it stays.
+ALLOWED_TEST_ONLY = {
+    "log_integral_bound": "criterion 10 checks the bound formula's structure with it",
+    "offset_complexity_stat": "criterion 5 checks the offset complexity against its oracle",
+    "nrls_excess": "sweep rows and diagnose are to report it (ROADMAP item 3)",
+    "infimal_risk": "the decomposition identity's other term (ROADMAP item 3)",
+    "hypercontractivity_c42": "the bound's c42, to be fed in or deleted (ROADMAP item 4)",
+    "SnmCheckResult.passed": "the library's verdict on an SNM coverage check",
+    "TailCheckResult.passed": "the library's verdict on a lower-isometry tail check",
+    "MarkovLaw.stationary": "read by the tests' reference Markov samplers",
+    "MarkovLaw.embedding": "read by the tests' reference Markov samplers",
+}
+
+
+def _public_surface():
+    """Qualified name -> used name of each public module-level function and class,
+    and of each public method or property of those classes."""
+    surface = {}
+    for _, tree in _modules():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            surface[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                surface.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef) and item.name[0] != "_")
+    return surface
+
+
+def _used_names(paths):
+    """Names that the code in ``paths`` reads: a bare name, an attribute or a keyword
+    argument. Definitions, imports and docstrings do not count."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                used.add(node.arg)
+    return used
+
+
+def test_every_public_name_is_reached_by_the_library_or_the_benchmark():
+    """A public name that no module and no benchmark script uses is dead surface:
+    delete it, or give the reason it stays in ``ALLOWED_TEST_ONLY``. An entry the
+    library now reaches, or that no longer exists, is taken off the list."""
+    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    assert bench, "the benchmark scripts are not beside the package"
+    used = _used_names(sorted(PACKAGE.glob("*.py")) + bench)
+    unreached = {name for name, short in _public_surface().items() if short not in used}
+    assert unreached == set(ALLOWED_TEST_ONLY)

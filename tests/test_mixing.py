@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.special import ndtr
 
 from transferlab.core import GaussianLaw, LdsLaw, MarkovLaw
 from transferlab.errors import BadPartition, NotErgodic, SampleTooShort
@@ -100,6 +102,44 @@ def test_geometric_scalar_closed_form_kl_oracle():
     assert profile.gamma * profile.rho == pytest.approx(tv1, rel=1e-6)
 
 
+def tv_narrow_wide(m1, s1, m2, s2):
+    """TV between N(m1, s1^2) and N(m2, s2^2) for s1 < s2: the first density is
+    the larger exactly between the two roots lo < hi of the log density ratio,
+    a concave quadratic, so TV = P1(lo, hi) - P2(lo, hi)."""
+    a = 0.5 / s2 ** 2 - 0.5 / s1 ** 2
+    b = m1 / s1 ** 2 - m2 / s2 ** 2
+    c = 0.5 * m2 ** 2 / s2 ** 2 - 0.5 * m1 ** 2 / s1 ** 2 + np.log(s2 / s1)
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    lo, hi = sorted([q / a, c / q])
+    return (ndtr((hi - m1) / s1) - ndtr((lo - m1) / s1)
+            - ndtr((hi - m2) / s2) + ndtr((lo - m2) / s2))
+
+
+def expected_tv_scalar_lds(a, lag):
+    """E_x TV(N(a^lag x, (1 - a^(2 lag)) / (1 - a^2)), N(0, 1 / (1 - a^2))), x
+    stationary: the expected TV between x_lag given x_0 = x and the stationary
+    law of x' = a x + w, w ~ N(0, 1), by quadrature over x."""
+    sd = np.sqrt(1.0 / (1.0 - a * a))
+    sd_lag = np.sqrt((1.0 - a ** (2 * lag)) / (1.0 - a * a))
+
+    def integrand(x):
+        density = np.exp(-0.5 * (x / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+        return tv_narrow_wide(a ** lag * x, sd_lag, 0.0, sd) * density
+
+    return scipy.integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-13, limit=200)[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the surrogate decays like rho(A)^2 "
+                                       "per lag, the expected TV like rho(A)")
+def test_geometric_envelope_covers_the_scalar_lds_expected_tv():
+    lags = np.arange(1, 61)
+    tv = np.array([expected_tv_scalar_lds(0.9, int(lag)) for lag in lags])
+    profile = geometric_profile_from_lds(0.9 * np.eye(1))
+    envelope = profile.gamma * profile.rho ** lags
+    below = lags[envelope < tv]
+    assert below.size == 0, f"gamma rho^k is below the expected TV from lag {below[0]}"
+
+
 # ---------------------------------------------------------------------------
 # capital Phi
 # ---------------------------------------------------------------------------
@@ -163,7 +203,6 @@ def test_make_blocks_small():
     part = make_blocks(8, 2)
     assert part.blocks == ((0, 2), (2, 4), (4, 6), (6, 8))
     assert part.odd_blocks == ((0, 2), (4, 6))
-    assert part.even_blocks == ((2, 4), (6, 8))
 
 
 def test_make_blocks_odd_count_rejected():

@@ -7,18 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import transferlab
 from transferlab.core import LdsLaw
-from transferlab.errors import InvalidMoments, PreconditionViolated
+from transferlab.errors import PreconditionViolated
 from transferlab.mixing import GeometricProfile, geometric_profile_from_lds
-from transferlab.smallball import (
-    BlockedMode,
-    lower_isometry_tail_check,
-    paley_zygmund_lower,
-    smallball_q,
-)
+from transferlab.smallball import BlockedMode, lower_isometry_tail_check
 
 
 def gaussian_sampler(n, rng):
@@ -27,85 +21,6 @@ def gaussian_sampler(n, rng):
 
 def bounded_sampler(n, rng):
     return rng.uniform(-1.0, 1.0, size=(n, 1))
-
-
-def h_first_coord(z):
-    return z[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# small-ball quantity
-# ---------------------------------------------------------------------------
-
-def test_q_at_zero_threshold_is_one():
-    est = smallball_q(gaussian_sampler, [h_first_coord], u=0.0, mc_samples=5_000, seed=0)
-    assert est.q_value == 1.0
-
-
-def test_q_beyond_bounded_support_is_zero():
-    est = smallball_q(bounded_sampler, [h_first_coord], u=2.0, mc_samples=5_000, seed=1)
-    assert est.q_value == 0.0
-
-
-def test_q_gaussian_tail_matches_cdf():
-    mc = 200_000
-    est = smallball_q(gaussian_sampler, [h_first_coord], u=1.0, mc_samples=mc, seed=2)
-    target = 2.0 * (1.0 - norm.cdf(1.0))
-    assert abs(est.q_value - target) <= 3.0 * math.sqrt(target * (1 - target) / mc)
-
-
-def test_q_takes_grid_infimum():
-    grid = [lambda z: z[:, 0], lambda z: 0.1 * z[:, 0], lambda z: 3.0 * z[:, 0]]
-    est = smallball_q(gaussian_sampler, grid, u=1.0, mc_samples=50_000, seed=3)
-    assert est.argmin_hypothesis == 1
-    assert est.grid_size == 3
-
-
-def test_q_nonincreasing_in_threshold():
-    grid = [h_first_coord, lambda z: 0.5 * z[:, 0] + 0.1]
-    prev = 1.1
-    for u in np.linspace(0.0, 3.0, 20):
-        q = smallball_q(gaussian_sampler, grid, u=float(u), mc_samples=40_000, seed=4)
-        assert q.q_value <= prev + 1e-12
-        prev = q.q_value
-
-
-# ---------------------------------------------------------------------------
-# Paley-Zygmund
-# ---------------------------------------------------------------------------
-
-def test_pz_theta_one_vanishes():
-    assert paley_zygmund_lower(1.0, 3.0, 1.0) == 0.0
-
-
-def test_pz_gaussian_third():
-    assert paley_zygmund_lower(1.0, 3.0, 0.0) == pytest.approx(1.0 / 3.0)
-
-
-def test_pz_invalid_moments():
-    with pytest.raises(InvalidMoments):
-        paley_zygmund_lower(2.0, 1.0, 0.5)  # fourth < second^2
-    with pytest.raises(InvalidMoments):
-        paley_zygmund_lower(1.0, 3.0, 1.5)
-    with pytest.raises(InvalidMoments):
-        paley_zygmund_lower(-1.0, 3.0, 0.5)
-
-
-def test_pz_validity_on_random_bounded_distributions():
-    rng = np.random.default_rng(5)
-    mc = 40_000
-    for _ in range(50):
-        atoms = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6)))
-        probs = rng.dirichlet(np.ones(atoms.size))
-        theta = float(rng.uniform(0.0, 0.95))
-        samples = rng.choice(atoms, size=mc, p=probs)
-        m2 = float(np.mean(samples ** 2))
-        m4 = float(np.mean(samples ** 4))
-        if m4 < m2 ** 2 or m2 == 0.0:
-            continue
-        bound = paley_zygmund_lower(m2, m4, theta)
-        tail = float(np.mean(samples ** 2 > theta * m2))
-        assert bound <= tail + 3.0 * math.sqrt(max(tail * (1 - tail), 1e-4) / mc)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +187,3 @@ def test_tail_check_nan_ratio_rejects_the_precondition():
     with pytest.raises(PreconditionViolated):
         lower_isometry_tail_check(gaussian_sampler, psi, c=3.5, m=16, replicates=50,
                                   seed=18, calibration_samples=1000)
-
-
-def test_q_rejects_zero_mc_samples():
-    with pytest.raises(ValueError, match="mc_samples"):
-        smallball_q(gaussian_sampler, [h_first_coord], u=1.0, mc_samples=0)

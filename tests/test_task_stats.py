@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthonormal_rows
+from conftest import qr_factor, random_orthonormal_rows
 from transferlab import cli
 from transferlab.core import (
     Dims,
@@ -67,7 +67,7 @@ def test_second_stage_on_factor_equals_raw_rows(case):
     datasets, r, rng = case
     rep = LinearRep(random_orthonormal_rows(r, datasets[0].covariates.shape[1], rng))
     for ds in datasets:
-        stats = ds.compressed()
+        stats = qr_factor(ds)
         assert stats.n == ds.n and stats.covariates.shape[0] <= ds.n
         raw, comp = fit_second_stage(ds, rep), fit_second_stage(stats, rep)
         energy = float(np.sum(ds.labels ** 2)) / ds.n
@@ -82,7 +82,7 @@ def test_linear_first_stage_on_factors_equals_raw_rows(case):
     datasets, r, _ = case
     opts = FitOptions(max_iters=60, restarts=1, seed=7)
     raw = fit_first_stage_linear(datasets, r=r, opts=opts)
-    comp = fit_first_stage_linear([ds.compressed() for ds in datasets], r=r,
+    comp = fit_first_stage_linear([qr_factor(ds) for ds in datasets], r=r,
                                   opts=opts)
     energy = sum(float(np.sum(ds.labels ** 2)) for ds in datasets) / sum(
         ds.n for ds in datasets)
@@ -98,7 +98,7 @@ def test_nonlinear_features_of_a_factor_raise():
     rng = np.random.default_rng(3)
     ds = TaskDataset(task_id=0, covariates=rng.standard_normal((30, 4)),
                      labels=rng.standard_normal((30, 1)))
-    stats = ds.compressed()
+    stats = qr_factor(ds)
     with pytest.raises(NeedsRawRows, match="raw rows"):
         offset_complexity_stat([stats], LinearRep(np.eye(4)[:2]),
                                [np.zeros((30, 1))])
