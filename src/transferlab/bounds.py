@@ -19,7 +19,7 @@ import numpy as np
 from . import core
 from .core import Dims, bartlett, logdet_psd
 from .errors import InvalidMatrix, NotPSD
-from .mixing import GeometricProfile, MixingProfile, phi_capital
+from .mixing import MixingProfile, phi_capital
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class MixingSetup:
 
     profile: MixingProfile
     k: int
-
-    def phi_at_k(self) -> float:
-        if isinstance(self.profile, GeometricProfile):
-            return self.profile.gamma * self.profile.rho ** self.k
-        return self.profile.phi_at(self.k)
 
 
 @dataclass(frozen=True)
@@ -234,9 +229,10 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
     The risk value is sigma_w^2 C_Z d_y r log(1/delta) / N' plus
     mu_x mu_f times the martingale complexity bound; mixing mode leaves the
     value unchanged and only rescales the burn-in table (target sample counts
-    divided by the block length, source requirement inflated by the mixing
-    factor, plus the block tail condition). The target requirement prices h_z
-    as c_z: the two suprema coincide after the change v -> Sigma_Z^{1/2} v.
+    divided by the block length k, source requirement inflated by the mixing
+    factor, plus the block tail condition (N' / k) phi(k) <= delta). The target
+    requirement prices h_z as c_z: the two suprema coincide after the change
+    v -> Sigma_Z^{1/2} v.
 
     ``c42_target``, ``c42_sources`` and ``h_v`` enter only the burn-in table.
     They default to 1.0, and no command passes them: the ``bounds`` command
@@ -270,7 +266,7 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
                actual=m_target),
     ]
     if config.mixing is not None:
-        tail = m_target * config.mixing.phi_at_k()
+        tail = m_target * config.mixing.profile.phi_at(k)
         burn_ins.append(BurnIn(name="target_block_tail", required=config.delta,
                                actual=tail, direction="at_most"))
     source_req = phi_cap * c42_sources * (

@@ -513,7 +513,10 @@ def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
 
 
 def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
-    """Evaluate the transfer-risk bound from the config's bounds section."""
+    """Evaluate the transfer-risk bound from the config's bounds section.
+
+    ``bounds.mixing`` gives a geometric profile phi(k) = gamma * rho^(k-1), so
+    its ``gamma`` is phi(1), and the block length ``k``."""
     if config.bounds is None:
         raise ConfigError("config has no bounds section")
     b, pop = config.bounds, config.population

@@ -19,50 +19,17 @@ from .core import CovariateLaw, LdsLaw, spectral_norm, stationary_distribution
 from .errors import BadPartition, SampleTooShort, TransferLabError
 
 
-@dataclass(frozen=True)
-class ExactProfile:
-    """Exactly computed mixing coefficients phi(1..max_lag), optionally with a
-    geometric tail bound phi(l) <= tail_gamma * tail_rho^l for l > max_lag."""
-
-    phi: np.ndarray
-    tail_gamma: float | None = None
-    tail_rho: float | None = None
-
-    kind = "exact"
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        phi.setflags(write=False)
-        if phi.ndim != 1 or phi.size < 1:
-            raise ValueError("phi must be a nonempty 1-D sequence")
-        if phi.min() < -1e-12 or phi.max() > 1.0 + 1e-12:
-            raise ValueError("phi values must lie in [0, 1]")
-        if np.any(np.diff(phi) > 1e-12):
-            raise ValueError("phi must be non-increasing in the lag")
-        if (self.tail_gamma is None) != (self.tail_rho is None):
-            raise ValueError("tail_gamma and tail_rho must be given together")
-        if self.tail_rho is not None and not (0.0 <= self.tail_rho < 1.0):
-            raise ValueError("tail_rho must lie in [0, 1)")
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def max_lag(self) -> int:
-        return self.phi.size
-
-    def phi_at(self, lag: int) -> float:
-        """phi at an integer lag >= 1; beyond max_lag the tail bound (or 0)."""
-        if lag < 1:
-            raise ValueError("lag must be >= 1")
-        if lag <= self.phi.size:
-            return float(self.phi[lag - 1])
-        if self.tail_gamma is not None:
-            return min(1.0, self.tail_gamma * self.tail_rho ** lag)
-        return 0.0
+def _lags(lags) -> np.ndarray:
+    lags = np.asarray(lags)
+    if np.any(lags < 1):
+        raise ValueError("lag must be >= 1")
+    return lags
 
 
 @dataclass(frozen=True)
 class GeometricProfile:
-    """Geometric mixing envelope phi(k) <= gamma * rho^k.
+    """Geometric mixing envelope phi(k) = min(1, gamma * rho^(k-1)), k >= 1, so
+    gamma is phi(1).
 
     ``beta_surrogate`` marks profiles whose coefficients bound an expected
     (beta-type) TV rather than the uniform conditional TV.
@@ -79,6 +46,47 @@ class GeometricProfile:
             raise ValueError("gamma must be nonnegative")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must lie in [0, 1)")
+
+    def phi_at(self, lags):
+        """phi at an integer lag >= 1 (a float), or elementwise at an integer array."""
+        lags = _lags(lags)
+        phi = np.minimum(1.0, self.gamma * self.rho ** (lags - 1))
+        return float(phi) if phi.ndim == 0 else phi
+
+
+@dataclass(frozen=True)
+class ExactProfile:
+    """Exactly computed mixing coefficients phi(1..max_lag), optionally with a
+    geometric ``tail`` that gives phi(l) for l > max_lag."""
+
+    phi: np.ndarray
+    tail: GeometricProfile | None = None
+
+    kind = "exact"
+
+    def __post_init__(self):
+        phi = np.array(self.phi, dtype=float)
+        phi.setflags(write=False)
+        if phi.ndim != 1 or phi.size < 1:
+            raise ValueError("phi must be a nonempty 1-D sequence")
+        if phi.min() < -1e-12 or phi.max() > 1.0 + 1e-12:
+            raise ValueError("phi values must lie in [0, 1]")
+        if np.any(np.diff(phi) > 1e-12):
+            raise ValueError("phi must be non-increasing in the lag")
+        object.__setattr__(self, "phi", phi)
+
+    @property
+    def max_lag(self) -> int:
+        return self.phi.size
+
+    def phi_at(self, lags):
+        """phi at an integer lag >= 1 (a float), or elementwise at an integer array;
+        beyond max_lag the tail at the same lags (or 0)."""
+        lags = _lags(lags)
+        stored = self.phi[np.minimum(lags, self.max_lag) - 1]
+        beyond = 0.0 if self.tail is None else self.tail.phi_at(lags)
+        phi = np.where(lags <= self.max_lag, stored, beyond)
+        return float(phi) if phi.ndim == 0 else phi
 
 
 MixingProfile = ExactProfile | GeometricProfile
@@ -116,11 +124,10 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     """Geometric expected-TV mixing surrogate for a stable Gaussian LDS.
 
     The decay rate is the covariance contraction rate rho = rho(A)^2 and
-    gamma is fitted so that gamma * rho equals the lag-1 Monte Carlo average
-    of the Pinsker bound sqrt(KL/2) between the one-step conditional
-    N(Ax, I) and the stationary law, over stationary states x. The uniform
-    conditional-TV coefficient of a Gaussian LDS is unbounded, so the profile
-    is flagged ``beta_surrogate``.
+    gamma = phi(1) is the Monte Carlo average of the Pinsker bound sqrt(KL/2)
+    between the one-step conditional N(Ax, I) and the stationary law, over
+    stationary states x. The uniform conditional-TV coefficient of a Gaussian
+    LDS is unbounded, so the profile is flagged ``beta_surrogate``.
 
     Raises
     ------
@@ -132,10 +139,6 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     law = LdsLaw(a=a)  # validates stability
-    rho0 = law.spectral_radius
-    rho = rho0 ** 2
-    if rho == 0.0:
-        return GeometricProfile(gamma=0.0, rho=0.0, beta_surrogate=True)
     sigma = law.second_moment()
     sigma_inv = np.linalg.inv(sigma)
     d = sigma.shape[0]
@@ -145,36 +148,22 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     mean_shift = np.einsum("ij,jk,ik->i", x @ law.a.T, sigma_inv, x @ law.a.T)
     kl = 0.5 * (np.trace(sigma_inv) - d + mean_shift + logdet)
     tv1 = float(np.mean(np.minimum(1.0, np.sqrt(np.maximum(kl, 0.0) / 2.0))))
-    return GeometricProfile(gamma=tv1 / rho, rho=rho, beta_surrogate=True)
-
-
-def expand_geometric(profile: GeometricProfile, max_lag: int) -> ExactProfile:
-    """Geometric profile as explicit lags, anchored so phi(1) = gamma.
-
-    With phi(lag) = gamma * rho^(lag-1) the closed form gamma / (1-sqrt(rho))^2
-    is the exact infinite-lag limit of the mixing inflation series. Values
-    are clipped into [0, 1].
-    """
-    lags = np.arange(max_lag)
-    phi = np.clip(profile.gamma * profile.rho ** lags, 0.0, 1.0)
-    return ExactProfile(phi=phi)
+    return GeometricProfile(gamma=tv1, rho=law.spectral_radius ** 2, beta_surrogate=True)
 
 
 def phi_capital(profile: MixingProfile) -> float:
     """Mixing inflation factor: the squared sum of root coefficients.
 
-    Geometric profiles use the closed form gamma / (1 - sqrt(rho))^2; exact
-    profiles sum sqrt(phi) over stored lags plus the geometric tail when one
-    is attached.
+    Geometric profiles use the closed form gamma / (1 - sqrt(rho))^2, the
+    infinite-lag sum with phi(l) = gamma * rho^(l-1); exact profiles sum
+    sqrt(phi) over stored lags, plus the tail's lags past max_lag L, whose
+    roots sum to rho_t^(L/2) * sqrt(Phi(tail)).
     """
     if isinstance(profile, GeometricProfile):
-        if profile.gamma == 0.0:
-            return 0.0
         return profile.gamma / (1.0 - math.sqrt(profile.rho)) ** 2
     s = float(np.sqrt(profile.phi).sum())
-    if profile.tail_gamma is not None and profile.tail_gamma > 0:
-        root_rho = math.sqrt(profile.tail_rho)
-        s += math.sqrt(profile.tail_gamma) * root_rho ** (profile.max_lag + 1) / (1.0 - root_rho)
+    if profile.tail is not None:
+        s += profile.tail.rho ** (profile.max_lag / 2) * math.sqrt(phi_capital(profile.tail))
     return s * s
 
 
@@ -201,14 +190,12 @@ def dependency_matrix_bound(profile: MixingProfile, n: int) -> DependencyBound:
     TransferLabError
         If the computed norm exceeds that cap.
     """
-    exact = expand_geometric(profile, n) if isinstance(profile, GeometricProfile) else profile
+    phi = profile.phi_at(np.arange(1, n))
+    rows, cols = np.triu_indices(n, 1)
     m = np.eye(n)
-    for lag in range(1, n):
-        val = math.sqrt(2.0 * min(exact.phi_at(lag), 1.0))
-        idx = np.arange(n - lag)
-        m[idx, idx + lag] = val
+    m[rows, cols] = np.sqrt(2.0 * phi)[cols - rows - 1]
     norm = spectral_norm(m)
-    cap = 1.0 + math.sqrt(2.0) * sum(math.sqrt(exact.phi_at(lag)) for lag in range(1, n))
+    cap = 1.0 + math.sqrt(2.0) * float(np.sqrt(phi).sum())
     if norm > cap + 1e-9:
         raise TransferLabError(f"dependency norm {norm} exceeds its bound {cap}")
     return DependencyBound(matrix=m, spectral_norm=norm)
@@ -265,37 +252,33 @@ def decouple_trajectory(law: CovariateLaw, partition: BlockPartition,
 
 
 def select_block_length(profile: GeometricProfile, m_samples: int, delta: float) -> int:
-    """Smallest admissible block length for a geometric profile.
+    """First divisor k of m_samples with an even quotient and m_samples * phi(k) <= delta.
 
-    Raw value log(gamma * m / delta) / log(1 / rho), rounded up, then
-    adjusted upward to the nearest divisor k of m_samples with m_samples/k
-    even. The returned k always satisfies (m_samples / k) * gamma * rho^k
-    <= delta.
+    That rule implies the blocked tail condition (m_samples / k) * phi(k) <= delta,
+    but it is stricter, so the k it returns need not be the smallest one that
+    meets the tail condition: for the a = 0.5 LDS surrogate, m = 64 and delta
+    = 0.1 it returns 8, although (m / k) * phi(k) = 0.058 already holds at k = 4.
+    The rule stays, because ``geometric_profile_from_lds`` decays faster than
+    the expected TV it stands for (ROADMAP item 1), and shorter blocks under
+    an envelope that already undercovers would be wrong. Exact profiles are
+    refused: a Markov profile reads phi = 0 past ``max_lag``.
 
     Raises
     ------
     SampleTooShort
         If no admissible k <= m_samples / 2 exists.
-    TransferLabError
-        If the selected k violates its tail condition.
     """
     if not isinstance(profile, GeometricProfile):
         raise TypeError("select_block_length expects a geometric profile")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    gamma, rho = profile.gamma, profile.rho
-    if rho == 0.0 or gamma * m_samples <= delta:
-        k_min = 1
-    else:
-        k_min = max(1, math.ceil(math.log(gamma * m_samples / delta) / math.log(1.0 / rho)))
-    for k in range(k_min, m_samples // 2 + 1):
-        if m_samples % k == 0 and (m_samples // k) % 2 == 0:
-            if (m_samples / k) * gamma * rho ** k > delta + 1e-12:
-                raise TransferLabError(
-                    f"block length {k} violates its tail condition at delta {delta:g}")
-            return k
-    raise SampleTooShort(
-        f"no divisor k of {m_samples} with even quotient in [{k_min}, {m_samples // 2}]")
+    ks = np.arange(1, m_samples // 2 + 1)
+    ks = ks[(m_samples % ks == 0) & ((m_samples // ks) % 2 == 0)]
+    admissible = ks[m_samples * profile.phi_at(ks) <= delta]
+    if admissible.size == 0:
+        raise SampleTooShort(f"no divisor k of {m_samples} with even quotient has "
+                             f"{m_samples} * phi(k) <= {delta:g}")
+    return int(admissible[0])
 
 
 def profile_to_json(profile: MixingProfile) -> dict:
@@ -304,6 +287,6 @@ def profile_to_json(profile: MixingProfile) -> dict:
                 "beta_surrogate": profile.beta_surrogate,
                 "phi_capital": phi_capital(profile)}
     out = {"kind": "exact", "phi": profile.phi.tolist(), "phi_capital": phi_capital(profile)}
-    if profile.tail_gamma is not None:
-        out["tail"] = {"gamma": profile.tail_gamma, "rho": profile.tail_rho}
+    if profile.tail is not None:
+        out["tail"] = profile_to_json(profile.tail)
     return out

@@ -52,7 +52,6 @@ from transferlab.erm import (
 from transferlab.mixing import (
     GeometricProfile,
     decouple_trajectory,
-    expand_geometric,
     geometric_profile_from_lds,
     make_blocks,
     phi_capital,
@@ -270,7 +269,7 @@ def test_criterion_08_mixing_machinery():
         assert np.all(two_cycle.phi == 0.5)
 
         geo = GeometricProfile(gamma=1.0, rho=0.25)
-        series = phi_capital(expand_geometric(geo, max_lag=10_000))
+        series = np.sqrt(geo.phi_at(np.arange(1, 10_001))).sum() ** 2
         closed = phi_capital(geo)
         assert closed == pytest.approx(1.0 / (1.0 - 0.5) ** 2, rel=1e-12)
         assert series == pytest.approx(closed, rel=1e-8)
@@ -302,12 +301,12 @@ def test_criterion_08_mixing_machinery():
             rho = float(rng.uniform(0.05, 0.9))
             m = int(rng.choice([240, 480, 960, 2520]) * rng.integers(1, 4))
             delta = float(rng.uniform(0.01, 0.2))
+            profile = GeometricProfile(gamma=gamma, rho=rho)
             try:
-                k_sel = select_block_length(GeometricProfile(gamma=gamma, rho=rho),
-                                            m, delta)
+                k_sel = select_block_length(profile, m, delta)
             except Exception:
                 continue
-            assert (m / k_sel) * gamma * rho ** k_sel <= delta + 1e-12
+            assert (m / k_sel) * profile.phi_at(k_sel) <= delta + 1e-12
             checked += 1
 
 

@@ -189,7 +189,8 @@ def test_transfer_bound_mixing_only_changes_burn_ins():
         4.0 * by_name_iid["source_samples"].required, rel=1e-12)
     tail = by_name_mix["target_block_tail"]
     assert tail.direction == "at_most"
-    assert tail.actual == pytest.approx((cfg_mix.n_prime / 4) * 1.0 * 0.25 ** 4)
+    # phi(4) = gamma * rho^3, the same phi(1) = 1 that gives capital Phi = 4
+    assert tail.actual == pytest.approx((cfg_mix.n_prime / 4) * 1.0 * 0.25 ** 3)
 
 
 def test_transfer_bound_additive_decomposition_exact():

@@ -23,6 +23,16 @@ def test_library_functions_do_not_assert():
     assert not found, f"assert statements in transferlab: {found}"
 
 
+def test_only_mixing_reads_profile_parameters():
+    """A geometric profile's coefficients are phi(k) = gamma * rho^(k-1), and only
+    ``mixing`` turns gamma and rho into them; every other module reads a profile
+    through ``phi_at``, so the anchor of the convention lives in one module."""
+    found = [f"{path.name}:{node.lineno}" for path, tree in _modules()
+             if path.name != "mixing.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("gamma", "rho")]
+    assert not found, f"profile gamma or rho read outside mixing.py: {found}"
+
+
 def _imports_outside_functions(node):
     """Import statements under ``node`` that no function body encloses."""
     for child in ast.iter_child_nodes(node):

@@ -3,7 +3,8 @@ import pytest
 import scipy.integrate
 from scipy.special import ndtr
 
-from transferlab.core import GaussianLaw, LdsLaw, MarkovLaw
+from transferlab.bounds import BoundConfig, FiniteClass, MixingSetup, transfer_risk_bound
+from transferlab.core import Dims, GaussianLaw, LdsLaw, MarkovLaw
 from transferlab.errors import BadPartition, NotErgodic, SampleTooShort
 from transferlab.mixing import (
     BlockPartition,
@@ -11,7 +12,6 @@ from transferlab.mixing import (
     GeometricProfile,
     decouple_trajectory,
     dependency_matrix_bound,
-    expand_geometric,
     geometric_profile_from_lds,
     make_blocks,
     phi_capital,
@@ -99,7 +99,8 @@ def test_geometric_scalar_closed_form_kl_oracle():
     x = (rng.standard_normal((mc, 1)) * np.sqrt(var)).ravel()
     kl = 0.5 * ((1.0 / var) - 1.0 + (0.25 * x ** 2) / var + np.log(var))
     tv1 = np.mean(np.minimum(1.0, np.sqrt(kl / 2.0)))
-    assert profile.gamma * profile.rho == pytest.approx(tv1, rel=1e-6)
+    assert profile.gamma == pytest.approx(tv1, rel=1e-6)
+    assert profile.phi_at(1) == profile.gamma
 
 
 def tv_narrow_wide(m1, s1, m2, s2):
@@ -135,9 +136,9 @@ def test_geometric_envelope_covers_the_scalar_lds_expected_tv():
     lags = np.arange(1, 61)
     tv = np.array([expected_tv_scalar_lds(0.9, int(lag)) for lag in lags])
     profile = geometric_profile_from_lds(0.9 * np.eye(1))
-    envelope = profile.gamma * profile.rho ** lags
+    envelope = profile.phi_at(lags)
     below = lags[envelope < tv]
-    assert below.size == 0, f"gamma rho^k is below the expected TV from lag {below[0]}"
+    assert below.size == 0, f"phi(k) is below the expected TV from lag {below[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +156,13 @@ def test_phi_capital_geometric_closed_form():
 def test_phi_capital_series_matches_closed_form():
     for gamma, rho in [(1.0, 0.25), (0.8, 0.6), (0.3, 0.9)]:
         geo = GeometricProfile(gamma=gamma, rho=rho)
-        series = phi_capital(expand_geometric(geo, max_lag=10_000))
+        series = np.sqrt(geo.phi_at(np.arange(1, 10_001))).sum() ** 2
         assert series == pytest.approx(phi_capital(geo), rel=1e-8)
 
 
 def test_phi_capital_exact_with_tail():
     geo = GeometricProfile(gamma=0.5, rho=0.4)
-    truncated = expand_geometric(geo, max_lag=3)
-    # attach the matching tail bound phi(l) <= gamma * rho^(l-1) = (g/r) r^l
-    with_tail = ExactProfile(phi=truncated.phi, tail_gamma=0.5 / 0.4, tail_rho=0.4)
+    with_tail = ExactProfile(phi=geo.phi_at(np.arange(1, 4)), tail=geo)
     assert phi_capital(with_tail) == pytest.approx(phi_capital(geo), rel=1e-12)
 
 
@@ -310,21 +309,23 @@ def test_decoupled_block_marginals_match():
 # ---------------------------------------------------------------------------
 
 def test_select_block_length_worked_example():
-    # gamma * m / delta = 2720 ~ 1000 e -> raw log(2720) ~ 7.91 -> ceil 8;
-    # 8 divides 272 with even quotient 34, so no further adjustment
+    # m phi(k) = 272 e^-(k-1) <= 0.1 needs k - 1 >= log(2720) ~ 7.91, so k >= 9;
+    # the divisors of 272 = 16 * 17 from 9 on are 16 (quotient 17, odd) and 17
     k = select_block_length(GeometricProfile(gamma=1.0, rho=np.exp(-1.0)), 272, 0.1)
-    assert k == 8
+    assert k == 17
 
 
 def test_select_block_length_divisor_adjustment():
-    # raw ceil gives 3, but 3 is skipped: 80/3 not integral -> next divisor 4
+    # m phi(k) = 80 * 0.05^(k-1) <= 0.25 first holds at k = 3 (0.2), but 80/3 is
+    # not integral -> next divisor 4 (quotient 20)
     profile = GeometricProfile(gamma=1.0, rho=0.05)
-    k = select_block_length(profile, 80, 0.1)
-    assert k in (3, 4) and 80 % k == 0 and (80 // k) % 2 == 0
+    assert select_block_length(profile, 80, 0.25) == 4
 
 
 def test_select_block_length_instant_mixing():
-    assert select_block_length(GeometricProfile(gamma=0.5, rho=1e-12), 10, 0.1) == 1
+    # phi(1) = gamma = 0.5 rules out k = 1 (10 * 0.5 > 0.1); k = 2 meets the tail
+    # rule but leaves 5 blocks, an odd count, so the next divisor is 5
+    assert select_block_length(GeometricProfile(gamma=0.5, rho=1e-12), 10, 0.1) == 5
 
 
 def test_select_block_length_sample_too_short():
@@ -346,7 +347,7 @@ def test_select_block_length_postcondition_random():
             k = select_block_length(profile, m, delta)
         except SampleTooShort:
             continue
-        assert (m / k) * gamma * rho ** k <= delta + 1e-12
+        assert m * profile.phi_at(k) <= delta
         assert m % k == 0 and (m // k) % 2 == 0
         checked += 1
 
@@ -359,3 +360,50 @@ def test_profile_json_roundtrip_fields():
     j2 = profile_to_json(exact)
     assert j2["kind"] == "exact" and j2["phi"] == [0.5] * 4
     assert j2["phi_capital"] == pytest.approx((4 * np.sqrt(0.5)) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# one convention across consumers
+# ---------------------------------------------------------------------------
+
+def test_every_consumer_reads_phi_at():
+    """Dependency matrix, block tail, block length and Phi all read phi(l) as
+    ``phi_at(l)``, for a geometric profile and for stored lags with a geometric tail."""
+    geo = GeometricProfile(gamma=0.6, rho=0.5)
+    exact = ExactProfile(phi=[0.9, 0.5, 0.3], tail=GeometricProfile(gamma=0.4, rho=0.7))
+    n, n_prime, k = 40, 96, 3
+    for profile in (geo, exact):
+        lags = np.arange(1, n)
+        assert type(profile.phi_at(1)) is float
+        phi = np.array([profile.phi_at(int(lag)) for lag in lags])
+        assert np.array_equal(profile.phi_at(lags), phi)
+        dep = dependency_matrix_bound(profile, n).matrix
+        for lag in lags:
+            assert np.array_equal(np.diagonal(dep, lag),
+                                  np.full(n - lag, np.sqrt(2 * phi[lag - 1])))
+        cfg = BoundConfig(dims=Dims(d_x=4, d_y=1, r=2), t_tasks=3, n=200, n_prime=n_prime,
+                          sigma_w=0.5, b_f=1.0, b_g=1.0, class_complexity=FiniteClass(1.0),
+                          mixing=MixingSetup(profile=profile, k=k))
+        burn_ins = {b.name: b for b in transfer_risk_bound(cfg, 1.0, 1.0, 1.0).burn_ins}
+        assert burn_ins["target_block_tail"].actual == pytest.approx(
+            (n_prime / k) * phi[k - 1], rel=1e-15)
+        series = np.sqrt(profile.phi_at(np.arange(1, 20_000))).sum() ** 2
+        assert phi_capital(profile) == pytest.approx(series, rel=1e-8)
+
+    m, delta = 240, 0.05
+    admissible = [j for j in range(1, m // 2 + 1)
+                  if m % j == 0 and (m // j) % 2 == 0 and m * geo.phi_at(j) <= delta]
+    assert select_block_length(geo, m, delta) == admissible[0]
+    with pytest.raises(TypeError):
+        select_block_length(exact, m, delta)
+
+    expanded = ExactProfile(phi=geo.phi_at(np.arange(1, 6)), tail=geo)
+    assert dependency_matrix_bound(expanded, n).spectral_norm == pytest.approx(
+        dependency_matrix_bound(geo, n).spectral_norm, rel=1e-12)
+    assert phi_capital(expanded) == pytest.approx(phi_capital(geo), rel=1e-12)
+
+
+def test_phi_at_rejects_lags_below_one():
+    for profile in (GeometricProfile(gamma=0.6, rho=0.5), ExactProfile(phi=[0.5])):
+        with pytest.raises(ValueError, match="lag"):
+            profile.phi_at(np.array([1, 0]))
