@@ -280,8 +280,8 @@ class CovariateLaw:
 
     Every law exposes an exact second-moment matrix, seeded marginal
     sampling, seeded path sampling and a seeded factor of a path's Gram
-    (``gram_factor``). For an iid law a path is an iid draw and burn-in is
-    irrelevant; trajectory laws override ``sample_paths``.
+    (``gram_factor``). For an iid law a path is an iid draw; trajectory laws
+    override ``sample_paths`` and start each path stationary, so keep every step.
     """
 
     d_x: int
@@ -297,23 +297,22 @@ class CovariateLaw:
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
-                     burn_in: int = 0) -> np.ndarray:
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """``batch`` independent paths of length n, shape (batch, n, d_x).
 
         Consumes ``rng`` exactly as ``batch`` consecutive
-        ``sample_path(n, rng, burn_in)`` calls do.
+        ``sample_path(n, rng)`` calls do.
         """
         return self.sample_marginal(batch * n, rng).reshape(batch, n, self.d_x)
 
-    def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        return self.sample_paths(1, n, rng, burn_in)[0]
+    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_paths(1, n, rng)[0]
 
-    def gram_factor(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        """A (k, d_x) factor R, k <= n, of a path X = ``sample_path(n, rng, burn_in)``:
+    def gram_factor(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """A (k, d_x) factor R, k <= n, of a path X = ``sample_path(n, rng)``:
         X = Q_1 R, Q_1 with orthonormal columns that depend on the draw alone, so
         R^T R = X^T X. A law may draw R in law, without rows; here it is X's R factor."""
-        return np.linalg.qr(self.sample_path(n, rng, burn_in), mode="r")
+        return np.linalg.qr(self.sample_path(n, rng), mode="r")
 
 
 @dataclass(frozen=True)
@@ -344,11 +343,11 @@ class GaussianLaw(CovariateLaw):
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._root.T
 
-    def gram_factor(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
+    def gram_factor(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """From n = d_x on, R = U L^T with Sigma = L L^T and U the Bartlett factor: rows
         X = E L^T with E = Q_1 U standard normal, and U has the law of E's R factor."""
         if n < self.d_x:
-            return super().gram_factor(n, rng, burn_in)
+            return super().gram_factor(n, rng)
         return bartlett(self.d_x, n, rng) @ self._root.T
 
 
@@ -439,13 +438,10 @@ class LdsLaw(CovariateLaw):
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d_x)) @ self._sigma_root.T
 
-    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
-                     burn_in: int = 0) -> np.ndarray:
-        """``batch`` stationary paths x_{b+1..b+n} after b = burn_in discarded steps.
-
-        Each path starts from x_0 = Sigma^{1/2} z and runs the recursion on
-        fresh noise; one (batch, 1 + b + n, d) normal draw holds, per path, z
-        and then the noise rows, in the order of one path at a time.
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``batch`` stationary paths x_1..x_n: each starts from x_0 = Sigma^{1/2} z,
+        already stationary, and runs the recursion on fresh noise; one (batch,
+        1 + n, d) normal draw holds, per path in turn, z and then the noise rows.
 
         The recursion advances L steps per product. Unrolling
         x_{s+i+1} = A x_{s+i} + w_{s+i} from x = x_s gives, for j = 0..L-1,
@@ -461,8 +457,7 @@ class LdsLaw(CovariateLaw):
         stationary scale.
         """
         d = self.d_x
-        steps = burn_in + n
-        z = rng.standard_normal((batch, 1 + steps, d))
+        z = rng.standard_normal((batch, 1 + n, d))
         x = z[:, 0] @ self._sigma_root.T
         w = z[:, 1:]  # noise rows w_0.., overwritten in place by x_1..
         if self._chunk == 1:
@@ -472,23 +467,23 @@ class LdsLaw(CovariateLaw):
                 x = w_i
         else:
             width = self._chunk * d
-            full = steps // self._chunk * self._chunk
+            full = n // self._chunk * self._chunk
             chunks = w[:, :full].reshape(batch, -1, width).transpose(1, 0, 2)
             for block in chunks:
                 y = np.dot(x, self._lift)
                 y += np.dot(block, self._toeplitz)
                 block[...] = y
                 x = y[:, -d:]
-            rest = (steps - full) * d
+            rest = (n - full) * d
             if rest:
                 y = x @ self._lift[:, :rest]
                 y += w[:, full:].reshape(batch, rest) @ self._toeplitz[:rest, :rest]
                 w[:, full:] = y.reshape(batch, -1, d)
-        return w[:, burn_in:]
+        return w
 
     # Defined on the class, not inherited, so bench/tracing.py can wrap it.
-    def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        return self.sample_paths(1, n, rng, burn_in)[0]
+    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_paths(1, n, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -551,13 +546,11 @@ class MarkovLaw(CovariateLaw):
         states = rng.choice(self.n_states, size=n, p=self._pi)
         return self._embedding[states]
 
-    def _walk(self, batch: int, n: int, rng: np.random.Generator, burn_in: int) -> np.ndarray:
-        """(batch, n) states after ``burn_in`` discarded steps.
-
-        One (batch, 1 + burn_in + n) uniform draw: per path, column 0 picks
-        the stationary start state and each later column one transition.
-        """
-        u = rng.random((batch, 1 + burn_in + n))
+    def _walk(self, batch: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """(batch, n) states of stationary walks. One (batch, 1 + n) uniform draw:
+        per path, column 0 picks the start state from pi and each later column
+        one transition."""
+        u = rng.random((batch, 1 + n))
         first = np.searchsorted(self._initial_cdf, u[:, 0], side="right").tolist()
         table = self._walk_table
         states = []
@@ -567,20 +560,19 @@ class MarkovLaw(CovariateLaw):
                 s = bisect_right(table[s], v)
                 walk.append(s)
             states.append(walk)
-        return np.array(states, dtype=np.intp).reshape(batch, burn_in + n)[:, burn_in:]
+        return np.array(states, dtype=np.intp).reshape(batch, n)
 
-    def sample_paths(self, batch: int, n: int, rng: np.random.Generator,
-                     burn_in: int = 0) -> np.ndarray:
-        return self._embedding[self._walk(batch, n, rng, burn_in)]
+    def sample_paths(self, batch: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self._embedding[self._walk(batch, n, rng)]
 
     # Defined on the class, not inherited, so bench/tracing.py can wrap it.
-    def sample_path(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
-        return self.sample_paths(1, n, rng, burn_in)[0]
+    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_paths(1, n, rng)[0]
 
-    def gram_factor(self, n: int, rng: np.random.Generator, burn_in: int = 0) -> np.ndarray:
+    def gram_factor(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Row sqrt(c_s) e_s per state s visited c_s > 0 times by ``sample_path``'s walk,
         e_s its embedding; Q_1's column s is the indicator of s's steps over sqrt(c_s)."""
-        counts = np.bincount(self._walk(1, n, rng, burn_in)[0], minlength=self.n_states)
+        counts = np.bincount(self._walk(1, n, rng)[0], minlength=self.n_states)
         visited = np.flatnonzero(counts)
         return np.sqrt(counts[visited])[:, None] * self._embedding[visited]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,23 +42,13 @@ def task_stream_seed(seed: int, task_index: int) -> int:
     return (int(seed) ^ ((task_index + 1) * _GOLDEN)) & _MASK64
 
 
-def default_burn_in(law: CovariateLaw) -> int:
-    """Warm-up discarded before recording: 10 * ceil(1/(1-rho)) for an LDS, 10 for a
-    Markov chain, none for iid laws."""
-    if isinstance(law, LdsLaw):
-        rho = law.spectral_radius
-        return 10 * math.ceil(1.0 / max(1.0 - rho, 1e-6))
-    if law.is_trajectory:
-        return 10
-    return 0
-
-
 @dataclass(frozen=True)
 class SampleRequest:
     """What to sample: a population, per-task sample counts, and a seed.
 
     ``per_task_n[0]`` is the target count N'; entries 1..T are the source
-    counts. Trajectories discard ``default_burn_in`` steps first.
+    counts. Trajectories start in their stationary law, so no warm-up is
+    discarded.
     """
 
     spec: PopulationSpec
@@ -79,10 +68,11 @@ def _draw(req: SampleRequest, t: int, factor) -> TaskDataset:
 
     The rows are a path X (n x d_x) of the task's law and Y = X W^T + sigma E,
     W = F_star G_star, E (n x d_y) standard normal and independent of X.
-    ``factor(n, rng, burn_in=...)`` draws R (k x d_x, k <= n) with X = Q_1 R,
+    ``factor(n, rng)`` draws R (k x d_x, k <= n) with X = Q_1 R,
     Q_1 (n x k) with orthonormal columns that depend on the covariate draw
     alone: the law's ``sample_path`` (R = X, Q_1 = I, k = n) or its
-    ``gram_factor``.
+    ``gram_factor``. A trajectory law's path starts in its stationary law, so
+    X's rows are recorded from the first step on.
 
     Complete Q_1 to an orthogonal Q = [Q_1 Q_2]. Given the covariate draw, Q
     is fixed, and E is independent of it and rotation invariant, so
@@ -102,7 +92,7 @@ def _draw(req: SampleRequest, t: int, factor) -> TaskDataset:
     spec, n = req.spec, req.per_task_n[t]
     task = spec.tasks[t]
     rng = np.random.default_rng(task_stream_seed(req.seed, t))
-    x = factor(n, rng, burn_in=default_burn_in(task.law))
+    x = factor(n, rng)
     y = x @ (task.head.f @ spec.rep_star.g).T
     sigma = spec.noise_sigma
     if sigma > 0:
@@ -174,7 +164,6 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
                 "stream_seed": task_stream_seed(req.seed, t),
                 "law": _law_description(task.law),
                 "kind": "trajectory" if task.law.is_trajectory else "iid_draw",
-                "burn_in": default_burn_in(task.law),
             }
             for t, task in enumerate(req.spec.tasks)
         ],

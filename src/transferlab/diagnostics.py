@@ -122,39 +122,42 @@ def _infimal_risks(laws, true_heads: np.ndarray, g: LinearRep,
 def _whitened_cover(target: np.ndarray, sources: np.ndarray, floor) -> float:
     """max_t ||S_t^{+/2} S_0 S_t^{+/2}||_2 over a (K, d, d) stack of PSD S_t: the
     least c with S_0 <= c S_t for all t. One ``eigh`` per S_t gives its
-    pseudo-inverse root and the projector P_t onto its range; eigenvalues at or
-    below RANK_TOL times the larger of S_t's largest and ``floor`` count as zero.
-    ``RangeViolation`` if ||S_0 - P_t S_0||_2 > 1e-8 ||S_0||_2 for some t."""
+    pseudo-inverse root and the projector P_t onto its range. One cutoff
+    c_t = RANK_TOL * max(lambda_max(S_t), floor_t) says what counts as zero:
+    S_t's eigenvalues, ||S_0||_2 (term t is then 0) and ||S_0 - P_t S_0||_2 at
+    or below it. ``RangeViolation`` if ||S_0 - P_t S_0||_2 exceeds both c_t
+    and 1e-8 ||S_0||_2 for some t."""
     w, v = np.linalg.eigh(0.5 * (sources + np.swapaxes(sources, -1, -2)))
-    keep = w > RANK_TOL * np.maximum(w.max(axis=-1, initial=0.0), floor)[:, None]
+    cutoff = RANK_TOL * np.maximum(w.max(axis=-1, initial=0.0), floor)
+    keep = w > cutoff[:, None]
     v_t = np.swapaxes(v, -1, -2)
-    outside = target - (v * keep[:, None, :]) @ v_t @ target
-    if np.linalg.norm(outside, 2, axis=(-2, -1)).max() > 1e-8 * max(spectral_norm(target),
-                                                                     1e-300):
+    outside = np.linalg.norm(target - (v * keep[:, None, :]) @ v_t @ target, 2, axis=(-2, -1))
+    scale = spectral_norm(target)
+    if np.any(outside > np.maximum(cutoff, 1e-8 * scale)):
         raise RangeViolation("the target matrix leaves the range of a source matrix")
     inv_root = np.where(keep, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
     half = (v * inv_root[:, None, :]) @ v_t
-    return float(np.linalg.norm(half @ target @ half, 2, axis=(-2, -1)).max(initial=0.0))
+    cover = np.linalg.norm(half @ target @ half, 2, axis=(-2, -1))
+    return float(np.where(scale <= cutoff, 0.0, cover).max(initial=0.0))
 
 
 def mu_x(spec: PopulationSpec, g: LinearRep) -> float:
     """Covariate-coverage coefficient of the target by the sources, for a given g.
 
     max over source tasks t of || (S_t)^{+/2} S_0 (S_t)^{+/2} ||_2 where S_t is
-    the task-t Schur complement of (g, g_star) (``_whitened_cover``). Returns 0
-    when the target Schur complement vanishes (g already captures g_star on the
-    target law). S_t is a difference of moments of size tr E^(t)[g_* g_*^T], the
-    floor of its eigenvalue cutoff, so a round-off S_t (g explains g_star on the
-    source's support) has no range. Raises ``RangeViolation`` if S_0 leaves
-    some S_t's range: that source covers the target with no finite coefficient.
+    the task-t Schur complement of (g, g_star) (``_whitened_cover``). S_t is a
+    difference of moments of size tr E^(t)[g_* g_*^T], so its zero cutoff is
+    c_t = RANK_TOL * max(lambda_max(S_t), tr E^(t)[g_* g_*^T]). A round-off S_t
+    (g explains g_star on the source's support) has no range, an S_0 with
+    ||S_0||_2 <= c_t (g explains g_star on the target law) counts 0 against
+    source t, and so does mass of S_0 outside range(S_t) up to c_t. Raises
+    ``RangeViolation`` if S_0 leaves some S_t's range by more: that source
+    covers the target with no finite coefficient.
     """
     moments = _stacked_moments(_factor_stack(task.law for task in spec.tasks), g,
                                spec.rep_star)
-    s0 = moments.schur[0]
-    if spectral_norm(s0) < 1e-14:
-        return 0.0
     r = g.out_dim
-    return _whitened_cover(s0, moments.schur[1:],
+    return _whitened_cover(moments.schur[0], moments.schur[1:],
                            np.trace(moments.sigma[1:, r:, r:], axis1=-2, axis2=-1))
 
 

@@ -151,19 +151,32 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     return GeometricProfile(gamma=tv1, rho=law.spectral_radius ** 2, beta_surrogate=True)
 
 
-def phi_capital(profile: MixingProfile) -> float:
-    """Mixing inflation factor: the squared sum of root coefficients.
+def _root_sum_past(profile: GeometricProfile, start: int) -> float:
+    """sum_{l > start} sqrt(phi(l)) of a geometric profile: the K lags with
+    gamma * rho^(l-1) >= 1 have phi = 1, and past m = max(K, start) the roots
+    sqrt(gamma) rho^((l-1)/2) sum to sqrt(gamma) rho^(m/2) / (1 - sqrt(rho)).
+    K is counted by comparing the terms ``phi_at`` forms, which fall in l (a
+    doubling, then a bisection), so a term of exactly 1 is counted right."""
+    gamma, rho = profile.gamma, profile.rho
+    lo, k = -1, 1  # term j = gamma * rho^j: term lo >= 1 (lo = -1: none), seek term k < 1
+    while gamma * rho ** k >= 1.0:
+        lo, k = k, 2 * k
+    while k - lo > 1:
+        mid = (lo + k) // 2
+        lo, k = (mid, k) if gamma * rho ** mid >= 1.0 else (lo, mid)
+    m = max(k, start)
+    return m - start + math.sqrt(gamma) * rho ** (m / 2) / (1.0 - math.sqrt(rho))
 
-    Geometric profiles use the closed form gamma / (1 - sqrt(rho))^2, the
-    infinite-lag sum with phi(l) = gamma * rho^(l-1); exact profiles sum
-    sqrt(phi) over stored lags, plus the tail's lags past max_lag L, whose
-    roots sum to rho_t^(L/2) * sqrt(Phi(tail)).
-    """
+
+def phi_capital(profile: MixingProfile) -> float:
+    """Mixing inflation factor Phi = (sum_{l >= 1} sqrt(phi(l)))^2: a geometric
+    profile's sum in closed form (``_root_sum_past``), an exact profile's over its
+    stored lags plus, past max_lag, its tail's in closed form."""
     if isinstance(profile, GeometricProfile):
-        return profile.gamma / (1.0 - math.sqrt(profile.rho)) ** 2
+        return _root_sum_past(profile, 0) ** 2
     s = float(np.sqrt(profile.phi).sum())
     if profile.tail is not None:
-        s += profile.tail.rho ** (profile.max_lag / 2) * math.sqrt(phi_capital(profile.tail))
+        s += _root_sum_past(profile.tail, profile.max_lag)
     return s * s
 
 

@@ -31,33 +31,32 @@ LDS_TOLERANCE = 1e-12
 # reference loops
 # ---------------------------------------------------------------------------
 
-def markov_path_reference(law, n, rng, burn_in=0):
-    states = np.empty(burn_in + n, dtype=int)
+def markov_path_reference(law, n, rng):
+    states = np.empty(n, dtype=int)
     cum = np.cumsum(law.transition, axis=1)
     s = int(rng.choice(law.n_states, p=law.stationary))
-    u = rng.random(burn_in + n)
-    for i in range(burn_in + n):
+    u = rng.random(n)
+    for i in range(n):
         s = min(int(np.searchsorted(cum[s], u[i], side="right")), law.n_states - 1)
         states[i] = s
-    return law.embedding[states[burn_in:]]
+    return law.embedding[states]
 
 
-def lds_path_reference(law, n, rng, burn_in=0):
+def lds_path_reference(law, n, rng):
     x = sqrt_psd(law.second_moment()) @ rng.standard_normal(law.d_x)
-    noise = rng.standard_normal((burn_in + n, law.d_x))
+    noise = rng.standard_normal((n, law.d_x))
     out = np.empty((n, law.d_x))
-    for i in range(burn_in + n):
+    for i in range(n):
         x = law.a @ x + noise[i]
-        if i >= burn_in:
-            out[i - burn_in] = x
+        out[i] = x
     return out
 
 
-def path_reference(law, n, rng, burn_in=0):
+def path_reference(law, n, rng):
     if isinstance(law, MarkovLaw):
-        return markov_path_reference(law, n, rng, burn_in)
+        return markov_path_reference(law, n, rng)
     if isinstance(law, LdsLaw):
-        return lds_path_reference(law, n, rng, burn_in)
+        return lds_path_reference(law, n, rng)
     return law.sample_marginal(n, rng)
 
 
@@ -147,19 +146,17 @@ def random_chain(states, seed):
 
 
 @pytest.mark.parametrize("states", [2, 5, 64])
-@pytest.mark.parametrize("batch,n,burn_in", [(1, 20_000, 0), (7, 13, 5), (3, 1, 0),
-                                             (2, 0, 4)])
-def test_markov_sample_paths_equal_sequential_reference(states, batch, n, burn_in):
+@pytest.mark.parametrize("batch,n,seed", [(1, 20_000, 0), (7, 13, 5), (3, 1, 0), (2, 0, 4)])
+def test_markov_sample_paths_equal_sequential_reference(states, batch, n, seed):
     law = MarkovLaw(transition=random_chain(states, states), d_x=3)
-    rng_ref, rng = np.random.default_rng(batch), np.random.default_rng(batch)
-    ref = np.stack([markov_path_reference(law, n, rng_ref, burn_in)
-                    for _ in range(batch)])
-    got = law.sample_paths(batch, n, rng, burn_in)
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = np.stack([markov_path_reference(law, n, rng_ref) for _ in range(batch)])
+    got = law.sample_paths(batch, n, rng)
     assert got.shape == (batch, n, 3)
     assert np.array_equal(got, ref)
     assert rng.random() == rng_ref.random()  # same draws consumed
-    single_ref = markov_path_reference(law, n, rng_ref, burn_in)
-    assert np.array_equal(law.sample_path(n, rng, burn_in), single_ref)
+    single_ref = markov_path_reference(law, n, rng_ref)
+    assert np.array_equal(law.sample_path(n, rng), single_ref)
 
 
 LDS_MATRICES = [
@@ -171,14 +168,13 @@ LDS_MATRICES = [
 
 
 @pytest.mark.parametrize("a", LDS_MATRICES, ids=lambda a: f"d{a.shape[0]}")
-@pytest.mark.parametrize("batch,n,burn_in", [(1, 20_000, 0), (5, 133, 7), (3, 1, 0),
-                                             (2, 0, 3)])
-def test_lds_sample_paths_match_recursion_to_round_off(a, batch, n, burn_in):
+@pytest.mark.parametrize("batch,n,seed", [(1, 20_000, 0), (5, 133, 7), (3, 1, 0), (2, 0, 3)])
+def test_lds_sample_paths_match_recursion_to_round_off(a, batch, n, seed):
     law = LdsLaw(a=a)
     scale = math.sqrt(float(np.diag(law.second_moment()).max()))
-    rng_ref, rng = np.random.default_rng(batch), np.random.default_rng(batch)
-    ref = np.stack([lds_path_reference(law, n, rng_ref, burn_in) for _ in range(batch)])
-    got = law.sample_paths(batch, n, rng, burn_in)
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = np.stack([lds_path_reference(law, n, rng_ref) for _ in range(batch)])
+    got = law.sample_paths(batch, n, rng)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max(initial=0.0) <= LDS_TOLERANCE * scale
     assert rng.random() == rng_ref.random()
@@ -186,7 +182,7 @@ def test_lds_sample_paths_match_recursion_to_round_off(a, batch, n, burn_in):
 
 def test_iid_sample_paths_are_the_reshaped_marginal():
     law = GaussianLaw(sigma_x=np.array([[2.0, 0.3], [0.3, 1.0]]))
-    got = law.sample_paths(6, 11, np.random.default_rng(3), burn_in=5)
+    got = law.sample_paths(6, 11, np.random.default_rng(3))
     ref = law.sample_marginal(66, np.random.default_rng(3)).reshape(6, 11, 2)
     assert np.array_equal(got, ref)
     assert np.array_equal(law.sample_path(11, np.random.default_rng(3)), ref[0])

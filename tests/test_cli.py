@@ -23,7 +23,6 @@ from transferlab.cli import (
     write_sweep_outputs,
 )
 from transferlab.core import MarkovLaw
-from transferlab.datagen import default_burn_in
 from transferlab.errors import ConfigError, InvalidMatrix, InvalidPoints, SweepFailed
 from transferlab.mixing import phi_markov
 
@@ -545,10 +544,8 @@ def test_main_gen_writes_datasets(tmp_path, capsys):
     assert main(["gen", "--config", path, "--out", str(tmp_path / "data")]) == 0
     manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
     assert (tmp_path / "data" / "task_0.csv").exists()
-    spec = build_population(cfg["population"], cfg["seed"])
-    assert [task["burn_in"] for task in manifest["tasks"]] == [
-        default_burn_in(task.law) for task in spec.tasks]
-    assert manifest["tasks"][0]["burn_in"] > 0
+    assert [task["kind"] for task in manifest["tasks"]] == ["trajectory"] * len(manifest["tasks"])
+    assert all("burn_in" not in task for task in manifest["tasks"])
     assert "burn_in_steps" not in manifest
     capsys.readouterr()
 

@@ -17,7 +17,6 @@ from transferlab.core import (
 )
 from transferlab.datagen import (
     SampleRequest,
-    default_burn_in,
     sample_tasks,
     task_stream_seed,
     write_datasets_csv,
@@ -119,8 +118,8 @@ def test_stream_independence_across_tasks():
 
 @pytest.mark.parametrize("kind", ["gaussian", "lds", "markov"])
 def test_sample_tasks_stream_order(kind):
-    """Each task's stream, from ``task_stream_seed``, gives the path first (after the
-    law's burn-in) and then the n x d_y noise, so w_i is drawn after x_i is fixed."""
+    """Each task's stream, from ``task_stream_seed``, gives the path first and then
+    the n x d_y noise, so w_i is drawn after x_i is fixed."""
     rng = np.random.default_rng(20)
     law = {"gaussian": GaussianLaw(np.diag([1.0, 2.0, 0.5])),
            "lds": LdsLaw(stable_matrix(3, 0.8, rng)),
@@ -132,7 +131,7 @@ def test_sample_tasks_stream_order(kind):
     n = 25
     ds = sample_tasks(SampleRequest(spec=spec, per_task_n=(5, n), seed=21))[1]
     stream = np.random.default_rng(task_stream_seed(21, 1))
-    x = law.sample_path(n, stream, burn_in=default_burn_in(law))
+    x = law.sample_path(n, stream)
     noise = stream.standard_normal((n, 2))
     clean = spec.rep_star.features(x) @ spec.tasks[1].head.f.T
     assert ds.n == n and np.array_equal(ds.covariates, x)
@@ -164,10 +163,37 @@ def test_trajectory_noise_whiteness():
             assert abs(corr) <= 3.0 / np.sqrt(n)
 
 
-def test_default_burn_in_scaling():
-    rng = np.random.default_rng(12)
-    law = LdsLaw(stable_matrix(2, 0.9, rng))
-    assert default_burn_in(law) == 10 * int(np.ceil(1.0 / (1.0 - law.spectral_radius)))
+def test_lds_paths_start_stationary():
+    """Paths are recorded from their first step on, so x_1 must already have the
+    stationary law: Sigma solves Sigma = A Sigma A^T + I, and over B one-step paths
+    each entry of the second moment of x_1 lies within 5 standard errors,
+    sqrt((Sigma_ii Sigma_jj + Sigma_ij^2) / B), of Sigma. A start at x_0 = 0 would
+    give x_1 ~ N(0, I), 35 to 130 standard errors off here."""
+    law = LdsLaw(stable_matrix(3, 0.95, np.random.default_rng(30)))
+    sigma = law.second_moment()
+    residual = sigma - law.a @ sigma @ law.a.T - np.eye(3)
+    assert np.abs(residual).max() <= 1e-12 * np.abs(sigma).max()
+    b = 40_000
+    x1 = law.sample_paths(b, 1, np.random.default_rng(31))[:, 0]
+    se = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma ** 2) / b)
+    assert np.all(np.abs(x1.T @ x1 / b - sigma) <= 5.0 * se)
+
+
+def test_markov_paths_start_stationary():
+    """The first recorded state of a walk has law pi: over B one-step paths each
+    state's frequency lies within 4 binomial standard errors of pi_s. The chain
+    is sticky: one step from any fixed start state is over 150 of them off."""
+    p = np.array([[0.9, 0.05, 0.03, 0.02],
+                  [0.1, 0.8, 0.05, 0.05],
+                  [0.02, 0.08, 0.85, 0.05],
+                  [0.3, 0.1, 0.1, 0.5]])
+    law = MarkovLaw(transition=p, d_x=3)  # S = d_x + 1 states: distinct embedding rows
+    b = 40_000
+    x1 = law.sample_paths(b, 1, np.random.default_rng(32))[:, 0]
+    states = np.argmax(np.all(x1[:, None, :] == law.embedding[None], axis=2), axis=1)
+    freq = np.bincount(states, minlength=4) / b
+    pi = law.stationary
+    assert np.all(np.abs(freq - pi) <= 4.0 * np.sqrt(pi * (1.0 - pi) / b))
 
 
 def test_markov_sampling_stationary():
@@ -194,7 +220,7 @@ def test_write_datasets_csv(tmp_path):
         manifest = json.load(fh)
     assert manifest["dims"] == {"d_x": 6, "d_y": 2, "r": 2}
     assert manifest["tasks"][1]["stream_seed"] == task_stream_seed(15, 1)
-    assert [task["burn_in"] for task in manifest["tasks"]] == [0, 0, 0, 0]
+    assert all("burn_in" not in task for task in manifest["tasks"])
 
 
 def test_write_datasets_csv_rejects_a_compressed_sample(tmp_path):

@@ -110,6 +110,18 @@ def test_mu_x_true_rep_is_zero():
     assert mu_x(spec, spec.rep_star) == 0.0
 
 
+@pytest.mark.parametrize("eps", [3e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-4])
+def test_mu_x_identical_laws_near_the_true_rep(eps):
+    """Identical laws share one Schur complement S, so mu_x is 0 (S below the
+    zero cutoff RANK_TOL * tr E[g_* g_*^T]) or 1 (the whitened S is a projector),
+    never a RangeViolation, however close g = orth(g_star + eps * noise) is."""
+    spec = make_gaussian_population(identical=True, seed=41)
+    noise = np.random.default_rng(42).standard_normal(spec.rep_star.g.shape)
+    q, _ = np.linalg.qr((spec.rep_star.g + eps * noise).T)
+    got = mu_x(spec, LinearRep(q.T))
+    assert min(abs(got), abs(got - 1.0)) <= 1e-8
+
+
 def test_mu_f_equal_heads():
     rng = np.random.default_rng(10)
     f = rng.standard_normal((3, 2))

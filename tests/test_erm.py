@@ -332,17 +332,18 @@ def test_ls_head_stack_matches_per_matrix(rng):
 def test_first_stage_refit_on_ragged_tasks_matches_second_stage():
     """One stacked refit over zero-padded rows gives every task the head and residual
     of its own ``fit_second_stage``: Markov statistics whose walks visit different
-    numbers of states (so factors of different row counts, below n), mixed with raw
-    rows (row count n)."""
-    p = np.full((9, 9), 0.2 / 8)
-    np.fill_diagonal(p, 0.8)
+    numbers of states, mixed with raw rows (row count n). The chain is a cycle on 9
+    states, so a walk of n steps visits min(n, 9) of them whatever its start: the
+    statistics of n = 4, 6, 20 and 12 have 4, 6, 11 and 11 rows (9 visited states and
+    2 noise rows, below n)."""
+    cycle = np.roll(np.eye(9), 1, axis=1)
     spec = make_gaussian_population(d_x=6, d_y=2, r=2, t=6, noise_sigma=0.3, seed=7)
-    spec = replace(spec, tasks=tuple(replace(task, law=MarkovLaw(transition=p, d_x=6))
+    spec = replace(spec, tasks=tuple(replace(task, law=MarkovLaw(transition=cycle, d_x=6))
                                      for task in spec.tasks))
-    req = SampleRequest(spec=spec, per_task_n=(12,) * 7, seed=3)
+    req = SampleRequest(spec=spec, per_task_n=(12, 4, 6, 12, 20, 12, 12), seed=3)
     stats, rows = sample_task_stats(req), sample_tasks(req)
     datasets = [stats[t] if t % 3 else rows[t] for t in range(1, 7)]
-    assert len({ds.covariates.shape[0] for ds in datasets}) >= 3
+    assert [ds.covariates.shape[0] for ds in datasets] == [4, 6, 12, 11, 11, 12]
     assert {ds.covariates.shape[0] < ds.n for ds in datasets} == {True, False}
     fit = fit_first_stage_linear(datasets, r=2, opts=FitOptions(max_iters=50, restarts=1))
     for ds, head, residual in zip(datasets, fit.heads, fit.per_task_residual):

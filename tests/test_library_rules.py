@@ -1,6 +1,9 @@
 """Rules that hold for every library module."""
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +34,30 @@ def test_only_mixing_reads_profile_parameters():
              if path.name != "mixing.py" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("gamma", "rho")]
     assert not found, f"profile gamma or rho read outside mixing.py: {found}"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_covariate_laws_share_the_sampler_signatures():
+    """``datagen._draw`` calls ``factor(n, rng)`` on a law's ``sample_path`` or
+    ``gram_factor``, and the benchmark tracer wraps ``sample_path``: every law
+    that overrides a sampler keeps the base class's signature, so no law grows
+    options of its own."""
+    for info in pkgutil.iter_modules(transferlab.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            importlib.import_module(f"transferlab.{info.name}")
+    base = transferlab.core.CovariateLaw
+    laws = [law for law in _subclasses(base) if law.__module__.startswith("transferlab.")]
+    assert {law.__name__ for law in laws} >= {"GaussianLaw", "LdsLaw", "MarkovLaw"}
+    found = [f"{law.__name__}.{name}{inspect.signature(law.__dict__[name])}"
+             for law in laws for name in ("sample_paths", "sample_path", "gram_factor")
+             if name in law.__dict__
+             and inspect.signature(law.__dict__[name]) != inspect.signature(getattr(base, name))]
+    assert not found, f"sampler signatures that differ from CovariateLaw's: {found}"
 
 
 def _imports_outside_functions(node):

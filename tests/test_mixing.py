@@ -153,17 +153,27 @@ def test_phi_capital_geometric_closed_form():
     assert phi_capital(GeometricProfile(gamma=1.0, rho=0.25)) == pytest.approx(4.0)
 
 
+# gamma above 1 clips phi: (2, 0.5) gives Phi = 19.485, not the unclipped 23.314, and
+# (37, 0.9) 2889.5, not 14 050; gamma = 2^(K-1) with rho = 1/2 has gamma rho^(K-1) = 1
+# exactly, so phi(1..K) = 1.
+PHI_CAPITAL_CASES = ([(0.8, 0.6)] + [(g, r) for g in (0.3, 1.0, 2.0, 37.0)
+                                     for r in (0.0, 0.25, 0.5, 0.9)]
+                     + [(2.0 ** (k - 1), 0.5) for k in (3, 7)])
+
+
 def test_phi_capital_series_matches_closed_form():
-    for gamma, rho in [(1.0, 0.25), (0.8, 0.6), (0.3, 0.9)]:
+    for gamma, rho in PHI_CAPITAL_CASES:
         geo = GeometricProfile(gamma=gamma, rho=rho)
         series = np.sqrt(geo.phi_at(np.arange(1, 10_001))).sum() ** 2
         assert series == pytest.approx(phi_capital(geo), rel=1e-8)
 
 
 def test_phi_capital_exact_with_tail():
-    geo = GeometricProfile(gamma=0.5, rho=0.4)
-    with_tail = ExactProfile(phi=geo.phi_at(np.arange(1, 4)), tail=geo)
-    assert phi_capital(with_tail) == pytest.approx(phi_capital(geo), rel=1e-12)
+    for gamma, rho in [(0.5, 0.4)] + PHI_CAPITAL_CASES:
+        geo = GeometricProfile(gamma=gamma, rho=rho)
+        for max_lag in (1, 3, 40):
+            with_tail = ExactProfile(phi=geo.phi_at(np.arange(1, max_lag + 1)), tail=geo)
+            assert phi_capital(with_tail) == pytest.approx(phi_capital(geo), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

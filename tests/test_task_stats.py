@@ -128,11 +128,11 @@ GRAM_FACTOR_LAWS = {
                                     for n in (1, 2, 40) if case != "gaussian" or n < 3])
 def test_gram_factor_factors_the_path_gram(case, n):
     """R^T R is the Gram of ``sample_path`` (for an iid law, of ``sample_marginal``)
-    drawn from the same seed and burn-in."""
+    drawn from the same seed."""
     law = GRAM_FACTOR_LAWS[case]
     for seed in range(5):
-        r = law.gram_factor(n, np.random.default_rng(seed), burn_in=7)
-        x = law.sample_path(n, np.random.default_rng(seed), burn_in=7)
+        r = law.gram_factor(n, np.random.default_rng(seed))
+        x = law.sample_path(n, np.random.default_rng(seed))
         want = x.T @ x
         assert r.shape[0] <= n and r.shape[1] == 3
         assert np.abs(r.T @ r - want).max() <= 1e-12 * np.abs(want).max()
@@ -144,8 +144,8 @@ def test_markov_gram_factor_has_one_row_per_visited_state(states, n):
     # rows name its states.
     law = MarkovLaw(transition=_chain(states, seed=states), d_x=3)
     for seed in range(5):
-        r = law.gram_factor(n, np.random.default_rng(seed), burn_in=4)
-        x = law.sample_path(n, np.random.default_rng(seed), burn_in=4)
+        r = law.gram_factor(n, np.random.default_rng(seed))
+        x = law.sample_path(n, np.random.default_rng(seed))
         visited = np.all(x[:, None, :] == law.embedding[None], axis=2).any(axis=0)
         assert r.shape[0] == np.count_nonzero(visited)
 
