@@ -206,6 +206,18 @@ def _options(section: dict) -> dict:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (axis value, replicate) cell of a sweep (see ``run_sweep``).
+
+    The target sample is drawn from the row seed ``_row_seed(seed, axis_value,
+    replicate)``. The sources, and the ALS restarts fitted on them, come from
+    the source seed: the row seed on the T and N axes, ``_row_seed(seed, 0,
+    replicate)`` on the N' axis. So on the N' axis the rows of one replicate
+    share ``est_error_avg``, ``mu_x``, ``fit_objective``, ``iterations`` and
+    ``converged``, and differ only through the target. Every row of one
+    population shares ``mu_f``. ``wall_time_ms`` is the row's own call; a
+    replicate's first N' row also carries its shared first stage.
+    """
+
     axis_value: int
     replicate: int
     excess_risk_target: float
@@ -326,22 +338,39 @@ def _request(spec: PopulationSpec, n: int, n_prime: int, seed: int) -> SampleReq
                          seed=seed)
 
 
+def _first_stage(config: ExperimentConfig, spec: PopulationSpec, sources: list, seed: int):
+    """The shared representation and source heads, fitted with the config's
+    options and ``seed``."""
+    return fit_first_stage_linear(sources, r=spec.dims.r, opts=replace(config.fit, seed=seed))
+
+
 def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed: int):
     """Fit the shared representation on the sources, then the target head on it."""
-    fit = fit_first_stage_linear(data[1:], r=spec.dims.r,
-                                 opts=replace(config.fit, seed=seed))
+    fit = _first_stage(config, spec, data[1:], seed)
     return fit, fit_second_stage(data[0], fit.rep)
+
+
+def _source_diagnostics(spec: PopulationSpec, fit) -> dict:
+    """The diagnostics that read the first-stage fit and not the target sample."""
+    return {"est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep),
+            "mu_x": diag.mu_x(spec, fit.rep)}
+
+
+def _target_diagnostics(spec: PopulationSpec, fit, second) -> dict:
+    """The diagnostics that read the target's second-stage fit; of the first
+    stage, only its ``rep`` and ``per_task_residual``."""
+    return {"excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep),
+            "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual)}
+
+
+def _population_mu_f(spec: PopulationSpec) -> float:
+    return diag.mu_f([task.head for task in spec.tasks])
 
 
 def _shared_diagnostics(spec: PopulationSpec, fit, second) -> dict:
     """The diagnostics that sweep rows and ``diagnose`` both report, by name."""
-    return {
-        "excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep),
-        "est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep),
-        "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual),
-        "mu_x": diag.mu_x(spec, fit.rep),
-        "mu_f": diag.mu_f([task.head for task in spec.tasks]),
-    }
+    return {**_target_diagnostics(spec, fit, second), **_source_diagnostics(spec, fit),
+            "mu_f": _population_mu_f(spec)}
 
 
 def _command_request(config: ExperimentConfig) -> SampleRequest:
@@ -387,21 +416,45 @@ def _row_seed(seed: int, axis_value: int, replicate: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sweep_one_row(config: ExperimentConfig, spec: PopulationSpec, axis: str,
-                   axis_value: int, replicate: int) -> SweepRow:
-    start = time.perf_counter()
-    n = axis_value if axis == "N" else config.sweep["n"]
-    n_prime = axis_value if axis == "N_prime" else config.sweep["n_prime"]
-    row_seed = _row_seed(config.seed, axis_value, replicate)
-    data = sample_task_stats(_request(spec, n, n_prime, row_seed))
-    fit, second = _two_stage(config, spec, data, row_seed)
+def _row_error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    shared = _shared_diagnostics(spec, fit, second)
-    if shared["nu_hat"] is None:
-        shared["nu_hat"] = float("nan")
-    return SweepRow(axis_value=axis_value, replicate=replicate, **shared,
-                    fit_objective=fit.objective, iterations=fit.iterations,
-                    converged=fit.converged,
+
+@dataclass(frozen=True)
+class _SourceStage:
+    """What sweep rows read of a first stage: the fitted representation, the
+    source residuals, and the row fields that depend on the sources alone; or
+    the row error of the failure that stopped it."""
+    rep: LinearRep | None = None
+    per_task_residual: tuple[float, ...] = ()
+    fields: dict | None = None
+    error: str | None = None
+
+
+def _source_stage(config: ExperimentConfig, req: SampleRequest) -> _SourceStage:
+    """Draw the request's sources, fit the first stage with the request's seed,
+    and evaluate the source diagnostics; a ``ROW_ERRORS`` failure is kept, not
+    raised."""
+    spec = req.spec
+    try:
+        sources = sample_task_stats(req, tasks=range(1, spec.num_sources + 1))
+        fit = _first_stage(config, spec, sources, req.seed)
+        return _SourceStage(rep=fit.rep, per_task_residual=fit.per_task_residual, fields={
+            **_source_diagnostics(spec, fit), "fit_objective": fit.objective,
+            "iterations": fit.iterations, "converged": fit.converged})
+    except ROW_ERRORS as exc:
+        return _SourceStage(error=_row_error(exc))
+
+
+def _sweep_row(req: SampleRequest, stage: _SourceStage, mu_f: float, axis_value: int,
+               replicate: int, start: float) -> SweepRow:
+    """The row that draws the request's target, fits its head on the shared first
+    stage and evaluates the target diagnostics; ``start`` is when the row began."""
+    second = fit_second_stage(sample_task_stats(req, tasks=(0,))[0], stage.rep)
+    row = {**_target_diagnostics(req.spec, stage, second), **stage.fields, "mu_f": mu_f}
+    if row["nu_hat"] is None:
+        row["nu_hat"] = float("nan")
+    return SweepRow(axis_value=axis_value, replicate=replicate, **row,
                     wall_time_ms=(time.perf_counter() - start) * 1000.0)
 
 
@@ -427,13 +480,36 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the configured sweep grid; median-aggregate and fit log-log slopes.
 
-    The population is built once per axis value and released before the next
-    one. Rows run on the calling thread in grid order, so they come out sorted
-    by (axis_value, replicate) with no sort. Individual row failures
-    (``ROW_ERRORS``) are recorded with their exception type and skipped; more
-    than 50% failures (or a grid too short for a slope) raises SweepFailed.
-    Slopes skip medians at the round-off floor (``diag.NU_UNDEFINED_THRESHOLD``),
-    which carry no rate.
+    Seeds. Row (v, rep) draws its target from the row seed
+    ``_row_seed(seed, v, rep)``, and its sources, which also seed the ALS
+    restarts, from a source seed. On the T and N axes the source seed is the
+    row seed. On the N' axis it is ``_row_seed(seed, 0, rep)``, which no grid
+    value (a count, so >= 1) collides with: every N' row of a replicate then
+    fits the same sources, and only its target sample changes.
+
+    Sharing. Each quantity is computed once for the inputs it reads. The
+    population, and with it ``mu_f``, is built once per T value on the T axis
+    and once per sweep otherwise. The source draw, first-stage fit,
+    ``est_error_avg`` and ``mu_x`` are computed once per (population, N,
+    source seed), which repeats only on the N' axis: there a replicate's rows
+    share them, and the N' slope is a common-random-numbers contrast that
+    holds the fitted representation fixed. It measures the target's NRLS
+    term alone, and the shared metrics' medians are equal at every N', so
+    their slopes read 0. On the T and N axes no key repeats, and each row is
+    the same computation as a fresh draw of every task at the row seed.
+
+    A row's ``wall_time_ms`` is the wall time of its own call. The row that
+    first needs a shared first stage computes it and carries its time; the
+    population and ``mu_f`` are outside every row's time.
+
+    Rows run on the calling thread in grid order, so they come out sorted by
+    (axis_value, replicate) with no sort. Row failures (``ROW_ERRORS``) are
+    recorded with their exception type and skipped; a failed first stage is
+    recorded on every row that shares it, its whole replicate on the N' axis,
+    and a failed ``mu_f`` on every row of its population.
+    More than 50% failures (or a grid too short for a slope) raises
+    SweepFailed. Slopes skip medians at the round-off floor
+    (``diag.NU_UNDEFINED_THRESHOLD``), which carry no rate.
     """
     if config.sweep is None:
         raise SweepFailed("no sweep section in config")
@@ -443,15 +519,37 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     rows: list[SweepRow] = []
     errors: list[tuple[int, int, str]] = []
+    spec = None
     for v in grid:
-        spec = build_population(config.population, config.seed,
-                                num_sources=v if axis == "T" else None)
-        for rep in range(replicates):
+        if spec is None or axis == "T":
+            spec = build_population(config.population, config.seed,
+                                    num_sources=v if axis == "T" else None)
             try:
-                rows.append(_sweep_one_row(config, spec, axis, v, rep))
+                mu_f, population_error = _population_mu_f(spec), None
             except ROW_ERRORS as exc:
-                errors.append((v, rep, f"{type(exc).__name__}: {exc}"))
-        del spec
+                population_error = _row_error(exc)
+            stages: dict[tuple[int, int], _SourceStage] = {}
+        n = v if axis == "N" else config.sweep["n"]
+        n_prime = v if axis == "N_prime" else config.sweep["n_prime"]
+        for rep in range(replicates):
+            if population_error is not None:
+                errors.append((v, rep, population_error))
+                continue
+            start = time.perf_counter()
+            row_seed = _row_seed(config.seed, v, rep)
+            source_seed = _row_seed(config.seed, 0, rep) if axis == "N_prime" else row_seed
+            stage = stages.get((n, source_seed))
+            if stage is None:
+                stage = stages[n, source_seed] = _source_stage(
+                    config, _request(spec, n, n_prime, source_seed))
+            if stage.error is not None:
+                errors.append((v, rep, stage.error))
+                continue
+            try:
+                rows.append(_sweep_row(_request(spec, n, n_prime, row_seed), stage, mu_f,
+                                       v, rep, start))
+            except ROW_ERRORS as exc:
+                errors.append((v, rep, _row_error(exc)))
 
     jobs = len(grid) * replicates
     if len(errors) > jobs / 2:

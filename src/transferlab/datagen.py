@@ -109,9 +109,12 @@ def sample_tasks(req: SampleRequest) -> list[TaskDataset]:
     return [_draw(req, t, task.law.sample_path) for t, task in enumerate(req.spec.tasks)]
 
 
-def sample_task_stats(req: SampleRequest) -> list[TaskDataset]:
-    """Every task's Gram factor (``_draw`` on the law's ``gram_factor``)."""
-    return [_draw(req, t, task.law.gram_factor) for t, task in enumerate(req.spec.tasks)]
+def sample_task_stats(req: SampleRequest, tasks=None) -> list[TaskDataset]:
+    """Every task's Gram factor (``_draw`` on the law's ``gram_factor``), or only
+    those of the task indices ``tasks``, in their order. Each task draws from its
+    own stream, so a subset equals those entries of the full draw."""
+    chosen = range(len(req.spec.tasks)) if tasks is None else tasks
+    return [_draw(req, t, req.spec.tasks[t].law.gram_factor) for t in chosen]
 
 
 # ---------------------------------------------------------------------------

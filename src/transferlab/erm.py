@@ -130,6 +130,9 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       reciprocal 1-norm condition estimate, with ||a||_1 taken before
       factoring, is >= cond. Then ``a`` is positive definite, a x = b has
       exactly one solution, and that solution is also the minimum-norm one.
+      dpocon and dpotrs read only the upper triangle of the factor, so
+      dpotrf leaves the lower one as ``a`` had it (``clean=0``) instead of
+      zeroing it.
     * Otherwise pivoted QR (LAPACK gelsy), which treats columns whose
       condition estimate exceeds 1 / cond as dependent and so returns the
       minimum-norm solution of a singular system, as the SVD-based driver
@@ -143,7 +146,7 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     cond = np.finfo(float).eps * n
     anorm = np.linalg.norm(a, 1)
-    factor, info = scipy.linalg.lapack.dpotrf(a)
+    factor, info = scipy.linalg.lapack.dpotrf(a, clean=0)
     rcond = scipy.linalg.lapack.dpocon(factor, anorm)[0] if info == 0 else np.nan
     if rcond >= cond:
         return scipy.linalg.lapack.dpotrs(factor, b)[0]

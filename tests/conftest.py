@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from transferlab.core import (
+# One BLAS/OpenMP thread, pinned before numpy loads, as the benchmark does: these
+# products are small, and more threads only slow them and make the timed
+# acceptance gates sensitive to other load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from transferlab.core import (  # noqa: E402
     Dims,
     GaussianLaw,
     LinearHead,
@@ -10,8 +18,8 @@ from transferlab.core import (
     TaskDataset,
     TaskSpec,
 )
-from transferlab.diagnostics import nu_hat
-from transferlab.erm import _normal_matrix, fit_second_stage
+from transferlab.diagnostics import nu_hat  # noqa: E402
+from transferlab.erm import _normal_matrix, fit_second_stage  # noqa: E402
 
 
 def random_orthonormal_rows(r, d_x, rng):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,14 @@ from transferlab.cli import (
     write_sweep_outputs,
 )
 from transferlab.core import MarkovLaw
-from transferlab.errors import ConfigError, InvalidMatrix, InvalidPoints, SweepFailed
+from transferlab.datagen import sample_task_stats
+from transferlab.errors import (
+    ConfigError,
+    DegenerateData,
+    InvalidMatrix,
+    InvalidPoints,
+    SweepFailed,
+)
 from transferlab.mixing import phi_markov
 
 
@@ -286,6 +294,99 @@ def test_sweep_builds_each_population_once(monkeypatch):
     assert calls == [2, 3, 4]
 
 
+@pytest.mark.parametrize("axis,builds,fits", [("T", [2, 3, 4], 6), ("N", [None], 6),
+                                              ("N_prime", [None], 2)],
+                         ids=["T", "N", "N_prime"])
+def test_sweep_shares_population_and_first_stages(monkeypatch, axis, builds, fits):
+    # One population per T value, else one per sweep; one first stage per row,
+    # except on the N' axis, where a replicate's rows share theirs.
+    calls, fit_seeds = [], []
+    real_fit = cli.fit_first_stage_linear
+
+    def counting_build(*args, **kwargs):
+        calls.append(kwargs.get("num_sources"))
+        return build_population(*args, **kwargs)
+
+    def counting_fit(*args, opts, **kwargs):
+        fit_seeds.append(opts.seed)
+        return real_fit(*args, opts=opts, **kwargs)
+
+    monkeypatch.setattr(cli, "build_population", counting_build)
+    monkeypatch.setattr(cli, "fit_first_stage_linear", counting_fit)
+    grid = [2, 3, 4] if axis == "T" else [16, 32, 64]
+    run_sweep(ExperimentConfig.from_dict(small_sweep_config(axis=axis, grid=grid)))
+    assert calls == builds
+    assert len(fit_seeds) == len(set(fit_seeds)) == fits
+
+
+def _oracle_row(config, axis, v, rep):
+    """Row (v, rep) recomputed from whole requests: the target from a full draw
+    at the row seed, the sources and the fit seed from a full draw at the
+    source seed, which is the row seed except on the N' axis."""
+    spec = build_population(config.population, config.seed,
+                            num_sources=v if axis == "T" else None)
+    n = v if axis == "N" else config.sweep["n"]
+    n_prime = v if axis == "N_prime" else config.sweep["n_prime"]
+    row_seed = cli._row_seed(config.seed, v, rep)
+    source_seed = cli._row_seed(config.seed, 0, rep) if axis == "N_prime" else row_seed
+    target = sample_task_stats(cli._request(spec, n, n_prime, row_seed))[0]
+    sources = sample_task_stats(cli._request(spec, n, n_prime, source_seed))[1:]
+    fit, second = cli._two_stage(config, spec, [target, *sources], source_seed)
+    out = cli._shared_diagnostics(spec, fit, second)
+    return {**out, "fit_objective": fit.objective, "iterations": fit.iterations,
+            "converged": fit.converged}
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("axis,grid", [("T", [2, 3, 4]), ("N", [16, 32, 64]),
+                                       ("N_prime", [16, 32, 64])])
+def test_sweep_rows_equal_per_row_recomputation(axis, grid):
+    config = ExperimentConfig.from_dict(small_sweep_config(axis=axis, grid=grid, replicates=3))
+    result = run_sweep(config)
+    assert not result.errors and len(result.rows) == 9
+    for row in result.rows:
+        want = _oracle_row(config, axis, row.axis_value, row.replicate)
+        got = {key: getattr(row, key) for key in want}
+        assert all(_same(got[key], want[key]) for key in want), (row, want)
+    if axis != "N_prime":
+        return
+    shared = ("est_error_avg", "mu_x", "fit_objective", "iterations", "converged")
+    for rep in range(3):
+        rows = [row for row in result.rows if row.replicate == rep]
+        assert len({tuple(getattr(row, key) for key in shared) for row in rows}) == 1
+        assert len({row.excess_risk_target for row in rows}) == len(grid)
+
+
+def test_sweep_failed_first_stage_fails_its_replicate(monkeypatch):
+    config = ExperimentConfig.from_dict(small_sweep_config(axis="N_prime", replicates=3))
+    clean = run_sweep(config)
+    bad_seed = cli._row_seed(config.seed, 0, 1)
+    real_fit = cli.fit_first_stage_linear
+    attempts = []
+
+    def failing_fit(*args, opts, **kwargs):
+        if opts.seed == bad_seed:
+            attempts.append(opts.seed)
+            raise DegenerateData("all covariates are zero")
+        return real_fit(*args, opts=opts, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_first_stage_linear", failing_fit)
+    result = run_sweep(config)
+    assert len(attempts) == 1
+    assert result.errors == tuple((v, 1, "DegenerateData: all covariates are zero")
+                                  for v in (16, 32, 64))
+    kept = [row for row in clean.rows if row.replicate != 1]
+    assert [(r.axis_value, r.replicate) for r in result.rows] == \
+        [(r.axis_value, r.replicate) for r in kept]
+    for got, want in zip(result.rows, kept):
+        for f in fields(got):
+            if f.name != "wall_time_ms":
+                assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
 def test_sweep_fits_no_slope_through_round_off_floor():
     # noiseless rows recover the target exactly: these metrics sit at the
     # round-off floor and carry no rate
@@ -352,6 +453,17 @@ def test_sweep_records_non_finite_normal_matrix_row(monkeypatch):
     result = run_sweep(cfg)
     assert result.errors == ((32, 0, "ValueError: array must not contain infs or NaNs"),)
     assert len(result.rows) == 5
+
+
+def test_sweep_records_failed_mu_f_on_its_population():
+    # With one source and d_y = 1 < r = 2, the source head Gram misses a
+    # direction of the target's, so mu_f raises on the T = 1 population only.
+    cfg = small_sweep_config(axis="T", grid=[1, 2, 3])
+    cfg["population"]["d_y"] = 1
+    result = run_sweep(ExperimentConfig.from_dict(cfg))
+    message = "RangeViolation: the target matrix leaves the range of a source matrix"
+    assert result.errors == ((1, 0, message), (1, 1, message))
+    assert [(r.axis_value, r.replicate) for r in result.rows] == [(2, 0), (2, 1), (3, 0), (3, 1)]
 
 
 # ---------------------------------------------------------------------------

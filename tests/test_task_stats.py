@@ -1,6 +1,7 @@
 """Task statistics: fits on a Gram factor equal fits on the raw rows, each law's
 Gram factor factors its path's Gram, and the exact draw of a task's statistic
 has the law of the raw rows' Gram."""
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,27 @@ def test_exact_draw_is_deterministic_per_task_stream():
     for t in (0, 2):
         assert np.array_equal(first[t].labels, bumped[t].labels)
     assert not np.array_equal(first[1].labels, bumped[1].labels)
+
+
+@pytest.mark.parametrize("law", [GaussianLaw(sigma_x=SIGMA), LdsLaw(a=LDS_A),
+                                 MarkovLaw(transition=_chain(5), d_x=3)],
+                         ids=["gaussian", "lds", "markov"])
+def test_subset_draw_equals_those_entries_of_the_full_draw(law):
+    """Each task reads its own stream, so the draw of any subset of a request's
+    tasks, in any order, is those entries of the full draw: a sweep's shared
+    sources and per-row targets rest on this."""
+    spec = _population(law, tasks=4)
+    req = SampleRequest(spec=spec, per_task_n=(7, 40, 2, 40), seed=5)
+    full = sample_task_stats(req)
+    subsets = [c for k in range(5) for c in itertools.combinations(range(4), k)]
+    for subset in subsets + [(3, 0, 2), (1, 1)]:
+        part = sample_task_stats(req, tasks=subset)
+        assert [ds.task_id for ds in part] == list(subset)
+        for ds in part:
+            want = full[ds.task_id]
+            assert ds.n == want.n
+            assert np.array_equal(ds.covariates, want.covariates)
+            assert np.array_equal(ds.labels, want.labels)
 
 
 DRAWS = 6000
