@@ -209,8 +209,9 @@ class SweepRow:
     """One (axis value, replicate) cell of a sweep (see ``run_sweep``).
 
     The target sample is drawn from the row seed ``_row_seed(seed, axis_value,
-    replicate)``. The sources, and the ALS restarts fitted on them, come from
-    the source seed: the row seed on the T and N axes, ``_row_seed(seed, 0,
+    replicate)``. The sources come from the source seed, which also seeds the
+    first stage's random ALS starts (run only if its spectral start does not
+    converge): the row seed on the T and N axes, ``_row_seed(seed, 0,
     replicate)`` on the N' axis. So on the N' axis the rows of one replicate
     share ``est_error_avg``, ``mu_x``, ``fit_objective``, ``iterations`` and
     ``converged``, and differ only through the target. Every row of one
@@ -481,11 +482,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the configured sweep grid; median-aggregate and fit log-log slopes.
 
     Seeds. Row (v, rep) draws its target from the row seed
-    ``_row_seed(seed, v, rep)``, and its sources, which also seed the ALS
-    restarts, from a source seed. On the T and N axes the source seed is the
-    row seed. On the N' axis it is ``_row_seed(seed, 0, rep)``, which no grid
-    value (a count, so >= 1) collides with: every N' row of a replicate then
-    fits the same sources, and only its target sample changes.
+    ``_row_seed(seed, v, rep)``, and its sources from a source seed, which
+    also seeds the first stage's random ALS starts. On the T and N axes the
+    source seed is the row seed. On the N' axis it is ``_row_seed(seed, 0,
+    rep)``, which no grid value (a count, so >= 1) collides with: every N'
+    row of a replicate then fits the same sources, and only its target sample
+    changes.
 
     Sharing. Each quantity is computed once for the inputs it reads. The
     population, and with it ``mu_f``, is built once per T value on the T axis

@@ -34,7 +34,14 @@ OFFSET_SUP_CONSTANT = 4.0
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Options of the alternating-least-squares first-stage fit."""
+    """Options of the alternating-least-squares first-stage fit.
+
+    ``restarts`` caps the number of ALS runs: the first starts from the
+    deterministic spectral estimate (``_spectral_start``), and each further
+    run starts from a random orthonormal G only while no run so far has
+    converged. ``seed`` seeds those random starts and nothing else, so with
+    ``restarts = 1`` the fit does not depend on it.
+    """
 
     max_iters: int = 500
     tol: float = 1e-10
@@ -96,6 +103,35 @@ def fit_second_stage(target, rep: LinearRep) -> SecondStageFit:
 def _random_row_orthonormal(r: int, d_x: int, rng: np.random.Generator) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
     return q.T
+
+
+def _spectral_start(xtx: np.ndarray, xty: np.ndarray, r: int) -> np.ndarray:
+    """Method-of-moments estimate of the representation: r orthonormal rows.
+
+    With the pooled Gram S = sum_t S_t, S_t = X_t^T X_t (``xtx``, (T, d_x,
+    d_x)), and the stacked cross moments B = [B_1 ... B_T], B_t = X_t^T Y_t
+    (``xty``, (T, d_x, d_y)), W = S^+ B is d_x x T d_y, and the rows returned
+    are the top-r eigenvectors of M = W W^T (Tripuraneni, Jin and Jordan 2021;
+    Thekumparampil et al. 2021).
+
+    Why it spans row(G*) in the noiseless case with equal task Grams
+    S_t = S_0, S_0 invertible: then Y_t = X_t G*^T F_t^T, so
+    B_t = S_0 G*^T F_t^T and S = T S_0, hence
+    S^{-1} B = (1/T) G*^T [F_1^T ... F_T^T]. Every column lies in
+    col(G*^T) = row(G*), and when the stacked heads [F_1^T ... F_T^T] have
+    rank r (the tasks are diverse) the columns span it. M = W W^T then has
+    rank r with range row(G*), so its r eigenvectors of nonzero eigenvalue
+    span row(G*) exactly. With noise, or unequal Grams, the start is only an
+    estimate; ALS takes it from there.
+
+    M is d_x x d_x, so ``eigh`` returns r orthonormal rows even when M has
+    rank below r: when T d_y < r, or S is singular (fewer samples than d_x).
+    The rows are then completed from M's null space, which ``eigh`` fixes
+    deterministically. No random numbers are drawn.
+    """
+    w = pinv(xtx.sum(axis=0)) @ np.concatenate(list(xty), axis=1)
+    _, vecs = np.linalg.eigh(w @ w.T)
+    return vecs[:, :-r - 1:-1].T
 
 
 def _heads_from_stats(gram: np.ndarray, gxty: np.ndarray) -> np.ndarray:
@@ -164,8 +200,9 @@ class _AlsRun(NamedTuple):
     history: tuple[float, ...]
 
 
-def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
-    """One alternating-LS run from a random orthonormal initialization.
+def _als_single(xtx, xty, yy, n_total, r, opts, g, start) -> _AlsRun:
+    """One alternating-LS run from the (r, d_x) orthonormal rows ``g``, named
+    ``start`` in the warning it logs if it stops at ``opts.max_iters``.
 
     Every step reads only the per-task statistics S_t = X_t^T X_t (``xtx``,
     (T, d_x, d_x)) and B_t = X_t^T Y_t (``xty``, (T, d_x, d_y)), the total
@@ -196,7 +233,6 @@ def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
     lands below it.
     """
     d_x = xtx.shape[1]
-    g = _random_row_orthonormal(r, d_x, rng)
 
     def project(g):
         return g @ xtx @ g.T, g @ xty
@@ -234,8 +270,9 @@ def _als_single(xtx, xty, yy, n_total, r, opts, rng) -> _AlsRun:
             converged = True
             break
     if not converged:
-        logger.warning("ALS restart stopped at max_iters=%d without converging "
-                       "(objective %.6g)", opts.max_iters, history[-1] if history else np.nan)
+        logger.warning("ALS from the %s stopped at max_iters=%d without converging "
+                       "(objective %.6g)", start, opts.max_iters,
+                       history[-1] if history else np.nan)
     # exact head refit on the orthonormalized representation
     f = _heads_from_stats(gram, gxty)
     return _AlsRun(g=g, objective=objective(f, gram, gxty),
@@ -261,14 +298,16 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     Alternating minimization with closed-form blocks, run on the per-task
     sufficient statistics (see ``_als_single``); after every round the
     representation is rotated to orthonormal rows and the heads are
-    counter-rotated, so the returned rep satisfies G G^T = I_r. The best of
-    ``opts.restarts`` random orthonormal initializations is kept. The tasks'
-    rows, zero-padded to one (T, k, d_x) stack (``_padded_rows``), give the
-    statistics, and one stacked ``ls_head`` call on their features refits
-    every task's head and reports its residual exactly, as ``fit_second_stage``
-    would; ``objective`` is the residuals' n-weighted mean, the pooled mean
-    squared error over all samples. A task may be raw rows or a Gram factor;
-    both give the same fit.
+    counter-rotated, so the returned rep satisfies G G^T = I_r. The first run
+    starts from the spectral estimate (``_spectral_start``); while no run has
+    converged, further runs start from random orthonormal rows drawn from
+    ``opts.seed``, up to ``opts.restarts`` runs in all, and the run of lowest
+    objective is kept. The tasks' rows, zero-padded to one (T, k, d_x) stack
+    (``_padded_rows``), give the statistics, and one stacked ``ls_head`` call
+    on their features refits every task's head and reports its residual
+    exactly, as ``fit_second_stage`` would; ``objective`` is the residuals'
+    n-weighted mean, the pooled mean squared error over all samples. A task
+    may be raw rows or a Gram factor; both give the same fit.
 
     Raises
     ------
@@ -285,12 +324,15 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     xtx, xty, yy = x_t @ x, x_t @ y, float(np.sum(y * y))
     n = np.array([ds.n for ds in datasets])
     n_total = int(n.sum())
+    runs = [_als_single(xtx, xty, yy, n_total, r, opts, _spectral_start(xtx, xty, r),
+                        "spectral start")]
     rng = np.random.default_rng(opts.seed)
-    best = None
-    for _ in range(opts.restarts):
-        run = _als_single(xtx, xty, yy, n_total, r, opts, rng)
-        if best is None or run.objective < best.objective:
-            best = run
+    for k in range(1, opts.restarts):
+        if runs[-1].converged:
+            break
+        runs.append(_als_single(xtx, xty, yy, n_total, r, opts,
+                                _random_row_orthonormal(r, x.shape[2], rng), f"random start {k}"))
+    best = min(runs, key=lambda run: run.objective)
     rep = LinearRep(best.g)
     z = rep.features(x)
     f = ls_head(z, y)

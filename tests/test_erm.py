@@ -7,6 +7,8 @@ import scipy.linalg
 
 from conftest import (make_gaussian_population, pinv_sqrt, random_normal_matrix,
                       random_orthonormal_rows)
+from transferlab import erm
+from transferlab.cli import build_population
 from transferlab.core import LinearRep, MarkovLaw, TaskDataset, inv_sqrt_psd, pinv
 from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
 from transferlab.erm import (
@@ -15,6 +17,7 @@ from transferlab.erm import (
     _heads_from_stats,
     _min_norm_lstsq,
     _normal_matrix,
+    _spectral_start,
     fit_first_stage_linear,
     fit_second_stage,
     ls_head,
@@ -149,20 +152,33 @@ def test_linear_fit_warns_when_not_converged(caplog):
         fit = fit_first_stage_linear(data[1:], r=2,
                                      opts=FitOptions(restarts=1, seed=8, max_iters=2))
     assert not fit.converged
-    assert any("without converging" in rec.getMessage() for rec in caplog.records)
+    assert [rec.getMessage().startswith("ALS from the spectral start stopped at max_iters=2 "
+                                        "without converging") for rec in caplog.records] == [True]
 
 
 # ---------------------------------------------------------------------------
 # First stage: sufficient statistics against the raw-data oracle
 # ---------------------------------------------------------------------------
 
-def als_single_reference(datasets, r, opts, rng):
-    """Raw-data alternating LS: one restart, as the fit ran before it moved to
-    per-task statistics. Every step re-reads the rows, heads come from
-    ``ls_head``, and the normal matrix is a sum of ``np.kron`` blocks solved by
-    the SVD-based ``np.linalg.lstsq``. Returns (G, heads, objective).
+def spectral_start_reference(datasets, r):
+    """The spectral start from the raw rows: the top-r eigenvectors, by
+    ``np.linalg.eigh``, of W W^T with W = (sum_t X_t^T X_t)^+ [X_1^T Y_1 ...
+    X_T^T Y_T], the pseudo-inverse by the SVD-based ``np.linalg.lstsq``."""
+    gram = sum(ds.covariates.T @ ds.covariates for ds in datasets)
+    cross = np.hstack([ds.covariates.T @ ds.labels for ds in datasets])
+    w = np.linalg.lstsq(gram, cross, rcond=None)[0]
+    _, vecs = np.linalg.eigh(w @ w.T)
+    return vecs[:, ::-1][:, :r].T
+
+
+def als_single_reference(datasets, r, opts, g):
+    """Raw-data alternating LS: one run from the orthonormal rows ``g``, as the
+    fit ran before it moved to per-task statistics. Every step re-reads the
+    rows, heads come from ``ls_head``, and the normal matrix is a sum of
+    ``np.kron`` blocks solved by the SVD-based ``np.linalg.lstsq``. Returns
+    (G, heads, objective).
     """
-    d_x = datasets[0].covariates.shape[1]
+    d_x = g.shape[1]
     xs = [ds.covariates for ds in datasets]
     ys = [ds.labels for ds in datasets]
     gram_x = [x.T @ x for x in xs]
@@ -172,7 +188,6 @@ def als_single_reference(datasets, r, opts, rng):
         total = sum(np.sum((y - x @ g.T @ f.T) ** 2) for x, y, f in zip(xs, ys, heads))
         return total / sum(x.shape[0] for x in xs)
 
-    g = random_orthonormal_rows(r, d_x, rng)
     history = []
     for _ in range(opts.max_iters):
         heads = [ls_head(x @ g.T, y) for x, y in zip(xs, ys)]
@@ -205,7 +220,7 @@ def test_linear_fit_matches_raw_data_oracle_noisy(seed, d_x, d_y, t, n):
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(n,) * (t + 1), seed=seed + 1))[1:]
     opts = FitOptions(restarts=1, seed=seed + 2)
     fit = fit_first_stage_linear(data, r=2, opts=opts)
-    g, _, obj = als_single_reference(data, 2, opts, np.random.default_rng(seed + 2))
+    g, _, obj = als_single_reference(data, 2, opts, spectral_start_reference(data, 2))
     assert scipy.linalg.subspace_angles(fit.rep.g.T, g.T).max() <= 1e-8
     assert fit.objective == pytest.approx(obj, rel=1e-10)
 
@@ -219,10 +234,111 @@ def test_linear_fit_matches_raw_data_oracle_rank_deficient(seed, lstsq_calls):
     opts = FitOptions(restarts=1, seed=seed)
     fit = fit_first_stage_linear(data, r=3, opts=opts)
     assert lstsq_calls and set(lstsq_calls) == {"gelsy"}  # every G-step took pivoted QR
-    g, heads, obj = als_single_reference(data, 3, opts, np.random.default_rng(seed))
+    g, heads, obj = als_single_reference(data, 3, opts, spectral_start_reference(data, 3))
     assert np.linalg.norm(fit.heads[0].f @ fit.rep.g - heads[0] @ g) <= 1e-10
     assert fit.objective <= 1e-20 and obj <= 1e-20
     assert np.allclose(fit.rep.g @ fit.rep.g.T, np.eye(3), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# First stage: the spectral start and the random fallback starts
+# ---------------------------------------------------------------------------
+
+def _stats(datasets):
+    xtx = np.stack([ds.covariates.T @ ds.covariates for ds in datasets])
+    xty = np.stack([ds.covariates.T @ ds.labels for ds in datasets])
+    return xtx, xty
+
+
+def test_spectral_start_spans_g_star_on_noiseless_tasks_with_one_covariate_matrix(rng):
+    d_x, d_y, r, t = 10, 1, 3, 6
+    g_star = random_orthonormal_rows(r, d_x, rng)
+    x = rng.standard_normal((40, d_x))
+    data = [make_dataset(x, x @ g_star.T @ rng.standard_normal((d_y, r)).T, k)
+            for k in range(t)]
+    g = _spectral_start(*_stats(data), r)
+    assert scipy.linalg.subspace_angles(g.T, g_star.T).max() <= 1e-10
+    # The first iterate is already at the objective's round-off floor, about
+    # eps * ||Y||_F^2 / N (see ``_als_single``); where it stops after that is
+    # decided by round-off.
+    fit = fit_first_stage_linear(data, r=r, opts=FitOptions(restarts=1))
+    energy = sum(float(np.sum(ds.labels ** 2)) for ds in data) / sum(ds.n for ds in data)
+    assert fit.converged and abs(fit.objective_history[0]) <= 1e-14 * energy
+
+
+def test_spectral_start_on_rank_deficient_stats_is_orthonormal_and_deterministic():
+    # T = 1, N < d_x and d_y < r: W W^T has rank 1, so two of the three rows
+    # come from its null space.
+    rng = np.random.default_rng(0)
+    data = [make_dataset(rng.standard_normal((5, 8)), rng.standard_normal((5, 1)))]
+    g = _spectral_start(*_stats(data), 3)
+    assert g.shape == (3, 8)
+    assert np.allclose(g @ g.T, np.eye(3), atol=1e-12)
+    assert np.array_equal(g, _spectral_start(*_stats(data), 3))
+
+
+@pytest.mark.parametrize("law", [{"kind": "gaussian"}, {"kind": "lds", "spectral_radius": 0.9},
+                                 {"kind": "markov", "states": 6, "stay_prob": 0.8}],
+                         ids=lambda law: law["kind"])
+def test_spectral_start_is_finite_on_every_law(law):
+    pop = {"d_x": 4, "d_y": 2, "r": 1, "num_sources": 3, "noise_sigma": 0.5, "law": law}
+    for seed in range(5):
+        spec = build_population(pop, seed)
+        data = sample_task_stats(SampleRequest(spec=spec, per_task_n=(24,) * 4, seed=seed),
+                                 tasks=range(1, 4))
+        assert np.all(np.isfinite(_spectral_start(*_stats(data), 1)))
+
+
+@pytest.fixture
+def als_runs(monkeypatch):
+    """Every ``_als_single`` run of the fit, in order."""
+    runs = []
+    real = erm._als_single
+
+    def counted(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(erm, "_als_single", counted)
+    return runs
+
+
+def _noisy_sources():
+    spec = make_gaussian_population(d_x=8, d_y=2, r=2, t=4, noise_sigma=0.5, seed=6)
+    return sample_tasks(SampleRequest(spec=spec, per_task_n=(50,) * 5, seed=7))[1:]
+
+
+def test_converged_spectral_start_runs_alone(als_runs):
+    fit = fit_first_stage_linear(_noisy_sources(), r=2, opts=FitOptions(restarts=3))
+    assert fit.converged and len(als_runs) == 1
+
+
+def test_random_starts_run_until_one_converges_and_the_lowest_objective_is_kept(
+        als_runs, caplog, monkeypatch):
+    # Start from the directions the spectral estimate ranks last, so that the
+    # middle run, neither the first nor the last, is the best.
+    monkeypatch.setattr(erm, "_spectral_start",
+                        lambda xtx, xty, r: _spectral_start(xtx, xty, xtx.shape[1])[-r:])
+    with caplog.at_level(logging.WARNING, logger="transferlab.erm"):
+        fit = fit_first_stage_linear(_noisy_sources(), r=2,
+                                     opts=FitOptions(restarts=3, max_iters=2, seed=4))
+    assert not fit.converged and len(als_runs) == 3
+    best = min(als_runs, key=lambda run: run.objective)
+    assert best is als_runs[1]
+    assert np.array_equal(fit.rep.g, best.g)
+    assert fit.objective == pytest.approx(best.objective, rel=1e-10)
+    starts = [rec.getMessage().split(" stopped")[0] for rec in caplog.records]
+    assert starts == ["ALS from the spectral start", "ALS from the random start 1",
+                      "ALS from the random start 2"]
+
+
+def test_fit_is_a_function_of_the_seed():
+    def fit(**opts):
+        return fit_first_stage_linear(_noisy_sources(), r=2, opts=FitOptions(max_iters=2, **opts))
+
+    for a, b in [(fit(restarts=3, seed=4), fit(restarts=3, seed=4)),
+                 (fit(restarts=1, seed=4), fit(restarts=1, seed=5))]:  # spectral start only
+        assert np.array_equal(a.rep.g, b.rep.g) and a.objective == b.objective
 
 
 def test_normal_matrix_equals_kron_sum(rng):
