@@ -26,8 +26,8 @@ cli
     JSON-configured batch front end with the rate-sweep harness.
 
 Importing the package, parsing a config and building a population load numpy
-only: scipy is imported on first use by the ALS G-step solve, the LDS Lyapunov
-solve and the ``log_integral_bound`` quadrature.
+only: scipy is imported on first use by the ALS G-step solve and the LDS
+Lyapunov solve.
 """
 
 from .core import (

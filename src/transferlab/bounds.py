@@ -112,25 +112,11 @@ def covering_star_hull(config: BoundConfig, gamma: float) -> float:
     return heads + hull + rep
 
 
-@dataclass(frozen=True)
-class LogIntegralResult:
-    bound: float
-    quadrature: float
-
-
-def log_integral_bound(c: float) -> LogIntegralResult:
-    """Closed-form bound sqrt(log(e (1 + C))) on int_0^1 sqrt(log(1 + C/x)) dx,
-    together with a numeric quadrature of the integral for comparison."""
+def log_integral_bound(c: float) -> float:
+    """Closed-form bound sqrt(log(e (1 + C))) on int_0^1 sqrt(log(1 + C/x)) dx."""
     if c < 0:
         raise ValueError("C must be nonnegative")
-    bound = math.sqrt(1.0 + math.log1p(c))
-    if c == 0:
-        return LogIntegralResult(bound=bound, quadrature=0.0)
-    import scipy.integrate  # deferred: slow to import, and no command calls this
-
-    quad, _ = scipy.integrate.quad(lambda x: math.sqrt(math.log1p(c / x)), 0.0, 1.0,
-                                   limit=200)
-    return LogIntegralResult(bound=bound, quadrature=float(quad))
+    return math.sqrt(1.0 + math.log1p(c))
 
 
 def _class_rate_term(config: BoundConfig) -> float:

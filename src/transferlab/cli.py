@@ -6,6 +6,17 @@ samplers, fitters, diagnostics, mixing checks, and bound calculators. The sweep
 harness runs a grid over T, N, or N' with replicates, aggregates by median, fits
 log-log slopes, and emits CSV rows plus a summary JSON keyed by a config hash.
 
+Every sweep row, ``fit`` and ``diagnose`` run the same two stages of the paper's
+decomposition. The source stage (``_source_stage``) draws the sources' statistics,
+fits the shared representation and source heads, and gives the row fields that
+read the sources alone: ``est_error_avg``, ``mu_x`` and the fit's objective,
+iterations and convergence. The target stage (``_target_stage``) draws the
+target's statistics, fits its head on that representation, and gives
+``excess_risk_target`` and ``nu_hat``. ``fit`` runs the two stages' draws and fits
+only (``_fit_sources``, ``_fit_target``); ``diagnose`` adds ``mu_f``, ``nu_true``
+and the NRLS quantities. Each task draws from its own stream, so a stage's draw of
+its tasks equals those tasks in a draw of the whole request.
+
 Subcommands: gen, fit, diagnose, bounds, sweep, mixcheck.
 Exit codes: 0 success, 2 validation error, 3 sweep failure.
 """
@@ -39,7 +50,9 @@ from .core import (
 )
 from .datagen import SampleRequest, sample_task_stats, sample_tasks, write_datasets_csv
 from .erm import (
+    FirstStageFit,
     FitOptions,
+    SecondStageFit,
     first_stage_to_json,
     fit_first_stage_linear,
     fit_second_stage,
@@ -208,15 +221,20 @@ def _options(section: dict) -> dict:
 class SweepRow:
     """One (axis value, replicate) cell of a sweep (see ``run_sweep``).
 
+    The source stage gives ``est_error_avg``, ``mu_x``, ``fit_objective``,
+    ``iterations`` and ``converged``; the target stage gives
+    ``excess_risk_target`` and ``nu_hat`` (NaN where ``diagnose`` reports
+    None); the population gives ``mu_f``. ``diagnose`` reports every one of
+    these fields under the same name.
+
     The target sample is drawn from the row seed ``_row_seed(seed, axis_value,
     replicate)``. The sources come from the source seed, which also seeds the
     first stage's random ALS starts (run only if its spectral start does not
     converge): the row seed on the T and N axes, ``_row_seed(seed, 0,
     replicate)`` on the N' axis. So on the N' axis the rows of one replicate
-    share ``est_error_avg``, ``mu_x``, ``fit_objective``, ``iterations`` and
-    ``converged``, and differ only through the target. Every row of one
-    population shares ``mu_f``. ``wall_time_ms`` is the row's own call; a
-    replicate's first N' row also carries its shared first stage.
+    share their source stage and differ only through the target. Every row of
+    one population shares ``mu_f``. ``wall_time_ms`` is the row's own call; a
+    replicate's first N' row also carries its shared source stage.
     """
 
     axis_value: int
@@ -339,41 +357,6 @@ def _request(spec: PopulationSpec, n: int, n_prime: int, seed: int) -> SampleReq
                          seed=seed)
 
 
-def _first_stage(config: ExperimentConfig, spec: PopulationSpec, sources: list, seed: int):
-    """The shared representation and source heads, fitted with the config's
-    options and ``seed``."""
-    return fit_first_stage_linear(sources, r=spec.dims.r, opts=replace(config.fit, seed=seed))
-
-
-def _two_stage(config: ExperimentConfig, spec: PopulationSpec, data: list, seed: int):
-    """Fit the shared representation on the sources, then the target head on it."""
-    fit = _first_stage(config, spec, data[1:], seed)
-    return fit, fit_second_stage(data[0], fit.rep)
-
-
-def _source_diagnostics(spec: PopulationSpec, fit) -> dict:
-    """The diagnostics that read the first-stage fit and not the target sample."""
-    return {"est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep),
-            "mu_x": diag.mu_x(spec, fit.rep)}
-
-
-def _target_diagnostics(spec: PopulationSpec, fit, second) -> dict:
-    """The diagnostics that read the target's second-stage fit; of the first
-    stage, only its ``rep`` and ``per_task_residual``."""
-    return {"excess_risk_target": diag.excess_risk_population(spec, second.head, fit.rep),
-            "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual)}
-
-
-def _population_mu_f(spec: PopulationSpec) -> float:
-    return diag.mu_f([task.head for task in spec.tasks])
-
-
-def _shared_diagnostics(spec: PopulationSpec, fit, second) -> dict:
-    """The diagnostics that sweep rows and ``diagnose`` both report, by name."""
-    return {**_target_diagnostics(spec, fit, second), **_source_diagnostics(spec, fit),
-            "mu_f": _population_mu_f(spec)}
-
-
 def _command_request(config: ExperimentConfig) -> SampleRequest:
     """The request that ``gen``, ``fit`` and ``diagnose`` share: the sweep section's
     N and N', or ``COMMAND_SAMPLES`` for both without one."""
@@ -382,11 +365,41 @@ def _command_request(config: ExperimentConfig) -> SampleRequest:
     return _request(spec, sweep["n"], sweep["n_prime"], config.seed)
 
 
-def _command_sample(config: ExperimentConfig) -> tuple[SampleRequest, list]:
-    """The request and its tasks' Gram factors, which ``fit`` and ``diagnose`` fit on;
-    like sweep rows, they read ``sample_task_stats``, and only ``gen`` reads raw rows."""
-    req = _command_request(config)
-    return req, sample_task_stats(req)
+# ---------------------------------------------------------------------------
+# The two stages of a row: sources, then target
+# ---------------------------------------------------------------------------
+
+def _fit_sources(config: ExperimentConfig, req: SampleRequest) -> FirstStageFit:
+    """Draw the request's source statistics and fit the shared representation and
+    source heads with the config's options and the request's seed."""
+    spec = req.spec
+    sources = sample_task_stats(req, tasks=range(1, spec.num_sources + 1))
+    return fit_first_stage_linear(sources, r=spec.dims.r, opts=replace(config.fit, seed=req.seed))
+
+
+def _fit_target(req: SampleRequest, fit: FirstStageFit) -> SecondStageFit:
+    """Draw the request's target statistics and fit its head on ``fit.rep``."""
+    return fit_second_stage(sample_task_stats(req, tasks=(0,))[0], fit.rep)
+
+
+def _source_stage(config: ExperimentConfig, req: SampleRequest) -> tuple[FirstStageFit, dict]:
+    """The first stage and the row fields that read the sources alone."""
+    spec, fit = req.spec, _fit_sources(config, req)
+    return fit, {"est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep),
+                 "mu_x": diag.mu_x(spec, fit.rep), "fit_objective": fit.objective,
+                 "iterations": fit.iterations, "converged": fit.converged}
+
+
+def _target_stage(req: SampleRequest, fit: FirstStageFit) -> dict:
+    """The row fields that read the target's head, fitted on the first stage;
+    ``nu_hat`` is None when the target's residual is at the round-off floor."""
+    second = _fit_target(req, fit)
+    return {"excess_risk_target": diag.excess_risk_population(req.spec, second.head, fit.rep),
+            "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual)}
+
+
+def _population_mu_f(spec: PopulationSpec) -> float:
+    return diag.mu_f([task.head for task in spec.tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -422,44 +435,6 @@ def _row_error(exc: Exception) -> str:
 
 
 @dataclass(frozen=True)
-class _SourceStage:
-    """What sweep rows read of a first stage: the fitted representation, the
-    source residuals, and the row fields that depend on the sources alone; or
-    the row error of the failure that stopped it."""
-    rep: LinearRep | None = None
-    per_task_residual: tuple[float, ...] = ()
-    fields: dict | None = None
-    error: str | None = None
-
-
-def _source_stage(config: ExperimentConfig, req: SampleRequest) -> _SourceStage:
-    """Draw the request's sources, fit the first stage with the request's seed,
-    and evaluate the source diagnostics; a ``ROW_ERRORS`` failure is kept, not
-    raised."""
-    spec = req.spec
-    try:
-        sources = sample_task_stats(req, tasks=range(1, spec.num_sources + 1))
-        fit = _first_stage(config, spec, sources, req.seed)
-        return _SourceStage(rep=fit.rep, per_task_residual=fit.per_task_residual, fields={
-            **_source_diagnostics(spec, fit), "fit_objective": fit.objective,
-            "iterations": fit.iterations, "converged": fit.converged})
-    except ROW_ERRORS as exc:
-        return _SourceStage(error=_row_error(exc))
-
-
-def _sweep_row(req: SampleRequest, stage: _SourceStage, mu_f: float, axis_value: int,
-               replicate: int, start: float) -> SweepRow:
-    """The row that draws the request's target, fits its head on the shared first
-    stage and evaluates the target diagnostics; ``start`` is when the row began."""
-    second = fit_second_stage(sample_task_stats(req, tasks=(0,))[0], stage.rep)
-    row = {**_target_diagnostics(req.spec, stage, second), **stage.fields, "mu_f": mu_f}
-    if row["nu_hat"] is None:
-        row["nu_hat"] = float("nan")
-    return SweepRow(axis_value=axis_value, replicate=replicate, **row,
-                    wall_time_ms=(time.perf_counter() - start) * 1000.0)
-
-
-@dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
     medians: dict
@@ -489,24 +464,28 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     row of a replicate then fits the same sources, and only its target sample
     changes.
 
+    Stages. A row is the source stage (``_source_stage``) at the source seed
+    and the target stage (``_target_stage``) at the row seed, the two stages
+    that ``diagnose`` runs at ``config.seed``.
+
     Sharing. Each quantity is computed once for the inputs it reads. The
     population, and with it ``mu_f``, is built once per T value on the T axis
-    and once per sweep otherwise. The source draw, first-stage fit,
-    ``est_error_avg`` and ``mu_x`` are computed once per (population, N,
+    and once per sweep otherwise. The source stage (the source draw, the
+    first-stage fit and the source row fields) runs once per (population, N,
     source seed), which repeats only on the N' axis: there a replicate's rows
-    share them, and the N' slope is a common-random-numbers contrast that
-    holds the fitted representation fixed. It measures the target's NRLS
-    term alone, and the shared metrics' medians are equal at every N', so
-    their slopes read 0. On the T and N axes no key repeats, and each row is
-    the same computation as a fresh draw of every task at the row seed.
+    share it, and the N' slope is a common-random-numbers contrast that holds
+    the fitted representation fixed. It measures the target's NRLS term
+    alone, and the shared metrics' medians are equal at every N', so their
+    slopes read 0. On the T and N axes no key repeats, and each row is the
+    same computation as a fresh draw of every task at the row seed.
 
     A row's ``wall_time_ms`` is the wall time of its own call. The row that
-    first needs a shared first stage computes it and carries its time; the
+    first needs a shared source stage computes it and carries its time; the
     population and ``mu_f`` are outside every row's time.
 
     Rows run on the calling thread in grid order, so they come out sorted by
     (axis_value, replicate) with no sort. Row failures (``ROW_ERRORS``) are
-    recorded with their exception type and skipped; a failed first stage is
+    recorded with their exception type and skipped; a failed source stage is
     recorded on every row that shares it, its whole replicate on the N' axis,
     and a failed ``mu_f`` on every row of its population.
     More than 50% failures (or a grid too short for a slope) raises
@@ -530,7 +509,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 mu_f, population_error = _population_mu_f(spec), None
             except ROW_ERRORS as exc:
                 population_error = _row_error(exc)
-            stages: dict[tuple[int, int], _SourceStage] = {}
+            # (N, source seed) -> the source stage, or the row error that stopped it
+            stages: dict[tuple[int, int], tuple[FirstStageFit, dict] | str] = {}
         n = v if axis == "N" else config.sweep["n"]
         n_prime = v if axis == "N_prime" else config.sweep["n_prime"]
         for rep in range(replicates):
@@ -540,18 +520,26 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             start = time.perf_counter()
             row_seed = _row_seed(config.seed, v, rep)
             source_seed = _row_seed(config.seed, 0, rep) if axis == "N_prime" else row_seed
-            stage = stages.get((n, source_seed))
-            if stage is None:
-                stage = stages[n, source_seed] = _source_stage(
-                    config, _request(spec, n, n_prime, source_seed))
-            if stage.error is not None:
-                errors.append((v, rep, stage.error))
+            key = (n, source_seed)
+            if key not in stages:
+                try:
+                    stages[key] = _source_stage(config, _request(spec, n, n_prime, source_seed))
+                except ROW_ERRORS as exc:
+                    stages[key] = _row_error(exc)
+            stage = stages[key]
+            if isinstance(stage, str):
+                errors.append((v, rep, stage))
                 continue
+            fit, source_fields = stage
             try:
-                rows.append(_sweep_row(_request(spec, n, n_prime, row_seed), stage, mu_f,
-                                       v, rep, start))
+                row = _target_stage(_request(spec, n, n_prime, row_seed), fit)
             except ROW_ERRORS as exc:
                 errors.append((v, rep, _row_error(exc)))
+                continue
+            if row["nu_hat"] is None:
+                row["nu_hat"] = float("nan")
+            rows.append(SweepRow(axis_value=v, replicate=rep, **row, **source_fields, mu_f=mu_f,
+                                 wall_time_ms=(time.perf_counter() - start) * 1000.0))
 
     jobs = len(grid) * replicates
     if len(errors) > jobs / 2:
@@ -599,12 +587,14 @@ def write_sweep_outputs(result: SweepResult, config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
-    """Sample, fit the two-stage model, and assemble the full diagnostics report."""
-    req, data = _command_sample(config)
+    """Every field of a sweep row, from the row's two stages at ``config.seed``,
+    with the population's ``nu_true`` and NRLS quantities for the fitted
+    representation."""
+    req = _command_request(config)
     spec = req.spec
-    fit, second = _two_stage(config, spec, data, config.seed)
+    fit, source_fields = _source_stage(config, req)
     return diag.DiagnosticsReport(
-        **_shared_diagnostics(spec, fit, second),
+        **_target_stage(req, fit), **source_fields, mu_f=_population_mu_f(spec),
         nu_true=diag.nu_true(spec, fit.rep),
         nrls=diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,
                                   spec.rep_star, spec.noise_sigma, config.mc_samples,
@@ -665,10 +655,11 @@ def run_gen(config: ExperimentConfig, out_dir: str | Path) -> dict[str, str]:
 
 
 def run_fit(config: ExperimentConfig) -> dict:
-    req, data = _command_sample(config)
-    fit, second = _two_stage(config, req.spec, data, config.seed)
+    """The two stages' fits as ``diagnose`` draws them, without its diagnostics."""
+    req = _command_request(config)
+    fit = _fit_sources(config, req)
     return {"first_stage": first_stage_to_json(fit),
-            "second_stage": second_stage_to_json(second)}
+            "second_stage": second_stage_to_json(_fit_target(req, fit))}
 
 
 # ---------------------------------------------------------------------------

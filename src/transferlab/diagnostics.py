@@ -425,7 +425,9 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """All diagnostics for one fitted model on one population."""
+    """All diagnostics for one fitted model on one population: every metric of a
+    sweep row, among them the first stage's objective and convergence, plus the
+    population's ``nu_true`` and NRLS quantities."""
 
     mu_x: float
     mu_f: float
@@ -433,6 +435,9 @@ class DiagnosticsReport:
     nu_hat: float | None
     excess_risk_target: float
     est_error_avg: float
+    fit_objective: float
+    iterations: int
+    converged: bool
     nrls: NrlsQuantities
 
     def to_json(self) -> dict:
@@ -443,6 +448,9 @@ class DiagnosticsReport:
             "nu_hat": self.nu_hat,
             "excess_risk_target": self.excess_risk_target,
             "est_error_avg": self.est_error_avg,
+            "fit_objective": self.fit_objective,
+            "iterations": self.iterations,
+            "converged": self.converged,
         }
         out.update(self.nrls.as_dict())
         return out

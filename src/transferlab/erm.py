@@ -311,6 +311,8 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
 
     Raises
     ------
+    ValueError
+        Unless 1 <= r <= d_x.
     DegenerateData
         If every covariate entry is zero.
     """
@@ -318,6 +320,8 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     if not datasets:
         raise DegenerateData("no source tasks")
     x, y = _padded_rows(datasets)
+    if not 1 <= r <= x.shape[2]:
+        raise ValueError(f"r must satisfy 1 <= r <= d_x = {x.shape[2]}, got r = {r}")
     if not x.any():
         raise DegenerateData("all covariates are zero")
     x_t = np.swapaxes(x, 1, 2)

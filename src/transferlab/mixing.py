@@ -39,8 +39,6 @@ class GeometricProfile:
     rho: float
     beta_surrogate: bool = False
 
-    kind = "geometric"
-
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
@@ -61,8 +59,6 @@ class ExactProfile:
 
     phi: np.ndarray
     tail: GeometricProfile | None = None
-
-    kind = "exact"
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=float)

@@ -1,3 +1,4 @@
+import math
 import os
 
 # One BLAS/OpenMP thread, pinned before numpy loads, as the benchmark does: these
@@ -8,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import scipy.integrate  # noqa: E402
 
 from transferlab.core import (  # noqa: E402
     Dims,
@@ -52,6 +54,13 @@ def pinv_sqrt(m):
     inv_root = np.zeros_like(w)
     inv_root[keep] = 1.0 / np.sqrt(w[keep])
     return (v * inv_root) @ v.T
+
+
+def log_integral_quadrature(c):
+    """int_0^1 sqrt(log(1 + C/x)) dx by adaptive quadrature, the oracle that
+    ``bounds.log_integral_bound`` bounds."""
+    return scipy.integrate.quad(lambda x: math.sqrt(math.log1p(c / x)), 0.0, 1.0,
+                                limit=200)[0]
 
 
 def make_gaussian_population(d_x=6, d_y=2, r=2, t=3, noise_sigma=0.0, seed=0,

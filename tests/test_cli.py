@@ -3,14 +3,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import transferlab
-from transferlab import cli, erm
+from transferlab import cli, diagnostics, erm
 from transferlab.cli import (
     ExperimentConfig,
     build_population,
@@ -24,7 +24,8 @@ from transferlab.cli import (
     write_sweep_outputs,
 )
 from transferlab.core import MarkovLaw
-from transferlab.datagen import sample_task_stats
+from transferlab.datagen import SampleRequest, sample_task_stats
+from transferlab.erm import fit_first_stage_linear, fit_second_stage
 from transferlab.errors import (
     ConfigError,
     DegenerateData,
@@ -320,20 +321,36 @@ def test_sweep_shares_population_and_first_stages(monkeypatch, axis, builds, fit
 
 
 def _oracle_row(config, axis, v, rep):
-    """Row (v, rep) recomputed from whole requests: the target from a full draw
-    at the row seed, the sources and the fit seed from a full draw at the
-    source seed, which is the row seed except on the N' axis."""
+    """Row (v, rep) recomputed from whole requests with the library's public
+    sampler, fitters and diagnostics: the target from a full draw at the row
+    seed, the sources and the fit seed from a full draw at the source seed,
+    which is the row seed except on the N' axis, where it is the seed of grid
+    value 0."""
     spec = build_population(config.population, config.seed,
                             num_sources=v if axis == "T" else None)
     n = v if axis == "N" else config.sweep["n"]
     n_prime = v if axis == "N_prime" else config.sweep["n_prime"]
-    row_seed = cli._row_seed(config.seed, v, rep)
-    source_seed = cli._row_seed(config.seed, 0, rep) if axis == "N_prime" else row_seed
-    target = sample_task_stats(cli._request(spec, n, n_prime, row_seed))[0]
-    sources = sample_task_stats(cli._request(spec, n, n_prime, source_seed))[1:]
-    fit, second = cli._two_stage(config, spec, [target, *sources], source_seed)
-    out = cli._shared_diagnostics(spec, fit, second)
-    return {**out, "fit_objective": fit.objective, "iterations": fit.iterations,
+
+    def seed_of(value):
+        state = np.random.SeedSequence([config.seed, value, rep]).generate_state(1, np.uint64)
+        return int(state[0])
+
+    def draw(seed):
+        return sample_task_stats(SampleRequest(
+            spec=spec, per_task_n=(n_prime,) + (n,) * spec.num_sources, seed=seed))
+
+    row_seed = seed_of(v)
+    source_seed = seed_of(0) if axis == "N_prime" else row_seed
+    target, sources = draw(row_seed)[0], draw(source_seed)[1:]
+    fit = fit_first_stage_linear(sources, r=spec.dims.r,
+                                 opts=replace(config.fit, seed=source_seed))
+    second = fit_second_stage(target, fit.rep)
+    return {"excess_risk_target": diagnostics.excess_risk_population(spec, second.head, fit.rep),
+            "nu_hat": diagnostics.nu_hat(second.residual, fit.per_task_residual),
+            "est_error_avg": diagnostics.estimation_error_avg(spec, fit.heads, fit.rep),
+            "mu_x": diagnostics.mu_x(spec, fit.rep),
+            "mu_f": diagnostics.mu_f([task.head for task in spec.tasks]),
+            "fit_objective": fit.objective, "iterations": fit.iterations,
             "converged": fit.converged}
 
 
@@ -482,8 +499,10 @@ def test_run_diagnose_identical_covariates_mu_x_one():
     assert report.mu_x == pytest.approx(1.0, abs=1e-9)
     payload = report.to_json()
     for key in ("mu_x", "mu_f", "nu_true", "nu_hat", "excess_risk_target",
-                "est_error_avg", "sigma_u_sq", "sigma_v_sq", "c_z", "h_v"):
+                "est_error_avg", "fit_objective", "iterations", "converged",
+                "sigma_u_sq", "sigma_v_sq", "c_z", "h_v"):
         assert key in payload
+    assert payload["converged"] is True and payload["iterations"] >= 1
 
 
 def test_commands_sample_the_same_request(tmp_path, monkeypatch):
@@ -493,9 +512,10 @@ def test_commands_sample_the_same_request(tmp_path, monkeypatch):
     def spy(name):
         real = getattr(cli, name)
 
-        def call(req):
-            seen.append((name, req.per_task_n, req.seed))
-            return real(req)
+        def call(req, **kwargs):
+            tasks = kwargs.get("tasks")
+            seen.append((name, req.per_task_n, req.seed, None if tasks is None else tuple(tasks)))
+            return real(req, **kwargs)
         return call
 
     for name in ("sample_tasks", "sample_task_stats"):
@@ -505,7 +525,9 @@ def test_commands_sample_the_same_request(tmp_path, monkeypatch):
     cli.run_fit(cfg)
     run_diagnose(cfg)
     request = ((24, 40, 40, 40), cfg.seed)
-    assert seen == [("sample_tasks", *request)] + [("sample_task_stats", *request)] * 2
+    # each command draws the sources, then the target, of that one request
+    stages = [("sample_task_stats", *request, (1, 2, 3)), ("sample_task_stats", *request, (0,))]
+    assert seen == [("sample_tasks", *request, None)] + stages * 2
 
 
 def test_mixcheck_needs_no_population(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from transferlab.core import (
     sqrt_psd,
 )
 from transferlab import cli, core
-from transferlab.datagen import SampleRequest, sample_tasks
+from transferlab.datagen import SampleRequest, sample_task_stats, sample_tasks
 from transferlab.diagnostics import (
     SPHERE_DIRECTIONS,
     estimation_error_avg,
@@ -398,8 +400,11 @@ def test_cli_nu_hat_matches_reference(law):
     cfg["sweep"].update({"n": 60, "n_prime": 40})
     cfg["diagnostics"] = {"mc_samples": 2000}
     config = cli.ExperimentConfig.from_dict(cfg)
-    req, data = cli._command_sample(config)
-    fit, _ = cli._two_stage(config, req.spec, data, config.seed)
+    spec = cli.build_population(config.population, config.seed)
+    data = sample_task_stats(SampleRequest(spec=spec, per_task_n=(40,) + (60,) * 3,
+                                           seed=config.seed))
+    fit = fit_first_stage_linear(data[1:], r=spec.dims.r,
+                                 opts=replace(config.fit, seed=config.seed))
     expected = nu_hat_reference(data, fit.rep)
     assert cli.run_diagnose(config).nu_hat == pytest.approx(expected, rel=1e-12)
 

@@ -145,6 +145,15 @@ def test_linear_fit_degenerate_data():
         fit_first_stage_linear(data, r=2)
 
 
+@pytest.mark.parametrize("r", [0, -1, 4])
+def test_linear_fit_rejects_rank_outside_one_to_d_x(r, rng):
+    # r = 0 once reached LAPACK (an illegal dpocon argument) and r = 4 > d_x a
+    # failed reshape; both now fail up front, naming r and d_x
+    data = [make_dataset(rng.standard_normal((10, 3)), rng.standard_normal((10, 2)))]
+    with pytest.raises(ValueError, match=rf"1 <= r <= d_x = 3, got r = {r}$"):
+        fit_first_stage_linear(data, r=r)
+
+
 def test_linear_fit_warns_when_not_converged(caplog):
     spec = make_gaussian_population(d_x=8, d_y=2, r=2, t=4, noise_sigma=0.5, seed=6)
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(50,) * 5, seed=7))

@@ -6,9 +6,12 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import transferlab
+from transferlab.cli import SweepRow
+from transferlab.diagnostics import DiagnosticsReport
 
 PACKAGE = Path(transferlab.__file__).parent
 
@@ -58,6 +61,15 @@ def test_covariate_laws_share_the_sampler_signatures():
              if name in law.__dict__
              and inspect.signature(law.__dict__[name]) != inspect.signature(getattr(base, name))]
     assert not found, f"sampler signatures that differ from CovariateLaw's: {found}"
+
+
+def test_diagnose_reports_every_sweep_row_metric():
+    """A sweep row and ``diagnose`` run the same two stages, so every metric a row
+    reports is a ``DiagnosticsReport`` field too; only the row's place in the grid
+    and its wall time are the row's own."""
+    own = {"axis_value", "replicate", "wall_time_ms"}
+    missing = {f.name for f in fields(SweepRow)} - own - {f.name for f in fields(DiagnosticsReport)}
+    assert not missing, f"sweep row fields that diagnose does not report: {sorted(missing)}"
 
 
 def _imports_outside_functions(node):

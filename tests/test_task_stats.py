@@ -3,6 +3,7 @@ Gram factor factors its path's Gram, and the exact draw of a task's statistic
 has the law of the raw rows' Gram."""
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qr_factor, random_orthonormal_rows
-from transferlab import cli
+from transferlab import cli, diagnostics
 from transferlab.core import (
     Dims,
     GaussianLaw,
@@ -295,10 +296,13 @@ def test_exact_draw_covariate_gram_variance(exact_draws):
 # ---------------------------------------------------------------------------
 
 def _row_metrics(config, spec, sampler, n_prime, seed):
-    data = sampler(cli._request(spec, 24, n_prime, seed))
-    fit, second = cli._two_stage(config, spec, data, seed)
-    out = cli._shared_diagnostics(spec, fit, second)
-    return out["excess_risk_target"], out["est_error_avg"], fit.objective, out["nu_hat"]
+    data = sampler(SampleRequest(spec=spec, per_task_n=(n_prime,) + (24,) * spec.num_sources,
+                                 seed=seed))
+    fit = fit_first_stage_linear(data[1:], r=spec.dims.r, opts=replace(config.fit, seed=seed))
+    second = fit_second_stage(data[0], fit.rep)
+    return (diagnostics.excess_risk_population(spec, second.head, fit.rep),
+            diagnostics.estimation_error_avg(spec, fit.heads, fit.rep), fit.objective,
+            diagnostics.nu_hat(second.residual, fit.per_task_residual))
 
 
 def test_sweep_row_metrics_raw_rows_vs_statistics():
