@@ -23,11 +23,11 @@ bounds
     Closed-form covering/complexity/risk bounds with burn-in tables, plus the
     self-normalized martingale coverage check.
 cli
-    JSON-configured batch front end with the rate-sweep harness.
+    JSON-configured batch front end with the rate-sweep harness, and the one
+    declaration of the metrics that sweep rows and ``diagnose`` report.
 
-Importing the package, parsing a config and building a population load numpy
-only: scipy is imported on first use by the ALS G-step solve and the LDS
-Lyapunov solve.
+Importing the package, parsing a config and building any population load numpy
+only: scipy serves the ALS G-step solve alone, imported on its first use.
 """
 
 from .core import (

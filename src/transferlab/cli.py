@@ -8,14 +8,14 @@ log-log slopes, and emits CSV rows plus a summary JSON keyed by a config hash.
 
 Every sweep row, ``fit`` and ``diagnose`` run the same two stages of the paper's
 decomposition. The source stage (``_source_stage``) draws the sources' statistics,
-fits the shared representation and source heads, and gives the row fields that
-read the sources alone: ``est_error_avg``, ``mu_x`` and the fit's objective,
-iterations and convergence. The target stage (``_target_stage``) draws the
-target's statistics, fits its head on that representation, and gives
-``excess_risk_target`` and ``nu_hat``. ``fit`` runs the two stages' draws and fits
-only (``_fit_sources``, ``_fit_target``); ``diagnose`` adds ``mu_f``, ``nu_true``
-and the NRLS quantities. Each task draws from its own stream, so a stage's draw of
-its tasks equals those tasks in a draw of the whole request.
+fits the shared representation and source heads, and gives the metrics that read
+the sources alone. The target stage (``_target_stage``) draws the target's
+statistics, fits its head on that representation, and gives the metrics that read
+the target. ``RowMetrics`` declares the metrics once: a ``SweepRow`` adds the row's
+place in the grid and its wall time, and ``diagnose``'s ``DiagnosticsReport`` adds
+``nu_true`` and the NRLS quantities. ``fit`` runs the two stages' draws and fits
+only (``_fit_sources``, ``_fit_target``). Each task draws from its own stream, so
+a stage's draw of its tasks equals those tasks in a draw of the whole request.
 
 Subcommands: gen, fit, diagnose, bounds, sweep, mixcheck.
 Exit codes: 0 success, 2 validation error, 3 sweep failure.
@@ -64,9 +64,6 @@ SCHEMA_VERSION = 1
 
 # N = N' for gen, fit and diagnose when the config has no sweep section.
 COMMAND_SAMPLES = 256
-
-SWEEP_METRICS = ("excess_risk_target", "est_error_avg", "nu_hat", "mu_x", "mu_f",
-                 "fit_objective")
 
 # Failures a sweep row records instead of aborting the sweep.
 ROW_ERRORS = (TransferLabError, np.linalg.LinAlgError, ValueError)
@@ -218,36 +215,46 @@ def _options(section: dict) -> dict:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One (axis value, replicate) cell of a sweep (see ``run_sweep``).
+class RowMetrics:
+    """The metrics of one run of the two stages (``_source_stage``, ``_target_stage``)
+    and of the population (``mu_f``), which a sweep row and ``diagnose`` both report.
+    ``nu_hat`` is None at the round-off floor, and NaN there in a sweep row."""
 
-    The source stage gives ``est_error_avg``, ``mu_x``, ``fit_objective``,
-    ``iterations`` and ``converged``; the target stage gives
-    ``excess_risk_target`` and ``nu_hat`` (NaN where ``diagnose`` reports
-    None); the population gives ``mu_f``. ``diagnose`` reports every one of
-    these fields under the same name.
-
-    The target sample is drawn from the row seed ``_row_seed(seed, axis_value,
-    replicate)``. The sources come from the source seed, which also seeds the
-    first stage's random ALS starts (run only if its spectral start does not
-    converge): the row seed on the T and N axes, ``_row_seed(seed, 0,
-    replicate)`` on the N' axis. So on the N' axis the rows of one replicate
-    share their source stage and differ only through the target. Every row of
-    one population shares ``mu_f``. ``wall_time_ms`` is the row's own call; a
-    replicate's first N' row also carries its shared source stage.
-    """
-
-    axis_value: int
-    replicate: int
     excess_risk_target: float
     est_error_avg: float
-    nu_hat: float
+    nu_hat: float | None
     mu_x: float
     mu_f: float
     fit_objective: float
     iterations: int
     converged: bool
+
+
+# The metrics that a sweep aggregates by median and fits slopes to: the real-valued ones.
+SWEEP_METRICS = tuple(f.name for f in fields(RowMetrics) if f.type.startswith("float"))
+
+
+@dataclass(frozen=True)
+class SweepRow(RowMetrics):
+    """The metrics of one (axis value, replicate) cell of a sweep; ``run_sweep``
+    gives the seeds of its two stages and what ``wall_time_ms`` covers."""
+
+    axis_value: int
+    replicate: int
     wall_time_ms: float
+
+
+@dataclass(frozen=True)
+class DiagnosticsReport(RowMetrics):
+    """The metrics of a sweep row at ``config.seed``, plus the population's
+    ``nu_true`` and NRLS quantities for the fitted representation."""
+
+    nu_true: float | None
+    nrls: diag.NrlsQuantities
+
+    def to_json(self) -> dict:
+        return {**{f.name: getattr(self, f.name) for f in fields(RowMetrics)},
+                "nu_true": self.nu_true, **self.nrls.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -383,7 +390,7 @@ def _fit_target(req: SampleRequest, fit: FirstStageFit) -> SecondStageFit:
 
 
 def _source_stage(config: ExperimentConfig, req: SampleRequest) -> tuple[FirstStageFit, dict]:
-    """The first stage and the row fields that read the sources alone."""
+    """The first stage and the ``RowMetrics`` fields that read the sources alone."""
     spec, fit = req.spec, _fit_sources(config, req)
     return fit, {"est_error_avg": diag.estimation_error_avg(spec, fit.heads, fit.rep),
                  "mu_x": diag.mu_x(spec, fit.rep), "fit_objective": fit.objective,
@@ -391,8 +398,7 @@ def _source_stage(config: ExperimentConfig, req: SampleRequest) -> tuple[FirstSt
 
 
 def _target_stage(req: SampleRequest, fit: FirstStageFit) -> dict:
-    """The row fields that read the target's head, fitted on the first stage;
-    ``nu_hat`` is None when the target's residual is at the round-off floor."""
+    """The ``RowMetrics`` fields that read the target's head, fitted on the first stage."""
     second = _fit_target(req, fit)
     return {"excess_risk_target": diag.excess_risk_population(req.spec, second.head, fit.rep),
             "nu_hat": diag.nu_hat(second.residual, fit.per_task_residual)}
@@ -447,7 +453,7 @@ class SweepResult:
             "run_id": hashlib.sha256(
                 (config.config_hash() + str(config.seed)).encode()).hexdigest()[:12],
             "slopes": self.slopes,
-            "medians": {m: {str(k): v for k, v in vals.items()}
+            "medians": {m: {str(k): v if math.isfinite(v) else None for k, v in vals.items()}
                         for m, vals in self.medians.items()},
             "failed_rows": [list(e) for e in self.errors],
         }
@@ -569,7 +575,7 @@ def write_sweep_outputs(result: SweepResult, config: ExperimentConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
-    names = [f.name for f in fields(SweepRow)]
+    names = ["axis_value", "replicate", *(f.name for f in fields(RowMetrics)), "wall_time_ms"]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
@@ -586,14 +592,12 @@ def write_sweep_outputs(result: SweepResult, config: ExperimentConfig,
 # Thin orchestration for the other subcommands
 # ---------------------------------------------------------------------------
 
-def run_diagnose(config: ExperimentConfig) -> diag.DiagnosticsReport:
-    """Every field of a sweep row, from the row's two stages at ``config.seed``,
-    with the population's ``nu_true`` and NRLS quantities for the fitted
-    representation."""
+def run_diagnose(config: ExperimentConfig) -> DiagnosticsReport:
+    """The ``DiagnosticsReport`` of the two stages at ``config.seed``."""
     req = _command_request(config)
     spec = req.spec
     fit, source_fields = _source_stage(config, req)
-    return diag.DiagnosticsReport(
+    return DiagnosticsReport(
         **_target_stage(req, fit), **source_fields, mu_f=_population_mu_f(spec),
         nu_true=diag.nu_true(spec, fit.rep),
         nrls=diag.nrls_quantities(spec.target.law, fit.rep, spec.target.head,

@@ -351,25 +351,45 @@ class GaussianLaw(CovariateLaw):
         return bartlett(self.d_x, n, rng) @ self._root.T
 
 
-def lds_stationary_covariance(a: np.ndarray) -> np.ndarray:
-    """Stationary covariance of x_{i+1} = A x_i + w_i with identity process noise.
+# Doublings after which the Lyapunov sum counts as divergent. Doubling j adds the
+# terms k in [2^j, 2^(j+1)) of sum_k A^k (A^k)^T, so 64 doublings sum 2^64 terms.
+_LYAPUNOV_DOUBLINGS = 64
 
-    Solves Sigma = A Sigma A^T + I (equivalently Sigma = sum_k A^k (A^k)^T).
+
+def lds_stationary_covariance(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Sigma, rho(A)): the stationary covariance of x_{i+1} = A x_i + w_i with
+    identity process noise, and the spectral radius of A.
+
+    Sigma = A Sigma A^T + I, equivalently Sigma = sum_k A^k (A^k)^T, summed by
+    doubling: with Sigma_0 = I and A_0 = A,
+
+        Sigma_{j+1} = Sigma_j + A_j Sigma_j A_j^T,    A_{j+1} = A_j^2,
+
+    so Sigma_j sums the first 2^j terms and A_j = A^(2^j). The loop stops once
+    the added term's largest entry is at most machine epsilon times Sigma's, the
+    round-off of the sum. The remainder past 2^j terms decays like rho(A)^(2^(j+1)),
+    so rho(A) = 0.99 takes about 12 doublings.
 
     Raises
     ------
     UnstableSystem
-        If the spectral radius of A is >= 1.
+        If the spectral radius of A is >= 1, or the sum has not converged after
+        ``_LYAPUNOV_DOUBLINGS`` doublings.
     """
-    import scipy.linalg
-
     a = np.asarray(a, dtype=float)
     _require_finite(a, "system matrix")
     rho = float(np.abs(np.linalg.eigvals(a)).max()) if a.size else 0.0
     if rho >= 1.0:
         raise UnstableSystem(f"spectral radius {rho:g} >= 1")
-    sigma = scipy.linalg.solve_discrete_lyapunov(a, np.eye(a.shape[0]))
-    return 0.5 * (sigma + sigma.T)
+    sigma, power, eps = np.eye(a.shape[0]), a, np.finfo(float).eps
+    for _ in range(_LYAPUNOV_DOUBLINGS):
+        term = power @ sigma @ power.T
+        sigma = sigma + term
+        if np.abs(term).max(initial=0.0) <= eps * np.abs(sigma).max(initial=0.0):
+            return 0.5 * (sigma + sigma.T), rho
+        power = power @ power
+    raise UnstableSystem(f"stationary covariance did not converge in {_LYAPUNOV_DOUBLINGS} "
+                         f"doublings at spectral radius {rho:g}")
 
 
 # Widest stacked block (chunk steps times d_x) the LDS path sampler advances
@@ -412,10 +432,11 @@ class LdsLaw(CovariateLaw):
 
     def __post_init__(self):
         a = _readonly(np.atleast_2d(self.a))
-        sigma = lds_stationary_covariance(a)  # validates stability
+        sigma, rho = lds_stationary_covariance(a)  # validates stability
         chunk, lift, toeplitz = _lds_chunk_ops(a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_sigma", _readonly(sigma))
+        object.__setattr__(self, "_rho", rho)
         object.__setattr__(self, "_sigma_root", _readonly(sqrt_psd(sigma)))
         object.__setattr__(self, "_chunk", chunk)
         object.__setattr__(self, "_lift", lift)
@@ -427,7 +448,7 @@ class LdsLaw(CovariateLaw):
 
     @property
     def spectral_radius(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.a)).max())
+        return self._rho
 
     def second_moment(self) -> np.ndarray:
         return np.array(self._sigma)

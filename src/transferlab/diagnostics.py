@@ -4,7 +4,8 @@ Computes the target excess risk and task-averaged estimation error, the
 coverage coefficients (covariate coverage via Schur complements, head
 coverage via whitened Grams), the task-diversity ratio and its plug-in
 estimator, the misspecified-regression noise quantities, and the
-hypercontractivity ratio. Representations are linear and every covariate law
+hypercontractivity ratio. It holds quantities only: ``cli`` assembles them
+into sweep rows and ``diagnose``'s report. Representations are linear and every covariate law
 exposes an exact second-moment factor, so the risks, the coverage coefficients
 and the NRLS excess are exact quadratic forms in that factor. The tasks'
 factors form one zero-padded stack (``_factor_stack``), and each population
@@ -417,40 +418,3 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
         if ratio > best:
             best, best_idx = ratio, idx
     return HypercontractivityResult(c42=best, argmax_index=best_idx)
-
-
-# ---------------------------------------------------------------------------
-# Report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """All diagnostics for one fitted model on one population: every metric of a
-    sweep row, among them the first stage's objective and convergence, plus the
-    population's ``nu_true`` and NRLS quantities."""
-
-    mu_x: float
-    mu_f: float
-    nu_true: float | None
-    nu_hat: float | None
-    excess_risk_target: float
-    est_error_avg: float
-    fit_objective: float
-    iterations: int
-    converged: bool
-    nrls: NrlsQuantities
-
-    def to_json(self) -> dict:
-        out = {
-            "mu_x": self.mu_x,
-            "mu_f": self.mu_f,
-            "nu_true": self.nu_true,
-            "nu_hat": self.nu_hat,
-            "excess_risk_target": self.excess_risk_target,
-            "est_error_avg": self.est_error_avg,
-            "fit_objective": self.fit_objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-        out.update(self.nrls.as_dict())
-        return out

@@ -321,7 +321,7 @@ def test_criterion_09_mixing_vs_iid_parity():
         d_x, d_y, r, t, n = 4, 1, 2, 4, 2000
         q, _ = np.linalg.qr(rng.standard_normal((d_x, d_x)))
         a = 0.9 * q
-        sigma = lds_stationary_covariance(a)
+        sigma, _ = lds_stationary_covariance(a)
         rep_star = LinearRep(random_orthonormal_rows(r, d_x, rng))
         heads = [LinearHead(rng.standard_normal((d_y, r))) for _ in range(t + 1)]
         spec_lds = PopulationSpec(

@@ -671,6 +671,26 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def test_noiseless_sweep_summary_is_strict_json(tmp_path, capsys):
+    # a noiseless target's residual sits at the round-off floor, so no row has a
+    # finite nu_hat: its median is NaN in memory and null in summary.json
+    cfg = small_sweep_config(axis="T", grid=[2, 3, 5])
+    cfg["population"]["noise_sigma"] = 0.0
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["medians"]["nu_hat"] == {"2": None, "3": None, "5": None}
+    assert printed["medians"] == summary["medians"]
+    medians = run_sweep(ExperimentConfig.from_dict(cfg)).medians
+    assert all(np.isnan(v) for v in medians["nu_hat"].values())
+    assert all(np.isfinite(v) for v in medians["mu_f"].values())
+
+
 def test_main_gen_writes_datasets(tmp_path, capsys):
     cfg = small_sweep_config()
     cfg["population"]["law"] = {"kind": "lds", "spectral_radius": 0.7}
@@ -727,29 +747,38 @@ def test_main_missing_config_file(tmp_path):
 COMMANDS_IN_ONE_PROCESS = """
 import json, sys
 from transferlab.cli import main
-config, out = sys.argv[1:3]
+out, runs = sys.argv[1], sys.argv[2:]
 loaded = {}
-for command in ("gen", "bounds", "mixcheck", "fit"):
-    code = main([command, "--config", config, "--out", f"{out}/{command}"])
-    loaded[command] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+for name, command, config in zip(runs[::3], runs[1::3], runs[2::3]):
+    code = main([command, "--config", config, "--out", f"{out}/{name}"])
+    loaded[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
 print(json.dumps(loaded))
 """
 
 
 def test_only_fit_loads_scipy(tmp_path):
-    # gen, bounds (finite class) and Markov mixcheck run on numpy alone, in a fresh
-    # interpreter; fit loads scipy.linalg for its G-step solve
+    # gen, bounds (finite class) and mixcheck run on numpy alone, on Gaussian, LDS and
+    # Markov laws, in a fresh interpreter; fit loads scipy.linalg for its G-step solve
     cfg = small_sweep_config()
     cfg["population"]["law"] = {"kind": "gaussian", "scale_spread": 2.0}
     cfg["bounds"] = {"mu_x": 1.0, "mu_f": 2.0, "c_z": 1.5,
                      "class": {"kind": "finite", "log_card": 3.0}}
     cfg["mixcheck"] = {"kind": "markov", "transition": MARKOV_2, "max_lag": 6, "n": 8}
+    lds = {**cfg, "population": {**cfg["population"],
+                                 "law": {"kind": "lds", "spectral_radius": 0.9}},
+           "mixcheck": {"kind": "lds", "d_x": 3, "n": 8, "mc_samples": 500}}
+    (tmp_path / "lds").mkdir()
+    gaussian_path, lds_path = write_config(tmp_path, cfg), write_config(tmp_path / "lds", lds)
+    runs = [("gen", "gen", gaussian_path), ("bounds", "bounds", gaussian_path),
+            ("mixcheck", "mixcheck", gaussian_path), ("lds_gen", "gen", lds_path),
+            ("lds_mixcheck", "mixcheck", lds_path), ("fit", "fit", gaussian_path)]
     env = {**os.environ, "PYTHONPATH": str(Path(transferlab.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", COMMANDS_IN_ONE_PROCESS,
-                           write_config(tmp_path, cfg), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", COMMANDS_IN_ONE_PROCESS, str(tmp_path),
+                           *(arg for run in runs for arg in run)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert [loaded[command] for command in ("gen", "bounds", "mixcheck")] == [[0, []]] * 3
+    numpy_only = ("gen", "bounds", "mixcheck", "lds_gen", "lds_mixcheck")
+    assert [loaded[name] for name in numpy_only] == [[0, []]] * len(numpy_only)
     assert loaded["fit"][0] == 0 and "scipy.linalg" in loaded["fit"][1]
-    assert list((tmp_path / "gen").glob("*.csv"))
+    assert list((tmp_path / "gen").glob("*.csv")) and list((tmp_path / "lds_gen").glob("*.csv"))

@@ -32,11 +32,11 @@ def stable_matrix(d, radius, rng):
 
 
 def test_lyapunov_zero_matrix():
-    assert np.allclose(lds_stationary_covariance(np.zeros((3, 3))), np.eye(3), atol=1e-14)
+    assert np.allclose(lds_stationary_covariance(np.zeros((3, 3)))[0], np.eye(3), atol=1e-14)
 
 
 def test_lyapunov_scalar_contraction():
-    sigma = lds_stationary_covariance(0.5 * np.eye(2))
+    sigma, _ = lds_stationary_covariance(0.5 * np.eye(2))
     assert np.allclose(sigma, (1.0 / 0.75) * np.eye(2), atol=1e-12)
 
 
@@ -44,7 +44,7 @@ def test_lyapunov_fixed_point_residual():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = stable_matrix(4, rng.uniform(0.2, 0.95), rng)
-        sigma = lds_stationary_covariance(a)
+        sigma, _ = lds_stationary_covariance(a)
         resid = sigma - a @ sigma @ a.T - np.eye(4)
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(sigma)
 
@@ -52,6 +52,27 @@ def test_lyapunov_fixed_point_residual():
 def test_lyapunov_unstable():
     with pytest.raises(UnstableSystem):
         lds_stationary_covariance(1.01 * np.eye(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 10, 64])
+def test_lyapunov_doubling_matches_scipy(d):
+    # scipy's Bartels-Stewart solve is the oracle, on orthogonal A (the CLI's laws)
+    # and on non-normal A, up to rho(A) = 0.99
+    import scipy.linalg
+
+    rng = np.random.default_rng(d)
+    for rho in (0.1, 0.5, 0.9, 0.97, 0.99):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        m = rng.standard_normal((d, d))
+        for a in (rho * q, rho * m / np.abs(np.linalg.eigvals(m)).max()):
+            sigma, radius = lds_stationary_covariance(a)
+            ref = scipy.linalg.solve_discrete_lyapunov(a, np.eye(d))
+            scale = np.abs(ref).max()
+            assert radius == pytest.approx(rho, rel=1e-12)
+            assert np.abs(sigma - ref).max() <= 1e-12 * scale
+            assert np.array_equal(sigma, sigma.T)
+            resid = sigma - a @ sigma @ a.T - np.eye(d)
+            assert np.abs(resid).max() <= 1e-14 * scale
 
 
 def test_noiseless_realizability():
@@ -90,7 +111,7 @@ def test_lds_empirical_covariance_matches_lyapunov():
     assert spec.tasks[0].law.is_trajectory
     x = data[0].covariates
     emp = x.T @ x / x.shape[0]
-    sigma = lds_stationary_covariance(a)
+    sigma, _ = lds_stationary_covariance(a)
     assert np.linalg.norm(emp - sigma) <= 0.05 * np.linalg.norm(sigma)
 
 
