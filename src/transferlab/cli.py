@@ -323,7 +323,16 @@ def example_config() -> dict:
 def build_population(pop_cfg: dict | None, seed: int, num_sources: int | None = None,
                      ) -> PopulationSpec:
     """Deterministic synthetic population from the config section and a seed;
-    ``num_sources`` overrides the section's source count."""
+    ``num_sources`` overrides the section's source count.
+
+    Each distinct covariate law is built once, and every task with that law holds
+    the same immutable object: Gaussian laws are keyed by their scale, so all
+    tasks share one when ``scale_spread`` is 1, and a Markov population has one
+    chain. Each LDS task draws its own rotation, so has its own law. The seed's
+    stream is read in the same order either way: g_star, then per task its scale
+    (when the spread is not 1) or rotation, then its head. A population's memory
+    then grows with T * d_x^2 only when its tasks' laws differ.
+    """
     if pop_cfg is None:
         raise ConfigError("config has no population section")
     if num_sources is not None:
@@ -335,19 +344,26 @@ def build_population(pop_cfg: dict | None, seed: int, num_sources: int | None = 
     q, _ = np.linalg.qr(rng.standard_normal((d_x, r)))
     rep_star = LinearRep(q.T)
 
-    def make_law():
-        if law_cfg["kind"] == "gaussian":
-            spread = law_cfg["scale_spread"]
-            scale = 1.0 if spread == 1.0 else float(
-                np.exp(rng.uniform(-np.log(spread), np.log(spread))))
-            return GaussianLaw(sigma_x=scale * np.eye(d_x))
-        if law_cfg["kind"] == "lds":
-            qq, _ = np.linalg.qr(rng.standard_normal((d_x, d_x)))
-            return LdsLaw(a=law_cfg["spectral_radius"] * qq)
+    kind = law_cfg["kind"]
+    gaussian_by_scale: dict[float, GaussianLaw] = {}
+    if kind == "markov":
         states, stay = law_cfg["states"], law_cfg["stay_prob"]
         p = np.full((states, states), (1.0 - stay) / (states - 1))
         np.fill_diagonal(p, stay)
-        return MarkovLaw(transition=p, d_x=d_x)
+        markov = MarkovLaw(transition=p, d_x=d_x)
+
+    def make_law():
+        if kind == "gaussian":
+            spread = law_cfg["scale_spread"]
+            scale = 1.0 if spread == 1.0 else float(
+                np.exp(rng.uniform(-np.log(spread), np.log(spread))))
+            if scale not in gaussian_by_scale:
+                gaussian_by_scale[scale] = GaussianLaw(sigma_x=scale * np.eye(d_x))
+            return gaussian_by_scale[scale]
+        if kind == "lds":
+            qq, _ = np.linalg.qr(rng.standard_normal((d_x, d_x)))
+            return LdsLaw(a=law_cfg["spectral_radius"] * qq)
+        return markov
 
     tasks = []
     for _ in range(t + 1):

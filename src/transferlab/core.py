@@ -535,7 +535,7 @@ class MarkovLaw(CovariateLaw):
         # bisection over the first S - 1 cumulative entries of row s.
         initial_cdf = np.cumsum(pi)
         initial_cdf /= initial_cdf[-1]
-        walk_table = tuple(row[:-1] for row in np.cumsum(p, axis=1).tolist())
+        walk_table = tuple(tuple(row[:-1]) for row in np.cumsum(p, axis=1).tolist())
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "_pi", _readonly(pi))
         object.__setattr__(self, "_embedding", _readonly(emb))
@@ -636,7 +636,11 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task's covariate law and true head."""
+    """One task's covariate law and true head.
+
+    Laws are immutable values, so tasks of one population may hold the same law
+    object; ``cli.build_population`` builds each distinct law once.
+    """
 
     law: CovariateLaw
     head: LinearHead
@@ -647,7 +651,8 @@ class PopulationSpec:
     """Full generative description of T+1 tasks; index 0 is the target task.
 
     Labels follow the realizable model y = F_star^{(t)} g_star(x) + w with
-    w ~ N(0, noise_sigma^2 I).
+    w ~ N(0, noise_sigma^2 I). Tasks may share one immutable law object; every
+    consumer reads a task's law as a value, never by its identity.
     """
 
     dims: Dims

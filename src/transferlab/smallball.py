@@ -55,6 +55,40 @@ class TailCheckResult:
         return self.empirical_freq <= self.bound + 3.0 * self.stderr
 
 
+def _calibration(source, psi, n: int, rng: np.random.Generator,
+                 path: bool) -> tuple[float, float, float, int]:
+    """(E psi, E[psi^2] / (E psi)^2, the ratio's slack, the row width) on n
+    calibration rows, drawn as ``lower_isometry_tail_check`` states.
+
+    Each chunk adds its psi and psi^2 values to the sums of the ``np.array_split``
+    batches its rows fall in, so only per-batch sums are kept. The slack is
+    three standard errors of the batches' ratios.
+    """
+    batches = _CALIBRATION_BATCHES
+    sizes = np.full(batches, n // batches)
+    sizes[:n % batches] += 1  # np.array_split's batch sizes
+    starts = np.cumsum(sizes) - sizes
+    sums = np.zeros((2, batches))
+    width, done = getattr(source, "d_x", 1), 0
+    while done < n:
+        count = n if path else min(n - done, max(1, core.MC_DRAW_BUDGET // width))
+        rows = _draw(source, count, rng, path=path)
+        width = rows.shape[1]
+        vals = np.asarray(psi(rows), dtype=float)
+        if np.any(vals < 0):
+            raise PreconditionViolated("psi must be nonnegative")
+        batch = np.searchsorted(starts, np.arange(done, done + count), side="right") - 1
+        sums[0] += np.bincount(batch, weights=vals, minlength=batches)
+        sums[1] += np.bincount(batch, weights=vals ** 2, minlength=batches)
+        done += count
+    mean_psi, mean_psi_sq = sums.sum(axis=1) / n
+    means, means_sq = sums / sizes
+    ratios = means_sq / np.maximum(means ** 2, 1e-300)
+    ratio = mean_psi_sq / max(mean_psi ** 2, 1e-300)
+    slack = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(batches)
+    return float(mean_psi), float(ratio), slack, width
+
+
 def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5000,
                               seed: int = 0, blocked: BlockedMode | None = None,
                               calibration_samples: int = 200_000) -> TailCheckResult:
@@ -64,22 +98,34 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
     bounded by exp(-m / (8 C)), or exp(-m / (8 C ||G_dep||^2)) in blocked
     mode with the dependency-matrix norm of the supplied profile. The
     hypercontractivity precondition E[psi^2] <= C (E[psi])^2 is verified on a
-    large calibration sample first. ``psi`` maps an (n, d) sample to its n
-    row values, row by row, and is applied once per chunk of replicates.
+    large calibration sample first, split into 20 ``np.array_split`` batches
+    for the standard error of the ratio. ``psi`` maps an (n, d) sample to its
+    n row values, row by row, and is applied once per chunk of rows.
 
-    Sampler contract. After the calibration draw, the replicates come in
-    consecutive chunks of whole replicates, as many as fit in
-    ``core.MC_DRAW_BUDGET`` values (m rows of the calibration sample's width
-    each; at least one). In iid mode (``blocked`` is None) the source is read
-    as a marginal sampler: a chunk of c replicates is one draw of c * m rows,
-    from a law's ``sample_marginal`` or from one call ``f(c * m, rng)`` of a
-    plain sampler; below the budget that is one draw of ``replicates * m``
-    rows. The bound holds only for iid rows, so a sampler whose rows are
-    dependent within a call is no iid-mode source. In blocked mode a law draws
-    a chunk's paths at once with ``sample_paths``, and a plain ``f(m, rng)``
-    sampler is called once per replicate, each call one dependent path of
-    length m. A law's draws consume its generator alike in one call or in
-    chunks, so the frequency does not depend on the budget.
+    Sampler contract. In iid mode (``blocked`` is None) the source is read as a
+    marginal sampler, and its calibration sample comes in consecutive chunks of
+    as many rows as fit in ``core.MC_DRAW_BUDGET`` values (at least one): a
+    law's chunks are ``sample_marginal`` draws, and a plain sampler gets one
+    call ``f(k, rng)`` per chunk of k rows. A plain sampler's row width is
+    unknown until it is called, so its first call asks for
+    ``min(calibration_samples, core.MC_DRAW_BUDGET)`` rows. In blocked mode the
+    calibration sample is one path, drawn in one call (a law's ``sample_path``
+    or ``f(calibration_samples, rng)``): a path cannot be continued across
+    calls, since each call starts a new stationary path, so chunks would cut
+    the dependence the calibration is meant to see.
+
+    Then the replicates come in consecutive chunks of whole replicates, as
+    many as fit in the budget (m rows of the calibration sample's width each;
+    at least one). In iid mode a chunk of c replicates is one draw of c * m
+    rows, from a law's ``sample_marginal`` or from one call ``f(c * m, rng)``
+    of a plain sampler; below the budget that is one draw of
+    ``replicates * m`` rows. The bound holds only for iid rows, so a sampler
+    whose rows are dependent within a call is no iid-mode source. In blocked
+    mode a law draws a chunk's paths at once with ``sample_paths``, and a
+    plain ``f(m, rng)`` sampler is called once per replicate, each call one
+    dependent path of length m. A law's draws consume its generator alike in
+    one call or in chunks, so its calibration sample and the frequency do not
+    depend on the budget; the calibration sums do, by round-off only.
 
     The result's ``passed`` says whether the frequency stays below the bound
     plus three binomial standard errors; a failed verdict is returned, not
@@ -101,17 +147,8 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
         raise ValueError(f"calibration_samples must be >= {_CALIBRATION_BATCHES} "
                          f"(one per batch), got {calibration_samples}")
     rng = np.random.default_rng(seed)
-    calib = _draw(source, calibration_samples, rng, path=blocked is not None)
-    vals = np.asarray(psi(calib), dtype=float)
-    if np.any(vals < 0):
-        raise PreconditionViolated("psi must be nonnegative")
-    mean_psi = float(np.mean(vals))
-    mean_psi_sq = float(np.mean(vals ** 2))
-    # batch the calibration sample to get an honest stderr for the ratio check
-    batches = np.array_split(vals, _CALIBRATION_BATCHES)
-    ratios = [np.mean(b ** 2) / max(np.mean(b) ** 2, 1e-300) for b in batches]
-    ratio = mean_psi_sq / max(mean_psi ** 2, 1e-300)
-    slack = 3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(len(batches))
+    mean_psi, ratio, slack, width = _calibration(source, psi, calibration_samples, rng,
+                                                 path=blocked is not None)
     # written so that a NaN ratio or slack rejects the precondition
     if not ratio <= c + slack:
         raise PreconditionViolated(
@@ -122,7 +159,7 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
         dep_norm = dependency_matrix_bound(blocked.profile, m).spectral_norm
     bound = math.exp(-m / (8.0 * c * dep_norm ** 2))
 
-    chunk = max(1, core.MC_DRAW_BUDGET // (m * calib.shape[1]))
+    chunk = max(1, core.MC_DRAW_BUDGET // (m * width))
     hits = 0
     for start in range(0, replicates, chunk):
         count = min(chunk, replicates - start)

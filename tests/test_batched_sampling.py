@@ -7,7 +7,8 @@ frequencies must match them exactly; LDS paths differ only by the round-off of
 the chunked recursion. The SNM loop draws each task's Gram factor, as the check
 does; a raw-row draw checks that the factor draw keeps the violation law. The
 checks draw in chunks of at most ``core.MC_DRAW_BUDGET`` values; shrinking the
-budget leaves SNM counts and tail frequencies unchanged.
+budget leaves SNM counts and tail frequencies unchanged, and the tail check's
+chunked calibration keeps the whole sample's moments up to round-off.
 """
 import math
 
@@ -18,7 +19,7 @@ from transferlab import bounds, core
 from transferlab.bounds import BoundConfig, FiniteClass, snm_bound_check
 from transferlab.core import (Dims, GaussianLaw, LdsLaw, MarkovLaw, bartlett, logdet_psd,
                               sqrt_psd)
-from transferlab.errors import NotPSD
+from transferlab.errors import NotPSD, PreconditionViolated
 from transferlab.mixing import decouple_trajectory, geometric_profile_from_lds, make_blocks
 from transferlab.smallball import BlockedMode, lower_isometry_tail_check
 
@@ -337,8 +338,9 @@ def test_tail_frequency_equals_per_replicate_reference_at_benchmark_size(name):
 
 
 def test_tail_chunks_are_whole_replicates_above_the_budget(monkeypatch):
-    # a budget of 7 replicates of m = 16 one-column rows: after the calibration
-    # call, 50 replicates come as seven calls of 7 replicates and one of 1
+    # a budget of 7 replicates of m = 16 one-column rows: the 1000 calibration
+    # rows come as eight calls of 112 rows and one of 104, then 50 replicates
+    # as seven calls of 7 replicates and one of 1
     sizes = []
 
     def counting(n, rng):
@@ -348,7 +350,7 @@ def test_tail_chunks_are_whole_replicates_above_the_budget(monkeypatch):
     monkeypatch.setattr(core, "MC_DRAW_BUDGET", 7 * 16)
     res = lower_isometry_tail_check(counting, square, c=3.5, m=16, replicates=50,
                                     seed=14, calibration_samples=1000)
-    assert sizes == [1000] + [7 * 16] * 7 + [16]
+    assert sizes == [112] * 8 + [104] + [7 * 16] * 7 + [16]
     assert res.empirical_freq == tail_frequency_reference(counting, square, 16, 50, 14,
                                                           1000, False)
 
@@ -367,6 +369,47 @@ def test_tail_frequency_does_not_depend_on_the_budget(name, monkeypatch):
     chunked = lower_isometry_tail_check(source, square, c=3.5, m=8, replicates=400, seed=5,
                                         blocked=mode, calibration_samples=20_000)
     assert chunked.empirical_freq == whole.empirical_freq > 0.05
+
+
+def calibration_reference(law, psi, n, seed):
+    """(E psi, E[psi^2] / (E psi)^2, three standard errors of the ratio over 20
+    ``np.array_split`` batches) on one whole iid draw of n calibration rows."""
+    vals = psi(law.sample_marginal(n, np.random.default_rng(seed)))
+    ratios = [np.mean(b ** 2) / np.mean(b) ** 2 for b in np.array_split(vals, 20)]
+    mean_psi = float(np.mean(vals))
+    return (mean_psi, float(np.mean(vals ** 2)) / mean_psi ** 2,
+            3.0 * float(np.std(ratios, ddof=1)) / math.sqrt(20))
+
+
+def sq_norm(x):
+    return (x * x).sum(axis=1)
+
+
+CALIBRATION_LAWS = {
+    "gaussian": (GaussianLaw(sigma_x=np.diag(np.linspace(0.5, 2.0, 16))), square),
+    "lds": (LdsLaw(a=0.5 * np.eye(4)), sq_norm),
+    "markov": (MarkovLaw(transition=np.array([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
+                                              [0.0, 0.3, 0.7]]), d_x=3), sq_norm),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION_LAWS))
+def test_chunked_calibration_keeps_the_whole_sample_moments(name, monkeypatch):
+    # 100 003 rows: several chunks at the default budget, and batches of two sizes
+    law, psi = CALIBRATION_LAWS[name]
+    n, seed = 100_003, 3
+    mean_psi, ratio, slack = calibration_reference(law, psi, n, seed)
+    # the precondition holds from C = ratio - slack on; 1e-9 is far above round-off
+    threshold = ratio - slack
+    args = {"m": 16, "replicates": 300, "seed": seed, "calibration_samples": n}
+    chunked = lower_isometry_tail_check(law, psi, c=threshold * (1 + 1e-9), **args)
+    with pytest.raises(PreconditionViolated):
+        lower_isometry_tail_check(law, psi, c=threshold * (1 - 1e-9), **args)
+    monkeypatch.setattr(core, "MC_DRAW_BUDGET", n * law.d_x)
+    whole = lower_isometry_tail_check(law, psi, c=threshold * (1 + 1e-9), **args)
+    for res in (chunked, whole):
+        assert res.mean_psi == pytest.approx(mean_psi, rel=1e-12, abs=0.0)
+    assert (chunked.empirical_freq, chunked.passed) == (whole.empirical_freq, whole.passed)
 
 
 # ---------------------------------------------------------------------------

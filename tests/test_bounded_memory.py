@@ -1,15 +1,18 @@
-"""Traced peak memory of the Monte Carlo loops that hold a sample.
+"""Traced memory of the Monte Carlo loops that hold a sample, and of a population.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of a call
 counts the arrays it allocates. Each loop draws in chunks of at most
 ``core.MC_DRAW_BUDGET`` values (512 KB of doubles), so its peak is what it must
-keep plus about one chunk's arrays.
+keep plus about one chunk's arrays. A population holds each distinct covariate
+law once, so the memory it keeps does not grow with its task count when its
+tasks share one law.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from transferlab.cli import build_population, example_config
 from transferlab.core import GaussianLaw, LinearHead, LinearRep
 from transferlab.diagnostics import nrls_quantities
 from transferlab.smallball import lower_isometry_tail_check
@@ -44,3 +47,29 @@ def test_iid_tail_check_memory_at_benchmark_size():
         lambda n, rng: rng.standard_normal((n, 1)), lambda x: x[:, 0] ** 2, c=3.5, m=64,
         replicates=6000, seed=0, calibration_samples=20_000))
     assert peak < 2.0
+
+
+@pytest.mark.parametrize("calibration_samples", [200_000, 1_000_000])
+def test_iid_tail_check_memory_does_not_grow_with_the_calibration(calibration_samples):
+    # a 16-d law: a whole calibration draw of 200 000 rows peaked at 52 MB (256 MB
+    # at 1 000 000); chunks of 4096 rows keep the peak near 2 MB at both sizes
+    law = GaussianLaw(sigma_x=np.eye(16))
+    peak = traced_peak_mb(lambda: lower_isometry_tail_check(
+        law, lambda x: x[:, 0] ** 2, c=3.5, m=64, replicates=100, seed=0,
+        calibration_samples=calibration_samples))
+    assert peak < 4.0
+
+
+def test_population_memory_does_not_grow_with_the_source_count():
+    # T = 64 and d_x = 64 with one Gaussian law: 65 separate laws held 4.3 MB
+    # (a 32 KB covariance and a 32 KB root each); the one shared law, 0.09 MB
+    pop = {**example_config()["population"], "d_x": 64, "num_sources": 64,
+           "law": {"kind": "gaussian", "scale_spread": 1.0}}
+    tracemalloc.start()
+    try:
+        spec = build_population(pop, seed=0)
+        held = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert spec.num_sources == 64
+    assert held < 0.5

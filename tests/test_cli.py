@@ -243,6 +243,59 @@ def test_build_population_deterministic():
         assert np.array_equal(ta.head.f, tb.head.f)
 
 
+POPULATION_LAWS = {
+    "gaussian_spread_1": {"kind": "gaussian", "scale_spread": 1.0},
+    "gaussian_spread_2": {"kind": "gaussian", "scale_spread": 2.0},
+    "lds": {"kind": "lds", "spectral_radius": 0.9},
+    "markov": {"kind": "markov", "states": 6, "stay_prob": 0.8},
+}
+
+
+def law_config(name):
+    cfg = small_sweep_config()
+    cfg["population"]["law"] = POPULATION_LAWS[name]
+    return ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("name,shared", [("gaussian_spread_1", True), ("markov", True),
+                                         ("gaussian_spread_2", False), ("lds", False)])
+def test_build_population_builds_each_distinct_law_once(name, shared):
+    config = law_config(name)
+    spec = build_population(config.population, config.seed)
+    objects = {id(task.law) for task in spec.tasks}
+    assert len(objects) == (1 if shared else len(spec.tasks))
+
+
+def _separate_laws(spec):
+    """``spec`` with a separate but equal law object per task."""
+    return replace(spec, tasks=tuple(replace(task, law=replace(task.law))
+                                     for task in spec.tasks))
+
+
+@pytest.mark.parametrize("name", ["gaussian_spread_1", "markov"])
+def test_shared_law_gives_the_results_of_separate_laws(name, monkeypatch):
+    config = law_config(name)
+    shared = build_population(config.population, config.seed)
+    separate = _separate_laws(shared)
+    assert len({id(task.law) for task in separate.tasks}) == len(separate.tasks)
+    requests = [cli._request(spec, 40, 24, 7) for spec in (shared, separate)]
+
+    stats = [sample_task_stats(req) for req in requests]
+    for a, b in zip(*stats):
+        assert a.n == b.n
+        assert np.array_equal(a.covariates, b.covariates)
+        assert np.array_equal(a.labels, b.labels)
+
+    (fit_a, source_a), (fit_b, source_b) = (cli._source_stage(config, req) for req in requests)
+    assert source_a == source_b
+    assert np.array_equal(fit_a.rep.g, fit_b.rep.g)
+    assert cli._target_stage(requests[0], fit_a) == cli._target_stage(requests[1], fit_b)
+
+    report = run_diagnose(config).to_json()
+    monkeypatch.setattr(cli, "build_population", lambda *args, **kwargs: separate)
+    assert run_diagnose(config).to_json() == report
+
+
 # ---------------------------------------------------------------------------
 # sweep harness
 # ---------------------------------------------------------------------------

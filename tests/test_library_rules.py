@@ -9,8 +9,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 import transferlab
 from transferlab.cli import DiagnosticsReport, SweepRow
+from transferlab.core import GaussianLaw, LdsLaw, MarkovLaw
 
 PACKAGE = Path(transferlab.__file__).parent
 
@@ -44,22 +47,62 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+def _laws():
+    """Every covariate law the package defines, in any of its modules."""
+    for info in pkgutil.iter_modules(transferlab.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            importlib.import_module(f"transferlab.{info.name}")
+    return [law for law in _subclasses(transferlab.core.CovariateLaw)
+            if law.__module__.startswith("transferlab.")]
+
+
 def test_covariate_laws_share_the_sampler_signatures():
     """``datagen._draw`` calls ``factor(n, rng)`` on a law's ``sample_path`` or
     ``gram_factor``, and the benchmark tracer wraps ``sample_path``: every law
     that overrides a sampler keeps the base class's signature, so no law grows
     options of its own."""
-    for info in pkgutil.iter_modules(transferlab.__path__):
-        if info.name != "__main__":  # importing it runs the command line
-            importlib.import_module(f"transferlab.{info.name}")
     base = transferlab.core.CovariateLaw
-    laws = [law for law in _subclasses(base) if law.__module__.startswith("transferlab.")]
+    laws = _laws()
     assert {law.__name__ for law in laws} >= {"GaussianLaw", "LdsLaw", "MarkovLaw"}
     found = [f"{law.__name__}.{name}{inspect.signature(law.__dict__[name])}"
              for law in laws for name in ("sample_paths", "sample_path", "gram_factor")
              if name in law.__dict__
              and inspect.signature(law.__dict__[name]) != inspect.signature(getattr(base, name))]
     assert not found, f"sampler signatures that differ from CovariateLaw's: {found}"
+
+
+# One small instance of each covariate law.
+LAW_EXAMPLES = {
+    "GaussianLaw": GaussianLaw(sigma_x=np.eye(2)),
+    "LdsLaw": LdsLaw(a=0.5 * np.eye(2)),
+    "MarkovLaw": MarkovLaw(
+        transition=np.array([[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]), d_x=2),
+}
+
+
+def _mutable_parts(value, where):
+    """Where ``value`` holds, at any depth, a writeable array or a mutable container."""
+    if isinstance(value, np.ndarray):
+        if value.flags.writeable:
+            yield where
+    elif isinstance(value, (list, dict, set, bytearray)):
+        yield where
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _mutable_parts(item, f"{where}[{i}]")
+    elif hasattr(value, "__dict__"):
+        for name, item in vars(value).items():
+            yield from _mutable_parts(item, f"{where}.{name}")
+
+
+def test_covariate_laws_are_deeply_immutable():
+    """``cli.build_population`` gives one law object to every task that has that
+    law, so no law may hold state a caller could change in place: no writeable
+    array and no list, dict or set, at any depth of its attributes."""
+    assert {law.__name__ for law in _laws()} == set(LAW_EXAMPLES), \
+        "give every covariate law an example in LAW_EXAMPLES"
+    found = [part for name, law in LAW_EXAMPLES.items() for part in _mutable_parts(law, name)]
+    assert not found, f"mutable state in covariate laws: {found}"
 
 
 def test_diagnose_reports_every_sweep_row_metric():
