@@ -222,7 +222,9 @@ def transfer_risk_bound(config: BoundConfig, mu_x: float, mu_f: float, c_z: floa
 
     ``c42_target``, ``c42_sources`` and ``h_v`` enter only the burn-in table.
     They default to 1.0, and no command passes them: the ``bounds`` command
-    prices its burn-ins at these defaults.
+    prices its burn-ins at these defaults. The (4->2) ratios have an exact
+    source, ``diagnostics.hypercontractivity_c42`` over a grid of hypotheses on
+    the target's law or the sources' mixture, which no caller feeds in yet.
     """
     if not (0.0 < config.delta < 1.0 / math.e):
         raise ValueError("transfer_risk_bound requires delta in (0, 1/e)")

@@ -529,17 +529,18 @@ class MarkovLaw(CovariateLaw):
         for s in range(min(p.shape[0], self.d_x)):
             base[s, s] = 1.0
         emb = base - pi @ base
-        # The walk reproduces rng.choice(S, p=pi) for the first state (one
-        # uniform against the normalized cumsum of pi), then per step
+        # A stationary state is one uniform against the normalized cumsum of
+        # pi (searchsorted "right", the rule of rng.choice(S, p=pi)): each
+        # marginal row and each walk's first state. A walk step is
         # min(searchsorted(cumsum(P[s]), u, "right"), S - 1), which equals a
         # bisection over the first S - 1 cumulative entries of row s.
-        initial_cdf = np.cumsum(pi)
-        initial_cdf /= initial_cdf[-1]
+        stationary_cdf = np.cumsum(pi)
+        stationary_cdf /= stationary_cdf[-1]
         walk_table = tuple(tuple(row[:-1]) for row in np.cumsum(p, axis=1).tolist())
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "_pi", _readonly(pi))
         object.__setattr__(self, "_embedding", _readonly(emb))
-        object.__setattr__(self, "_initial_cdf", _readonly(initial_cdf))
+        object.__setattr__(self, "_stationary_cdf", _readonly(stationary_cdf))
         object.__setattr__(self, "_walk_table", walk_table)
 
     @property
@@ -564,15 +565,14 @@ class MarkovLaw(CovariateLaw):
         return self._embedding.T * np.sqrt(self._pi)
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        states = rng.choice(self.n_states, size=n, p=self._pi)
-        return self._embedding[states]
+        return self._embedding[np.searchsorted(self._stationary_cdf, rng.random(n), side="right")]
 
     def _walk(self, batch: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """(batch, n) states of stationary walks. One (batch, 1 + n) uniform draw:
         per path, column 0 picks the start state from pi and each later column
         one transition."""
         u = rng.random((batch, 1 + n))
-        first = np.searchsorted(self._initial_cdf, u[:, 0], side="right").tolist()
+        first = np.searchsorted(self._stationary_cdf, u[:, 0], side="right").tolist()
         table = self._walk_table
         states = []
         for s, row in zip(first, u[:, 1:].tolist()):

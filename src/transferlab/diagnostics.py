@@ -11,9 +11,11 @@ and the NRLS excess are exact quadratic forms in that factor. The tasks'
 factors form one zero-padded stack (``_factor_stack``), and each population
 quantity is one stacked computation over it, with no loop over tasks: the
 feature moments and Schur complements (``_stacked_moments``), the risks
-(``_risks``) and the infimal risks (``_infimal_risks``). Only
-``nrls_quantities`` and ``hypercontractivity_c42``, which read fourth and
-higher moments, draw a seeded Monte Carlo sample. ``nrls_quantities`` takes
+(``_risks``) and the infimal risks (``_infimal_risks``). The hypercontractivity
+ratio reads fourth moments, which every in-repo law has in closed form: a
+Gaussian marginal by Isserlis' theorem, a Markov marginal as a finite sum, so
+``hypercontractivity_c42`` draws nothing. Only ``nrls_quantities``, which reads
+moments up to the eighth, draws a seeded Monte Carlo sample. It takes
 the misspecified head from the exact moments, as ``nrls_excess`` does
 (``_misspecified_head``), and sums in one pass over chunks, so its memory does
 not grow with the sample.
@@ -29,8 +31,11 @@ from . import core
 from .core import (
     RANK_TOL,
     CovariateLaw,
+    GaussianLaw,
+    LdsLaw,
     LinearHead,
     LinearRep,
+    MarkovLaw,
     PopulationSpec,
     inv_sqrt_psd,
     pinv,
@@ -374,44 +379,64 @@ class HypercontractivityResult:
     argmax_index: int
 
 
+def _norm_moments(law: CovariateLaw, c: np.ndarray) -> tuple[float, float]:
+    """(E ||c x||^2, E ||c x||^4) under the marginal of ``law``, exactly.
+
+    A Gaussian marginal (``GaussianLaw``, the stationary ``LdsLaw``) has
+    x = L z, z standard normal, L the second-moment factor, so with b = c L,
+    ||c x||^2 = z^T A z for A = b^T b: its mean is tr A = ||b||_F^2 and, by
+    Isserlis, its second moment is (tr A)^2 + 2 tr A^2 = ||b||_F^4 + 2 ||b b^T||_F^2.
+    A ``MarkovLaw``'s marginal puts mass pi_s on its embedded state e_s, so the
+    moments are sums pi_s ||c e_s||^2 and pi_s ||c e_s||^4 over the states.
+
+    Raises
+    ------
+    TypeError
+        For any other law: no formula is known for its fourth moment.
+    """
+    if isinstance(law, (GaussianLaw, LdsLaw)):
+        b = c @ law.second_moment_factor()
+        bbt = b @ b.T
+        m2 = float(np.sum(b * b))
+        return m2, m2 ** 2 + 2.0 * float(np.sum(bbt * bbt))
+    if isinstance(law, MarkovLaw):
+        h = law.embedding @ c.T
+        norms2 = np.sum(h * h, axis=1)
+        pi = law.stationary
+        return float(pi @ norms2), float(pi @ norms2 ** 2)
+    raise TypeError(f"no exact fourth moment for a {type(law).__name__}")
+
+
 def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
-                           g_star: LinearRep, mc_samples: int = 200_000,
-                           seed: int = 0) -> HypercontractivityResult:
-    """(4->2) moment ratio maximized over a grid of centered hypotheses.
+                           g_star: LinearRep) -> HypercontractivityResult:
+    """(4->2) moment ratio E||h||^4 / (E||h||^2)^2 maximized over a grid of
+    centered hypotheses, exact: it draws no sample.
 
     ``laws`` is the list of task laws forming a uniform mixture; each grid
     member is a pair (F, g) and the centered hypothesis is
-    h(x) = F g(x) - F_star g_star(x). Members with second moment below 1e-14
-    are skipped. Each law draws mc_samples // len(laws) samples.
+    h(x) = F g(x) - F_star g_star(x) = c x with c = F G - F_star G_star. Each
+    mixture moment is the mean of the laws' moments (``_norm_moments``).
+    Members with second moment below 1e-14 are skipped; ``argmax_index`` is the
+    first member with the largest ratio, or -1 if every member is skipped.
 
     Raises
     ------
     ValueError
-        If the grid is empty, or mc_samples is below the number of laws.
+        If the grid is empty.
+    TypeError
+        If a law's marginal is neither Gaussian nor finite (``_norm_moments``).
     """
     hypothesis_grid = list(hypothesis_grid)
     if not hypothesis_grid:
         raise ValueError("hypothesis grid is empty")
     laws = list(laws)
-    if mc_samples < len(laws):
-        raise ValueError(f"mc_samples must be >= the number of laws ({len(laws)}), "
-                         f"got {mc_samples}")
-    per_law = mc_samples // len(laws)
-    samples = []
-    for j, law in enumerate(laws):
-        x = law.sample_marginal(per_law, np.random.default_rng(seed + 7919 * j))
-        samples.append((x, g_star.features(x) @ f_star.T))
+    c_star = np.asarray(f_star, dtype=float) @ g_star.g
     best, best_idx = 0.0, -1
     for idx, (f, g) in enumerate(hypothesis_grid):
         f = f.f if isinstance(f, LinearHead) else np.asarray(f, dtype=float)
-        m2_acc, m4_acc = 0.0, 0.0
-        for x, target in samples:
-            h = g.features(x) @ f.T - target
-            norms2 = np.sum(h * h, axis=1)
-            m2_acc += float(np.mean(norms2))
-            m4_acc += float(np.mean(norms2 ** 2))
-        m2 = m2_acc / len(laws)
-        m4 = m4_acc / len(laws)
+        moments = [_norm_moments(law, f @ g.g - c_star) for law in laws]
+        m2 = sum(m[0] for m in moments) / len(laws)
+        m4 = sum(m[1] for m in moments) / len(laws)
         if m2 < 1e-14:
             continue
         ratio = m4 / m2 ** 2

@@ -16,10 +16,8 @@ from .errors import PreconditionViolated
 from .mixing import MixingProfile, dependency_matrix_bound
 
 
-def _draw(source, n: int, rng: np.random.Generator, path: bool = False) -> np.ndarray:
-    """Sample from a covariate law or a plain ``f(n, rng)`` callable."""
-    if hasattr(source, "sample_path") and path:
-        return np.atleast_2d(source.sample_path(n, rng))
+def _draw(source, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of a covariate law's stationary marginal, or of a plain ``f(n, rng)`` callable."""
     if hasattr(source, "sample_marginal"):
         return np.atleast_2d(source.sample_marginal(n, rng))
     return np.atleast_2d(source(n, rng))
@@ -55,8 +53,7 @@ class TailCheckResult:
         return self.empirical_freq <= self.bound + 3.0 * self.stderr
 
 
-def _calibration(source, psi, n: int, rng: np.random.Generator,
-                 path: bool) -> tuple[float, float, float, int]:
+def _calibration(source, psi, n: int, rng: np.random.Generator) -> tuple[float, float, float, int]:
     """(E psi, E[psi^2] / (E psi)^2, the ratio's slack, the row width) on n
     calibration rows, drawn as ``lower_isometry_tail_check`` states.
 
@@ -71,8 +68,8 @@ def _calibration(source, psi, n: int, rng: np.random.Generator,
     sums = np.zeros((2, batches))
     width, done = getattr(source, "d_x", 1), 0
     while done < n:
-        count = n if path else min(n - done, max(1, core.MC_DRAW_BUDGET // width))
-        rows = _draw(source, count, rng, path=path)
+        count = min(n - done, max(1, core.MC_DRAW_BUDGET // width))
+        rows = _draw(source, count, rng)
         width = rows.shape[1]
         vals = np.asarray(psi(rows), dtype=float)
         if np.any(vals < 0):
@@ -102,30 +99,31 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
     for the standard error of the ratio. ``psi`` maps an (n, d) sample to its
     n row values, row by row, and is applied once per chunk of rows.
 
-    Sampler contract. In iid mode (``blocked`` is None) the source is read as a
-    marginal sampler, and its calibration sample comes in consecutive chunks of
-    as many rows as fit in ``core.MC_DRAW_BUDGET`` values (at least one): a
-    law's chunks are ``sample_marginal`` draws, and a plain sampler gets one
-    call ``f(k, rng)`` per chunk of k rows. A plain sampler's row width is
+    Sampler contract. The precondition is a statement about the stationary
+    marginal, so in both modes the calibration sample comes in consecutive
+    chunks of as many rows as fit in ``core.MC_DRAW_BUDGET`` values (at least
+    one): a law's chunks are ``sample_marginal`` draws, and a plain sampler gets
+    one call ``f(k, rng)`` per chunk of k rows. A plain sampler's row width is
     unknown until it is called, so its first call asks for
-    ``min(calibration_samples, core.MC_DRAW_BUDGET)`` rows. In blocked mode the
-    calibration sample is one path, drawn in one call (a law's ``sample_path``
-    or ``f(calibration_samples, rng)``): a path cannot be continued across
-    calls, since each call starts a new stationary path, so chunks would cut
-    the dependence the calibration is meant to see.
+    ``min(calibration_samples, core.MC_DRAW_BUDGET)`` rows.
 
     Then the replicates come in consecutive chunks of whole replicates, as
     many as fit in the budget (m rows of the calibration sample's width each;
-    at least one). In iid mode a chunk of c replicates is one draw of c * m
-    rows, from a law's ``sample_marginal`` or from one call ``f(c * m, rng)``
-    of a plain sampler; below the budget that is one draw of
-    ``replicates * m`` rows. The bound holds only for iid rows, so a sampler
-    whose rows are dependent within a call is no iid-mode source. In blocked
-    mode a law draws a chunk's paths at once with ``sample_paths``, and a
-    plain ``f(m, rng)`` sampler is called once per replicate, each call one
-    dependent path of length m. A law's draws consume its generator alike in
-    one call or in chunks, so its calibration sample and the frequency do not
-    depend on the budget; the calibration sums do, by round-off only.
+    at least one), drawn in one of three ways:
+
+    - in iid mode (``blocked`` is None) a chunk of c replicates is one draw of
+      c * m rows, from a law's ``sample_marginal`` or from one call
+      ``f(c * m, rng)`` of a plain sampler; below the budget that is one draw
+      of ``replicates * m`` rows. The bound holds only for iid rows, so a
+      sampler whose rows are dependent within a call is no iid-mode source;
+    - in blocked mode a law draws a chunk's stationary paths at once with
+      ``sample_paths``, where the dependence is the point;
+    - in blocked mode a plain ``f(m, rng)`` sampler is called once per
+      replicate, each call one dependent path of length m.
+
+    A law's draws consume its generator alike in one call or in chunks, so its
+    calibration sample and the frequency do not depend on the budget; the
+    calibration sums do, by round-off only.
 
     The result's ``passed`` says whether the frequency stays below the bound
     plus three binomial standard errors; a failed verdict is returned, not
@@ -147,8 +145,7 @@ def lower_isometry_tail_check(source, psi, c: float, m: int, replicates: int = 5
         raise ValueError(f"calibration_samples must be >= {_CALIBRATION_BATCHES} "
                          f"(one per batch), got {calibration_samples}")
     rng = np.random.default_rng(seed)
-    mean_psi, ratio, slack, width = _calibration(source, psi, calibration_samples, rng,
-                                                 path=blocked is not None)
+    mean_psi, ratio, slack, width = _calibration(source, psi, calibration_samples, rng)
     # written so that a NaN ratio or slack rejects the precondition
     if not ratio <= c + slack:
         raise PreconditionViolated(

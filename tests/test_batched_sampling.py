@@ -119,20 +119,22 @@ def snm_raw_rows_violations(config, replicates, seed, reg):
 
 def tail_frequency_reference(source, psi, m, replicates, seed, calibration_samples,
                              blocked):
-    """The replicate loop of the tail check, after its calibration draw."""
+    """The replicate loop of the tail check, after its calibration draw. The
+    calibration rows come from the stationary marginal in both modes; blocked
+    replicates are paths."""
     rng = np.random.default_rng(seed)
 
-    def draw(n):
+    def draw(n, path):
         if hasattr(source, "sample_marginal"):
-            if blocked:
+            if path:
                 return path_reference(source, n, rng)
             return source.sample_marginal(n, rng)
         return source(n, rng)
 
-    mean_psi = float(np.mean(psi(draw(calibration_samples))))
+    mean_psi = float(np.mean(psi(draw(calibration_samples, False))))
     hits = 0
     for _ in range(replicates):
-        if float(np.mean(psi(draw(m)))) <= 0.5 * mean_psi:
+        if float(np.mean(psi(draw(m, blocked)))) <= 0.5 * mean_psi:
             hits += 1
     return hits / replicates
 

@@ -3,19 +3,26 @@
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of a call
 counts the arrays it allocates. Each loop draws in chunks of at most
 ``core.MC_DRAW_BUDGET`` values (512 KB of doubles), so its peak is what it must
-keep plus about one chunk's arrays. A population holds each distinct covariate
-law once, so the memory it keeps does not grow with its task count when its
-tasks share one law.
+keep plus about one chunk's arrays; a rule test wraps every law sampler and
+checks the size of each call. A population holds each distinct covariate law
+once, so the memory it keeps does not grow with its task count when its tasks
+share one law.
 """
+import importlib
+import inspect
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import transferlab
+from transferlab import core
 from transferlab.cli import build_population, example_config
-from transferlab.core import GaussianLaw, LinearHead, LinearRep
-from transferlab.diagnostics import nrls_quantities
-from transferlab.smallball import lower_isometry_tail_check
+from transferlab.core import CovariateLaw, GaussianLaw, LdsLaw, LinearHead, LinearRep, MarkovLaw
+from transferlab.diagnostics import hypercontractivity_c42, nrls_quantities
+from transferlab.mixing import GeometricProfile
+from transferlab.smallball import BlockedMode, lower_isometry_tail_check
 
 
 def traced_peak_mb(call) -> float:
@@ -58,6 +65,114 @@ def test_iid_tail_check_memory_does_not_grow_with_the_calibration(calibration_sa
         law, lambda x: x[:, 0] ** 2, c=3.5, m=64, replicates=100, seed=0,
         calibration_samples=calibration_samples))
     assert peak < 4.0
+
+
+@pytest.mark.parametrize("calibration_samples", [200_000, 1_000_000])
+def test_blocked_tail_check_memory_does_not_grow_with_the_calibration(calibration_samples):
+    # a 16-d LDS: one calibration path of 200 000 rows peaked at 30 MB (152 MB at
+    # 1 000 000); marginal chunks of 4096 rows keep the peak near 1.6 MB, as in iid mode
+    law = LdsLaw(a=0.5 * np.eye(16))
+    mode = BlockedMode(profile=GeometricProfile(gamma=0.5, rho=0.25), k=4)
+    peak = traced_peak_mb(lambda: lower_isometry_tail_check(
+        law, lambda x: x[:, 0] ** 2, c=3.5, m=64, replicates=100, seed=0,
+        calibration_samples=calibration_samples, blocked=mode))
+    assert peak < 4.0
+
+
+# Monte Carlo estimators that still draw their whole sample in one call, each
+# with the reason it stays.
+WHOLE_SAMPLE = {
+    "geometric_profile_from_lds": "the benchmark passes it mc_samples, and ROADMAP item 1 "
+                                  "replaces its sample with a closed-form envelope",
+}
+
+SAMPLERS = ("sample_marginal", "sample_paths", "sample_path", "gram_factor")
+
+D_X = 8
+LAWS = {
+    "gaussian": GaussianLaw(sigma_x=np.diag(np.linspace(0.5, 2.0, D_X))),
+    "lds": LdsLaw(a=0.5 * np.eye(D_X)),
+    "markov": MarkovLaw(transition=np.full((D_X, D_X), 0.05) + 0.6 * np.eye(D_X), d_x=D_X),
+}
+
+
+def sq_norm(x):
+    return np.sum(x * x, axis=1)
+
+
+def _nrls(law):
+    rng = np.random.default_rng(0)
+    rep = LinearRep(rng.standard_normal((2, D_X)))
+    nrls_quantities(law, rep, LinearHead(rng.standard_normal((1, 2))), rep, 0.5,
+                    mc_samples=1_000_000, seed=1)
+
+
+def _tail(law, blocked):
+    mode = BlockedMode(profile=GeometricProfile(gamma=0.5, rho=0.25), k=4) if blocked else None
+    lower_isometry_tail_check(law, sq_norm, c=3.5, m=64, replicates=300, seed=0,
+                              calibration_samples=1_000_000, blocked=mode)
+
+
+def _c42(law):
+    rep = LinearRep(np.eye(D_X)[:2])
+    hypercontractivity_c42([law], [(np.eye(2), rep)], np.zeros((2, 2)),
+                           LinearRep(np.eye(D_X)[2:4]))
+
+
+# estimator -> its call on one law
+ESTIMATORS = {
+    "nrls_quantities": _nrls,
+    "lower_isometry_tail_check/iid": lambda law: _tail(law, False),
+    "lower_isometry_tail_check/blocked": lambda law: _tail(law, True),
+    "hypercontractivity_c42": _c42,
+}
+# exact estimators, which call no sampler at all
+EXACT = {"hypercontractivity_c42"}
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """The values (rows x d_x) that each law sampler call returns, in call order."""
+    sizes = []
+
+    def recording(sampler):
+        def wrapped(self, *args, **kwargs):
+            out = sampler(self, *args, **kwargs)
+            sizes.append(out.size)
+            return out
+        return wrapped
+
+    for cls in (CovariateLaw, GaussianLaw, LdsLaw, MarkovLaw):
+        for name in SAMPLERS:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, recording(vars(cls)[name]))
+    return sizes
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_monte_carlo_estimators_draw_in_budget_chunks(estimator, law, sampler_calls):
+    ESTIMATORS[estimator](LAWS[law])
+    if estimator in EXACT:
+        assert sampler_calls == []
+    else:
+        assert sampler_calls
+        assert max(sampler_calls) <= core.MC_DRAW_BUDGET
+
+
+def test_every_monte_carlo_estimator_is_checked_or_listed():
+    """A public function that takes a sample size (``mc_samples`` or
+    ``calibration_samples``) is run by the chunk rule above, or listed with its
+    reason in ``WHOLE_SAMPLE``; a listed name that the rule runs, or that takes
+    no sample size, fails too."""
+    modules = [importlib.import_module(f"transferlab.{info.name}")
+               for info in pkgutil.iter_modules(transferlab.__path__) if info.name[0] != "_"]
+    sized = {name for module in modules
+             for name, fn in inspect.getmembers(module, inspect.isfunction)
+             if fn.__module__ == module.__name__ and name[0] != "_"
+             and {"mc_samples", "calibration_samples"} & set(inspect.signature(fn).parameters)}
+    checked = {name.split("/")[0] for name in ESTIMATORS}
+    assert sized - checked == set(WHOLE_SAMPLE)
 
 
 def test_population_memory_does_not_grow_with_the_source_count():

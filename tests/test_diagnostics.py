@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import make_gaussian_population, nu_hat_given_g, random_orthonormal_rows
 from transferlab.core import (
+    CovariateLaw,
     Dims,
     GaussianLaw,
     LdsLaw,
@@ -681,34 +683,72 @@ def test_decomposition_inequality_on_fitted_model(law):
 # ---------------------------------------------------------------------------
 
 def test_hypercontractivity_gaussian_ratio_three():
-    law = GaussianLaw(np.eye(3))
+    # one direction of a Gaussian, under any covariance: E z^4 / (E z^2)^2 = 3
+    law = GaussianLaw(np.diag([2.0, 0.5, 1.0]))
     g = LinearRep(np.array([[1.0, 0.0, 0.0]]))
-    grid = [(np.array([[1.0]]), g)]
-    res = hypercontractivity_c42([law], grid, np.zeros((1, 1)), g,
-                                 mc_samples=400_000, seed=50)
-    assert res.c42 == pytest.approx(3.0, rel=0.05)
+    res = hypercontractivity_c42([law], [(np.array([[1.5]]), g)], np.zeros((1, 1)), g)
+    assert res.c42 == pytest.approx(3.0, rel=1e-12, abs=0.0)
     assert res.argmax_index == 0
+
+
+@pytest.mark.parametrize("law", [
+    GaussianLaw(2.0 * np.eye(4)),
+    LdsLaw(a=0.6 * random_orthonormal_rows(4, 4, np.random.default_rng(58))),
+], ids=["gaussian", "lds"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_hypercontractivity_rank_k_isotropic_ratio(law, k):
+    # both laws are isotropic (the LDS has Sigma = I / (1 - 0.36)), so ||h||^2
+    # is a scaled chi-square with k degrees of freedom: (k^2 + 2 k) / k^2
+    g = LinearRep(random_orthonormal_rows(k, 4, np.random.default_rng(59)))
+    res = hypercontractivity_c42([law], [(0.7 * np.eye(k), g)], np.zeros((k, k)), g)
+    assert res.c42 == pytest.approx(1.0 + 2.0 / k, rel=1e-12, abs=0.0)
 
 
 def test_hypercontractivity_constant_norm_ratio_one():
     # two-state symmetric chain embeds to +-0.5: |h(x)| is constant
     law = MarkovLaw(transition=np.array([[0.5, 0.5], [0.5, 0.5]]), d_x=1)
     g = LinearRep(np.array([[1.0]]))
-    res = hypercontractivity_c42([law], [(np.array([[2.0]]), g)],
-                                 np.zeros((1, 1)), g, mc_samples=50_000, seed=51)
-    assert res.c42 == pytest.approx(1.0, rel=1e-9)
+    res = hypercontractivity_c42([law], [(np.array([[2.0]]), g)], np.zeros((1, 1)), g)
+    assert res.c42 == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
-def test_hypercontractivity_rejects_fewer_samples_than_laws(monkeypatch):
-    law = GaussianLaw(np.eye(2))
+@pytest.mark.parametrize("p", [
+    [[0.9, 0.1], [0.3, 0.7]],
+    [[0.5, 0.5], [0.05, 0.95]],
+    # state 2 is transient, pi_2 = 0: no moment divides by pi
+    [[0.9, 0.1, 0.0], [0.3, 0.7, 0.0], [0.2, 0.2, 0.6]],
+], ids=["asymmetric", "skewed", "transient"])
+def test_hypercontractivity_two_state_chain_closed_form(p):
+    # h = c x reads the centered indicator of state 0, pi_1 at state 0 and
+    # -pi_0 at state 1, plus 7 on the transient state's own coordinate, so
+    # E h^4 / (E h^2)^2 = (pi_0 pi_1^4 + pi_1 pi_0^4) / (pi_0 pi_1)^2
+    #                   = 1 / (pi_0 pi_1) - 3
+    law = MarkovLaw(transition=np.array(p), d_x=len(p))
+    c = np.zeros((1, len(p)))
+    c[0, 0], c[0, 2:] = 1.0, 7.0
+    g = LinearRep(c)
+    pi = law.stationary
+    res = hypercontractivity_c42([law], [(np.eye(1), g)], np.zeros((1, 1)), g)
+    assert math.isfinite(res.c42)
+    assert res.c42 == pytest.approx(1.0 / (pi[0] * pi[1]) - 3.0, rel=1e-12, abs=0.0)
+
+
+def test_hypercontractivity_rejects_a_law_without_a_formula():
+    class UniformLaw(CovariateLaw):
+        """Uniform on [-1, 1]^2: sampled, but no fourth-moment formula."""
+
+        d_x = 2
+
+        def second_moment_factor(self):
+            return np.eye(2) / math.sqrt(3.0)
+
+        def sample_marginal(self, n, rng):
+            return rng.uniform(-1.0, 1.0, (n, 2))
+
     g = LinearRep(np.eye(2))
-    draws = []
-    monkeypatch.setattr(GaussianLaw, "sample_marginal",
-                        lambda self, n, rng: draws.append(n))
-    with pytest.raises(ValueError, match="mc_samples"):
-        hypercontractivity_c42([law, law, law], [(np.eye(2), g)], np.zeros((2, 2)), g,
-                               mc_samples=2, seed=53)
-    assert draws == []
+    with pytest.raises(TypeError, match="UniformLaw"):
+        hypercontractivity_c42([GaussianLaw(np.eye(2)), UniformLaw()], [(np.eye(2), g)],
+                               np.zeros((2, 2)), g)
 
 
 def test_hypercontractivity_grid_max_matches_enumeration():
@@ -716,45 +756,53 @@ def test_hypercontractivity_grid_max_matches_enumeration():
     g = LinearRep(np.eye(2))
     rng = np.random.default_rng(52)
     grid = [(rng.standard_normal((1, 2)), g) for _ in range(5)]
-    res = hypercontractivity_c42([law], grid, np.zeros((1, 2)), g,
-                                 mc_samples=50_000, seed=53)
-    singles = [hypercontractivity_c42([law], [member], np.zeros((1, 2)), g,
-                                      mc_samples=50_000, seed=53).c42
+    res = hypercontractivity_c42([law], grid, np.zeros((1, 2)), g)
+    singles = [hypercontractivity_c42([law], [member], np.zeros((1, 2)), g).c42
                for member in grid]
-    assert res.c42 == pytest.approx(max(singles), rel=1e-12)
+    assert res.c42 == max(singles)
     assert res.argmax_index == int(np.argmax(singles))
 
 
 def c42_reference(laws, hypothesis_grid, f_star, g_star, mc_samples, seed):
-    """hypercontractivity_c42 as it was computed before each law was sampled
-    once: every grid member redraws every law's sample and F_star g_star(X)."""
+    """The Monte Carlo ratio on a uniform mixture: each law draws
+    mc_samples // len(laws) marginal rows, redrawn for every grid member.
+
+    Returns the largest ratio, its member's index and the ratio's delta-method
+    standard error: with n = ||h||^2, the ratio R = m4 / m2^2 moves with the
+    laws' sample means as the mean of n^2 / m2^2 - 2 m4 n / m2^3 does.
+    """
     per_law = max(1, mc_samples // len(laws))
-    best, best_idx = 0.0, -1
+    best, best_idx, best_se = 0.0, -1, 0.0
     for idx, (f, g) in enumerate(hypothesis_grid):
-        m2_acc, m4_acc = 0.0, 0.0
+        norms2 = []
         for j, law in enumerate(laws):
             x = law.sample_marginal(per_law, np.random.default_rng(seed + 7919 * j))
             h = g.features(x) @ f.T - g_star.features(x) @ f_star.T
-            norms2 = np.sum(h * h, axis=1)
-            m2_acc += float(np.mean(norms2))
-            m4_acc += float(np.mean(norms2 ** 2))
-        m2, m4 = m2_acc / len(laws), m4_acc / len(laws)
-        if m2 >= 1e-14 and m4 / m2 ** 2 > best:
-            best, best_idx = m4 / m2 ** 2, idx
-    return best, best_idx
+            norms2.append(np.sum(h * h, axis=1))
+        m2 = float(np.mean([np.mean(n) for n in norms2]))
+        m4 = float(np.mean([np.mean(n ** 2) for n in norms2]))
+        if m2 < 1e-14 or m4 / m2 ** 2 <= best:
+            continue
+        influence = [n ** 2 / m2 ** 2 - 2.0 * m4 * n / m2 ** 3 for n in norms2]
+        se = math.sqrt(sum(float(np.var(v)) for v in influence) / per_law) / len(laws)
+        best, best_idx, best_se = m4 / m2 ** 2, idx, se
+    return best, best_idx, best_se
 
 
 def test_hypercontractivity_matches_per_member_reference():
+    # a Gaussian, LDS and Markov mixture against 10^6 Monte Carlo draws
     spec = make_gaussian_population(d_x=5, d_y=2, r=2, t=2, seed=54)
-    laws = [task.law for task in spec.tasks]
-    laws.append(MarkovLaw(transition=np.full((6, 6), 1 / 6), d_x=5))
     rng = np.random.default_rng(55)
+    laws = [task.law for task in spec.tasks]
+    laws.append(LdsLaw(a=0.8 * random_orthonormal_rows(5, 5, rng) @ np.diag(
+        [1.0, 0.9, 0.7, 0.5, 0.2])))
+    laws.append(MarkovLaw(transition=rng.dirichlet(np.full(6, 0.5), size=6), d_x=5))
     f_star = spec.target.head.f
     grid = [(rng.standard_normal((2, 2)), misaligned_rep(spec, seed=56 + i))
             for i in range(4)]
     grid.append((f_star, spec.rep_star))  # zero hypothesis: skipped
     grid.append((rng.standard_normal((2, 2)), LinearRep(rng.standard_normal((2, 5)))))
-    res = hypercontractivity_c42(laws, grid, f_star, spec.rep_star,
-                                 mc_samples=40_000, seed=57)
-    assert (res.c42, res.argmax_index) == c42_reference(laws, grid, f_star, spec.rep_star,
-                                                        40_000, 57)
+    res = hypercontractivity_c42(laws, grid, f_star, spec.rep_star)
+    ref, ref_idx, se = c42_reference(laws, grid, f_star, spec.rep_star, 1_000_000, 57)
+    assert res.argmax_index == ref_idx
+    assert abs(res.c42 - ref) <= 4.0 * se

@@ -167,11 +167,9 @@ ALLOWED_TEST_ONLY = {
     "offset_complexity_stat": "criterion 5 checks the offset complexity against its oracle",
     "nrls_excess": "sweep rows and diagnose are to report it (ROADMAP item 3)",
     "infimal_risk": "the decomposition identity's other term (ROADMAP item 3)",
-    "hypercontractivity_c42": "the bound's c42, to be fed in or deleted (ROADMAP item 4)",
+    "hypercontractivity_c42": "the bound's exact c42, to be fed in (ROADMAP item 4)",
     "SnmCheckResult.passed": "the library's verdict on an SNM coverage check",
     "TailCheckResult.passed": "the library's verdict on a lower-isometry tail check",
-    "MarkovLaw.stationary": "read by the tests' reference Markov samplers",
-    "MarkovLaw.embedding": "read by the tests' reference Markov samplers",
 }
 
 
