@@ -27,7 +27,8 @@ cli
     declaration of the metrics that sweep rows and ``diagnose`` report.
 
 Importing the package, parsing a config and building any population load numpy
-only: scipy serves the ALS G-step solve alone, imported on its first use.
+only: scipy serves the first stage's linear solves alone (the ALS G-step and the
+spectral start), imported on their first use.
 """
 
 from .core import (

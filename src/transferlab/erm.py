@@ -8,7 +8,8 @@ offset-complexity statistic of the fitted noise process.
 A task is a ``TaskDataset``: its n raw rows, or a factor of their Gram matrix
 in fewer rows. Every fit reads only the Grams, so both give the same heads
 and residuals; only the offset statistic, whose noise is given per row, needs
-the raw rows.
+the raw rows. The first stage forms each task's Grams from that task's own
+rows, so tasks may differ in their row counts at no cost.
 """
 from __future__ import annotations
 
@@ -124,12 +125,19 @@ def _spectral_start(xtx: np.ndarray, xty: np.ndarray, r: int) -> np.ndarray:
     span row(G*) exactly. With noise, or unequal Grams, the start is only an
     estimate; ALS takes it from there.
 
+    W is the minimum-norm solution of S W = B by the G-step's own solver
+    (``_min_norm_lstsq``), which for a symmetric PSD S is S^+ B with the
+    cutoff n eps. ``pinv``'s cutoff is ``RANK_TOL`` = 1e-10, so the two agree
+    unless an eigenvalue of S lies between n eps and 1e-10 times the largest,
+    e.g. when cond(S) is between 1e10 and 1 / (n eps): ``pinv`` then drops a
+    direction that the solve keeps.
+
     M is d_x x d_x, so ``eigh`` returns r orthonormal rows even when M has
     rank below r: when T d_y < r, or S is singular (fewer samples than d_x).
     The rows are then completed from M's null space, which ``eigh`` fixes
     deterministically. No random numbers are drawn.
     """
-    w = pinv(xtx.sum(axis=0)) @ np.concatenate(list(xty), axis=1)
+    w = _min_norm_lstsq(xtx.sum(axis=0), np.concatenate(list(xty), axis=1))
     _, vecs = np.linalg.eigh(w @ w.T)
     return vecs[:, :-r - 1:-1].T
 
@@ -145,16 +153,17 @@ def _heads_from_stats(gram: np.ndarray, gxty: np.ndarray) -> np.ndarray:
 
 
 def _normal_matrix(xtx: np.ndarray, ftf: np.ndarray) -> np.ndarray:
-    """sum_t kron(X_t^T X_t, F_t^T F_t), assembled with one GEMM.
+    """sum_t kron(F_t^T F_t, X_t^T X_t), assembled with one GEMM.
 
-    Entry ((i, j), (k, l)) of the (d_x^2, r^2) product below is
-    sum_t (X_t^T X_t)[i, j] (F_t^T F_t)[k, l]; ``kron`` places it at row
-    i r + k and column j r + l, hence the (i, k, j, l) transpose.
+    Row (k, l) of the (r^2, d_x^2) product below is the d_x x d_x matrix
+    sum_t (F_t^T F_t)[k, l] X_t^T X_t, which ``kron`` places as the block at
+    rows k d_x .. (k + 1) d_x and columns l d_x .. (l + 1) d_x; the transpose
+    copies these r^2 contiguous blocks into place.
     """
     t, d_x, _ = xtx.shape
     r = ftf.shape[1]
-    m = xtx.reshape(t, d_x * d_x).T @ ftf.reshape(t, r * r)
-    return m.reshape(d_x, d_x, r, r).transpose(0, 2, 1, 3).reshape(d_x * r, d_x * r)
+    m = ftf.reshape(t, r * r).T @ xtx.reshape(t, d_x * d_x)
+    return m.reshape(r, r, d_x, d_x).transpose(0, 2, 1, 3).reshape(r * d_x, r * d_x)
 
 
 def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,7 +186,7 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       NaN makes ||a||_1, and with it the condition estimate, NaN, which fails
       the comparison.
     """
-    import scipy.linalg  # deferred: slow to import, and only fits solve this system
+    import scipy.linalg  # deferred: slow to import, and only the first-stage fit solves here
 
     n = a.shape[0]
     cond = np.finfo(float).eps * n
@@ -215,11 +224,13 @@ def _als_single(xtx, xty, yy, n_total, r, opts, g, start) -> _AlsRun:
       ||Y - X G^T F^T||_F^2 = tr Y^T Y - 2 tr(F G X^T Y) + tr(F G X^T X G^T F^T),
       summed over tasks and divided by sum_t N_t.
     * G given heads: setting the G-gradient to zero gives
-      sum_t (F_t^T F_t) G S_t = sum_t F_t^T B_t^T. Column-stacked,
-      vec(A G C) = (C^T kron A) vec(G) and S_t is symmetric, so
-      [sum_t S_t kron (F_t^T F_t)] vec(G) = vec(sum_t F_t^T B_t^T).
+      sum_t (F_t^T F_t) G S_t = sum_t F_t^T B_t^T. Row-stacked,
+      vec_r(A G C) = (A kron C^T) vec_r(G) and S_t is symmetric, so
+      [sum_t (F_t^T F_t) kron S_t] vec_r(G) = vec_r(sum_t F_t^T B_t^T).
+      Row-stacking only permutes the unknowns and the equations of the
+      column-stacked system, so both have the same minimum-norm G.
       This (d_x r) x (d_x r) system is symmetric PSD, and ``_min_norm_lstsq``
-      returns its minimum-norm vec(G): by Cholesky when the normal matrix is
+      returns its minimum-norm vec_r(G): by Cholesky when the normal matrix is
       positive definite to within the cutoff n * eps, the usual case, and by
       pivoted QR when it is singular: e.g. with T = 1 and d_y < r, with fewer
       than d_x samples in all, or with a Markov law that visits fewer than
@@ -232,10 +243,12 @@ def _als_single(xtx, xty, yy, n_total, r, opts, g, start) -> _AlsRun:
     relative-decrease test; the ``obj <= 1e-28`` exit fires only if round-off
     lands below it.
     """
-    d_x = xtx.shape[1]
+    t, d_x, _ = xtx.shape
+    rows = xtx.reshape(t * d_x, d_x)  # S_1 .. S_T stacked
 
     def project(g):
-        return g @ xtx @ g.T, g @ xty
+        sg = (rows @ g.T).reshape(t, d_x, -1)  # S_t G^T
+        return g @ sg, g @ xty
 
     def objective(f, gram, gxty):
         cross = float(np.sum(np.swapaxes(f, 1, 2) * gxty))
@@ -251,8 +264,7 @@ def _als_single(xtx, xty, yy, n_total, r, opts, g, start) -> _AlsRun:
         f = _heads_from_stats(gram, gxty)
         lhs = _normal_matrix(xtx, np.swapaxes(f, 1, 2) @ f)
         rhs = np.tensordot(f, xty, axes=([0, 1], [0, 2]))  # sum_t F_t^T B_t^T, r x d_x
-        vec_g = _min_norm_lstsq(lhs, rhs.reshape(-1, order="F"))
-        g = vec_g.reshape((r, d_x), order="F")
+        g = _min_norm_lstsq(lhs, rhs.reshape(-1)).reshape(r, d_x)
         # re-orthonormalize G, counter-rotating the heads so predictions are
         # unchanged
         u, s, vt = np.linalg.svd(g, full_matrices=False)
@@ -279,19 +291,6 @@ def _als_single(xtx, xty, yy, n_total, r, opts, g, start) -> _AlsRun:
                    iterations=iterations, converged=converged, history=tuple(history))
 
 
-def _padded_rows(datasets) -> tuple[np.ndarray, np.ndarray]:
-    """Every task's covariate and label rows, zero-padded to the most rows and
-    stacked: (T, k, d_x) and (T, k, d_y). A zero row adds nothing to a Gram or
-    to a residual sum, so each task keeps its heads and residuals."""
-    k = max(ds.covariates.shape[0] for ds in datasets)
-    x = np.zeros((len(datasets), k, datasets[0].covariates.shape[1]))
-    y = np.zeros((len(datasets), k, datasets[0].labels.shape[1]))
-    for xt, yt, ds in zip(x, y, datasets):
-        xt[:ds.covariates.shape[0]] = ds.covariates
-        yt[:ds.labels.shape[0]] = ds.labels
-    return x, y
-
-
 def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) -> FirstStageFit:
     """Joint fit of per-task heads and a shared linear representation.
 
@@ -302,30 +301,43 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
     starts from the spectral estimate (``_spectral_start``); while no run has
     converged, further runs start from random orthonormal rows drawn from
     ``opts.seed``, up to ``opts.restarts`` runs in all, and the run of lowest
-    objective is kept. The tasks' rows, zero-padded to one (T, k, d_x) stack
-    (``_padded_rows``), give the statistics, and one stacked ``ls_head`` call
-    on their features refits every task's head and reports its residual
-    exactly, as ``fit_second_stage`` would; ``objective`` is the residuals'
-    n-weighted mean, the pooled mean squared error over all samples. A task
-    may be raw rows or a Gram factor; both give the same fit.
+    objective is kept. Each task's statistics X_t^T X_t, X_t^T Y_t and
+    ||Y_t||_F^2 come from one product on its own k_t rows. One stacked
+    ``ls_head`` call on the features Z_t = X_t G^T, zero-padded with the labels
+    to the most rows (a zero row adds nothing to a Gram or to a residual sum),
+    refits every task's head and reports its residual exactly, as
+    ``fit_second_stage`` would; ``objective`` is the residuals' n-weighted
+    mean, the pooled mean squared error over all samples. A task may be raw
+    rows or a Gram factor; both give the same fit.
 
     Raises
     ------
     ValueError
-        Unless 1 <= r <= d_x.
+        If a task's d_x or d_y differs from the first task's, or unless
+        1 <= r <= d_x.
     DegenerateData
         If every covariate entry is zero.
     """
     datasets = list(datasets)
     if not datasets:
         raise DegenerateData("no source tasks")
-    x, y = _padded_rows(datasets)
-    if not 1 <= r <= x.shape[2]:
-        raise ValueError(f"r must satisfy 1 <= r <= d_x = {x.shape[2]}, got r = {r}")
-    if not x.any():
+    d_x, d_y = datasets[0].covariates.shape[1], datasets[0].labels.shape[1]
+    for i, ds in enumerate(datasets):
+        if (ds.covariates.shape[1], ds.labels.shape[1]) != (d_x, d_y):
+            raise ValueError(f"source task {i} (task_id {ds.task_id}) has d_x = "
+                             f"{ds.covariates.shape[1]} and d_y = {ds.labels.shape[1]}, but "
+                             f"source task 0 has d_x = {d_x} and d_y = {d_y}")
+    if not 1 <= r <= d_x:
+        raise ValueError(f"r must satisfy 1 <= r <= d_x = {d_x}, got r = {r}")
+    if not any(ds.covariates.any() for ds in datasets):
         raise DegenerateData("all covariates are zero")
-    x_t = np.swapaxes(x, 1, 2)
-    xtx, xty, yy = x_t @ x, x_t @ y, float(np.sum(y * y))
+    xtx = np.empty((len(datasets), d_x, d_x))
+    xty = np.empty((len(datasets), d_x, d_y))
+    yy = 0.0
+    for t, ds in enumerate(datasets):
+        np.matmul(ds.covariates.T, ds.covariates, out=xtx[t])
+        np.matmul(ds.covariates.T, ds.labels, out=xty[t])
+        yy += float(np.vdot(ds.labels, ds.labels))
     n = np.array([ds.n for ds in datasets])
     n_total = int(n.sum())
     runs = [_als_single(xtx, xty, yy, n_total, r, opts, _spectral_start(xtx, xty, r),
@@ -335,10 +347,15 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
         if runs[-1].converged:
             break
         runs.append(_als_single(xtx, xty, yy, n_total, r, opts,
-                                _random_row_orthonormal(r, x.shape[2], rng), f"random start {k}"))
+                                _random_row_orthonormal(r, d_x, rng), f"random start {k}"))
     best = min(runs, key=lambda run: run.objective)
     rep = LinearRep(best.g)
-    z = rep.features(x)
+    k = max(ds.covariates.shape[0] for ds in datasets)
+    z = np.zeros((len(datasets), k, r))
+    y = np.zeros((len(datasets), k, d_y))
+    for zt, yt, ds in zip(z, y, datasets):
+        np.matmul(ds.covariates, rep.g.T, out=zt[:ds.covariates.shape[0]])
+        yt[:ds.labels.shape[0]] = ds.labels
     f = ls_head(z, y)
     resid = y - z @ np.swapaxes(f, 1, 2)
     residuals = np.sum(resid * resid, axis=(1, 2)) / n

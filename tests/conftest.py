@@ -38,7 +38,7 @@ def qr_factor(ds):
 
 
 def random_normal_matrix(t, d_x, r, d_y, n, rng):
-    """The ALS G-step normal matrix sum_t kron(X_t^T X_t, F_t^T F_t) for T tasks
+    """The ALS G-step normal matrix sum_t kron(F_t^T F_t, X_t^T X_t) for T tasks
     of n standard normal rows and standard normal (d_y, r) heads; singular when
     T n < d_x or T d_y < r."""
     x = rng.standard_normal((t, n, d_x))

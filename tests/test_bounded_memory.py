@@ -20,7 +20,9 @@ import transferlab
 from transferlab import core
 from transferlab.cli import build_population, example_config
 from transferlab.core import CovariateLaw, GaussianLaw, LdsLaw, LinearHead, LinearRep, MarkovLaw
+from transferlab.datagen import SampleRequest, sample_task_stats
 from transferlab.diagnostics import hypercontractivity_c42, nrls_quantities
+from transferlab.erm import fit_first_stage_linear
 from transferlab.mixing import GeometricProfile
 from transferlab.smallball import BlockedMode, lower_isometry_tail_check
 
@@ -188,3 +190,23 @@ def test_population_memory_does_not_grow_with_the_source_count():
         tracemalloc.stop()
     assert spec.num_sources == 64
     assert held < 0.5
+
+
+def test_first_stage_memory_is_the_gram_stack():
+    """The fit keeps the (T, d_x, d_x) stack of task Grams, T d_x^2 8 bytes
+    (2.1 MB at T = 64, d_x = 64); everything else it holds grows with T d_x
+    (r + d_y + k) or (r d_x)^2 at most: the cross moments, the per-iteration
+    S_t G^T, the padded features and labels of the refit (k = 65 factor rows),
+    the (r d_x)^2 normal matrix and the spectral start's d_x x T d_y solve, each
+    under 0.2 MB here. So its traced peak above its inputs stays below the
+    Gram stack plus 1 MB. Zero-padding every task's rows into one (T, k, d_x)
+    stack, another 2.1 MB, peaked at 4.7 MB."""
+    t, d_x = 64, 64
+    pop = {**example_config()["population"], "d_x": d_x, "r": 2, "num_sources": t,
+           "law": {"kind": "gaussian", "scale_spread": 1.0}}
+    spec = build_population(pop, seed=0)
+    sources = sample_task_stats(SampleRequest(spec=spec, per_task_n=(128,) * (t + 1), seed=0),
+                                tasks=range(1, t + 1))
+    fit_first_stage_linear(sources, r=2)  # untraced: the first fit imports scipy.linalg
+    peak = traced_peak_mb(lambda: fit_first_stage_linear(sources, r=2))
+    assert peak < (t * d_x * d_x * 8 + 2 ** 20) / 1e6

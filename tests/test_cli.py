@@ -811,7 +811,7 @@ print(json.dumps(loaded))
 
 def test_only_fit_loads_scipy(tmp_path):
     # gen, bounds (finite class) and mixcheck run on numpy alone, on Gaussian, LDS and
-    # Markov laws, in a fresh interpreter; fit loads scipy.linalg for its G-step solve
+    # Markov laws, in a fresh interpreter; fit loads scipy.linalg for its first-stage solves
     cfg = small_sweep_config()
     cfg["population"]["law"] = {"kind": "gaussian", "scale_spread": 2.0}
     cfg["bounds"] = {"mu_x": 1.0, "mu_f": 2.0, "c_z": 1.5,

@@ -154,6 +154,23 @@ def test_linear_fit_rejects_rank_outside_one_to_d_x(r, rng):
         fit_first_stage_linear(data, r=r)
 
 
+@pytest.mark.parametrize("widths, odd", [
+    pytest.param([(4, 2), (4, 2), (3, 2)], 2, id="d_x_differs"),
+    pytest.param([(4, 2), (4, 1), (4, 2)], 1, id="d_y_differs"),
+    pytest.param([(3, 1), (4, 2), (4, 2)], 1, id="first_task_odd"),
+])
+def test_linear_fit_rejects_mixed_task_widths(widths, odd, rng):
+    # once numpy's "could not broadcast input array" from inside the fit; now a
+    # ValueError naming the first task that differs and both widths
+    data = [make_dataset(rng.standard_normal((6, d_x)), rng.standard_normal((6, d_y)), t)
+            for t, (d_x, d_y) in enumerate(widths)]
+    (d_x, d_y), (odd_x, odd_y) = widths[0], widths[odd]
+    with pytest.raises(ValueError, match=rf"^source task {odd} \(task_id {odd}\) has "
+                                         rf"d_x = {odd_x} and d_y = {odd_y}, but source task 0 "
+                                         rf"has d_x = {d_x} and d_y = {d_y}$"):
+        fit_first_stage_linear(data, r=1)
+
+
 def test_linear_fit_warns_when_not_converged(caplog):
     spec = make_gaussian_population(d_x=8, d_y=2, r=2, t=4, noise_sigma=0.5, seed=6)
     data = sample_tasks(SampleRequest(spec=spec, per_task_n=(50,) * 5, seed=7))
@@ -195,7 +212,7 @@ def als_single_reference(datasets, r, opts, g):
 
     def pooled(g, heads):
         total = sum(np.sum((y - x @ g.T @ f.T) ** 2) for x, y, f in zip(xs, ys, heads))
-        return total / sum(x.shape[0] for x in xs)
+        return total / sum(ds.n for ds in datasets)
 
     history = []
     for _ in range(opts.max_iters):
@@ -220,14 +237,20 @@ def als_single_reference(datasets, r, opts, g):
     return g, heads, pooled(g, heads)
 
 
-@pytest.mark.parametrize("seed, d_x, d_y, t, n", [
-    *(pytest.param(seed, 8, 2, 5, 60, id=str(seed)) for seed in range(3)),
-    pytest.param(3, 64, 1, 16, 128, id="t_sweep_size"),
-])
-def test_linear_fit_matches_raw_data_oracle_noisy(seed, d_x, d_y, t, n):
+def gaussian_sources(seed, d_x, d_y, t, n):
     spec = make_gaussian_population(d_x=d_x, d_y=d_y, r=2, t=t, noise_sigma=0.5, seed=seed)
-    data = sample_tasks(SampleRequest(spec=spec, per_task_n=(n,) * (t + 1), seed=seed + 1))[1:]
-    opts = FitOptions(restarts=1, seed=seed + 2)
+    return sample_tasks(SampleRequest(spec=spec, per_task_n=(n,) * (t + 1), seed=seed + 1))[1:]
+
+
+@pytest.mark.parametrize("sources", [
+    *(pytest.param(lambda seed=seed: gaussian_sources(seed, 8, 2, 5, 60), id=str(seed))
+      for seed in range(3)),
+    pytest.param(lambda: gaussian_sources(3, 64, 1, 16, 128), id="t_sweep_size"),
+    pytest.param(lambda: ragged_sources(), id="unequal_row_counts"),
+])
+def test_linear_fit_matches_raw_data_oracle_noisy(sources):
+    data = sources()
+    opts = FitOptions(restarts=1)
     fit = fit_first_stage_linear(data, r=2, opts=opts)
     g, _, obj = als_single_reference(data, 2, opts, spectral_start_reference(data, 2))
     assert scipy.linalg.subspace_angles(fit.rep.g.T, g.T).max() <= 1e-8
@@ -236,7 +259,7 @@ def test_linear_fit_matches_raw_data_oracle_noisy(seed, d_x, d_y, t, n):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_linear_fit_matches_raw_data_oracle_rank_deficient(seed, lstsq_calls):
-    # T = 1, N < d_x and d_y < r: the normal matrix kron(X^T X, F^T F) is
+    # T = 1, N < d_x and d_y < r: the normal matrix kron(F^T F, X^T X) is
     # singular, and G itself only has rank d_y, so compare fitted maps F G.
     rng = np.random.default_rng(seed)
     data = [make_dataset(rng.standard_normal((5, 8)), rng.standard_normal((5, 1)))]
@@ -350,14 +373,32 @@ def test_fit_is_a_function_of_the_seed():
         assert np.array_equal(a.rep.g, b.rep.g) and a.objective == b.objective
 
 
-def test_normal_matrix_equals_kron_sum(rng):
-    t, d_x, r = 5, 7, 3
+def _random_g_step_system(rng, t=5, d_x=7, r=3):
+    """Per-task Grams S_t, head Grams F_t^T F_t and a right side C (r x d_x) of
+    the G-step sum_t (F_t^T F_t) G S_t = C, all nonsingular."""
     a = rng.standard_normal((t, 20, d_x))
-    xtx = np.swapaxes(a, 1, 2) @ a
-    b = rng.standard_normal((t, 2, r))
-    ftf = np.swapaxes(b, 1, 2) @ b
-    expected = sum(np.kron(xtx[i], ftf[i]) for i in range(t))
+    b = rng.standard_normal((t, 4, r))
+    return (np.swapaxes(a, 1, 2) @ a, np.swapaxes(b, 1, 2) @ b,
+            rng.standard_normal((r, d_x)))
+
+
+def test_normal_matrix_equals_kron_sum(rng):
+    # row-major vec_r(G): vec_r(A G C) = (A kron C^T) vec_r(G), and S_t = S_t^T
+    xtx, ftf, _ = _random_g_step_system(rng)
+    expected = sum(np.kron(f, s) for f, s in zip(ftf, xtx))
     assert np.abs(_normal_matrix(xtx, ftf) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_row_major_g_step_solves_the_column_major_system(rng):
+    # the row-major system is the column-major one, sum_t kron(S_t, F_t^T F_t)
+    # on vec(G), with its unknowns and equations permuted alike, so both give one G
+    xtx, ftf, rhs = _random_g_step_system(rng)
+    r, d_x = rhs.shape
+    g = _min_norm_lstsq(_normal_matrix(xtx, ftf), rhs.reshape(-1)).reshape(r, d_x)
+    column_major = sum(np.kron(s, f) for f, s in zip(ftf, xtx))
+    expected = np.linalg.solve(column_major, rhs.reshape(-1, order="F")).reshape(
+        (r, d_x), order="F")
+    assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def _below_cutoff_normal_matrix(rng):
@@ -454,13 +495,11 @@ def test_ls_head_stack_matches_per_matrix(rng):
         assert np.allclose(ft, ls_head(zt, yt), rtol=1e-12, atol=1e-12)
 
 
-def test_first_stage_refit_on_ragged_tasks_matches_second_stage():
-    """One stacked refit over zero-padded rows gives every task the head and residual
-    of its own ``fit_second_stage``: Markov statistics whose walks visit different
-    numbers of states, mixed with raw rows (row count n). The chain is a cycle on 9
-    states, so a walk of n steps visits min(n, 9) of them whatever its start: the
-    statistics of n = 4, 6, 20 and 12 have 4, 6, 11 and 11 rows (9 visited states and
-    2 noise rows, below n)."""
+def ragged_sources():
+    """Markov statistics whose walks visit different numbers of states, mixed with
+    raw rows (row count n). The chain is a cycle on 9 states, so a walk of n steps
+    visits min(n, 9) of them whatever its start: the statistics of n = 4, 6, 20 and
+    12 have 4, 6, 11 and 11 rows (9 visited states and 2 noise rows, below n)."""
     cycle = np.roll(np.eye(9), 1, axis=1)
     spec = make_gaussian_population(d_x=6, d_y=2, r=2, t=6, noise_sigma=0.3, seed=7)
     spec = replace(spec, tasks=tuple(replace(task, law=MarkovLaw(transition=cycle, d_x=6))
@@ -470,6 +509,13 @@ def test_first_stage_refit_on_ragged_tasks_matches_second_stage():
     datasets = [stats[t] if t % 3 else rows[t] for t in range(1, 7)]
     assert [ds.covariates.shape[0] for ds in datasets] == [4, 6, 12, 11, 11, 12]
     assert {ds.covariates.shape[0] < ds.n for ds in datasets} == {True, False}
+    return datasets
+
+
+def test_first_stage_refit_on_ragged_tasks_matches_second_stage():
+    """One stacked refit over zero-padded features gives every task the head and
+    residual of its own ``fit_second_stage``."""
+    datasets = ragged_sources()
     fit = fit_first_stage_linear(datasets, r=2, opts=FitOptions(max_iters=50, restarts=1))
     for ds, head, residual in zip(datasets, fit.heads, fit.per_task_residual):
         ref = fit_second_stage(ds, fit.rep)

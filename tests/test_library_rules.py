@@ -132,7 +132,7 @@ def _names_scipy(node):
 
 def test_scipy_is_imported_only_inside_functions():
     """Importing the package, parsing a config and building a population need only
-    numpy; scipy serves the ALS G-step solve alone, so only ``erm`` imports it, and
+    numpy; scipy serves the first-stage solves alone, so only ``erm`` imports it, and
     only inside the function that uses it."""
     found = [f"{path.name}:{node.lineno}" for path, tree in _modules()
              for node in (_imports_outside_functions(tree) if path.name == "erm.py"
