@@ -31,28 +31,4 @@ only: scipy serves the first stage's linear solves alone (the ALS G-step and the
 spectral start), imported on their first use.
 """
 
-from .core import (
-    Dims,
-    TaskDataset,
-    LinearHead,
-    LinearRep,
-    GaussianLaw,
-    LdsLaw,
-    MarkovLaw,
-    TaskSpec,
-    PopulationSpec,
-    pinv,
-    sqrt_psd,
-    inv_sqrt_psd,
-    spectral_norm,
-    logdet_psd,
-)
-from .datagen import SampleRequest, sample_tasks
-
-__all__ = [
-    "Dims", "TaskDataset", "LinearHead", "LinearRep", "GaussianLaw", "LdsLaw",
-    "MarkovLaw", "TaskSpec", "PopulationSpec", "pinv", "sqrt_psd", "inv_sqrt_psd",
-    "spectral_norm", "logdet_psd", "SampleRequest", "sample_tasks",
-]
-
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ import numpy as np
 from . import core
 from .core import Dims, bartlett, logdet_psd
 from .errors import InvalidMatrix, NotPSD
-from .mixing import MixingProfile, phi_capital
+from .mixing import phi_capital
+from .smallball import BlockedMode
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,6 @@ ClassComplexity = FiniteClass | ParametricClass
 
 
 @dataclass(frozen=True)
-class MixingSetup:
-    """Mixing mode for the bound formulas: profile, block length, inflation factor."""
-
-    profile: MixingProfile
-    k: int
-
-
-@dataclass(frozen=True)
 class BoundConfig:
     """Inputs to every bound formula."""
 
@@ -62,7 +55,7 @@ class BoundConfig:
     b_g: float
     class_complexity: ClassComplexity
     delta: float = 0.05
-    mixing: MixingSetup | None = None
+    mixing: BlockedMode | None = None
 
     def __post_init__(self):
         # n == 0 is allowed so the SNM coverage check can exercise its

@@ -59,6 +59,7 @@ from .erm import (
     second_stage_to_json,
 )
 from .errors import ConfigError, InvalidPoints, SweepFailed, TransferLabError
+from .smallball import BlockedMode
 
 SCHEMA_VERSION = 1
 
@@ -475,41 +476,55 @@ class SweepResult:
         }
 
 
+def _shared(cache: dict, key, compute):
+    """``compute()``, run once per ``key`` of ``cache``: later calls return its
+    value, or raise again the ``ROW_ERRORS`` exception it raised."""
+    if key not in cache:
+        try:
+            cache[key] = compute()
+        except ROW_ERRORS as exc:
+            cache[key] = exc
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
+
+
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the configured sweep grid; median-aggregate and fit log-log slopes.
 
-    Seeds. Row (v, rep) draws its target from the row seed
-    ``_row_seed(seed, v, rep)``, and its sources from a source seed, which
-    also seeds the first stage's random ALS starts. On the T and N axes the
-    source seed is the row seed. On the N' axis it is ``_row_seed(seed, 0,
-    rep)``, which no grid value (a count, so >= 1) collides with: every N'
-    row of a replicate then fits the same sources, and only its target sample
-    changes.
+    Points. Grid value v gives the point (T, N, N'): the config's source count,
+    ``n`` and ``n_prime``, with v in place of the swept one. A row (v, rep) is
+    the source stage (``_source_stage``) and the target stage
+    (``_target_stage``), the two stages that ``diagnose`` runs at
+    ``config.seed``, plus the population's ``mu_f``.
 
-    Stages. A row is the source stage (``_source_stage``) at the source seed
-    and the target stage (``_target_stage``) at the row seed, the two stages
-    that ``diagnose`` runs at ``config.seed``.
+    Seeds. A row draws its target at the row seed ``_row_seed(seed, v, rep)``.
+    Its sources, which also seed the first stage's random ALS starts, draw at
+    the source seed: the row seed, except when the swept input is one the
+    source stage does not read (N'), where it is ``_row_seed(seed, 0, rep)``.
+    No grid value (a count, so >= 1) collides with 0.
 
-    Sharing. Each quantity is computed once for the inputs it reads. The
-    population, and with it ``mu_f``, is built once per T value on the T axis
-    and once per sweep otherwise. The source stage (the source draw, the
-    first-stage fit and the source row fields) runs once per (population, N,
-    source seed), which repeats only on the N' axis: there a replicate's rows
-    share it, and the N' slope is a common-random-numbers contrast that holds
-    the fitted representation fixed. It measures the target's NRLS term
-    alone, and the shared metrics' medians are equal at every N', so their
-    slopes read 0. On the T and N axes no key repeats, and each row is the
-    same computation as a fresh draw of every task at the row seed.
+    Sharing. Each shared stage is computed once per key, the inputs it reads,
+    and its value or its row error is cached: ``mu_f`` is keyed by T and the
+    source stage (the source draw, the first-stage fit and the source row
+    fields) by (T, N, source seed). The population is built again only when T
+    changes, and the cache lives as long as its population. A key repeats
+    only on the N' axis: there a replicate's rows share one source stage, and
+    the N' slope is a common-random-numbers contrast that holds the fitted
+    representation fixed. It measures the target's NRLS term alone, and the
+    shared metrics' medians are equal at every N', so their slopes read 0. On
+    the T and N axes each row is the same computation as a fresh draw of
+    every task at the row seed.
 
     A row's ``wall_time_ms`` is the wall time of its own call. The row that
-    first needs a shared source stage computes it and carries its time; the
-    population and ``mu_f`` are outside every row's time.
+    first needs a shared stage computes it and carries its time; the
+    population is outside every row's time.
 
     Rows run on the calling thread in grid order, so they come out sorted by
-    (axis_value, replicate) with no sort. Row failures (``ROW_ERRORS``) are
-    recorded with their exception type and skipped; a failed source stage is
-    recorded on every row that shares it, its whole replicate on the N' axis,
-    and a failed ``mu_f`` on every row of its population.
+    (axis_value, replicate) with no sort. A row whose ``mu_f``, source stage
+    or target stage raises one of ``ROW_ERRORS`` is recorded with the
+    exception type and skipped, so a failed shared stage is recorded on every
+    row that shares it. A population that cannot be built aborts the sweep.
     More than 50% failures (or a grid too short for a slope) raises
     SweepFailed. Slopes skip medians at the round-off floor
     (``diag.NU_UNDEFINED_THRESHOLD``), which carry no rate.
@@ -520,40 +535,27 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     if len(grid) < 3:
         raise SweepFailed("sweep grid needs at least 3 points for slope fits")
 
+    # T is None without a population section, which build_population rejects.
+    fixed = {"T": (config.population or {}).get("num_sources"),
+             "N": config.sweep["n"], "N_prime": config.sweep["n_prime"]}
     rows: list[SweepRow] = []
     errors: list[tuple[int, int, str]] = []
     spec = None
     for v in grid:
-        if spec is None or axis == "T":
-            spec = build_population(config.population, config.seed,
-                                    num_sources=v if axis == "T" else None)
-            try:
-                mu_f, population_error = _population_mu_f(spec), None
-            except ROW_ERRORS as exc:
-                population_error = _row_error(exc)
-            # (N, source seed) -> the source stage, or the row error that stopped it
-            stages: dict[tuple[int, int], tuple[FirstStageFit, dict] | str] = {}
-        n = v if axis == "N" else config.sweep["n"]
-        n_prime = v if axis == "N_prime" else config.sweep["n_prime"]
+        point = {**fixed, axis: v}
+        t, n, n_prime = point["T"], point["N"], point["N_prime"]
+        if spec is None or spec.num_sources != t:
+            spec = build_population(config.population, config.seed, num_sources=t)
+            cache: dict = {}
         for rep in range(replicates):
-            if population_error is not None:
-                errors.append((v, rep, population_error))
-                continue
             start = time.perf_counter()
             row_seed = _row_seed(config.seed, v, rep)
             source_seed = _row_seed(config.seed, 0, rep) if axis == "N_prime" else row_seed
-            key = (n, source_seed)
-            if key not in stages:
-                try:
-                    stages[key] = _source_stage(config, _request(spec, n, n_prime, source_seed))
-                except ROW_ERRORS as exc:
-                    stages[key] = _row_error(exc)
-            stage = stages[key]
-            if isinstance(stage, str):
-                errors.append((v, rep, stage))
-                continue
-            fit, source_fields = stage
             try:
+                mu_f = _shared(cache, ("mu_f", t), lambda: _population_mu_f(spec))
+                fit, source_fields = _shared(
+                    cache, ("sources", t, n, source_seed),
+                    lambda: _source_stage(config, _request(spec, n, n_prime, source_seed)))
                 row = _target_stage(_request(spec, n, n_prime, row_seed), fit)
             except ROW_ERRORS as exc:
                 errors.append((v, rep, _row_error(exc)))
@@ -635,7 +637,7 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
     cfg = bounds_mod.BoundConfig(
         dims=Dims(d_x=pop["d_x"], d_y=pop["d_y"], r=pop["r"]),
         class_complexity=classes[b["class"]["kind"]](**_options(b["class"])),
-        mixing=None if m is None else bounds_mod.MixingSetup(
+        mixing=None if m is None else BlockedMode(
             profile=mixing_mod.GeometricProfile(gamma=m["gamma"], rho=m["rho"]), k=m["k"]),
         t_tasks=b["t_tasks"], n=b["n"], n_prime=b["n_prime"], sigma_w=b["sigma_w"],
         b_f=b["b_f"], b_g=b["b_g"], delta=b["delta"])

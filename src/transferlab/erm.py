@@ -265,11 +265,13 @@ def _als_single(xtx, xty, yy, n_total, r, opts, g, start) -> _AlsRun:
         lhs = _normal_matrix(xtx, np.swapaxes(f, 1, 2) @ f)
         rhs = np.tensordot(f, xty, axes=([0, 1], [0, 2]))  # sum_t F_t^T B_t^T, r x d_x
         g = _min_norm_lstsq(lhs, rhs.reshape(-1)).reshape(r, d_x)
-        # re-orthonormalize G, counter-rotating the heads so predictions are
-        # unchanged
+        # re-orthonormalize G to its polar factor U V^T, the orthonormal rows
+        # nearest G, and give the heads the symmetric factor U S U^T, so
+        # predictions are unchanged and a G that is already orthonormal keeps
+        # its basis
         u, s, vt = np.linalg.svd(g, full_matrices=False)
-        g = vt
-        f = f @ (u * s)
+        g = u @ vt
+        f = f @ ((u * s) @ u.T)
         gram, gxty = project(g)
         obj = objective(f, gram, gxty)
         history.append(obj)
@@ -296,8 +298,9 @@ def fit_first_stage_linear(datasets, r: int, opts: FitOptions = FitOptions()) ->
 
     Alternating minimization with closed-form blocks, run on the per-task
     sufficient statistics (see ``_als_single``); after every round the
-    representation is rotated to orthonormal rows and the heads are
-    counter-rotated, so the returned rep satisfies G G^T = I_r. The first run
+    representation is replaced by its polar factor, the nearest orthonormal
+    rows, and the heads absorb the rest, so the returned rep satisfies
+    G G^T = I_r. The first run
     starts from the spectral estimate (``_spectral_start``); while no run has
     converged, further runs start from random orthonormal rows drawn from
     ``opts.seed``, up to ``opts.restarts`` runs in all, and the run of lowest

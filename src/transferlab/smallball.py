@@ -29,7 +29,11 @@ _CALIBRATION_BATCHES = 20
 
 @dataclass(frozen=True)
 class BlockedMode:
-    """Blocked tail check: trajectory sampling with this profile and block length."""
+    """A mixing mode: the covariates' mixing profile and a block length ``k``.
+
+    The blocked tail check samples trajectories and takes its bound from the
+    profile alone; the bound formulas (``bounds.BoundConfig.mixing``) also
+    read ``k``."""
 
     profile: MixingProfile
     k: int

@@ -16,7 +16,6 @@ from conftest import (log_integral_quadrature, make_gaussian_population, nu_hat_
 from transferlab.bounds import (
     BoundConfig,
     FiniteClass,
-    MixingSetup,
     covering_parametric,
     covering_star_hull,
     log_integral_bound,
@@ -352,7 +351,7 @@ def test_criterion_09_mixing_vs_iid_parity():
         cfg_mix = BoundConfig(dims=Dims(d_x, d_y, r), t_tasks=t, n=n, n_prime=100,
                               sigma_w=0.5, b_f=2.0, b_g=1.0,
                               class_complexity=FiniteClass(log_card=8.0), delta=0.05,
-                              mixing=MixingSetup(profile=profile, k=k_sel))
+                              mixing=BlockedMode(profile=profile, k=k_sel))
         r_iid = transfer_risk_bound(cfg_iid, 1.0, 1.0, 1.0)
         r_mix = transfer_risk_bound(cfg_mix, 1.0, 1.0, 1.0)
         assert r_mix.transfer_bound == pytest.approx(r_iid.transfer_bound, rel=1e-12)

@@ -7,7 +7,6 @@ from conftest import log_integral_quadrature
 from transferlab.bounds import (
     BoundConfig,
     FiniteClass,
-    MixingSetup,
     ParametricClass,
     SnmCheckResult,
     burn_ins_to_csv,
@@ -23,6 +22,7 @@ from transferlab import bounds
 from transferlab.core import Dims, bartlett, logdet_psd
 from transferlab.errors import InvalidMatrix, NotPSD
 from transferlab.mixing import GeometricProfile
+from transferlab.smallball import BlockedMode
 
 
 def make_config(**overrides):
@@ -169,7 +169,7 @@ def test_transfer_bound_halves_first_term_with_n_prime():
 
 def test_transfer_bound_mixing_only_changes_burn_ins():
     cfg_iid = make_config()
-    mix = MixingSetup(profile=GeometricProfile(gamma=1.0, rho=0.25), k=4)
+    mix = BlockedMode(profile=GeometricProfile(gamma=1.0, rho=0.25), k=4)
     cfg_mix = make_config(mixing=mix)
     r_iid = transfer_risk_bound(cfg_iid, 1.2, 1.1, 1.0)
     r_mix = transfer_risk_bound(cfg_mix, 1.2, 1.1, 1.0)

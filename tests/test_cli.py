@@ -348,12 +348,13 @@ def test_sweep_builds_each_population_once(monkeypatch):
     assert calls == [2, 3, 4]
 
 
-@pytest.mark.parametrize("axis,builds,fits", [("T", [2, 3, 4], 6), ("N", [None], 6),
-                                              ("N_prime", [None], 2)],
+@pytest.mark.parametrize("axis,builds,fits", [("T", [2, 3, 4], 6), ("N", [3], 6),
+                                              ("N_prime", [3], 2)],
                          ids=["T", "N", "N_prime"])
 def test_sweep_shares_population_and_first_stages(monkeypatch, axis, builds, fits):
-    # One population per T value, else one per sweep; one first stage per row,
-    # except on the N' axis, where a replicate's rows share theirs.
+    # One population per T value, built with the config's source count off the
+    # T axis; one first stage per row, except on the N' axis, where a
+    # replicate's rows share theirs.
     calls, fit_seeds = [], []
     real_fit = cli.fit_first_stage_linear
 
@@ -411,10 +412,16 @@ def _same(a, b):
     return a == b or (isinstance(a, float) and np.isnan(a) and np.isnan(b))
 
 
+@pytest.mark.parametrize("law", [{"kind": "gaussian", "scale_spread": 1.0},
+                                 {"kind": "lds", "spectral_radius": 0.8},
+                                 {"kind": "markov", "states": 6, "stay_prob": 0.7}],
+                         ids=["gaussian", "lds", "markov"])
 @pytest.mark.parametrize("axis,grid", [("T", [2, 3, 4]), ("N", [16, 32, 64]),
                                        ("N_prime", [16, 32, 64])])
-def test_sweep_rows_equal_per_row_recomputation(axis, grid):
-    config = ExperimentConfig.from_dict(small_sweep_config(axis=axis, grid=grid, replicates=3))
+def test_sweep_rows_equal_per_row_recomputation(axis, grid, law):
+    cfg = small_sweep_config(axis=axis, grid=grid, replicates=3)
+    cfg["population"]["law"] = law
+    config = ExperimentConfig.from_dict(cfg)
     result = run_sweep(config)
     assert not result.errors and len(result.rows) == 9
     for row in result.rows:
@@ -455,6 +462,54 @@ def test_sweep_failed_first_stage_fails_its_replicate(monkeypatch):
         for f in fields(got):
             if f.name != "wall_time_ms":
                 assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_sweep_failed_target_stage_fails_its_row_alone(monkeypatch):
+    # On the N' axis the target stage of row (32, 1) fails; the other rows of
+    # replicate 1 still share its one source stage.
+    config = ExperimentConfig.from_dict(small_sweep_config(axis="N_prime", replicates=3))
+    clean = run_sweep(config)
+    real_fit, real_second = cli.fit_first_stage_linear, cli.fit_second_stage
+    fit_seeds, targets = [], []
+
+    def counting_fit(*args, opts, **kwargs):
+        fit_seeds.append(opts.seed)
+        return real_fit(*args, opts=opts, **kwargs)
+
+    def failing_second(ds, rep):
+        targets.append(ds.n)
+        if targets.count(32) == 2:
+            raise DegenerateData("target covariates are zero")
+        return real_second(ds, rep)
+
+    monkeypatch.setattr(cli, "fit_first_stage_linear", counting_fit)
+    monkeypatch.setattr(cli, "fit_second_stage", failing_second)
+    result = run_sweep(config)
+    assert result.errors == ((32, 1, "DegenerateData: target covariates are zero"),)
+    assert fit_seeds == [cli._row_seed(config.seed, 0, rep) for rep in range(3)]
+    kept = [row for row in clean.rows if (row.axis_value, row.replicate) != (32, 1)]
+    assert [(r.axis_value, r.replicate) for r in result.rows] == \
+        [(r.axis_value, r.replicate) for r in kept]
+    for got, want in zip(result.rows, kept):
+        for f in fields(got):
+            if f.name != "wall_time_ms":
+                assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_sweep_records_failed_mu_f_on_every_row_of_its_population(monkeypatch):
+    # Off the T axis the sweep has one population: a failed mu_f, computed
+    # once, is recorded on every row, and no first stage runs.
+    calls, fits = [], []
+
+    def failing_mu_f(heads):
+        calls.append(len(heads))
+        raise InvalidMatrix("source head Gram is singular")
+
+    monkeypatch.setattr(cli.diag, "mu_f", failing_mu_f)
+    monkeypatch.setattr(cli, "fit_first_stage_linear", lambda *a, **k: fits.append(1))
+    with pytest.raises(SweepFailed, match="6 of 6 sweep rows failed"):
+        run_sweep(ExperimentConfig.from_dict(small_sweep_config(axis="N")))
+    assert calls == [4] and not fits
 
 
 def test_sweep_fits_no_slope_through_round_off_floor():

@@ -373,6 +373,25 @@ def test_fit_is_a_function_of_the_seed():
         assert np.array_equal(a.rep.g, b.rep.g) and a.objective == b.objective
 
 
+
+@pytest.mark.parametrize("law", [{"kind": "gaussian", "scale_spread": 2.0},
+                                 {"kind": "lds", "spectral_radius": 0.9},
+                                 {"kind": "markov", "states": 8, "stay_prob": 0.8}],
+                         ids=lambda law: law["kind"])
+def test_fitted_basis_is_stable_under_round_off(law):
+    # Reversed, the sources sum their statistics in another order, which
+    # changes the fit by round-off alone. The polar factor keeps the basis of
+    # the fitted subspace to round-off as well; taking V^T from the SVD of the
+    # G-step's solution rotated it by up to 1e-9.
+    pop = {"d_x": 8, "d_y": 1, "r": 2, "num_sources": 4, "noise_sigma": 0.5, "law": law}
+    spec = build_population(pop, 42)
+    sources = sample_task_stats(SampleRequest(spec=spec, per_task_n=(256,) * 5, seed=42),
+                                tasks=range(1, 5))
+    a, b = (fit_first_stage_linear(tasks, r=2, opts=FitOptions(seed=1))
+            for tasks in (sources, sources[::-1]))
+    assert a.iterations == b.iterations
+    assert np.linalg.norm(a.rep.g - b.rep.g) <= 1e-13 * np.linalg.norm(a.rep.g)
+
 def _random_g_step_system(rng, t=5, d_x=7, r=3):
     """Per-task Grams S_t, head Grams F_t^T F_t and a right side C (r x d_x) of
     the G-step sum_t (F_t^T F_t) G S_t = C, all nonsingular."""

@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 from scipy.special import ndtr
 
-from transferlab.bounds import BoundConfig, FiniteClass, MixingSetup, transfer_risk_bound
+from transferlab.bounds import BoundConfig, FiniteClass, transfer_risk_bound
 from transferlab.core import Dims, GaussianLaw, LdsLaw, MarkovLaw
 from transferlab.errors import BadPartition, NotErgodic, SampleTooShort
 from transferlab.mixing import (
@@ -19,6 +19,7 @@ from transferlab.mixing import (
     profile_to_json,
     select_block_length,
 )
+from transferlab.smallball import BlockedMode
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -393,7 +394,7 @@ def test_every_consumer_reads_phi_at():
                                   np.full(n - lag, np.sqrt(2 * phi[lag - 1])))
         cfg = BoundConfig(dims=Dims(d_x=4, d_y=1, r=2), t_tasks=3, n=200, n_prime=n_prime,
                           sigma_w=0.5, b_f=1.0, b_g=1.0, class_complexity=FiniteClass(1.0),
-                          mixing=MixingSetup(profile=profile, k=k))
+                          mixing=BlockedMode(profile=profile, k=k))
         burn_ins = {b.name: b for b in transfer_risk_bound(cfg, 1.0, 1.0, 1.0).burn_ins}
         assert burn_ins["target_block_tail"].actual == pytest.approx(
             (n_prime / k) * phi[k - 1], rel=1e-15)
