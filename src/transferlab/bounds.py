@@ -19,8 +19,7 @@ import numpy as np
 from . import core
 from .core import Dims, bartlett, logdet_psd
 from .errors import InvalidMatrix, NotPSD
-from .mixing import phi_capital
-from .smallball import BlockedMode
+from .mixing import BlockedMode, phi_capital
 
 
 @dataclass(frozen=True)

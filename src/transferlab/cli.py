@@ -59,7 +59,6 @@ from .erm import (
     second_stage_to_json,
 )
 from .errors import ConfigError, InvalidPoints, SweepFailed, TransferLabError
-from .smallball import BlockedMode
 
 SCHEMA_VERSION = 1
 
@@ -492,29 +491,25 @@ def _shared(cache: dict, key, compute):
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the configured sweep grid; median-aggregate and fit log-log slopes.
 
-    Points. Grid value v gives the point (T, N, N'): the config's source count,
-    ``n`` and ``n_prime``, with v in place of the swept one. A row (v, rep) is
-    the source stage (``_source_stage``) and the target stage
-    (``_target_stage``), the two stages that ``diagnose`` runs at
-    ``config.seed``, plus the population's ``mu_f``.
+    Points and seeds. Grid value v gives the point (T, N, N'): the config's
+    source count, ``n`` and ``n_prime``, with v in place of the swept one. Row
+    (v, rep) runs the source stage (``_source_stage``), the target stage
+    (``_target_stage``) and the population's ``mu_f``, as ``diagnose`` does at
+    ``config.seed``. It draws its target at the row seed ``_row_seed(seed, v,
+    rep)`` and its sources, which also seed the random ALS starts, at the
+    source seed: the row seed, or ``_row_seed(seed, 0, rep)`` when the swept
+    input is one the source stage does not read (N'). No grid value (a count,
+    so >= 1) is 0.
 
-    Seeds. A row draws its target at the row seed ``_row_seed(seed, v, rep)``.
-    Its sources, which also seed the first stage's random ALS starts, draw at
-    the source seed: the row seed, except when the swept input is one the
-    source stage does not read (N'), where it is ``_row_seed(seed, 0, rep)``.
-    No grid value (a count, so >= 1) collides with 0.
-
-    Sharing. Each shared stage is computed once per key, the inputs it reads,
-    and its value or its row error is cached: ``mu_f`` is keyed by T and the
-    source stage (the source draw, the first-stage fit and the source row
-    fields) by (T, N, source seed). The population is built again only when T
-    changes, and the cache lives as long as its population. A key repeats
-    only on the N' axis: there a replicate's rows share one source stage, and
-    the N' slope is a common-random-numbers contrast that holds the fitted
-    representation fixed. It measures the target's NRLS term alone, and the
-    shared metrics' medians are equal at every N', so their slopes read 0. On
-    the T and N axes each row is the same computation as a fresh draw of
-    every task at the row seed.
+    Sharing. A shared stage runs once per key, the inputs it reads, and its
+    value or row error is cached (``_shared``): ``mu_f`` by T, the source
+    stage (source draw, first-stage fit, source row fields) by (T, N, source
+    seed). The population is rebuilt only when T changes, and the cache lives
+    as long as it. A key repeats only on the N' axis, where a replicate's rows
+    share one source stage: the N' slope is then a common-random-numbers
+    contrast that holds the fitted representation fixed and measures the
+    target's NRLS term alone, and the shared metrics' slopes read 0. On the T
+    and N axes each row equals a fresh draw of every task at the row seed.
 
     A row's ``wall_time_ms`` is the wall time of its own call. The row that
     first needs a shared stage computes it and carries its time; the
@@ -637,7 +632,7 @@ def run_bounds(config: ExperimentConfig) -> bounds_mod.BoundReport:
     cfg = bounds_mod.BoundConfig(
         dims=Dims(d_x=pop["d_x"], d_y=pop["d_y"], r=pop["r"]),
         class_complexity=classes[b["class"]["kind"]](**_options(b["class"])),
-        mixing=None if m is None else BlockedMode(
+        mixing=None if m is None else mixing_mod.BlockedMode(
             profile=mixing_mod.GeometricProfile(gamma=m["gamma"], rho=m["rho"]), k=m["k"]),
         t_tasks=b["t_tasks"], n=b["n"], n_prime=b["n_prime"], sigma_w=b["sigma_w"],
         b_f=b["b_f"], b_g=b["b_g"], delta=b["delta"])

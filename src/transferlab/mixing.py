@@ -88,6 +88,18 @@ class ExactProfile:
 MixingProfile = ExactProfile | GeometricProfile
 
 
+@dataclass(frozen=True)
+class BlockedMode:
+    """A mixing mode: the covariates' mixing profile and a block length ``k``.
+
+    ``smallball``'s blocked tail check samples trajectories and takes its
+    bound from the profile alone; the bound formulas
+    (``bounds.BoundConfig.mixing``) also read ``k``."""
+
+    profile: MixingProfile
+    k: int
+
+
 def phi_markov(p: np.ndarray, max_lag: int) -> ExactProfile:
     """Exact mixing coefficients of a stationary finite Markov chain.
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .errors import PreconditionViolated
-from .mixing import MixingProfile, dependency_matrix_bound
+from .mixing import BlockedMode, dependency_matrix_bound
 
 
 def _draw(source, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -25,18 +25,6 @@ def _draw(source, n: int, rng: np.random.Generator) -> np.ndarray:
 
 # Batches of the calibration sample behind the standard error of its moment ratio.
 _CALIBRATION_BATCHES = 20
-
-
-@dataclass(frozen=True)
-class BlockedMode:
-    """A mixing mode: the covariates' mixing profile and a block length ``k``.
-
-    The blocked tail check samples trajectories and takes its bound from the
-    profile alone; the bound formulas (``bounds.BoundConfig.mixing``) also
-    read ``k``."""
-
-    profile: MixingProfile
-    k: int
 
 
 @dataclass(frozen=True)

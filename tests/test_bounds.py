@@ -21,8 +21,7 @@ from transferlab.bounds import (
 from transferlab import bounds
 from transferlab.core import Dims, bartlett, logdet_psd
 from transferlab.errors import InvalidMatrix, NotPSD
-from transferlab.mixing import GeometricProfile
-from transferlab.smallball import BlockedMode
+from transferlab.mixing import BlockedMode, GeometricProfile
 
 
 def make_config(**overrides):

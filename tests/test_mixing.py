@@ -7,6 +7,7 @@ from transferlab.bounds import BoundConfig, FiniteClass, transfer_risk_bound
 from transferlab.core import Dims, GaussianLaw, LdsLaw, MarkovLaw
 from transferlab.errors import BadPartition, NotErgodic, SampleTooShort
 from transferlab.mixing import (
+    BlockedMode,
     BlockPartition,
     ExactProfile,
     GeometricProfile,
@@ -19,7 +20,6 @@ from transferlab.mixing import (
     profile_to_json,
     select_block_length,
 )
-from transferlab.smallball import BlockedMode
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
