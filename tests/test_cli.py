@@ -412,15 +412,14 @@ def _same(a, b):
     return a == b or (isinstance(a, float) and np.isnan(a) and np.isnan(b))
 
 
-@pytest.mark.parametrize("law", [{"kind": "gaussian", "scale_spread": 1.0},
-                                 {"kind": "lds", "spectral_radius": 0.8},
-                                 {"kind": "markov", "states": 6, "stay_prob": 0.7}],
-                         ids=["gaussian", "lds", "markov"])
-@pytest.mark.parametrize("axis,grid", [("T", [2, 3, 4]), ("N", [16, 32, 64]),
-                                       ("N_prime", [16, 32, 64])])
-def test_sweep_rows_equal_per_row_recomputation(axis, grid, law):
+_AXIS_GRIDS = [("T", [2, 3, 4]), ("N", [16, 32, 64]), ("N_prime", [16, 32, 64])]
+
+
+@pytest.mark.parametrize("axis,grid", _AXIS_GRIDS)
+def test_sweep_rows_equal_per_row_recomputation(axis, grid, law=None):
     cfg = small_sweep_config(axis=axis, grid=grid, replicates=3)
-    cfg["population"]["law"] = law
+    if law is not None:
+        cfg["population"]["law"] = law
     config = ExperimentConfig.from_dict(cfg)
     result = run_sweep(config)
     assert not result.errors and len(result.rows) == 9
@@ -436,6 +435,14 @@ def test_sweep_rows_equal_per_row_recomputation(axis, grid, law):
         assert len({tuple(getattr(row, key) for key in shared) for row in rows}) == 1
         assert len({row.excess_risk_target for row in rows}) == len(grid)
 
+
+
+@pytest.mark.parametrize("law", [{"kind": "lds", "spectral_radius": 0.8},
+                                 {"kind": "markov", "states": 6, "stay_prob": 0.7}],
+                         ids=["lds", "markov"])
+@pytest.mark.parametrize("axis,grid", _AXIS_GRIDS)
+def test_sweep_rows_equal_per_row_recomputation_on_dependent_laws(axis, grid, law):
+    test_sweep_rows_equal_per_row_recomputation(axis, grid, law)
 
 def test_sweep_failed_first_stage_fails_its_replicate(monkeypatch):
     config = ExperimentConfig.from_dict(small_sweep_config(axis="N_prime", replicates=3))
