@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import CovariateLaw, LdsLaw, spectral_norm, stationary_distribution
 from .errors import BadPartition, SampleTooShort, TransferLabError
 
@@ -137,6 +138,12 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     stationary states x. The uniform conditional-TV coefficient of a Gaussian
     LDS is unbounded, so the profile is flagged ``beta_surrogate``.
 
+    The states are drawn in consecutive chunks of at most ``core.MC_DRAW_BUDGET``
+    values from the one ``default_rng(seed)``, which consume its stream exactly
+    as one draw of ``mc_samples`` states does. Each chunk's bounds are formed in
+    place and summed (``_pinsker_sum``), so memory does not grow with
+    ``mc_samples`` and chunking moves gamma only by summation order.
+
     Raises
     ------
     ValueError
@@ -151,12 +158,31 @@ def geometric_profile_from_lds(a: np.ndarray, mc_samples: int = 100_000,
     sigma_inv = np.linalg.inv(sigma)
     d = sigma.shape[0]
     _, logdet = np.linalg.slogdet(sigma)
+    shift = np.trace(sigma_inv) - d
     rng = np.random.default_rng(seed)
-    x = law.sample_marginal(mc_samples, rng)
-    mean_shift = np.einsum("ij,jk,ik->i", x @ law.a.T, sigma_inv, x @ law.a.T)
-    kl = 0.5 * (np.trace(sigma_inv) - d + mean_shift + logdet)
-    tv1 = float(np.mean(np.minimum(1.0, np.sqrt(np.maximum(kl, 0.0) / 2.0))))
-    return GeometricProfile(gamma=tv1, rho=law.spectral_radius ** 2, beta_surrogate=True)
+    step = max(1, core.MC_DRAW_BUDGET // d)
+    total = 0.0
+    for start in range(0, mc_samples, step):
+        # the one-step means A x, passed on unnamed so no chunk outlives its sum
+        total += _pinsker_sum(law.sample_marginal(min(step, mc_samples - start), rng) @ law.a.T,
+                              sigma_inv, shift, logdet)
+    return GeometricProfile(gamma=total / mc_samples, rho=law.spectral_radius ** 2,
+                            beta_surrogate=True)
+
+
+def _pinsker_sum(mean: np.ndarray, sigma_inv: np.ndarray, shift: float,
+                 logdet: float) -> float:
+    """Sum over the rows m of min(1, sqrt(KL / 2)), KL = KL(N(m, I) || N(0, Sigma))
+    = (shift + m^T Sigma^-1 m + logdet) / 2 with shift = tr(Sigma^-1) - d, formed
+    in one buffer."""
+    kl = np.einsum("ij,jk,ik->i", mean, sigma_inv, mean)
+    kl += shift
+    kl += logdet
+    np.maximum(kl, 0.0, out=kl)
+    kl *= 0.25  # 2 KL / 4 = KL / 2, exact in binary
+    np.sqrt(kl, out=kl)
+    np.minimum(kl, 1.0, out=kl)
+    return float(kl.sum())
 
 
 def _root_sum_past(profile: GeometricProfile, start: int) -> float:
@@ -212,9 +238,10 @@ def dependency_matrix_bound(profile: MixingProfile, n: int) -> DependencyBound:
         If the computed norm exceeds that cap.
     """
     phi = profile.phi_at(np.arange(1, n))
-    rows, cols = np.triu_indices(n, 1)
-    m = np.eye(n)
-    m[rows, cols] = np.sqrt(2.0 * phi)[cols - rows - 1]
+    # row i is the window of [0]*(n-1) + [1, sqrt(2 phi(1)), ..., sqrt(2 phi(n-1))]
+    # that starts at n-1-i, so the matrix is one copy of n reversed windows
+    band = np.concatenate([np.zeros(n - 1), [1.0], np.sqrt(2.0 * phi)])
+    m = np.lib.stride_tricks.sliding_window_view(band, n)[::-1].copy()
     norm = spectral_norm(m)
     cap = 1.0 + math.sqrt(2.0) * float(np.sqrt(phi).sum())
     if norm > cap + 1e-9:

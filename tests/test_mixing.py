@@ -100,8 +100,28 @@ def test_geometric_scalar_closed_form_kl_oracle():
     x = (rng.standard_normal((mc, 1)) * np.sqrt(var)).ravel()
     kl = 0.5 * ((1.0 / var) - 1.0 + (0.25 * x ** 2) / var + np.log(var))
     tv1 = np.mean(np.minimum(1.0, np.sqrt(kl / 2.0)))
-    assert profile.gamma == pytest.approx(tv1, rel=1e-6)
+    # the draws cross the 65 536-row chunk boundary, which changes only the
+    # order of the sum
+    assert profile.gamma == pytest.approx(tv1, rel=1e-12)
     assert profile.phi_at(1) == profile.gamma
+
+
+def test_geometric_non_normal_matches_one_draw():
+    # 70 001 two-dim states cross two 32 768-row chunk boundaries; the oracle
+    # draws them at once and averages the Pinsker bound over the whole sample
+    a = np.array([[0.6, 0.3], [0.0, 0.5]])
+    mc, seed = 70_001, 1
+    profile = geometric_profile_from_lds(a, mc_samples=mc, seed=seed)
+    law = LdsLaw(a=a)
+    sigma = law.second_moment()
+    sigma_inv = np.linalg.inv(sigma)
+    _, logdet = np.linalg.slogdet(sigma)
+    mean = law.sample_marginal(mc, np.random.default_rng(seed)) @ a.T
+    kl = 0.5 * (np.trace(sigma_inv) - 2 + np.einsum("ij,jk,ik->i", mean, sigma_inv, mean)
+                + logdet)
+    tv1 = np.mean(np.minimum(1.0, np.sqrt(np.maximum(kl, 0.0) / 2.0)))
+    assert profile.gamma == pytest.approx(tv1, rel=1e-12)
+    assert profile.rho == 0.6 ** 2
 
 
 def tv_narrow_wide(m1, s1, m2, s2):
@@ -191,6 +211,21 @@ def test_dependency_matrix_two_by_two_golden_ratio():
     out = dependency_matrix_bound(ExactProfile(phi=np.array([0.5])), n=2)
     assert np.allclose(out.matrix, np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert out.spectral_norm == pytest.approx(GOLDEN, rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", [
+    GeometricProfile(gamma=0.6, rho=0.81),
+    phi_markov(np.array([[0.97, 0.03], [0.03, 0.97]]), max_lag=32),
+], ids=["geometric", "markov"])
+@pytest.mark.parametrize("n", [1, 2, 64, 240, 256])
+def test_dependency_matrix_matches_the_index_construction(profile, n):
+    # oracle: the identity with sqrt(2 phi(j - i)) gathered into each (i, j), j > i
+    rows, cols = np.triu_indices(n, 1)
+    oracle = np.eye(n)
+    oracle[rows, cols] = np.sqrt(2.0 * profile.phi_at(np.arange(1, n)))[cols - rows - 1]
+    out = dependency_matrix_bound(profile, n)
+    assert np.array_equal(out.matrix, oracle)
+    assert out.spectral_norm == np.linalg.norm(oracle, 2)
 
 
 def test_dependency_matrix_norm_bound_random_profiles():
