@@ -278,10 +278,14 @@ class LinearRep:
 class CovariateLaw:
     """Marginal/stationary covariate distribution on R^{d_x}.
 
-    Every law exposes an exact second-moment matrix, seeded marginal
-    sampling, seeded path sampling and a seeded factor of a path's Gram
-    (``gram_factor``). For an iid law a path is an iid draw; trajectory laws
-    override ``sample_paths`` and start each path stationary, so keep every step.
+    A law's methods are its exact moments, ``second_moment``,
+    ``second_moment_factor`` and ``norm_moments``; its seeded samplers,
+    ``sample_marginal``, ``sample_paths``, ``sample_path`` and ``gram_factor``
+    (a factor of a path's Gram); and ``describe``, its parameters for a
+    manifest. For an iid law a path is an iid draw; trajectory laws override
+    ``sample_paths`` and start each path stationary, so keep every step. Here
+    ``norm_moments`` raises ``TypeError``: a law without an exact fourth moment
+    keeps it.
     """
 
     d_x: int
@@ -314,9 +318,40 @@ class CovariateLaw:
         R^T R = X^T X. A law may draw R in law, without rows; here it is X's R factor."""
         return np.linalg.qr(self.sample_path(n, rng), mode="r")
 
+    def norm_moments(self, c: np.ndarray) -> tuple[float, float]:
+        """(E ||c x||^2, E ||c x||^4) under the marginal, exactly, for a (m, d_x) c.
+        Here it raises ``TypeError``: no formula is known for the law's fourth moment."""
+        raise TypeError(f"no exact fourth moment for a {type(self).__name__}")
+
+    def describe(self) -> dict:
+        """The law's kind and parameters, as JSON values."""
+        return {"kind": type(self).__name__}
+
+
+class _GaussianMarginal(CovariateLaw):
+    """A law whose marginal is N(0, L L^T), with ``_root`` the symmetric root L
+    of its second moment."""
+
+    _root: np.ndarray
+
+    def second_moment_factor(self) -> np.ndarray:
+        return self._root
+
+    def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal((n, self.d_x)) @ self._root.T
+
+    def norm_moments(self, c: np.ndarray) -> tuple[float, float]:
+        """x = L z with z standard normal, so with b = c L, ||c x||^2 = z^T A z for
+        A = b^T b: its mean is tr A = ||b||_F^2 and, by Isserlis, its second moment
+        is (tr A)^2 + 2 tr A^2 = ||b||_F^4 + 2 ||b b^T||_F^2."""
+        b = c @ self._root
+        bbt = b @ b.T
+        m2 = float(np.sum(b * b))
+        return m2, m2 ** 2 + 2.0 * float(np.sum(bbt * bbt))
+
 
 @dataclass(frozen=True)
-class GaussianLaw(CovariateLaw):
+class GaussianLaw(_GaussianMarginal):
     """Zero-mean Gaussian covariates with covariance sigma_x (symmetric PSD)."""
 
     sigma_x: np.ndarray
@@ -337,18 +372,15 @@ class GaussianLaw(CovariateLaw):
     def second_moment(self) -> np.ndarray:
         return np.array(self.sigma_x)
 
-    def second_moment_factor(self) -> np.ndarray:
-        return self._root
-
-    def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal((n, self.d_x)) @ self._root.T
-
     def gram_factor(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """From n = d_x on, R = U L^T with Sigma = L L^T and U the Bartlett factor: rows
         X = E L^T with E = Q_1 U standard normal, and U has the law of E's R factor."""
         if n < self.d_x:
             return super().gram_factor(n, rng)
         return bartlett(self.d_x, n, rng) @ self._root.T
+
+    def describe(self) -> dict:
+        return {"kind": "gaussian", "sigma_x": self.sigma_x.tolist()}
 
 
 # Doublings after which the Lyapunov sum counts as divergent. Doubling j adds the
@@ -423,7 +455,7 @@ def _lds_chunk_ops(a: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray | 
 
 
 @dataclass(frozen=True)
-class LdsLaw(CovariateLaw):
+class LdsLaw(_GaussianMarginal):
     """Stationary linear dynamical system x_{i+1} = A x_i + w_i, w_i ~ N(0, I)."""
 
     a: np.ndarray
@@ -437,7 +469,7 @@ class LdsLaw(CovariateLaw):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_sigma", _readonly(sigma))
         object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "_sigma_root", _readonly(sqrt_psd(sigma)))
+        object.__setattr__(self, "_root", _readonly(sqrt_psd(sigma)))
         object.__setattr__(self, "_chunk", chunk)
         object.__setattr__(self, "_lift", lift)
         object.__setattr__(self, "_toeplitz", toeplitz)
@@ -452,12 +484,6 @@ class LdsLaw(CovariateLaw):
 
     def second_moment(self) -> np.ndarray:
         return np.array(self._sigma)
-
-    def second_moment_factor(self) -> np.ndarray:
-        return self._sigma_root
-
-    def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal((n, self.d_x)) @ self._sigma_root.T
 
     def sample_paths(self, batch: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """``batch`` stationary paths x_1..x_n: each starts from x_0 = Sigma^{1/2} z,
@@ -479,7 +505,7 @@ class LdsLaw(CovariateLaw):
         """
         d = self.d_x
         z = rng.standard_normal((batch, 1 + n, d))
-        x = z[:, 0] @ self._sigma_root.T
+        x = z[:, 0] @ self._root.T
         w = z[:, 1:]  # noise rows w_0.., overwritten in place by x_1..
         if self._chunk == 1:
             a_t = self.a.T
@@ -505,6 +531,9 @@ class LdsLaw(CovariateLaw):
     # Defined on the class, not inherited, so bench/tracing.py can wrap it.
     def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.sample_paths(1, n, rng)[0]
+
+    def describe(self) -> dict:
+        return {"kind": "lds", "a": self.a.tolist()}
 
 
 @dataclass(frozen=True)
@@ -563,6 +592,17 @@ class MarkovLaw(CovariateLaw):
         """E^T diag(sqrt(pi)), E the (S, d_x) embedding: a sum over states of
         pi_s e_s e_s^T."""
         return self._embedding.T * np.sqrt(self._pi)
+
+    def norm_moments(self, c: np.ndarray) -> tuple[float, float]:
+        """The marginal puts mass pi_s on the embedded state e_s, so the moments
+        are the sums of pi_s ||c e_s||^2 and pi_s ||c e_s||^4 over the states."""
+        h = self.embedding @ c.T
+        norms2 = np.sum(h * h, axis=1)
+        pi = self.stationary
+        return float(pi @ norms2), float(pi @ norms2 ** 2)
+
+    def describe(self) -> dict:
+        return {"kind": "markov", "transition": self.transition.tolist(), "d_x": self.d_x}
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._embedding[np.searchsorted(self._stationary_cdf, rng.random(n), side="right")]

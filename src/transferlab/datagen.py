@@ -1,7 +1,7 @@
-"""Samplers for all covariate laws and realizable label generation.
+"""Realizable label generation on the covariate samplers of the laws in ``core``.
 
-Covariates come from per-task iid Gaussians, stable LDS trajectories, or
-finite Markov chains; labels follow y = F_star g_star(x) + w with isotropic
+Each task's law (iid Gaussian, stable LDS trajectory or finite Markov chain)
+samples its covariates; labels follow y = F_star g_star(x) + w with isotropic
 Gaussian noise drawn after the covariates are fixed (martingale-difference
 contract). Each task consumes an independent RNG stream derived from the
 request seed, so tasks can be generated in any order or in parallel without
@@ -22,15 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CovariateLaw,
-    GaussianLaw,
-    LdsLaw,
-    MarkovLaw,
-    PopulationSpec,
-    TaskDataset,
-    bartlett,
-)
+from .core import PopulationSpec, TaskDataset, bartlett
 
 # 64-bit golden-ratio constant used to derive independent per-task streams.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -121,16 +113,6 @@ def sample_task_stats(req: SampleRequest, tasks=None) -> list[TaskDataset]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _law_description(law: CovariateLaw) -> dict:
-    if isinstance(law, GaussianLaw):
-        return {"kind": "gaussian", "sigma_x": law.sigma_x.tolist()}
-    if isinstance(law, LdsLaw):
-        return {"kind": "lds", "a": law.a.tolist()}
-    if isinstance(law, MarkovLaw):
-        return {"kind": "markov", "transition": law.transition.tolist(), "d_x": law.d_x}
-    return {"kind": type(law).__name__}
-
-
 def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
                        out_dir: str | Path) -> dict[str, str]:
     """Write one CSV per task (columns x_1..x_{d_x}, y_1..y_{d_y}) plus a JSON manifest.
@@ -165,7 +147,7 @@ def write_datasets_csv(datasets: list[TaskDataset], req: SampleRequest,
             {
                 "task_id": t,
                 "stream_seed": task_stream_seed(req.seed, t),
-                "law": _law_description(task.law),
+                "law": task.law.describe(),
                 "kind": "trajectory" if task.law.is_trajectory else "iid_draw",
             }
             for t, task in enumerate(req.spec.tasks)

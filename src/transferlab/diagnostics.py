@@ -12,13 +12,13 @@ factors form one zero-padded stack (``_factor_stack``), and each population
 quantity is one stacked computation over it, with no loop over tasks: the
 feature moments and Schur complements (``_stacked_moments``), the risks
 (``_risks``) and the infimal risks (``_infimal_risks``). The hypercontractivity
-ratio reads fourth moments, which every in-repo law has in closed form: a
-Gaussian marginal by Isserlis' theorem, a Markov marginal as a finite sum, so
-``hypercontractivity_c42`` draws nothing. Only ``nrls_quantities``, which reads
-moments up to the eighth, draws a seeded Monte Carlo sample. It takes
-the misspecified head from the exact moments, as ``nrls_excess`` does
-(``_misspecified_head``), and sums in one pass over chunks, so its memory does
-not grow with the sample.
+ratio reads fourth moments, which every in-repo law gives exactly through
+``law.norm_moments`` (Isserlis' theorem for a Gaussian marginal, a finite sum
+for a Markov one), so ``hypercontractivity_c42`` draws nothing. Only
+``nrls_quantities``, which reads moments up to the eighth, draws a seeded
+Monte Carlo sample. It takes the misspecified head from the exact moments, as
+``nrls_excess`` does (``_misspecified_head``), and sums in one pass over
+chunks, so its memory does not grow with the sample.
 """
 from __future__ import annotations
 
@@ -31,11 +31,8 @@ from . import core
 from .core import (
     RANK_TOL,
     CovariateLaw,
-    GaussianLaw,
-    LdsLaw,
     LinearHead,
     LinearRep,
-    MarkovLaw,
     PopulationSpec,
     inv_sqrt_psd,
     pinv,
@@ -379,34 +376,6 @@ class HypercontractivityResult:
     argmax_index: int
 
 
-def _norm_moments(law: CovariateLaw, c: np.ndarray) -> tuple[float, float]:
-    """(E ||c x||^2, E ||c x||^4) under the marginal of ``law``, exactly.
-
-    A Gaussian marginal (``GaussianLaw``, the stationary ``LdsLaw``) has
-    x = L z, z standard normal, L the second-moment factor, so with b = c L,
-    ||c x||^2 = z^T A z for A = b^T b: its mean is tr A = ||b||_F^2 and, by
-    Isserlis, its second moment is (tr A)^2 + 2 tr A^2 = ||b||_F^4 + 2 ||b b^T||_F^2.
-    A ``MarkovLaw``'s marginal puts mass pi_s on its embedded state e_s, so the
-    moments are sums pi_s ||c e_s||^2 and pi_s ||c e_s||^4 over the states.
-
-    Raises
-    ------
-    TypeError
-        For any other law: no formula is known for its fourth moment.
-    """
-    if isinstance(law, (GaussianLaw, LdsLaw)):
-        b = c @ law.second_moment_factor()
-        bbt = b @ b.T
-        m2 = float(np.sum(b * b))
-        return m2, m2 ** 2 + 2.0 * float(np.sum(bbt * bbt))
-    if isinstance(law, MarkovLaw):
-        h = law.embedding @ c.T
-        norms2 = np.sum(h * h, axis=1)
-        pi = law.stationary
-        return float(pi @ norms2), float(pi @ norms2 ** 2)
-    raise TypeError(f"no exact fourth moment for a {type(law).__name__}")
-
-
 def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
                            g_star: LinearRep) -> HypercontractivityResult:
     """(4->2) moment ratio E||h||^4 / (E||h||^2)^2 maximized over a grid of
@@ -415,7 +384,7 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
     ``laws`` is the list of task laws forming a uniform mixture; each grid
     member is a pair (F, g) and the centered hypothesis is
     h(x) = F g(x) - F_star g_star(x) = c x with c = F G - F_star G_star. Each
-    mixture moment is the mean of the laws' moments (``_norm_moments``).
+    mixture moment is the mean of the laws' exact moments, ``law.norm_moments(c)``.
     Members with second moment below 1e-14 are skipped; ``argmax_index`` is the
     first member with the largest ratio, or -1 if every member is skipped.
 
@@ -424,7 +393,7 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
     ValueError
         If the grid is empty.
     TypeError
-        If a law's marginal is neither Gaussian nor finite (``_norm_moments``).
+        If a law has no exact fourth moment (``CovariateLaw.norm_moments``).
     """
     hypothesis_grid = list(hypothesis_grid)
     if not hypothesis_grid:
@@ -434,7 +403,7 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
     best, best_idx = 0.0, -1
     for idx, (f, g) in enumerate(hypothesis_grid):
         f = f.f if isinstance(f, LinearHead) else np.asarray(f, dtype=float)
-        moments = [_norm_moments(law, f @ g.g - c_star) for law in laws]
+        moments = [law.norm_moments(f @ g.g - c_star) for law in laws]
         m2 = sum(m[0] for m in moments) / len(laws)
         m4 = sum(m[1] for m in moments) / len(laws)
         if m2 < 1e-14:

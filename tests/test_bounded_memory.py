@@ -151,7 +151,10 @@ def sampler_calls(monkeypatch):
             return out
         return wrapped
 
-    for cls in (CovariateLaw, GaussianLaw, LdsLaw, MarkovLaw):
+    tree = [CovariateLaw]
+    for cls in tree:  # the base, then every law or private base below it
+        tree.extend(cls.__subclasses__())
+    for cls in set(tree):
         for name in SAMPLERS:
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, recording(vars(cls)[name]))

@@ -266,3 +266,28 @@ def test_manifest_kind_follows_the_law(tmp_path):
     with open(paths["manifest"]) as fh:
         manifest = json.load(fh)
     assert [task["kind"] for task in manifest["tasks"]] == ["trajectory", "iid_draw"]
+
+
+# A manifest law entry's kind -> the law class whose parameters it lists.
+LAW_KINDS = {"gaussian": GaussianLaw, "lds": LdsLaw, "markov": MarkovLaw}
+
+
+def test_manifest_law_entries_rebuild_the_laws(tmp_path):
+    rng = np.random.default_rng(18)
+    rep = LinearRep(random_orthonormal_rows(2, 3, rng))
+    head = LinearHead(np.ones((1, 2)))
+    laws = (GaussianLaw(np.diag([0.5, 1.0, 2.0])), LdsLaw(stable_matrix(3, 0.8, rng)),
+            MarkovLaw(transition=np.array([[0.8, 0.1, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]]),
+                      d_x=3))
+    spec = PopulationSpec(dims=Dims(3, 1, 2), rep_star=rep,
+                          tasks=tuple(TaskSpec(law=law, head=head) for law in laws))
+    req = SampleRequest(spec=spec, per_task_n=(4, 4, 4), seed=19)
+    paths = write_datasets_csv(sample_tasks(req), req, tmp_path)
+    with open(paths["manifest"]) as fh:
+        entries = [task["law"] for task in json.load(fh)["tasks"]]
+    assert [entry["kind"] for entry in entries] == ["gaussian", "lds", "markov"]
+    for law, entry in zip(laws, entries):
+        rebuilt = LAW_KINDS[entry.pop("kind")](**entry)
+        np.testing.assert_array_equal(rebuilt.second_moment(), law.second_moment())
+        np.testing.assert_array_equal(rebuilt.sample_path(50, np.random.default_rng(20)),
+                                      law.sample_path(50, np.random.default_rng(20)))

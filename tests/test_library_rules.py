@@ -47,8 +47,9 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def _laws():
-    """Every covariate law the package defines, in any of its modules."""
+def _law_classes():
+    """Every covariate law class the package defines, in any of its modules,
+    private bases included."""
     for info in pkgutil.iter_modules(transferlab.__path__):
         if info.name != "__main__":  # importing it runs the command line
             importlib.import_module(f"transferlab.{info.name}")
@@ -56,19 +57,51 @@ def _laws():
             if law.__module__.startswith("transferlab.")]
 
 
+def _laws():
+    """Every covariate law the package defines; a private base has no instance."""
+    return [law for law in _law_classes() if law.__name__[0] != "_"]
+
+
 def test_covariate_laws_share_the_sampler_signatures():
     """``datagen._draw`` calls ``factor(n, rng)`` on a law's ``sample_path`` or
-    ``gram_factor``, and the benchmark tracer wraps ``sample_path``: every law
-    that overrides a sampler keeps the base class's signature, so no law grows
-    options of its own."""
+    ``gram_factor``, the benchmark tracer wraps ``sample_path``, and
+    ``hypercontractivity_c42`` and ``gen``'s manifest call ``norm_moments(c)`` and
+    ``describe()``: every law or private base that overrides one of them keeps the
+    base class's signature, so no law grows options of its own."""
     base = transferlab.core.CovariateLaw
-    laws = _laws()
+    laws = _law_classes()
     assert {law.__name__ for law in laws} >= {"GaussianLaw", "LdsLaw", "MarkovLaw"}
+    names = ("sample_paths", "sample_path", "gram_factor", "norm_moments", "describe")
     found = [f"{law.__name__}.{name}{inspect.signature(law.__dict__[name])}"
-             for law in laws for name in ("sample_paths", "sample_path", "gram_factor")
+             for law in laws for name in names
              if name in law.__dict__
              and inspect.signature(law.__dict__[name]) != inspect.signature(getattr(base, name))]
-    assert not found, f"sampler signatures that differ from CovariateLaw's: {found}"
+    assert not found, f"law method signatures that differ from CovariateLaw's: {found}"
+
+
+def _class_names(node):
+    """Names of the classes that an ``isinstance`` class argument lists: a name, an
+    attribute or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _class_names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def test_only_core_dispatches_on_law_types():
+    """Each law owns its formulas (its moments, its samplers and its manifest
+    entry), so no module other than ``core`` calls ``isinstance`` with a
+    ``CovariateLaw`` class, alone or inside a tuple, and a new law edits ``core``
+    alone."""
+    laws = {law.__name__ for law in _law_classes()} | {"CovariateLaw"}
+    found = [f"{path.name}:{node.lineno}" for path, tree in _modules()
+             if path.name != "core.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and laws & _class_names(node.args[1])]
+    assert not found, f"isinstance on a covariate law class outside core.py: {found}"
 
 
 # One small instance of each covariate law.
