@@ -247,14 +247,15 @@ class SweepRow(RowMetrics):
 @dataclass(frozen=True)
 class DiagnosticsReport(RowMetrics):
     """The metrics of a sweep row at ``config.seed``, plus the population's
-    ``nu_true`` and NRLS quantities for the fitted representation."""
+    ``nu_true`` and NRLS quantities for the fitted representation; its JSON says
+    whether those are exact (``nrls_exact``) or Monte Carlo."""
 
     nu_true: float | None
     nrls: diag.NrlsQuantities
 
     def to_json(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(RowMetrics)},
-                "nu_true": self.nu_true, **self.nrls.as_dict()}
+                "nu_true": self.nu_true, **self.nrls.as_dict(), "nrls_exact": self.nrls.exact}
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ feature moments and Schur complements (``_stacked_moments``), the risks
 (``_risks``) and the infimal risks (``_infimal_risks``). The hypercontractivity
 ratio reads fourth moments, which every in-repo law gives exactly through
 ``law.norm_moments`` (Isserlis' theorem for a Gaussian marginal, a finite sum
-for a Markov one), so ``hypercontractivity_c42`` draws nothing. Only
-``nrls_quantities``, which reads moments up to the eighth, draws a seeded
-Monte Carlo sample. It takes the misspecified head from the exact moments, as
-``nrls_excess`` does (``_misspecified_head``), and sums in one pass over
-chunks, so its memory does not grow with the sample.
+for a Markov one), so ``hypercontractivity_c42`` draws nothing.
+``nrls_quantities`` reads norm moments up to the eighth. It takes the
+misspecified head from the exact moments, as ``nrls_excess`` does
+(``_misspecified_head``). On a Gaussian marginal it draws nothing either: the
+law gives the moments in closed form (``law.nrls_moments``). Only on a law
+without one, a Markov chain, does it draw a seeded Monte Carlo sample, summed
+in one pass over chunks so that its memory does not grow with the sample.
 """
 from __future__ import annotations
 
@@ -253,13 +255,15 @@ def nu_hat(target_residual: float, source_residuals) -> float | None:
 
 @dataclass(frozen=True)
 class NrlsQuantities:
-    """Noise quantities of the misspecified target regression of Y on g(X)."""
+    """Noise quantities of the misspecified target regression of Y on g(X);
+    ``exact`` is True when they are closed forms, False when Monte Carlo."""
 
     sigma_u_sq: float
     sigma_v_sq: float
     c_z: float
     h_v: float
     misspecified_head: np.ndarray
+    exact: bool
 
     def as_dict(self) -> dict:
         return {
@@ -285,22 +289,45 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
                     true_head: LinearHead, rep_star: LinearRep,
                     noise_sigma: float, mc_samples: int = 200_000,
                     seed: int = 0) -> NrlsQuantities:
-    """Monte Carlo noise quantities of the second-stage regression through ``rep``.
+    """Noise quantities of the second-stage regression through ``rep``: exact for a
+    law with a closed form (``law.nrls_moments``), else from a seeded Monte Carlo
+    sample of ``mc_samples`` draws.
 
     With Z = rep(X) and Y generated by (true_head, rep_star) plus noise W, the
     exact population head F_mis (``_misspecified_head``) defines the biased noise
-    U = Y - F_mis Z and interaction term V = U Z^T Sigma_Z^{-1/2}; the Psi_1 norm
-    is estimated over moments p = 1..8. h_v is 0 when sigma_v_sq is below
-    NU_UNDEFINED_THRESHOLD, the round-off of a well-specified noiseless target.
+    U = Y - F_mis Z = Delta X + W, Delta = F_* G_* - F_mis G, the standardized
+    features z = Sigma_Z^{+/2} Z and the interaction V = U z^T. Then
+    sigma_u^2 = sqrt(E ||U||^4), sigma_v^2 = E ||V||_F^2, c_z^2 is the supremum
+    of E (v^T z)^4 over unit v, and h_v = psi_1^2 / sigma_v^2 with
+    psi_1 = max_{p <= 8} (E ||V||_F^p)^{1/p} / p. h_v is 0 when sigma_v_sq is
+    below NU_UNDEFINED_THRESHOLD, the round-off of a well-specified noiseless
+    target. ``exact`` says which path ran.
 
-    c_z^2 is the largest sample mean of (v^T z)^4, z = Sigma_Z^{-1/2} Z the
-    standardized features, over SPHERE_DIRECTIONS random unit v and the
-    coordinate axes. As (v^T z)^2 = (v (x) v)^T (z (x) z), it is
-    (v (x) v)^T M4 (v (x) v) with M4 = mean (z (x) z)(z (x) z)^T. A sample
-    maximum can exceed the population supremum: 100 000 Gaussian samples give
-    c_z near 1.739 > sqrt(3).
+    Exact path, a Gaussian marginal (``GaussianLaw``, a stationary ``LdsLaw``):
+    U and z are jointly Gaussian, and the normal equations make them
+    uncorrelated, E[U z^T] = (E[Y Z^T] - F_mis Sigma_Z) Sigma_Z^{+/2} = 0 (the
+    rows of E[Y Z^T] lie in the range of Sigma_Z), so they are independent.
+    With x = L e, U ~ N(0, C) for C = (Delta L)(Delta L)^T + sigma^2 I, formed
+    from Delta L and never as a difference of moments, so a well-specified target's
+    C is round-off of size |Delta L|^2, not of size |Sigma|; z ~ N(0, P) with
+    P = Sigma_Z^{+/2} Sigma_Z Sigma_Z^{+/2} the projector onto range(Sigma_Z),
+    of rank q. Hence
 
-    U = X (F_* G_* - F_mis G)^T + W and z = X G^T Sigma_Z^{-1/2}, so one pass
+        sigma_u^2 = sqrt((tr C)^2 + 2 tr C^2),    sigma_v^2 = q tr C,
+        c_z = sqrt(3) (0 if q = 0),               E ||V||_F^p = E ||U||^p E chi_q^p,
+
+    since E (v^T z)^4 = 3 (v^T P v)^2 peaks at 3 on range(P). E ||U||^p is exact
+    for even p (cumulants of the weighted chi-square sum ||U||^2) and a
+    trapezoid integral for odd p, within 3e-14 relative at up to 64 label
+    dimensions (``core.weighted_chi_moments``). No sample is drawn:
+    ``mc_samples`` is still checked, but neither it nor ``seed`` is read.
+
+    Monte Carlo path, any other law (a ``MarkovLaw``): the moments are sample
+    means, and c_z^2 is the largest sample mean of (v^T z)^4 over
+    SPHERE_DIRECTIONS random unit v and the coordinate axes. As
+    (v^T z)^2 = (v (x) v)^T (z (x) z), it is (v (x) v)^T M4 (v (x) v) with
+    M4 = mean (z (x) z)(z (x) z)^T. A sample maximum can exceed the population
+    supremum: 100 000 Gaussian samples gave c_z near 1.739 > sqrt(3). One pass
     over chunks of at most ``core.MC_DRAW_BUDGET`` values draws x, adds W and
     sums ||u||^4, ||V||_F^2, M4 and ||V||_F^p. ``SeedSequence(seed)`` spawns
     one stream each for x, W and the directions, so chunking changes the
@@ -313,20 +340,43 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    n, r, d_y = mc_samples, rep.out_dim, true_head.d_y
     f_mis, sigma_z = _misspecified_head(target_law, rep, true_head, rep_star)
-    # x -> [u without noise, z], one product per chunk
-    proj = np.hstack([(true_head.f @ rep_star.g - f_mis @ rep.g).T,
-                      rep.g.T @ inv_sqrt_psd(sigma_z).T])
+    u_map = true_head.f @ rep_star.g - f_mis @ rep.g
+    # Sigma_Z^{+/2} G, formed as G^T Sigma_Z^{+/2}, the product the Monte Carlo chunks take
+    z_map = (rep.g.T @ inv_sqrt_psd(sigma_z).T).T
+    try:
+        u_moments, v_moments, c_z = target_law.nrls_moments(u_map, z_map, noise_sigma)
+    except TypeError:  # no closed form for the law
+        sigma_u_sq, sigma_v_sq, c_z, v_moments = _nrls_monte_carlo(
+            target_law, u_map, z_map, noise_sigma, mc_samples, seed)
+        exact = False
+    else:
+        sigma_u_sq, sigma_v_sq, exact = math.sqrt(u_moments[3]), float(v_moments[1]), True
+    if sigma_v_sq < NU_UNDEFINED_THRESHOLD:
+        h_v = 0.0
+    else:
+        psi1 = max(v_moments[p - 1] ** (1.0 / p) / p for p in range(1, 9))
+        h_v = float(psi1 ** 2 / sigma_v_sq)
+    return NrlsQuantities(sigma_u_sq=sigma_u_sq, sigma_v_sq=sigma_v_sq, c_z=c_z,
+                          h_v=h_v, misspecified_head=f_mis, exact=exact)
+
+
+def _nrls_monte_carlo(law: CovariateLaw, u_map: np.ndarray, z_map: np.ndarray,
+                      noise_sigma: float, n: int,
+                      seed: int) -> tuple[float, float, float, np.ndarray]:
+    """(sigma_u^2, sigma_v^2, c_z, the mean ||V||_F^p for p = 1..8) from n draws
+    of x, in ``nrls_quantities``'s Monte Carlo path."""
+    d_y, r = u_map.shape[0], z_map.shape[0]
+    proj = np.hstack([u_map.T, z_map.T])  # x -> [u without noise, z], one product per chunk
     x_rng, noise_rng, dir_rng = (np.random.default_rng(s)
                                  for s in np.random.SeedSequence(seed).spawn(3))
-    step = max(1, core.MC_DRAW_BUDGET // max(target_law.d_x, r * r))
+    step = max(1, core.MC_DRAW_BUDGET // max(law.d_x, r * r))
 
     sum_u4 = sum_v2 = 0.0
     m4 = np.zeros((r * r, r * r))
     v_moments = np.zeros(8)                     # sums of ||V_i||_F^p, p = 1..8
     for start in range(0, n, step):
-        xm = target_law.sample_marginal(min(step, n - start), x_rng) @ proj
+        xm = law.sample_marginal(min(step, n - start), x_rng) @ proj
         u, z_std = xm[:, :d_y], xm[:, d_y:]
         if noise_sigma > 0:
             u = u + noise_sigma * noise_rng.standard_normal(u.shape)
@@ -339,8 +389,6 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
         v_frob = np.sqrt(v_frob2)
         for p in range(1, 9):
             v_moments[p - 1] += np.sum(v_frob ** p)
-    sigma_u_sq = math.sqrt(sum_u4 / n)
-    sigma_v_sq = sum_v2 / n
     m4 /= n
 
     dirs = dir_rng.standard_normal((SPHERE_DIRECTIONS, r))
@@ -348,15 +396,8 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     dirs = np.vstack([dirs, np.eye(r)])
     vv = (dirs[:, :, None] * dirs[:, None, :]).reshape(dirs.shape[0], r * r)
     fourth = np.sum((vv @ m4) * vv, axis=1)
-    c_z = float(np.sqrt(fourth.max(initial=0.0)))
-
-    if sigma_v_sq < NU_UNDEFINED_THRESHOLD:
-        h_v = 0.0
-    else:
-        psi1 = max((v_moments[p - 1] / n) ** (1.0 / p) / p for p in range(1, 9))
-        h_v = float(psi1 ** 2 / sigma_v_sq)
-    return NrlsQuantities(sigma_u_sq=sigma_u_sq, sigma_v_sq=sigma_v_sq,
-                          c_z=c_z, h_v=h_v, misspecified_head=f_mis)
+    return (math.sqrt(sum_u4 / n), sum_v2 / n, float(np.sqrt(fourth.max(initial=0.0))),
+            v_moments / n)
 
 
 def nrls_excess(target_law: CovariateLaw, fitted_head: LinearHead, rep: LinearRep,

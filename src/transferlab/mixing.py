@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import CovariateLaw, LdsLaw, spectral_norm, stationary_distribution
+from .core import CovariateLaw, LdsLaw, stationary_distribution
 from .errors import BadPartition, SampleTooShort, TransferLabError
 
 
@@ -242,7 +242,8 @@ def dependency_matrix_bound(profile: MixingProfile, n: int) -> DependencyBound:
     # that starts at n-1-i, so the matrix is one copy of n reversed windows
     band = np.concatenate([np.zeros(n - 1), [1.0], np.sqrt(2.0 * phi)])
     m = np.lib.stride_tricks.sliding_window_view(band, n)[::-1].copy()
-    norm = spectral_norm(m)
+    # sigma_max(m) = sqrt(lambda_max(m^T m)): a symmetric eigensolve, not a full SVD
+    norm = math.sqrt(float(np.linalg.eigvalsh(m.T @ m)[-1]))
     cap = 1.0 + math.sqrt(2.0) * float(np.sqrt(phi).sum())
     if norm > cap + 1e-9:
         raise TransferLabError(f"dependency norm {norm} exceeds its bound {cap}")

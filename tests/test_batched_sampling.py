@@ -11,6 +11,7 @@ budget leaves SNM counts and tail frequencies unchanged, and the tail check's
 chunked calibration keeps the whole sample's moments up to round-off.
 """
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -160,6 +161,32 @@ def test_markov_sample_paths_equal_sequential_reference(states, batch, n, seed):
     assert rng.random() == rng_ref.random()  # same draws consumed
     single_ref = markov_path_reference(law, n, rng_ref)
     assert np.array_equal(law.sample_path(n, rng), single_ref)
+
+
+def markov_walk_reference(law, batch, n, rng):
+    """The walk loop as it was: the start states by one searchsorted over the
+    stationary CDF, then one list of states per path."""
+    u = rng.random((batch, 1 + n))
+    first = np.searchsorted(law._stationary_cdf, u[:, 0], side="right").tolist()
+    table = law._walk_table
+    states = []
+    for s, row in zip(first, u[:, 1:].tolist()):
+        walk = []
+        for v in row:
+            s = bisect_right(table[s], v)
+            walk.append(s)
+        states.append(walk)
+    return np.array(states, dtype=np.intp).reshape(batch, n)
+
+
+@pytest.mark.parametrize("states", [2, 5, 64])
+@pytest.mark.parametrize("batch,n,seed", [(1, 24, 0), (4, 6, 1), (16, 300, 2), (3, 1, 3),
+                                          (2, 0, 4)])
+def test_markov_walk_equals_the_per_path_list_loop(states, batch, n, seed):
+    law = MarkovLaw(transition=random_chain(states, states + 1), d_x=3)
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(law._walk(batch, n, rng), markov_walk_reference(law, batch, n, rng_ref))
+    assert rng.random() == rng_ref.random()  # same draws consumed
 
 
 LDS_MATRICES = [

@@ -39,11 +39,13 @@ def traced_peak_mb(call) -> float:
 @pytest.mark.parametrize("mc_samples", [200_000, 1_000_000])
 def test_nrls_memory_does_not_grow_with_the_sample(mc_samples):
     # d_x = 64, r = 2, d_y = 1: a whole sample of 200 000 holds 102 MB of x
-    # alone; the one pass keeps a chunk of 1024 rows (0.5 MB of x)
+    # alone; the one pass keeps a chunk of 1024 rows (0.5 MB of x). A Markov
+    # target, since only a law without a closed form draws a sample
     rng = np.random.default_rng(0)
     rep = LinearRep(rng.standard_normal((2, 64)))
     head = LinearHead(rng.standard_normal((1, 2)))
-    law = GaussianLaw(sigma_x=np.eye(64))
+    law = MarkovLaw(transition=np.full((64, 64), 0.2 / 63) + (0.8 - 0.2 / 63) * np.eye(64),
+                    d_x=64)
     peak = traced_peak_mb(lambda: nrls_quantities(law, rep, head, rep, 0.5,
                                                   mc_samples=mc_samples, seed=1))
     assert peak < 4.0
@@ -131,8 +133,10 @@ ESTIMATORS = {
     "hypercontractivity_c42": _c42,
     "geometric_profile_from_lds": lambda law: geometric_profile_from_lds(law.a, mc_samples=200_000),
 }
-# exact estimators, which call no sampler at all
-EXACT = {"hypercontractivity_c42"}
+# (estimator, law) pairs that are exact, so call no sampler at all: c42 on
+# every law, the NRLS quantities on a Gaussian marginal
+EXACT = ({("hypercontractivity_c42", law) for law in LAWS}
+         | {("nrls_quantities", "gaussian"), ("nrls_quantities", "lds")})
 # estimators that take an LDS's A, not a law, so run on the LDS law alone
 LDS_ONLY = {"geometric_profile_from_lds"}
 CASES = [(estimator, law) for estimator in sorted(ESTIMATORS) for law in sorted(LAWS)
@@ -164,7 +168,7 @@ def sampler_calls(monkeypatch):
 @pytest.mark.parametrize("estimator,law", CASES)
 def test_monte_carlo_estimators_draw_in_budget_chunks(estimator, law, sampler_calls):
     ESTIMATORS[estimator](LAWS[law])
-    if estimator in EXACT:
+    if (estimator, law) in EXACT:
         assert sampler_calls == []
     else:
         assert sampler_calls
@@ -174,7 +178,7 @@ def test_monte_carlo_estimators_draw_in_budget_chunks(estimator, law, sampler_ca
 def test_every_monte_carlo_estimator_is_checked_or_listed():
     """The public functions that take a sample size (``mc_samples`` or
     ``calibration_samples``) are exactly the ones the chunk rule above runs,
-    apart from the exact estimators, which take none and must draw nothing."""
+    apart from those exact on every law, which take none and must draw nothing."""
     modules = [importlib.import_module(f"transferlab.{info.name}")
                for info in pkgutil.iter_modules(transferlab.__path__) if info.name[0] != "_"]
     sized = {name for module in modules
@@ -182,7 +186,8 @@ def test_every_monte_carlo_estimator_is_checked_or_listed():
              if fn.__module__ == module.__name__ and name[0] != "_"
              and {"mc_samples", "calibration_samples"} & set(inspect.signature(fn).parameters)}
     checked = {name.split("/")[0] for name in ESTIMATORS}
-    assert sized == checked - EXACT
+    exact_everywhere = {name for name in checked if all((name, law) in EXACT for law in LAWS)}
+    assert sized == checked - exact_everywhere
 
 
 def test_population_memory_does_not_grow_with_the_source_count():

@@ -615,9 +615,10 @@ def test_run_diagnose_identical_covariates_mu_x_one():
     payload = report.to_json()
     for key in ("mu_x", "mu_f", "nu_true", "nu_hat", "excess_risk_target",
                 "est_error_avg", "fit_objective", "iterations", "converged",
-                "sigma_u_sq", "sigma_v_sq", "c_z", "h_v"):
+                "sigma_u_sq", "sigma_v_sq", "c_z", "h_v", "nrls_exact"):
         assert key in payload
     assert payload["converged"] is True and payload["iterations"] >= 1
+    assert payload["nrls_exact"] is True  # a Gaussian target: closed forms
 
 
 def test_commands_sample_the_same_request(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from transferlab import core
 from transferlab.core import (
     Dims,
     GaussianLaw,
@@ -14,6 +17,7 @@ from transferlab.core import (
     spectral_norm,
     sqrt_psd,
     stationary_distribution,
+    weighted_chi_moments,
 )
 from transferlab.errors import InvalidMatrix, NotErgodic, NotPSD
 
@@ -106,6 +110,52 @@ def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 6))
     assert np.isclose(spectral_norm(m), np.linalg.svd(m, compute_uv=False)[0])
+
+
+ORDERS = np.arange(1, 9)
+
+
+def chi_closed_form(q, p):
+    """E chi_q^p = 2^(p/2) Gamma((q + p)/2) / Gamma(q/2)."""
+    return 2.0 ** (p / 2) * math.gamma((q + p) / 2) / math.gamma(q / 2)
+
+
+@pytest.mark.parametrize("weight", [1e-20, 0.3, 1.0, 5.0])
+def test_weighted_chi_moments_of_one_weight(weight):
+    # Q = w xi^2, so E Q^(p/2) = w^(p/2) E |xi|^p = w^(p/2) E chi_1^p
+    want = [weight ** (p / 2) * chi_closed_form(1, p) for p in ORDERS]
+    np.testing.assert_allclose(weighted_chi_moments([weight]), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(weighted_chi_moments([0.0, weight, 0.0]), want,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 64])
+@pytest.mark.parametrize("weight", [0.01, 2.5])
+def test_weighted_chi_moments_of_equal_weights(q, weight):
+    # Q = w chi_q^2: the odd orders are the quadrature, the even ones the cumulants
+    want = [weight ** (p / 2) * chi_closed_form(q, p) for p in ORDERS]
+    np.testing.assert_allclose(weighted_chi_moments(np.full(q, weight)), want,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(core._chi_moments(q, 8), [chi_closed_form(q, p) for p in ORDERS],
+                               rtol=1e-12, atol=0)
+
+
+def test_weighted_chi_moments_of_zero_weights():
+    assert weighted_chi_moments(np.zeros(3)).tolist() == [0.0] * 8
+
+
+def test_weighted_chi_moments_match_draws():
+    # 10^6 draws of an anisotropic Q, in chunks: each order within 3 standard errors
+    weights = np.array([4.0, 1.0, 0.25, 0.01])
+    rng = np.random.default_rng(5)
+    sums = np.zeros((2, ORDERS.size))
+    for _ in range(10):
+        q = (rng.standard_normal((100_000, weights.size)) ** 2) @ weights
+        powers = q[:, None] ** (ORDERS / 2)
+        sums += [powers.sum(axis=0), (powers * powers).sum(axis=0)]
+    mean = sums[0] / 1e6
+    se = np.sqrt((sums[1] / 1e6 - mean ** 2) / 1e6)
+    assert np.all(np.abs(weighted_chi_moments(weights) - mean) <= 3.0 * se)
 
 
 def bartlett_reference(d, dof, rng):

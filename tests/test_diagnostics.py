@@ -486,6 +486,7 @@ def test_nrls_quantities_and_excess_share_one_head(kind):
     g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(42)))
     q = nrls_quantities(law, g, head, rep_star, 0.4, mc_samples=2_000, seed=43)
     assert nrls_excess(law, LinearHead(q.misspecified_head), g, head, rep_star) == 0.0
+    assert q.exact is (kind != "markov")  # a Gaussian marginal has closed forms
 
 
 @pytest.mark.parametrize("mc_samples", [0, -3])
@@ -502,11 +503,13 @@ def test_nrls_rejects_empty_sample_before_any_draw(mc_samples, monkeypatch):
 
 def test_nrls_chunks_move_quantities_only_by_summation_order(monkeypatch):
     # a budget of 7 rows of d_x = 6 values: 20 001 samples in 2858 chunks,
-    # the last one short; the sample is that of one draw
-    spec = make_gaussian_population(d_y=2, seed=44)
-    g = misaligned_rep(spec, seed=45)
-    args = (spec.target.law, g, spec.target.head, spec.rep_star, 0.5)
+    # the last one short; the sample is that of one draw. A Markov target, since
+    # a Gaussian one draws nothing
+    law, rep_star, head = nrls_target("markov", 6, seed=44)
+    g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(45)))
+    args = (law, g, head, rep_star, 0.5)
     whole = nrls_quantities(*args, mc_samples=20_001, seed=46)
+    assert not whole.exact
     monkeypatch.setattr(core, "MC_DRAW_BUDGET", 7 * 6)
     chunked = nrls_quantities(*args, mc_samples=20_001, seed=46)
     for key, value in whole.as_dict().items():
@@ -524,13 +527,27 @@ def test_nrls_gaussian_kurtosis():
     assert q.c_z == pytest.approx(np.sqrt(3.0), rel=0.05)
 
 
+def polar_norm_moment(c, p):
+    """E ||u||^p for u ~ N(0, C), C 2 x 2: with u = R (sqrt(l1) cos t, sqrt(l2) sin t),
+    R ~ chi_2 independent of a uniform angle t, it is
+    E R^p * mean_t (l1 cos^2 t + l2 sin^2 t)^(p/2), E R^p = 2^(p/2) Gamma(1 + p/2);
+    the angle mean is a periodic trapezoid rule, which converges geometrically:
+    at 512 points it is exact to round-off at the eigenvalue ratios used here
+    (up to 32)."""
+    l1, l2 = np.linalg.eigvalsh(c)
+    t = np.arange(512) * 2.0 * np.pi / 512
+    angular = np.mean((l1 * np.cos(t) ** 2 + l2 * np.sin(t) ** 2) ** (p / 2))
+    return 2.0 ** (p / 2) * math.gamma(1.0 + p / 2) * angular
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "lds"])
 def test_nrls_gaussian_closed_forms(kind):
     """For a Gaussian marginal N(0, Sigma), u = Y - F_mis Z = W x + w with
     W = F_* G_* - F_mis G is N(0, C), C = W Sigma W^T + sigma^2 I. The normal
     equations make u uncorrelated with z, so, jointly Gaussian, independent of
-    it. Hence E||u||^4 = (tr C)^2 + 2 tr C^2, E ||u||^2 ||z||^2 = r tr C, and
-    every unit direction of the standard normal z has E (v^T z)^4 = 3."""
+    it. Hence E||u||^4 = (tr C)^2 + 2 tr C^2, E ||u||^2 ||z||^2 = r tr C,
+    every unit direction of the standard normal z has E (v^T z)^4 = 3, and
+    E ||u z^T||_F^p = E ||u||^p E chi_r^p gives h_v."""
     law, rep_star, head = nrls_target(kind, 6, seed=47)
     g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(48)))
     sigma, noise = law.second_moment(), 0.5
@@ -539,10 +556,16 @@ def test_nrls_gaussian_closed_forms(kind):
     w = w_star - f_mis @ g.g
     c = w @ sigma @ w.T + noise ** 2 * np.eye(head.d_y)
     q = nrls_quantities(law, g, head, rep_star, noise, mc_samples=200_000, seed=49)
+    r = g.out_dim
+    sigma_v_sq = r * np.trace(c)
+    psi1 = max((polar_norm_moment(c, p) * 2.0 ** (p / 2) * math.gamma((r + p) / 2)
+                / math.gamma(r / 2)) ** (1.0 / p) / p for p in range(1, 9))
+    assert q.exact
     assert q.sigma_u_sq == pytest.approx(np.sqrt(np.trace(c) ** 2 + 2 * np.trace(c @ c)),
-                                         rel=0.01)
-    assert q.sigma_v_sq == pytest.approx(g.out_dim * np.trace(c), rel=0.02)
-    assert q.c_z == pytest.approx(np.sqrt(3.0), abs=0.03)
+                                         rel=1e-12)
+    assert q.sigma_v_sq == pytest.approx(sigma_v_sq, rel=1e-12)
+    assert q.c_z == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    assert q.h_v == pytest.approx(psi1 ** 2 / sigma_v_sq, rel=1e-12)
 
 
 def test_nrls_sigma_v_cauchy_schwarz_chain():
@@ -599,9 +622,14 @@ def nrls_case(kind, r, seed):
 @pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified",
                                   "markov"])
 def test_nrls_c_z_matches_per_direction_reference(kind, r):
+    # a Gaussian target's c_z is the supremum sqrt(3) itself, drawn from no sample;
+    # a Markov target's is the Monte Carlo maximum over the fixed directions
     case = nrls_case(kind, r, seed=170 + r)
     q = nrls_quantities(*case, mc_samples=10_000, seed=r)
-    assert q.c_z == pytest.approx(c_z_reference(*case, 10_000, r), rel=1e-12)
+    if kind == "markov":
+        assert q.c_z == pytest.approx(c_z_reference(*case, 10_000, r), rel=1e-12)
+    else:
+        assert q.c_z == math.sqrt(3.0)
 
 
 @pytest.mark.parametrize("law", [{"kind": "gaussian", "scale_spread": 2.0},

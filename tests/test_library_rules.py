@@ -65,13 +65,15 @@ def _laws():
 def test_covariate_laws_share_the_sampler_signatures():
     """``datagen._draw`` calls ``factor(n, rng)`` on a law's ``sample_path`` or
     ``gram_factor``, the benchmark tracer wraps ``sample_path``, and
-    ``hypercontractivity_c42`` and ``gen``'s manifest call ``norm_moments(c)`` and
+    ``hypercontractivity_c42``, ``nrls_quantities`` and ``gen``'s manifest call
+    ``norm_moments(c)``, ``nrls_moments(u_map, z_map, noise_sigma)`` and
     ``describe()``: every law or private base that overrides one of them keeps the
     base class's signature, so no law grows options of its own."""
     base = transferlab.core.CovariateLaw
     laws = _law_classes()
     assert {law.__name__ for law in laws} >= {"GaussianLaw", "LdsLaw", "MarkovLaw"}
-    names = ("sample_paths", "sample_path", "gram_factor", "norm_moments", "describe")
+    names = ("sample_paths", "sample_path", "gram_factor", "norm_moments", "nrls_moments",
+             "describe")
     found = [f"{law.__name__}.{name}{inspect.signature(law.__dict__[name])}"
              for law in laws for name in names
              if name in law.__dict__
