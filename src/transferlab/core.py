@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NeedsRawRows, NotPSD, NotErgodic, UnstableSystem
+from .errors import (InvalidMatrix, NeedsRawRows, NoClosedForm, NotPSD, NotErgodic,
+                     UnstableSystem)
 
 # Relative singular-value / eigenvalue cutoff used by every pseudo-inverse
 # in the package. Matches double-precision conditioning at the dimensions
@@ -131,6 +132,10 @@ def _power_moments(w: np.ndarray, m_max: int) -> list:
     return mu
 
 
+# The highest order p of the NRLS moments E ||u||^p and E ||u z^T||_F^p: psi_1
+# of Ziemann et al. (2023) is a maximum over p = 1..8.
+NRLS_MAX_ORDER = 8
+
 # Trapezoid nodes s = log t of ``weighted_chi_moments``'s odd orders, for weights
 # scaled to sum 1: the integrand falls like e^(s/2) below the grid and at least
 # like e^(-s) above it, so the cut ends cost e^-40 relative, and a step of 1/4
@@ -139,9 +144,9 @@ def _power_moments(w: np.ndarray, m_max: int) -> list:
 _CHI_NODES = _readonly(np.arange(-80.0, 40.0 + 0.125, 0.25))
 
 
-def weighted_chi_moments(weights, p_max: int = 8) -> np.ndarray:
-    """E Q^(p/2) for p = 1..p_max, Q = sum_i w_i xi_i^2 with xi_i iid N(0, 1) and
-    w_i >= 0: the norm moments E ||y||^p of y ~ N(0, C) for w = eig(C).
+def weighted_chi_moments(weights) -> np.ndarray:
+    """E Q^(p/2) for p = 1..NRLS_MAX_ORDER, Q = sum_i w_i xi_i^2 with xi_i iid
+    N(0, 1) and w_i >= 0: the norm moments E ||y||^p of y ~ N(0, C) for w = eig(C).
 
     The weights are scaled to sum 1 and the moments scaled back by (sum w)^(p/2).
     An even order p = 2m is the exact ``_power_moments`` mu_m. An odd order
@@ -161,25 +166,25 @@ def weighted_chi_moments(weights, p_max: int = 8) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     total = float(w.sum())
     if total <= 0.0:
-        return np.zeros(p_max)
+        return np.zeros(NRLS_MAX_ORDER)
     w = w / total
-    out = np.empty(p_max)
-    mu = _power_moments(w, p_max // 2)
+    out = np.empty(NRLS_MAX_ORDER)
+    mu = _power_moments(w, NRLS_MAX_ORDER // 2)
     out[1::2] = mu[1:]
-    odd = (p_max + 1) // 2
+    odd = (NRLS_MAX_ORDER + 1) // 2
     tw = 2.0 * w * np.exp(_CHI_NODES)[:, None]
     tilted = _power_moments(w / (1.0 + tw), odd)
     weight = np.exp(0.5 * _CHI_NODES - 0.5 * np.log1p(tw).sum(axis=1))
     step = (_CHI_NODES[1] - _CHI_NODES[0]) / math.sqrt(math.pi)
     out[0::2] = [step * float(weight @ tilted[m + 1]) for m in range(odd)]
-    return out * total ** (np.arange(1, p_max + 1) / 2)
+    return out * total ** (np.arange(1, NRLS_MAX_ORDER + 1) / 2)
 
 
-def _chi_moments(q: int, p_max: int) -> np.ndarray:
-    """E chi_q^p for p = 1..p_max: E chi_q = sqrt(2) Gamma((q+1)/2) / Gamma(q/2)
-    and E chi_q^p = (q + p - 2) E chi_q^(p-2), from E chi_q^0 = 1."""
+def _chi_moments(q: int) -> np.ndarray:
+    """E chi_q^p for p = 1..NRLS_MAX_ORDER: E chi_q = sqrt(2) Gamma((q+1)/2) /
+    Gamma(q/2) and E chi_q^p = (q + p - 2) E chi_q^(p-2), from E chi_q^0 = 1."""
     moments = [1.0, math.sqrt(2.0) * math.exp(math.lgamma((q + 1) / 2) - math.lgamma(q / 2))]
-    for p in range(2, p_max + 1):
+    for p in range(2, NRLS_MAX_ORDER + 1):
         moments.append((q + p - 2) * moments[p - 2])
     return np.array(moments[1:])
 
@@ -354,7 +359,7 @@ class CovariateLaw:
     (a factor of a path's Gram); and ``describe``, its parameters for a
     manifest. For an iid law a path is an iid draw; trajectory laws override
     ``sample_paths`` and start each path stationary, so keep every step. Here
-    ``norm_moments`` and ``nrls_moments`` raise ``TypeError``: a law without
+    ``norm_moments`` and ``nrls_moments`` raise ``NoClosedForm``: a law without
     a closed form for them keeps that.
     """
 
@@ -390,17 +395,17 @@ class CovariateLaw:
 
     def norm_moments(self, c: np.ndarray) -> tuple[float, float]:
         """(E ||c x||^2, E ||c x||^4) under the marginal, exactly, for a (m, d_x) c.
-        Here it raises ``TypeError``: no formula is known for the law's fourth moment."""
-        raise TypeError(f"no exact fourth moment for a {type(self).__name__}")
+        Here it raises ``NoClosedForm``: no formula is known for the law's fourth moment."""
+        raise NoClosedForm(f"no exact fourth moment for a {type(self).__name__}")
 
     def nrls_moments(self, u_map: np.ndarray, z_map: np.ndarray,
                      noise_sigma: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(E ||u||^p and E ||u z^T||_F^p for p = 1..8, and c_z = sup_{|v|=1}
-        sqrt(E (v^T z)^4)) under the marginal, exactly, for u = u_map x + noise_sigma w
-        and z = z_map x, where w ~ N(0, I) is independent of x, E[u z^T] = 0 and
-        E[z z^T] is a projector. Here it raises ``TypeError``: no closed form is
-        known for the law."""
-        raise TypeError(f"no exact NRLS moments for a {type(self).__name__}")
+        """(E ||u||^p and E ||u z^T||_F^p for p = 1..NRLS_MAX_ORDER, and
+        c_z = sup_{|v|=1} sqrt(E (v^T z)^4)) under the marginal, exactly, for
+        u = u_map x + noise_sigma w and z = z_map x, where w ~ N(0, I) is independent
+        of x, E[u z^T] = 0 and E[z z^T] is a projector. Here it raises
+        ``NoClosedForm``: no closed form is known for the law."""
+        raise NoClosedForm(f"no exact NRLS moments for a {type(self).__name__}")
 
     def describe(self) -> dict:
         """The law's kind and parameters, as JSON values."""
@@ -445,7 +450,7 @@ class _GaussianMarginal(CovariateLaw):
         q = round(float(np.sum(zl * zl)))
         if q == 0:
             return u_moments, np.zeros_like(u_moments), 0.0
-        return u_moments, u_moments * _chi_moments(q, u_moments.size), math.sqrt(3.0)
+        return u_moments, u_moments * _chi_moments(q), math.sqrt(3.0)
 
 
 @dataclass(frozen=True)

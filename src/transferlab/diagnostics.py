@@ -15,7 +15,7 @@ feature moments and Schur complements (``_stacked_moments``), the risks
 ratio reads fourth moments, which every in-repo law gives exactly through
 ``law.norm_moments`` (Isserlis' theorem for a Gaussian marginal, a finite sum
 for a Markov one), so ``hypercontractivity_c42`` draws nothing.
-``nrls_quantities`` reads norm moments up to the eighth. It takes the
+``nrls_quantities`` reads norm moments up to order ``core.NRLS_MAX_ORDER``. It takes the
 misspecified head from the exact moments, as ``nrls_excess`` does
 (``_misspecified_head``). On a Gaussian marginal it draws nothing either: the
 law gives the moments in closed form (``law.nrls_moments``). Only on a law
@@ -41,7 +41,7 @@ from .core import (
     spectral_norm,
     sqrt_psd,
 )
-from .errors import RangeViolation
+from .errors import NoClosedForm, RangeViolation
 
 # A risk below this counts as zero (the round-off floor): a diversity ratio
 # with such a denominator is undefined (None), and sweeps fit no slope through
@@ -299,9 +299,9 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     features z = Sigma_Z^{+/2} Z and the interaction V = U z^T. Then
     sigma_u^2 = sqrt(E ||U||^4), sigma_v^2 = E ||V||_F^2, c_z^2 is the supremum
     of E (v^T z)^4 over unit v, and h_v = psi_1^2 / sigma_v^2 with
-    psi_1 = max_{p <= 8} (E ||V||_F^p)^{1/p} / p. h_v is 0 when sigma_v_sq is
-    below NU_UNDEFINED_THRESHOLD, the round-off of a well-specified noiseless
-    target. ``exact`` says which path ran.
+    psi_1 = max_{p <= NRLS_MAX_ORDER} (E ||V||_F^p)^{1/p} / p. h_v is 0 when
+    sigma_v_sq is below NU_UNDEFINED_THRESHOLD, the round-off of a well-specified
+    noiseless target. ``exact`` says which path ran.
 
     Exact path, a Gaussian marginal (``GaussianLaw``, a stationary ``LdsLaw``):
     U and z are jointly Gaussian, and the normal equations make them
@@ -346,7 +346,7 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     z_map = (rep.g.T @ inv_sqrt_psd(sigma_z).T).T
     try:
         u_moments, v_moments, c_z = target_law.nrls_moments(u_map, z_map, noise_sigma)
-    except TypeError:  # no closed form for the law
+    except NoClosedForm:
         sigma_u_sq, sigma_v_sq, c_z, v_moments = _nrls_monte_carlo(
             target_law, u_map, z_map, noise_sigma, mc_samples, seed)
         exact = False
@@ -355,7 +355,8 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
     if sigma_v_sq < NU_UNDEFINED_THRESHOLD:
         h_v = 0.0
     else:
-        psi1 = max(v_moments[p - 1] ** (1.0 / p) / p for p in range(1, 9))
+        psi1 = max(v_moments[p - 1] ** (1.0 / p) / p
+                   for p in range(1, core.NRLS_MAX_ORDER + 1))
         h_v = float(psi1 ** 2 / sigma_v_sq)
     return NrlsQuantities(sigma_u_sq=sigma_u_sq, sigma_v_sq=sigma_v_sq, c_z=c_z,
                           h_v=h_v, misspecified_head=f_mis, exact=exact)
@@ -364,8 +365,8 @@ def nrls_quantities(target_law: CovariateLaw, rep: LinearRep,
 def _nrls_monte_carlo(law: CovariateLaw, u_map: np.ndarray, z_map: np.ndarray,
                       noise_sigma: float, n: int,
                       seed: int) -> tuple[float, float, float, np.ndarray]:
-    """(sigma_u^2, sigma_v^2, c_z, the mean ||V||_F^p for p = 1..8) from n draws
-    of x, in ``nrls_quantities``'s Monte Carlo path."""
+    """(sigma_u^2, sigma_v^2, c_z, the mean ||V||_F^p for p = 1..NRLS_MAX_ORDER)
+    from n draws of x, in ``nrls_quantities``'s Monte Carlo path."""
     d_y, r = u_map.shape[0], z_map.shape[0]
     proj = np.hstack([u_map.T, z_map.T])  # x -> [u without noise, z], one product per chunk
     x_rng, noise_rng, dir_rng = (np.random.default_rng(s)
@@ -374,7 +375,7 @@ def _nrls_monte_carlo(law: CovariateLaw, u_map: np.ndarray, z_map: np.ndarray,
 
     sum_u4 = sum_v2 = 0.0
     m4 = np.zeros((r * r, r * r))
-    v_moments = np.zeros(8)                     # sums of ||V_i||_F^p, p = 1..8
+    v_moments = np.zeros(core.NRLS_MAX_ORDER)   # sums of ||V_i||_F^p, p = 1, 2, ...
     for start in range(0, n, step):
         xm = law.sample_marginal(min(step, n - start), x_rng) @ proj
         u, z_std = xm[:, :d_y], xm[:, d_y:]
@@ -387,7 +388,7 @@ def _nrls_monte_carlo(law: CovariateLaw, u_map: np.ndarray, z_map: np.ndarray,
         zz = (z_std[:, :, None] * z_std[:, None, :]).reshape(-1, r * r)
         m4 += zz.T @ zz
         v_frob = np.sqrt(v_frob2)
-        for p in range(1, 9):
+        for p in range(1, core.NRLS_MAX_ORDER + 1):
             v_moments[p - 1] += np.sum(v_frob ** p)
     m4 /= n
 
@@ -433,7 +434,7 @@ def hypercontractivity_c42(laws, hypothesis_grid, f_star: np.ndarray,
     ------
     ValueError
         If the grid is empty.
-    TypeError
+    NoClosedForm
         If a law has no exact fourth moment (``CovariateLaw.norm_moments``).
     """
     hypothesis_grid = list(hypothesis_grid)

@@ -55,3 +55,10 @@ class SweepFailed(TransferLabError):
 
 class ConfigError(TransferLabError):
     """Experiment configuration is malformed (unknown keys, bad types, bad values)."""
+
+
+class NoClosedForm(TransferLabError, TypeError):
+    """A law has no closed form for the exact moments asked of it. Also a
+    ``TypeError``, as the method is unsupported for the law's type; callers that
+    fall back to sampling catch this class alone, so that a ``TypeError`` raised
+    inside a formula is not taken for a missing one."""

@@ -112,7 +112,7 @@ def test_spectral_norm_matches_svd():
     assert np.isclose(spectral_norm(m), np.linalg.svd(m, compute_uv=False)[0])
 
 
-ORDERS = np.arange(1, 9)
+ORDERS = np.arange(1, core.NRLS_MAX_ORDER + 1)
 
 
 def chi_closed_form(q, p):
@@ -136,12 +136,12 @@ def test_weighted_chi_moments_of_equal_weights(q, weight):
     want = [weight ** (p / 2) * chi_closed_form(q, p) for p in ORDERS]
     np.testing.assert_allclose(weighted_chi_moments(np.full(q, weight)), want,
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(core._chi_moments(q, 8), [chi_closed_form(q, p) for p in ORDERS],
+    np.testing.assert_allclose(core._chi_moments(q), [chi_closed_form(q, p) for p in ORDERS],
                                rtol=1e-12, atol=0)
 
 
 def test_weighted_chi_moments_of_zero_weights():
-    assert weighted_chi_moments(np.zeros(3)).tolist() == [0.0] * 8
+    assert weighted_chi_moments(np.zeros(3)).tolist() == [0.0] * ORDERS.size
 
 
 def test_weighted_chi_moments_match_draws():

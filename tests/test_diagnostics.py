@@ -518,12 +518,23 @@ def test_nrls_chunks_move_quantities_only_by_summation_order(monkeypatch):
                                rtol=1e-12)
 
 
-def test_nrls_gaussian_kurtosis():
+@pytest.fixture
+def monte_carlo_only(monkeypatch):
+    """Take the Gaussian marginal's closed form away, so that ``nrls_quantities``
+    runs its Monte Carlo path on a Gaussian or LDS target, where the closed forms
+    are an oracle for it."""
+    monkeypatch.setattr(core._GaussianMarginal, "nrls_moments",
+                        CovariateLaw.nrls_moments)
+
+
+def test_nrls_gaussian_kurtosis(monte_carlo_only):
     spec = make_gaussian_population(d_y=1, seed=41)
     g = misaligned_rep(spec, seed=42)
     q = nrls_quantities(spec.target.law, g, spec.target.head, spec.rep_star,
                         0.3, mc_samples=400_000, seed=43)
-    # standardized Gaussian features: every direction has fourth moment 3
+    # standardized Gaussian features: every direction has fourth moment 3, and the
+    # Monte Carlo maximum over the directions lands near it
+    assert not q.exact
     assert q.c_z == pytest.approx(np.sqrt(3.0), rel=0.05)
 
 
@@ -541,13 +552,15 @@ def polar_norm_moment(c, p):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "lds"])
-def test_nrls_gaussian_closed_forms(kind):
+def test_nrls_gaussian_closed_forms(kind, monkeypatch):
     """For a Gaussian marginal N(0, Sigma), u = Y - F_mis Z = W x + w with
     W = F_* G_* - F_mis G is N(0, C), C = W Sigma W^T + sigma^2 I. The normal
     equations make u uncorrelated with z, so, jointly Gaussian, independent of
     it. Hence E||u||^4 = (tr C)^2 + 2 tr C^2, E ||u||^2 ||z||^2 = r tr C,
     every unit direction of the standard normal z has E (v^T z)^4 = 3, and
-    E ||u z^T||_F^p = E ||u||^p E chi_r^p gives h_v."""
+    E ||u z^T||_F^p = E ||u||^p E chi_r^p gives h_v. The exact path meets them
+    to 1e-12; the Monte Carlo path, made to run on the same law, within its
+    sampling error at 200 000 draws."""
     law, rep_star, head = nrls_target(kind, 6, seed=47)
     g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(48)))
     sigma, noise = law.second_moment(), 0.5
@@ -566,17 +579,39 @@ def test_nrls_gaussian_closed_forms(kind):
     assert q.sigma_v_sq == pytest.approx(sigma_v_sq, rel=1e-12)
     assert q.c_z == pytest.approx(np.sqrt(3.0), rel=1e-12)
     assert q.h_v == pytest.approx(psi1 ** 2 / sigma_v_sq, rel=1e-12)
+    monkeypatch.setattr(core._GaussianMarginal, "nrls_moments", CovariateLaw.nrls_moments)
+    mc = nrls_quantities(law, g, head, rep_star, noise, mc_samples=200_000, seed=49)
+    assert not mc.exact
+    assert mc.sigma_u_sq == pytest.approx(q.sigma_u_sq, rel=0.01)
+    assert mc.sigma_v_sq == pytest.approx(q.sigma_v_sq, rel=0.02)
+    assert mc.c_z == pytest.approx(q.c_z, abs=0.03)
+    assert mc.h_v == pytest.approx(q.h_v, rel=0.01)  # 0.2% off at these seeds
 
 
 def test_nrls_sigma_v_cauchy_schwarz_chain():
-    spec = make_gaussian_population(d_y=2, seed=44)
-    g = misaligned_rep(spec, seed=45)
-    q = nrls_quantities(spec.target.law, g, spec.target.head, spec.rep_star,
-                        0.5, mc_samples=300_000, seed=46)
-    r = spec.dims.r
-    # three standard errors of the Monte Carlo sigma_v estimate
-    slack = 3.0 * q.sigma_v_sq / np.sqrt(300_000)
-    assert q.sigma_v_sq <= q.c_z * q.sigma_u_sq * r + slack
+    # sigma_v^2 = E ||u||^2 ||z||^2 <= sigma_u^2 sqrt(E ||z||^4) by Cauchy-Schwarz,
+    # and E ||z||^4 = sum_ij E z_i^2 z_j^2 <= r^2 max_i E z_i^4 <= r^2 c_z^2. On a
+    # Markov target the quantities are sample means, and the chain holds for them
+    # exactly, since the coordinate axes are among c_z's directions
+    law, rep_star, head = nrls_target("markov", 6, seed=44)
+    g = LinearRep(random_orthonormal_rows(2, 6, np.random.default_rng(45)))
+    q = nrls_quantities(law, g, head, rep_star, 0.5, mc_samples=20_000, seed=46)
+    assert not q.exact
+    assert q.sigma_v_sq <= q.c_z * q.sigma_u_sq * g.out_dim * (1.0 + 1e-12)
+
+
+def test_nrls_lets_a_type_error_of_the_law_through():
+    # only NoClosedForm selects the Monte Carlo path; a TypeError raised inside a
+    # law's formula is a fault, not a missing closed form
+    class FaultyLaw(GaussianLaw):
+        def nrls_moments(self, u_map, z_map, noise_sigma):
+            raise TypeError("faulty formula")
+
+    spec = make_gaussian_population(seed=47)
+    law = FaultyLaw(spec.target.law.second_moment())
+    with pytest.raises(TypeError, match="faulty formula"):
+        nrls_quantities(law, spec.rep_star, spec.target.head, spec.rep_star, 0.5,
+                        mc_samples=2_000, seed=48)
 
 
 def c_z_reference(law, rep, head, rep_star, noise_sigma, mc_samples, seed):
